@@ -16,6 +16,7 @@ index, then the lowest threshold / category index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +67,22 @@ class TreeNode:
         return self.feature is None
 
 
+class NodeTable(NamedTuple):
+    """Struct-of-arrays node table for one tree or many packed together.
+
+    Node i is a leaf when feat[i] < 0, and then pred[i] is its prediction.
+    Otherwise it tests row[feat[i]] <= val[i] (is_le[i]) or row[feat[i]] ==
+    val[i] and sends the row to left[i] when the test holds, else right[i].
+    """
+
+    feat: np.ndarray
+    is_le: np.ndarray
+    val: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    pred: np.ndarray
+
+
 @dataclass(eq=False)
 class ExplainerTree:
     root: TreeNode
@@ -76,10 +93,10 @@ class ExplainerTree:
     leaf_count: int
 
     def __post_init__(self):
-        self._flatten()
+        self.table = self._flatten()
 
-    def _flatten(self):
-        """Array form of the tree for vectorized routing."""
+    def _flatten(self) -> NodeTable:
+        """Array form of the tree for vectorized routing; the root is node 0."""
         nodes: list[TreeNode] = []
         stack = [self.root]
         while stack:
@@ -90,21 +107,18 @@ class ExplainerTree:
                 stack.append(node.left)
         ids = {id(n): i for i, n in enumerate(nodes)}
         m = len(nodes)
-        self._feat = np.full(m, -1, dtype=np.int64)
-        self._is_le = np.zeros(m, dtype=bool)
-        self._val = np.zeros(m)
-        self._left = np.zeros(m, dtype=np.int64)
-        self._right = np.zeros(m, dtype=np.int64)
-        self._pred = np.zeros(m)
+        t = NodeTable(np.full(m, -1, dtype=np.int64), np.zeros(m, dtype=bool), np.zeros(m),
+                      np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.zeros(m))
         for i, n in enumerate(nodes):
             if n.is_leaf:
-                self._pred[i] = n.prediction
+                t.pred[i] = n.prediction
             else:
-                self._feat[i] = n.feature
-                self._is_le[i] = n.kind == NUMERIC_LE
-                self._val[i] = n.value
-                self._left[i] = ids[id(n.left)]
-                self._right[i] = ids[id(n.right)]
+                t.feat[i] = n.feature
+                t.is_le[i] = n.kind == NUMERIC_LE
+                t.val[i] = n.value
+                t.left[i] = ids[id(n.left)]
+                t.right[i] = ids[id(n.right)]
+        return t
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -311,21 +325,61 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConf
     return ExplainerTree(root, schema, task, n_classes, grower.depth, grower.leaves)
 
 
+# (row, root) pairs routed at once; bounds the index arrays of one pass
+ROUTE_CHUNK_PAIRS = 1 << 15
+
+
+def pack_tables(tables) -> tuple[NodeTable, np.ndarray]:
+    """Concatenate node tables into one, children shifted by each table's offset.
+
+    Returns the packed table and the root offsets, one per input table.
+    """
+    sizes = np.array([len(t.feat) for t in tables], dtype=np.int64)
+    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
+    shift = np.repeat(roots, sizes)
+    packed = NodeTable(*(np.concatenate(col) for col in zip(*tables)))
+    return packed._replace(left=packed.left + shift, right=packed.right + shift), roots
+
+
+def route(table: NodeTable, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Leaf predictions of every row from every root, shape (len(roots), n_rows).
+
+    All (root, row) pairs descend together: each pass gathers the test of
+    every pair still at an internal node, steps it to a child and drops the
+    pairs that reached a leaf. Rows go in chunks of at most ROUTE_CHUNK_PAIRS
+    pairs.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    out = np.empty((len(roots), len(rows)))
+    step = max(1, ROUTE_CHUNK_PAIRS // len(roots))
+    for a in range(0, len(rows), step):
+        out[:, a:a + step] = _route_chunk(table, roots, rows[a:a + step])
+    return out
+
+
+def _route_chunk(t: NodeTable, roots, rows) -> np.ndarray:
+    n, p = rows.shape
+    flat_rows = rows.ravel()
+    node = np.repeat(roots, n)  # tree-major: pair k * n + i is row i at root k
+    pair = np.flatnonzero(t.feat[node] >= 0)
+    cur = node[pair]
+    base = (pair % n) * p  # offset of each pair's row in flat_rows
+    while len(pair):
+        v = flat_rows[base + t.feat[cur]]
+        thr = t.val[cur]
+        nxt = np.where(np.where(t.is_le[cur], v <= thr, v == thr), t.left[cur], t.right[cur])
+        inner = t.feat[nxt] >= 0
+        node[pair] = nxt
+        pair, cur, base = pair[inner], nxt[inner], base[inner]
+    return t.pred[node].reshape(len(roots), n)
+
+
 def predict_batch(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
     """Predictions for many rows at once (iterative array routing)."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
-    n = len(rows)
-    node = np.zeros(n, dtype=np.int64)
-    active = np.flatnonzero(tree._feat[node] >= 0)
-    while len(active):
-        cur = node[active]
-        v = rows[active, tree._feat[cur]]
-        go_left = np.where(tree._is_le[cur], v <= tree._val[cur], v == tree._val[cur])
-        node[active] = np.where(go_left, tree._left[cur], tree._right[cur])
-        active = active[tree._feat[node[active]] >= 0]
-    preds = tree._pred[node]
+    preds = route(tree.table, np.zeros(1, dtype=np.int64), rows)[0]
     return preds.astype(np.int64) if tree.task == CLASSIFICATION else preds
 
 

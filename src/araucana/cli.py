@@ -226,7 +226,7 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
     return PrecomputedOracle(covered, preds, covered.task)
 
 
-def _explain_config(args, train_size: int | None = None) -> ExplainConfig:
+def _explain_config(args) -> ExplainConfig:
     policy = args.smote_policy
     if policy == "off":
         smote = None
@@ -428,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num-features", type=_nonneg_int, default=None)
     p.add_argument("--cat-features", type=_nonneg_int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -438,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -450,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--instance", help="JSON array or object with the instance values")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="directory for explanation.json + manifest")
     p.set_defaults(func=cmd_explain)
 
@@ -463,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explainers", type=_explainer_list, default=["araucana"],
                    help="comma list: araucana,linear")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="directory for summary.csv, per_instance.csv + manifest")
     p.set_defaults(func=cmd_evaluate)
     return parser

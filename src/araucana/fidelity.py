@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cart
 from .explain import ExplainConfig, Neighborhood, explain_instance, select_neighborhood
 from .oracle import OracleError, PredictionOracle
-from .smote import SmoteConfig
 from .tabular import CLASSIFICATION, Dataset, Schema
 
 ARAUCANA = "araucana"
@@ -115,12 +114,6 @@ class FidelityReport:
     seed: int
 
 
-def _instance_smote(base: SmoteConfig, seed: int, index: int) -> SmoteConfig:
-    # per-instance sub-seed, fixed offset scheme keyed on the test row index
-    return SmoteConfig(base.k_neighbors, base.target_policy, base.fixed_total,
-                       seed=seed + index)
-
-
 def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                       explainers: list[str], cfg: ExplainConfig = ExplainConfig()) -> FidelityReport:
     """Per-instance agreement of each explainer with the oracle over a test set.
@@ -140,17 +133,11 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     for i in range(len(test)):
         x = test.X[i]
         oracle_label = oracle.predict_batch(x.reshape(1, -1))[0]
+        # per-instance sub-seed, fixed offset scheme keyed on the test row index
+        smote = None if cfg.smote is None else replace(cfg.smote, seed=cfg.seed + i)
+        icfg = replace(cfg, smote=smote, seed=cfg.seed + i)
         nbh = None
         for name in explainers:
-            icfg = ExplainConfig(
-                n_neighbors=cfg.n_neighbors,
-                distance=cfg.distance,
-                smote=None if cfg.smote is None else _instance_smote(cfg.smote, cfg.seed, i),
-                cart=cfg.cart,
-                seed=cfg.seed + i,
-                regression_rel_eps=cfg.regression_rel_eps,
-                regression_abs_eps=cfg.regression_abs_eps,
-            )
             try:
                 if name == ARAUCANA:
                     expl = explain_instance(train, x, oracle, icfg)

@@ -11,8 +11,8 @@ Subprocess wire protocol (one JSON object per line, both directions):
   reply    {"predictions": [p, ...]}        class names as strings (or class
                                             indices as integers); numbers for
                                             regression
-The child is spawned once and persists across batches; the default per-batch
-timeout is 30 seconds.
+The child is spawned once and persists across batches; the per-batch timeout
+(default 30 seconds) covers writing the request and reading the reply.
 """
 
 from __future__ import annotations
@@ -67,9 +67,19 @@ class ForestConfig:
     feature_subsample: int | None = None  # None = ceil(sqrt(n_features))
     max_depth: int | None = None
 
+    def __post_init__(self):
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
+
 
 class ForestModel:
-    """Bagged unpruned CART trees; majority vote / mean."""
+    """Bagged unpruned CART trees; majority vote / mean.
+
+    Prediction routes every tree at once through one packed node table: the
+    trees' node tables concatenated, with child indices shifted by each tree's
+    offset and `_roots` holding the offset of each tree's root. The leaf values
+    come back tree-major, one row of votes per tree, in the order of `trees`.
+    """
 
     def __init__(self, trees, schema: Schema, task: str, tree_seeds, feature_subsample,
                  bootstrap=True):
@@ -80,12 +90,13 @@ class ForestModel:
         self.tree_seeds = list(tree_seeds)
         self.feature_subsample = feature_subsample
         self.bootstrap = bootstrap
+        self._table, self._roots = cart.pack_tables([t.table for t in trees])
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        votes = np.stack([cart.predict_batch(t, rows) for t in self.trees])
+        votes = cart.route(self._table, self._roots, rows)
         if self.task == REGRESSION:
             return votes.mean(axis=0)
         n_classes = len(self.schema.target.classes)
@@ -199,18 +210,34 @@ class SubprocessOracle(PredictionOracle):
             )
         except OSError as exc:
             raise OracleError(f"cannot start oracle command {self.command!r}: {exc}") from exc
+        os.set_blocking(self._proc.stdin.fileno(), False)
 
-    def _read_line(self) -> bytes:
-        """One newline-terminated reply, honoring the per-batch timeout."""
-        deadline = time.monotonic() + self.timeout
+    def _wait(self, fd, deadline, write=False) -> None:
+        """Block until fd is ready or raise the per-batch timeout."""
+        remain = deadline - time.monotonic()
+        waits = ([], [fd]) if write else ([fd], [])
+        if remain <= 0 or not any(select.select(*waits, [], remain)):
+            raise OracleError(f"oracle timed out after {self.timeout}s")
+
+    def _write_all(self, data: bytes, deadline) -> None:
+        """Write the whole request through the non-blocking stdin pipe."""
+        fd = self._proc.stdin.fileno()
+        view = memoryview(data)
+        while view:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                pass
+            except OSError as exc:  # BrokenPipeError included
+                raise OracleError(f"oracle subprocess is gone: {exc}") from exc
+            if view:
+                self._wait(fd, deadline, write=True)
+
+    def _read_line(self, deadline) -> bytes:
+        """One newline-terminated reply, read before the deadline."""
         fd = self._proc.stdout.fileno()
         while b"\n" not in self._buf:
-            remain = deadline - time.monotonic()
-            if remain <= 0:
-                raise OracleError(f"oracle timed out after {self.timeout}s")
-            ready, _, _ = select.select([fd], [], [], remain)
-            if not ready:
-                raise OracleError(f"oracle timed out after {self.timeout}s")
+            self._wait(fd, deadline)
             chunk = os.read(fd, 65536)
             if not chunk:
                 code = self._proc.poll()
@@ -228,12 +255,9 @@ class SubprocessOracle(PredictionOracle):
             rows = rows.reshape(1, -1)
         self._ensure_child()
         payload = {"instances": [self.schema.decode_row(r) for r in rows]}
-        try:
-            self._proc.stdin.write((json.dumps(payload) + "\n").encode("utf-8"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise OracleError(f"oracle subprocess is gone: {exc}") from exc
-        line = self._read_line()
+        deadline = time.monotonic() + self.timeout  # covers the write and the reply
+        self._write_all((json.dumps(payload) + "\n").encode("utf-8"), deadline)
+        line = self._read_line(deadline)
         try:
             reply = json.loads(line)
             preds = reply["predictions"]
@@ -347,8 +371,7 @@ def save_model(model, path) -> None:
     else:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path):

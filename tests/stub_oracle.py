@@ -9,6 +9,7 @@ Modes:
 Options:
   --die-after N   exit(3) after answering N batches
   --delay S       sleep S seconds before each reply
+  --no-read       never read stdin: sleep --delay seconds (default 60), then exit
 """
 
 import argparse
@@ -24,7 +25,11 @@ def main():
     ap.add_argument("--value", default="0")
     ap.add_argument("--die-after", type=int, default=0)
     ap.add_argument("--delay", type=float, default=0.0)
+    ap.add_argument("--no-read", action="store_true")
     args = ap.parse_args()
+    if args.no_read:
+        time.sleep(args.delay or 60.0)
+        return
 
     batches = 0
     for line in sys.stdin:

@@ -1,10 +1,11 @@
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from araucana.cart import CartConfig, fit_tree, predict_batch
+from araucana.cart import ROUTE_CHUNK_PAIRS, CartConfig, fit_tree, predict_batch
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
@@ -17,7 +18,7 @@ from araucana.oracle import (
     train_forest,
     train_knn,
 )
-from araucana.tabular import Dataset, SynthSpec, synth_dataset
+from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
 
 from conftest import make_dataset, random_mixed_schema, random_rows
 
@@ -38,6 +39,11 @@ def test_forest_reduces_to_single_cart():
     np.testing.assert_array_equal(forest.predict_batch(probe), predict_batch(tree, probe))
 
 
+def test_forest_needs_a_tree():
+    with pytest.raises(ValueError, match="n_trees must be >= 1"):
+        ForestConfig(n_trees=0)
+
+
 def test_forest_determinism_and_batch_loop_equivalence():
     ds = synth_dataset(SynthSpec("imbalanced_mixed", 150), seed=4)
     a = train_forest(ds, ForestConfig(n_trees=10, seed=9))
@@ -54,6 +60,41 @@ def test_forest_learns_xor_mixed_training_set():
     forest = train_forest(ds, ForestConfig(seed=3))
     acc = float((forest.predict_batch(ds.X) == ds.y).mean())
     assert acc >= 0.95
+
+
+def _per_tree_vote(forest, rows):
+    """Reference forest prediction: route each tree on its own, then vote."""
+    votes = np.stack([predict_batch(t, rows) for t in forest.trees])
+    if forest.task == REGRESSION:
+        return votes.mean(axis=0)
+    n_classes = len(forest.schema.target.classes)
+    counts = np.stack([(votes == c).sum(axis=0) for c in range(n_classes)])
+    return counts.argmax(axis=0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
+def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
+    rng = np.random.default_rng(40 + seed)
+    schema = random_mixed_schema(rng, n_classes=3 if target == "3 classes" else 2)
+    if target == "regression":
+        schema = Schema(schema.features, TargetSpec("label", REGRESSION))
+    ds = make_dataset(rng, schema, 60)
+    forest = train_forest(ds, ForestConfig(n_trees=7, seed=seed))
+    stumps = train_forest(ds, ForestConfig(n_trees=3, seed=seed, max_depth=0))
+    assert all(t.leaf_count == 1 for t in stumps.trees)
+    # more rows than one routing chunk holds for a 7-tree forest
+    probe = random_rows(rng, schema, ROUTE_CHUNK_PAIRS // forest.n_trees + 5)
+    for model in (forest, stumps):
+        for rows in (probe[:1], probe[0], probe[:30], probe):
+            np.testing.assert_array_equal(model.predict_batch(rows),
+                                          _per_tree_vote(model, np.atleast_2d(rows)))
+
+    save_model(forest, tmp_path / "a.json")
+    back = load_model(tmp_path / "a.json")
+    np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
+    save_model(back, tmp_path / "b.json")
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
 
 
 def test_knn_examples():
@@ -171,6 +212,20 @@ def test_subprocess_timeout():
     try:
         with pytest.raises(OracleError, match="timed out"):
             oracle.predict_batch(ds.X)
+    finally:
+        oracle.close()
+
+
+def test_subprocess_write_timeout_when_child_never_reads():
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    rows = np.repeat(ds.X, 5000, axis=0)  # a request far larger than a pipe buffer
+    oracle = SubprocessOracle(stub_command("--no-read --delay 30"),
+                              ds.schema, "classification", timeout=0.5)
+    try:
+        start = time.monotonic()
+        with pytest.raises(OracleError, match="timed out"):
+            oracle.predict_batch(rows)
+        assert time.monotonic() - start < 5.0
     finally:
         oracle.close()
 
