@@ -11,11 +11,18 @@ whenever no two rows share a feature vector with different labels.
 
 Tie-breaking is deterministic: best gain wins; ties go to the lowest feature
 index, then the lowest threshold / category index.
+
+A tree has one form, the struct-of-arrays layout of scikit-learn's `tree_`:
+a NodeTable whose nodes are in preorder (the root is node 0, a split's left
+child follows it) plus one leaf-statistics array beside it. The grower and
+tree_from_dict append nodes in that order with an explicit stack; routing,
+decision paths and tree_to_dict read the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -47,32 +54,14 @@ class CartConfig:
             raise ValueError("max_depth must be >= 0")
 
 
-class TreeNode:
-    """Internal node (feature test + children) or leaf (prediction + stats)."""
-
-    __slots__ = ("feature", "kind", "value", "left", "right", "prediction", "counts", "stats")
-
-    def __init__(self):
-        self.feature = None
-        self.kind = None
-        self.value = None
-        self.left = None
-        self.right = None
-        self.prediction = None
-        self.counts = None
-        self.stats = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
 class NodeTable(NamedTuple):
     """Struct-of-arrays node table for one tree or many packed together.
 
     Node i is a leaf when feat[i] < 0, and then pred[i] is its prediction.
     Otherwise it tests row[feat[i]] <= val[i] (is_le[i]) or row[feat[i]] ==
     val[i] and sends the row to left[i] when the test holds, else right[i].
+    A single tree's nodes are in preorder: the root is node 0 and a split's
+    left child is the node right after it.
     """
 
     feat: np.ndarray
@@ -85,40 +74,57 @@ class NodeTable(NamedTuple):
 
 @dataclass(eq=False)
 class ExplainerTree:
-    root: TreeNode
+    """A grown tree: its node table plus per-node leaf statistics.
+
+    leaf_stats[i] holds, for a leaf i, the training rows that reached it: the
+    class counts for classification (shape (nodes, n_classes)) or the row
+    count for regression (shape (nodes,)). It is zero at internal nodes and
+    sits beside the table, so packing trees into a forest leaves it out.
+    """
+
+    table: NodeTable
+    leaf_stats: np.ndarray
     schema: Schema
     task: str
-    n_classes: int
     depth: int
     leaf_count: int
 
-    def __post_init__(self):
-        self.table = self._flatten()
 
-    def _flatten(self) -> NodeTable:
-        """Array form of the tree for vectorized routing; the root is node 0."""
-        nodes: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            nodes.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        ids = {id(n): i for i, n in enumerate(nodes)}
-        m = len(nodes)
-        t = NodeTable(np.full(m, -1, dtype=np.int64), np.zeros(m, dtype=bool), np.zeros(m),
-                      np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.zeros(m))
-        for i, n in enumerate(nodes):
-            if n.is_leaf:
-                t.pred[i] = n.prediction
-            else:
-                t.feat[i] = n.feature
-                t.is_le[i] = n.kind == NUMERIC_LE
-                t.val[i] = n.value
-                t.left[i] = ids[id(n.left)]
-                t.right[i] = ids[id(n.right)]
-        return t
+class _Preorder:
+    """Node columns appended in preorder; a split's right child is linked to
+    it when that child is added."""
+
+    def __init__(self, schema: Schema, task: str, n_classes: int):
+        self.schema, self.task = schema, task
+        self.feat, self.is_le, self.val, self.right, self.pred, self.stats = [], [], [], [], [], []
+        self.no_stats = np.zeros(n_classes, dtype=np.int64) if task == CLASSIFICATION else 0
+        self.depth = 0
+
+    def add(self, depth: int, right_of: int, feature: int = -1, kind: str = CATEGORY_EQ,
+            value: float = 0.0, pred: float = 0.0, stats=None) -> int:
+        """Append one node and return its id; right_of is the split whose
+        right child it is, or -1. A node without a feature is a leaf."""
+        node = len(self.feat)
+        if right_of >= 0:
+            self.right[right_of] = node
+        self.depth = max(self.depth, depth)
+        self.feat.append(feature)
+        self.is_le.append(kind == NUMERIC_LE)
+        self.val.append(value)
+        self.right.append(0)
+        self.pred.append(pred)
+        self.stats.append(self.no_stats if stats is None else stats)
+        return node
+
+    def tree(self) -> ExplainerTree:
+        feat = np.array(self.feat, dtype=np.int64)
+        split = feat >= 0
+        left = np.where(split, np.arange(len(feat)) + 1, 0)
+        table = NodeTable(feat, np.array(self.is_le, dtype=bool), np.array(self.val, dtype=float),
+                          left, np.array(self.right, dtype=np.int64),
+                          np.array(self.pred, dtype=float))
+        return ExplainerTree(table, np.array(self.stats, dtype=np.int64), self.schema, self.task,
+                             self.depth, int(len(feat) - split.sum()))
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -151,8 +157,6 @@ class _Grower:
             if cfg.feature_subsample is not None and cfg.feature_subsample < schema.n_features
             else None
         )
-        self.depth = 0
-        self.leaves = 0
 
     def candidate_features(self):
         p = self.schema.n_features
@@ -254,14 +258,13 @@ class _Grower:
             return None
         return float(gains[k]), CATEGORY_EQ, float(cats[k])
 
-    def grow(self, root_idx) -> TreeNode:
+    def grow(self, root_idx) -> ExplainerTree:
         # explicit preorder stack: unpruned trees on conflicted data can grow
         # deeper than the interpreter recursion limit
-        root = TreeNode()
-        stack = [(root, root_idx, 0)]
+        nodes = _Preorder(self.schema, self.task, self.n_classes)
+        stack = [(root_idx, 0, -1)]  # (rows, depth, split whose right child this is)
         while stack:
-            node, idx, depth = stack.pop()
-            self.depth = max(self.depth, depth)
+            idx, depth, right_of = stack.pop()
             y_node = self.y[idx]
             imp, counts = self.node_impurity(y_node)
             n = len(idx)
@@ -273,27 +276,19 @@ class _Grower:
             )
             split = None if stop else self.best_split(idx, imp)
             if split is None:
-                self.leaves += 1
                 if self.task == CLASSIFICATION:
-                    node.prediction = int(np.argmax(counts))
-                    node.counts = counts.astype(np.int64)
+                    nodes.add(depth, right_of, pred=int(np.argmax(counts)), stats=counts)
                 else:
-                    m = float(y_node.mean())
-                    node.prediction = m
-                    node.stats = {"n": int(n), "mean": m}
+                    nodes.add(depth, right_of, pred=float(y_node.mean()), stats=n)
                 continue
 
             _, f, kind, value = split
-            node.feature = int(f)
-            node.kind = kind
-            node.value = float(value)
+            node = nodes.add(depth, right_of, int(f), kind, float(value))
             col = self.X[idx, f]
             mask = col <= value if kind == NUMERIC_LE else col == value
-            node.left = TreeNode()
-            node.right = TreeNode()
-            stack.append((node.right, idx[~mask], depth + 1))
-            stack.append((node.left, idx[mask], depth + 1))
-        return root
+            stack.append((idx[~mask], depth + 1, node))
+            stack.append((idx[mask], depth + 1, -1))
+        return nodes.tree()
 
 
 def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConfig,
@@ -317,12 +312,8 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConf
         y = y.astype(float)
         n_classes = 0
         if cfg.criterion in (GINI, ENTROPY):
-            cfg = CartConfig(MSE, cfg.min_samples_split, cfg.max_depth, cfg.seed,
-                             cfg.feature_subsample)
-
-    grower = _Grower(X, y, schema, cfg, task, n_classes)
-    root = grower.grow(np.arange(len(X)))
-    return ExplainerTree(root, schema, task, n_classes, grower.depth, grower.leaves)
+            cfg = replace(cfg, criterion=MSE)
+    return _Grower(X, y, schema, cfg, task, n_classes).grow(np.arange(len(X)))
 
 
 # (row, root) pairs routed at once; bounds the index arrays of one pass
@@ -342,7 +333,7 @@ def pack_tables(tables) -> tuple[NodeTable, np.ndarray]:
 
 
 def route(table: NodeTable, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Leaf predictions of every row from every root, shape (len(roots), n_rows).
+    """Leaf node ids of every row from every root, shape (len(roots), n_rows).
 
     All (root, row) pairs descend together: each pass gathers the test of
     every pair still at an internal node, steps it to a child and drops the
@@ -350,7 +341,7 @@ def route(table: NodeTable, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     pairs.
     """
     rows = np.ascontiguousarray(rows, dtype=float)
-    out = np.empty((len(roots), len(rows)))
+    out = np.empty((len(roots), len(rows)), dtype=np.int64)
     step = max(1, ROUTE_CHUNK_PAIRS // len(roots))
     for a in range(0, len(rows), step):
         out[:, a:a + step] = _route_chunk(table, roots, rows[a:a + step])
@@ -371,15 +362,20 @@ def _route_chunk(t: NodeTable, roots, rows) -> np.ndarray:
         inner = t.feat[nxt] >= 0
         node[pair] = nxt
         pair, cur, base = pair[inner], nxt[inner], base[inner]
-    return t.pred[node].reshape(len(roots), n)
+    return node.reshape(len(roots), n)
+
+
+def apply(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
+    """Leaf node id of each row."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows.reshape(1, -1)
+    return route(tree.table, np.zeros(1, dtype=np.int64), rows)[0]
 
 
 def predict_batch(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
     """Predictions for many rows at once (iterative array routing)."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    preds = route(tree.table, np.zeros(1, dtype=np.int64), rows)[0]
+    preds = tree.table.pred[apply(tree, rows)]
     return preds.astype(np.int64) if tree.task == CLASSIFICATION else preds
 
 
@@ -394,13 +390,15 @@ def decision_path(tree: ExplainerTree, inst: np.ndarray) -> list[tuple[int, str,
     """Root-to-leaf tests for inst as (feature, kind, value, branch_taken_true)."""
     inst = np.asarray(inst, dtype=float)
     validate_instance(tree.schema, inst)
+    t = tree.table
     path = []
-    node = tree.root
-    while not node.is_leaf:
-        v = inst[node.feature]
-        taken = v <= node.value if node.kind == NUMERIC_LE else v == node.value
-        path.append((node.feature, node.kind, node.value, bool(taken)))
-        node = node.left if taken else node.right
+    node = 0
+    while t.feat[node] >= 0:
+        feature, value = int(t.feat[node]), float(t.val[node])
+        v = inst[feature]
+        taken = bool(v <= value if t.is_le[node] else v == value)
+        path.append((feature, NUMERIC_LE if t.is_le[node] else CATEGORY_EQ, value, taken))
+        node = t.left[node] if taken else t.right[node]
     return path
 
 
@@ -412,58 +410,63 @@ def tree_stats(tree: ExplainerTree) -> dict:
     }
 
 
-def _node_to_dict(node: TreeNode, schema: Schema, task: str) -> dict:
-    if node.is_leaf:
-        if task == CLASSIFICATION:
-            leaf = {
-                "prediction": schema.decode_label(node.prediction),
-                "counts": [int(c) for c in node.counts],
-            }
-        else:
-            leaf = {"prediction": node.prediction, "stats": dict(node.stats)}
-        return {"leaf": leaf}
-    if node.kind == NUMERIC_LE:
-        test = {"kind": NUMERIC_LE, "threshold": node.value}
-    else:
-        test = {"kind": CATEGORY_EQ, "category": int(node.value)}
-    return {
-        "feature": node.feature,
-        "test": test,
-        "left": _node_to_dict(node.left, schema, task),
-        "right": _node_to_dict(node.right, schema, task),
-    }
-
-
 def tree_to_dict(tree: ExplainerTree) -> dict:
-    return _node_to_dict(tree.root, tree.schema, tree.task)
-
-
-def _node_from_dict(d: dict, schema: Schema, task: str, depth, counter) -> TreeNode:
-    node = TreeNode()
-    if "leaf" in d:
-        leaf = d["leaf"]
-        counter["leaves"] += 1
-        counter["depth"] = max(counter["depth"], depth)
-        if task == CLASSIFICATION:
-            node.prediction = int(schema.encode_label(leaf["prediction"]))
-            node.counts = np.asarray(leaf["counts"], dtype=np.int64)
+    """Nested JSON form of the tree: each split holds its left and right subtrees."""
+    t = tree.table
+    feat, is_le, val = t.feat.tolist(), t.is_le.tolist(), t.val.tolist()
+    left, right, pred = t.left.tolist(), t.right.tolist(), t.pred.tolist()
+    stats = tree.leaf_stats.tolist()
+    docs: list = [None] * len(feat)
+    for i in range(len(feat) - 1, -1, -1):  # children come after their parent
+        if feat[i] >= 0:
+            if is_le[i]:
+                test = {"kind": NUMERIC_LE, "threshold": val[i]}
+            else:
+                test = {"kind": CATEGORY_EQ, "category": int(val[i])}
+            docs[i] = {"feature": feat[i], "test": test,
+                       "left": docs[left[i]], "right": docs[right[i]]}
+        elif tree.task == CLASSIFICATION:
+            docs[i] = {"leaf": {"prediction": tree.schema.decode_label(pred[i]),
+                                "counts": stats[i]}}
         else:
-            node.prediction = float(leaf["prediction"])
-            node.stats = dict(leaf["stats"])
-        return node
-    node.feature = int(d["feature"])
-    test = d["test"]
-    node.kind = test["kind"]
-    node.value = float(test["threshold"] if node.kind == NUMERIC_LE else test["category"])
-    node.left = _node_from_dict(d["left"], schema, task, depth + 1, counter)
-    node.right = _node_from_dict(d["right"], schema, task, depth + 1, counter)
-    return node
+            docs[i] = {"leaf": {"prediction": pred[i],
+                                "stats": {"n": stats[i], "mean": pred[i]}}}
+    return docs[0]
 
 
 def tree_from_dict(d: dict, schema: Schema, task: str) -> ExplainerTree:
-    counter = {"leaves": 0, "depth": 0}
-    root = _node_from_dict(d, schema, task, 0, counter)
     n_classes = len(schema.target.classes) if (
         task == CLASSIFICATION and schema.target is not None
     ) else 0
-    return ExplainerTree(root, schema, task, n_classes, counter["depth"], counter["leaves"])
+    nodes = _Preorder(schema, task, n_classes)
+    stack = [(d, 0, -1)]  # (subtree, depth, split whose right child this is)
+    while stack:
+        sub, depth, right_of = stack.pop()
+        if "leaf" in sub:
+            leaf = sub["leaf"]
+            if task == CLASSIFICATION:
+                nodes.add(depth, right_of, pred=schema.encode_label(leaf["prediction"]),
+                          stats=leaf["counts"])
+            else:
+                nodes.add(depth, right_of, pred=float(leaf["prediction"]),
+                          stats=int(leaf["stats"]["n"]))
+            continue
+        test = sub["test"]
+        kind = test["kind"]
+        value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
+        node = nodes.add(depth, right_of, int(sub["feature"]), kind, value)
+        stack.append((sub["right"], depth + 1, node))
+        stack.append((sub["left"], depth + 1, -1))
+    return nodes.tree()
+
+
+def json_text(doc, indent=None) -> str:
+    """json.dumps of a document that holds trees.
+
+    The encoder nests one level per tree level and stops at the interpreter's
+    recursion limit; a tree too deep for it raises ValueError.
+    """
+    try:
+        return json.dumps(doc, indent=indent)
+    except RecursionError:
+        raise ValueError("tree too deep to nest as JSON") from None

@@ -434,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a built-in black box")
     _add_common_data_flags(p)
     p.add_argument("--model", choices=["forest", "knn"], default="forest")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--k", type=int, default=5)
+    p.add_argument("--trees", type=_positive_int, default=100)
+    p.add_argument("--k", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -16,7 +16,6 @@ explainer set carries x's exact feature vector with a different label.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -84,23 +83,15 @@ class Condition:
     op: str
     value: object  # threshold for numerics, category string otherwise
 
-    def holds(self, display_value) -> bool:
-        if self.op == OP_LE:
-            return float(display_value) <= self.value
-        if self.op == OP_GT:
-            return float(display_value) > self.value
-        if self.op == OP_EQ:
-            return display_value == self.value
-        return display_value != self.value
-
 
 @dataclass
 class Rule:
     """The query's root-to-leaf path as a conjunction of conditions.
 
-    support counts explainer-set rows satisfying every condition; purity is
-    the fraction of those rows whose label matches the prediction (within the
-    regression epsilon for numeric targets).
+    support counts explainer-set rows satisfying every condition, which are
+    the rows the tree routes to x's leaf; purity is the fraction of those rows
+    whose label matches the prediction (within the regression epsilon for
+    numeric targets).
     """
 
     conditions: list[Condition]
@@ -195,23 +186,12 @@ def _merge_path(path, schema: Schema) -> list[Condition]:
     return out
 
 
-def _rule_support(conditions: list[Condition], eset: ExplainerSet, schema: Schema,
-                  prediction_encoded, task: str, eps: float) -> tuple[int, float]:
-    decoded = [schema.decode_row(r) for r in eset.X]
-    name_to_pos = {f.name: i for i, f in enumerate(schema.features)}
-    match = np.ones(len(eset), dtype=bool)
-    for c in conditions:
-        pos = name_to_pos[c.feature]
-        match &= np.array([c.holds(row[pos]) for row in decoded])
-    support = int(match.sum())
-    if support == 0:
-        return 0, 0.0
-    labels = eset.y[match]
+def match_epsilon(cfg: ExplainConfig, task: str, label) -> float:
+    """Distance within which a prediction matches the label: 0 for classes,
+    the regression epsilon around the label for numeric targets."""
     if task == CLASSIFICATION:
-        agree = int((labels == prediction_encoded).sum())
-    else:
-        agree = int((np.abs(labels - prediction_encoded) <= eps).sum())
-    return support, agree / support
+        return 0.0
+    return cfg.regression_rel_eps * abs(float(label)) + cfg.regression_abs_eps
 
 
 def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
@@ -231,21 +211,21 @@ def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
 
     nbh = select_neighborhood(train, x, oracle, cfg)
     eset = build_explainer_set(nbh, x, oracle, smote_cfg, schema)
-    oracle_label = eset.y[eset.provenance.index(QUERY)]
+    q = eset.provenance.index(QUERY)
+    oracle_label = eset.y[q]
 
     tree = cart.fit_tree(eset.X, eset.y, schema, cfg.cart, task=task)
     path = cart.decision_path(tree, x)
     conditions = _merge_path(path, schema)
 
-    pred_encoded = cart.predict_tree(tree, x)
-    if task == CLASSIFICATION:
-        faithful = bool(pred_encoded == oracle_label)
-        eps = 0.0
-    else:
-        eps = cfg.regression_rel_eps * abs(float(oracle_label)) + cfg.regression_abs_eps
-        faithful = bool(abs(float(pred_encoded) - float(oracle_label)) <= eps)
-    support, purity = _rule_support(conditions, eset, schema, pred_encoded, task, eps)
-    rule = Rule(conditions, schema.decode_label(pred_encoded), support, purity)
+    # the rows meeting every condition are exactly the rows routed to x's leaf
+    leaves = cart.apply(tree, eset.X)
+    pred_encoded = tree.table.pred[leaves[q]]
+    eps = match_epsilon(cfg, task, oracle_label)
+    faithful = bool(abs(pred_encoded - oracle_label) <= eps)
+    in_leaf = eset.y[leaves == leaves[q]]
+    agree = int((np.abs(in_leaf - pred_encoded) <= eps).sum())
+    rule = Rule(conditions, schema.decode_label(pred_encoded), len(in_leaf), agree / len(in_leaf))
 
     if task == CLASSIFICATION:
         relabel_counts: dict = {}
@@ -323,7 +303,7 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
             "config": expl.config,
             "seed": expl.seed,
         }
-        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+        return (cart.json_text(doc, indent=2) + "\n").encode("utf-8")
     if format != TEXT:
         raise ValueError(f"unknown render format {format!r}")
     if expl.rule.conditions:

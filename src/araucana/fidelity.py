@@ -16,8 +16,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cart
-from .explain import ExplainConfig, Neighborhood, explain_instance, select_neighborhood
+from .explain import (
+    ExplainConfig,
+    Neighborhood,
+    explain_instance,
+    match_epsilon,
+    select_neighborhood,
+)
 from .oracle import OracleError, PredictionOracle
 from .tabular import CLASSIFICATION, Dataset, Schema
 
@@ -141,18 +146,16 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
             try:
                 if name == ARAUCANA:
                     expl = explain_instance(train, x, oracle, icfg)
-                    pred = cart.predict_tree(expl.tree, x)
+                    prediction = expl.rule.prediction
                     agree = expl.faithful
                 else:
                     if nbh is None:
                         nbh = select_neighborhood(train, x, oracle, icfg)
                     lin = fit_linear_explainer(nbh, x, schema, task=oracle.task)
                     pred = lin.predict(x)
-                    if oracle.task == CLASSIFICATION:
-                        agree = bool(pred == oracle_label)
-                    else:
-                        eps = cfg.regression_rel_eps * abs(float(oracle_label)) + cfg.regression_abs_eps
-                        agree = bool(abs(float(pred) - float(oracle_label)) <= eps)
+                    prediction = schema.decode_label(pred)
+                    agree = bool(abs(pred - oracle_label)
+                                 <= match_epsilon(cfg, oracle.task, oracle_label))
             except OracleError:
                 raise
             except Exception as exc:  # noqa: BLE001 - per-instance isolation
@@ -166,7 +169,7 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                     "explainer": name,
                     "index": i,
                     "oracle_label": schema.decode_label(oracle_label),
-                    "prediction": schema.decode_label(pred),
+                    "prediction": prediction,
                     "agree": bool(agree),
                 }
             )

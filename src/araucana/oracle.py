@@ -77,8 +77,9 @@ class ForestModel:
 
     Prediction routes every tree at once through one packed node table: the
     trees' node tables concatenated, with child indices shifted by each tree's
-    offset and `_roots` holding the offset of each tree's root. The leaf values
-    come back tree-major, one row of votes per tree, in the order of `trees`.
+    offset and `_roots` holding the offset of each tree's root. The leaf ids
+    come back tree-major, one row per tree in the order of `trees`, and their
+    predictions are the votes.
     """
 
     def __init__(self, trees, schema: Schema, task: str, tree_seeds, feature_subsample,
@@ -96,7 +97,7 @@ class ForestModel:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        votes = cart.route(self._table, self._roots, rows)
+        votes = self._table.pred[cart.route(self._table, self._roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
         n_classes = len(self.schema.target.classes)
@@ -370,8 +371,9 @@ def save_model(model, path) -> None:
         }
     else:
         raise TypeError(f"cannot save model of type {type(model).__name__}")
+    text = cart.json_text(doc) + "\n"  # before opening: a too-deep tree leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(text)
 
 
 def load_model(path):
@@ -391,5 +393,5 @@ def load_model(path):
             metric = DistanceMetric(schema, doc["metric"])
             return KnnModel(X, y, schema, task, doc["k"], metric)
         raise KeyError(f"unknown model type {kind!r}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise OracleError(f"malformed model file {path}: {exc}") from exc

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,17 @@ def make_dataset(rng, schema, n):
     else:
         y = rng.integers(0, len(schema.target.classes), size=n)
     return Dataset(schema, X, y)
+
+
+# the JSON encoders of Python 3.11 and older nest only as deep as the
+# recursion limit (1000 by default), so a 1,199-level tree cannot be written
+DEEP_JSON_REFUSED = sys.version_info < (3, 12)
+
+
+def chain_dataset(n=1200):
+    """v = 0..n-1 with alternating labels: CART grows a chain n - 1 levels deep."""
+    schema = Schema(
+        (FeatureSpec("v", "numeric", range=(0.0, float(n - 1))),),
+        TargetSpec("label", CLASSIFICATION, classes=("0", "1")),
+    )
+    return Dataset(schema, np.arange(n, dtype=float).reshape(-1, 1), np.arange(n) % 2)

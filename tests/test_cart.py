@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from araucana.cart import (
 )
 from araucana.tabular import FeatureSpec, Schema, TargetSpec
 
-from conftest import random_mixed_schema, random_rows
+from conftest import DEEP_JSON_REFUSED, chain_dataset, random_mixed_schema, random_rows
 
 
 def and_dataset(two_cat_schema):
@@ -95,7 +97,7 @@ def test_regression_leaf_mean_and_root_mse():
     y = np.array([1.0, 2.0, 3.0, 6.0])
     leaf = fit_tree(X, y, schema, CartConfig(max_depth=0), task="regression")
     assert predict_tree(leaf, np.array([0.5])) == pytest.approx(y.mean())
-    assert leaf.root.stats == {"n": 4, "mean": 3.0}
+    assert leaf.leaf_stats[0] == 4 and leaf.table.pred[0] == 3.0  # n and mean
 
 
 def test_conflicting_duplicates_majority_leaf(two_cat_schema):
@@ -129,24 +131,19 @@ def test_split_admissibility_and_determinism():
     assert tree_to_dict(t1) == tree_to_dict(t2)
 
     # chosen splits never increase weighted impurity and never strand a side
-    def check(node, idx):
-        if node.is_leaf:
-            return
+    for node, idx in _walk_sizes(t1, X):
+        if _is_leaf(t1, node):
+            continue
         y_node = y[idx]
         counts = np.bincount(y_node, minlength=3)
         parent = cart._gini(counts.astype(float), len(idx))
-        col = X[idx, node.feature]
-        mask = col <= node.value if node.kind == cart.NUMERIC_LE else col == node.value
+        mask = _goes_left(t1, node, X[idx])
         left, right = y_node[mask], y_node[~mask]
         assert len(left) > 0 and len(right) > 0
         wl = cart._gini(np.bincount(left, minlength=3).astype(float), len(left))
         wr = cart._gini(np.bincount(right, minlength=3).astype(float), len(right))
         weighted = (len(left) * wl + len(right) * wr) / len(idx)
         assert weighted <= parent + 1e-12
-        check(node.left, idx[mask])
-        check(node.right, idx[~mask])
-
-    check(t1.root, np.arange(len(X)))
 
 
 def test_categorical_xor_reaches_purity(two_cat_schema):
@@ -162,7 +159,7 @@ def test_tie_break_prefers_first_feature(two_cat_schema):
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
     tree = fit_tree(X, y, two_cat_schema, CartConfig())
-    assert tree.root.feature == 0
+    assert tree.table.feat[0] == 0
     # and the lowest category index for equal-gain categories on one feature
     schema = Schema(
         (FeatureSpec("c", "categorical", categories=("x", "y")),),
@@ -170,7 +167,7 @@ def test_tie_break_prefers_first_feature(two_cat_schema):
     )
     X2 = np.array([[0.0], [1.0]])
     tree2 = fit_tree(X2, np.array([0, 1]), schema, CartConfig())
-    assert tree2.root.value == 0.0
+    assert tree2.table.val[0] == 0.0
 
 
 def test_numeric_threshold_is_midpoint():
@@ -181,7 +178,7 @@ def test_numeric_threshold_is_midpoint():
     X = np.array([[1.0], [3.0], [7.0], [9.0]])
     y = np.array([0, 0, 1, 1])
     tree = fit_tree(X, y, schema, CartConfig())
-    assert tree.root.value == 5.0
+    assert tree.table.val[0] == 5.0
 
 
 def test_max_depth_and_min_samples_split():
@@ -195,28 +192,37 @@ def test_max_depth_and_min_samples_split():
     assert all(n >= 32 for n in _node_sizes(chunky, X, internal_only=True))
 
 
+def _is_leaf(tree, node):
+    return tree.table.feat[node] < 0
+
+
+def _goes_left(tree, node, rows):
+    t = tree.table
+    col = rows[:, t.feat[node]]
+    return col <= t.val[node] if t.is_le[node] else col == t.val[node]
+
+
 def _walk_sizes(tree, X):
+    """(node id, rows of X reaching it) in preorder, split by the node tests."""
     out = []
-
-    def walk(node, idx):
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
         out.append((node, idx))
-        if not node.is_leaf:
-            col = X[idx, node.feature]
-            mask = col <= node.value if node.kind == cart.NUMERIC_LE else col == node.value
-            walk(node.left, idx[mask])
-            walk(node.right, idx[~mask])
-
-    walk(tree.root, np.arange(len(X)))
+        if not _is_leaf(tree, node):
+            mask = _goes_left(tree, node, X[idx])
+            stack.append((tree.table.right[node], idx[~mask]))
+            stack.append((tree.table.left[node], idx[mask]))
     return out
 
 
 def _node_sizes(tree, X, internal_only=False):
     return [len(idx) for node, idx in _walk_sizes(tree, X)
-            if not (internal_only and node.is_leaf)]
+            if not (internal_only and _is_leaf(tree, node))]
 
 
 def _leaf_sizes(tree, X):
-    return [len(idx) for node, idx in _walk_sizes(tree, X) if node.is_leaf]
+    return [len(idx) for node, idx in _walk_sizes(tree, X) if _is_leaf(tree, node)]
 
 
 def test_json_roundtrip_classification_and_regression():
@@ -233,8 +239,32 @@ def test_json_roundtrip_classification_and_regression():
 
     yr = rng.standard_normal(50)
     rtree = fit_tree(X, yr, schema, CartConfig(), task="regression")
-    rback = tree_from_dict(tree_to_dict(rtree), schema, "regression")
+    rdoc = tree_to_dict(rtree)
+    rback = tree_from_dict(rdoc, schema, "regression")
     np.testing.assert_allclose(predict_batch(rback, probe), predict_batch(rtree, probe))
+
+    # a loaded tree writes back the same bytes and holds the same arrays
+    for original, d, loaded in ((tree, doc, back), (rtree, rdoc, rback)):
+        assert json.dumps(tree_to_dict(loaded)) == json.dumps(d)
+        for a, b in zip(loaded.table, original.table):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.leaf_stats, original.leaf_stats)
+
+
+def test_deep_tree_walks_without_recursion():
+    ds = chain_dataset(1200)
+    tree = fit_tree(ds.X, ds.y, ds.schema, CartConfig())
+    assert tree.depth == 1199
+    np.testing.assert_array_equal(predict_batch(tree, ds.X), ds.y)
+    assert len(decision_path(tree, ds.X[-1])) == 1199
+    doc = tree_to_dict(tree)
+    back = tree_from_dict(doc, ds.schema, "classification")
+    assert tree_stats(back) == tree_stats(tree)
+    for a, b in zip(back.table, tree.table):
+        np.testing.assert_array_equal(a, b)
+    if DEEP_JSON_REFUSED:
+        with pytest.raises(ValueError, match="too deep"):
+            cart.json_text(doc)
 
 
 def test_json_field_names(two_cat_schema):
@@ -252,12 +282,8 @@ def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
     tree = fit_tree(X, y, two_cat_schema, CartConfig())
     sizes = _leaf_sizes(tree, X)
 
-    def leaf_totals(node):
-        if node.is_leaf:
-            return [int(node.counts.sum())]
-        return leaf_totals(node.left) + leaf_totals(node.right)
-
-    assert leaf_totals(tree.root) == sizes
+    leaf_totals = [int(tree.leaf_stats[node].sum()) for node in np.flatnonzero(tree.table.feat < 0)]
+    assert leaf_totals == sizes  # leaves in preorder
 
 
 def test_errors():

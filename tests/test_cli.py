@@ -7,6 +7,8 @@ import pytest
 from araucana.cli import main
 from araucana.tabular import SynthSpec, load_dataset, save_dataset, synth_dataset
 
+from conftest import DEEP_JSON_REFUSED, chain_dataset
+
 STUB = Path(__file__).parent / "stub_oracle.py"
 
 
@@ -132,6 +134,27 @@ def test_synth_zero_rows_exits_2(tmp_path):
     code = run(["synth", "--gen", "xor_mixed", "--rows", 10, "--cat-features", 1,
                 "--out", tmp_path / "y"])
     assert code == 2
+    # so are zero counts for the built-in black boxes
+    data = synth_dir(tmp_path, "moons2d", 30, 1)
+    for flag in ("--trees", "--k"):
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--data", data / "data.csv", "--schema", data / "schema.json",
+                 flag, 0, "--out", tmp_path / "m"])
+        assert exc.value.code == 2
+
+
+def test_explain_too_deep_tree_exits_1(tmp_path, capsys):
+    # a 1-NN oracle relabels the chain exactly, so the surrogate is 1,199 levels deep
+    save_dataset(chain_dataset(1200), tmp_path / "data.csv", tmp_path / "schema.json")
+    code = run(["explain", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+                "--oracle", "builtin:knn", "--k", 1, "--n-neighbors", 1200,
+                "--smote-policy", "off", "--index", 0, "--format", "json"])
+    if DEEP_JSON_REFUSED:
+        assert code == 1
+        assert capsys.readouterr().err == "error: tree too deep to nest as JSON\n"
+    else:
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["tree_stats"]["depth"] == 1199
 
 
 def test_explain_oracle_death_exit_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,8 @@ from araucana.tabular import (
     synth_dataset,
 )
 from araucana import cart
+
+from conftest import make_dataset, random_mixed_schema
 
 
 class FixedOracle(PredictionOracle):
@@ -122,26 +125,57 @@ def test_unique_query_is_faithful_many_seeds():
             assert expl.faithful, f"query {i} not faithful"
 
 
+def _holds(c, display_value) -> bool:
+    """Reference evaluation of one rule condition on a decoded cell."""
+    if c.op == "<=":
+        return float(display_value) <= c.value
+    if c.op == ">":
+        return float(display_value) > c.value
+    if c.op == "==":
+        return display_value == c.value
+    return display_value != c.value
+
+
 def test_rule_conditions_hold_for_query_and_leafmates():
-    ds, oracle = small_classification()
-    x = ds.X[42]
-    expl = explain_instance(ds, x, oracle, ExplainConfig(n_neighbors=30, seed=4))
-    decoded = ds.schema.decode_row(x)
-    by_name = {f.name: i for i, f in enumerate(ds.schema.features)}
-    for c in expl.rule.conditions:
-        assert c.holds(decoded[by_name[c.feature]])
-    # every explainer-set row satisfying the rule lands in the same leaf
-    eset = expl.explainer_set
-    leaf_of_x = cart.predict_batch(expl.tree, x.reshape(1, -1))[0]
-    for row in eset.X:
-        drow = ds.schema.decode_row(row)
-        if all(c.holds(drow[by_name[c.feature]]) for c in expl.rule.conditions):
-            assert cart.predict_batch(expl.tree, row.reshape(1, -1))[0] == leaf_of_x
-    assert expl.rule.support == sum(
-        all(c.holds(ds.schema.decode_row(row)[by_name[c.feature]])
-            for c in expl.rule.conditions)
-        for row in eset.X
-    )
+    """Support and purity equal the reference: conditions on decoded rows."""
+    for seed, task in itertools.product((0, 1, 2), ("classification", "regression")):
+        _check_rule_support(seed, task)
+
+
+def _check_rule_support(seed, task):
+    rng = np.random.default_rng(seed)
+    schema = random_mixed_schema(rng, n_classes=3)
+    if task == "regression":
+        schema = Schema(schema.features, TargetSpec("target", "regression"))
+    ds = make_dataset(rng, schema, 150)
+    oracle = BuiltinOracle(train_forest(ds, ForestConfig(n_trees=5, seed=seed)))
+    by_name = {f.name: i for i, f in enumerate(schema.features)}
+    for k, i in enumerate(rng.choice(len(ds), size=4, replace=False)):
+        x = ds.X[i]
+        # depth-capped trees leave impure leaves, so purity is tested below 1 too
+        cfg = ExplainConfig(n_neighbors=40, cart=CartConfig(max_depth=(None, 2)[k % 2]),
+                            seed=int(i))
+        expl = explain_instance(ds, x, oracle, cfg)
+        decoded = schema.decode_row(x)
+        for c in expl.rule.conditions:
+            assert _holds(c, decoded[by_name[c.feature]])
+        # reference path: evaluate the conditions on every decoded explainer-set row
+        eset = expl.explainer_set
+        match = np.array([
+            all(_holds(c, drow[by_name[c.feature]]) for c in expl.rule.conditions)
+            for drow in map(schema.decode_row, eset.X)
+        ])
+        # every explainer-set row satisfying the rule lands in x's leaf, and only those
+        leaves = cart.apply(expl.tree, eset.X)
+        np.testing.assert_array_equal(match, leaves == cart.apply(expl.tree, x)[0])
+        labels = eset.y[match]
+        if task == "classification":
+            agree = labels == schema.target.classes.index(expl.rule.prediction)
+        else:
+            eps = expl.config["regression_epsilon"]
+            agree = np.abs(labels - expl.rule.prediction) <= eps
+        assert expl.rule.support == int(match.sum())
+        assert expl.rule.purity == int(agree.sum()) / int(match.sum())
 
 
 def test_seed_stability_byte_identical_json():

@@ -9,6 +9,7 @@ from araucana.cart import ROUTE_CHUNK_PAIRS, CartConfig, fit_tree, predict_batch
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
+    ForestModel,
     OracleError,
     PrecomputedOracle,
     SubprocessOracle,
@@ -20,7 +21,13 @@ from araucana.oracle import (
 )
 from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
 
-from conftest import make_dataset, random_mixed_schema, random_rows
+from conftest import (
+    DEEP_JSON_REFUSED,
+    chain_dataset,
+    make_dataset,
+    random_mixed_schema,
+    random_rows,
+)
 
 STUB = Path(__file__).parent / "stub_oracle.py"
 
@@ -132,6 +139,20 @@ def test_save_load_roundtrip(tmp_path):
     save_model(knn, tmp_path / "k.json")
     kback = load_model(tmp_path / "k.json")
     np.testing.assert_array_equal(kback.predict_batch(probe), knn.predict_batch(probe))
+
+
+def test_save_model_too_deep_tree(tmp_path):
+    ds = chain_dataset(1200)
+    tree = fit_tree(ds.X, ds.y, ds.schema, CartConfig())
+    model = ForestModel([tree], ds.schema, ds.task, [0], None)
+    path = tmp_path / "model.json"
+    if DEEP_JSON_REFUSED:
+        with pytest.raises(ValueError, match="too deep to nest as JSON"):
+            save_model(model, path)
+        assert not path.exists()
+    else:
+        save_model(model, path)
+        np.testing.assert_array_equal(load_model(path).predict_batch(ds.X), ds.y)
 
 
 def test_load_model_malformed(tmp_path):
