@@ -16,6 +16,7 @@ from .explain import (
     Rule,
     build_explainer_set,
     explain_instance,
+    explain_neighborhood,
     render_explanation,
     select_neighborhood,
 )

@@ -42,6 +42,7 @@ from .tabular import (
     Dataset,
     SchemaError,
     SynthSpec,
+    encode_labels,
     load_dataset,
     read_csv,
     save_dataset,
@@ -182,19 +183,6 @@ def _load_data(args, manifest: _Manifest) -> Dataset:
     return ds
 
 
-def _encode_label_cell(schema, cell: str):
-    if schema.target is not None and schema.target.kind == CLASSIFICATION:
-        if cell not in schema.target.classes:
-            try:
-                v = float(cell)
-                if v == int(v):
-                    cell = str(int(v))
-            except ValueError:
-                pass
-        return schema.encode_label(cell)
-    return float(cell)
-
-
 def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
                   full_data: Dataset | None = None):
     """data: rows built-in models train on; full_data: every row the
@@ -222,7 +210,7 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
     if arg not in header:
         raise DataError(f"prediction column {arg!r} not found in {args.data}")
     c = header.index(arg)
-    preds = np.array([_encode_label_cell(covered.schema, row[c]) for row in rows])
+    preds = encode_labels([row[c] for row in rows], covered.schema.target, args.data, arg)
     return PrecomputedOracle(covered, preds, covered.task)
 
 
@@ -359,8 +347,9 @@ def cmd_evaluate(args) -> int:
         ignore = (args.oracle.split(":", 1)[1],)
     if args.test is not None:
         train = data
-        test = load_dataset(args.test, getattr(args, "schema", None),
-                            target=getattr(args, "target", None), ignore=ignore)
+        # under the training schema, so a category index means the same
+        # category in both files
+        test = load_dataset(args.test, schema=data.schema, ignore=ignore)
         manifest.add_input(args.test)
     else:
         train, test = _split_test_frac(data, args.test_frac, args.seed)

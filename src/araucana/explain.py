@@ -3,7 +3,9 @@
 Given a training set, a query instance x, and a black-box oracle:
 
 1. rank training rows by distance to x and keep the N nearest,
-2. relabel them with the oracle's predictions (original targets are ignored),
+2. relabel them with the oracle's predictions (original targets are ignored);
+   x rides in the same oracle call as the last row, so one request labels the
+   whole neighborhood and the query,
 3. oversample the relabeled neighborhood with SMOTE-NC and relabel the
    synthetic points with the oracle as well,
 4. fit an unpruned CART tree on neighborhood + x + synthetics,
@@ -12,6 +14,10 @@ Given a training set, a query instance x, and a black-box oracle:
 Because the tree is unpruned and x is part of its training set, the tree
 reproduces the oracle's label for x exactly whenever no other row of the
 explainer set carries x's exact feature vector with a different label.
+
+`select_neighborhood` does steps 1-2 and `explain_neighborhood` steps 3-5, so
+a caller that needs the neighborhood for more than one explainer (the
+fidelity harness) selects and labels it once.
 """
 
 from __future__ import annotations
@@ -47,8 +53,6 @@ class ExplainConfig:
     smote: SmoteConfig | None = field(default_factory=SmoteConfig)  # None = off
     cart: cart.CartConfig = field(default_factory=cart.CartConfig)
     seed: int = 0
-    regression_rel_eps: float = 1e-6
-    regression_abs_eps: float = 1e-9
 
     def __post_init__(self):
         if self.n_neighbors < 1:
@@ -57,12 +61,14 @@ class ExplainConfig:
 
 @dataclass
 class Neighborhood:
-    """The N training rows nearest the query, with their oracle relabels."""
+    """The N training rows nearest the query, with their oracle relabels, and
+    the oracle's label for the query itself."""
 
     indices: np.ndarray
     distances: np.ndarray  # non-decreasing
     rows: np.ndarray
     relabels: np.ndarray
+    query_label: object  # encoded label (class index or float)
 
 
 @dataclass
@@ -117,7 +123,7 @@ class Explanation:
 def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
                         cfg: ExplainConfig) -> Neighborhood:
     """The N training rows with lowest distance to x (ties: lower row index),
-    relabeled by the oracle."""
+    relabeled by the oracle in one call that labels x as its last row."""
     x = np.asarray(x, dtype=float)
     validate_instance(train.schema, x)
     n = cfg.n_neighbors
@@ -131,17 +137,16 @@ def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
     d = distances_to(metric, x, train.X)
     order = np.argsort(d, kind="stable")[:n]
     rows = train.X[order]
-    relabels = oracle.predict_batch(rows)
-    return Neighborhood(order, d[order], rows, relabels)
+    labels = oracle.predict_batch(np.vstack([rows, x]))
+    return Neighborhood(order, d[order], rows, labels[:-1], labels[-1])
 
 
 def build_explainer_set(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOracle,
                         smote_cfg: SmoteConfig | None, schema: Schema) -> ExplainerSet:
     """Neighborhood rows + query + oracle-relabeled SMOTE synthetics."""
     x = np.asarray(x, dtype=float)
-    x_label = oracle.predict_batch(x.reshape(1, -1))[0]
     parts_X = [nbh.rows, x.reshape(1, -1)]
-    parts_y = [np.asarray(nbh.relabels), np.asarray([x_label])]
+    parts_y = [np.asarray(nbh.relabels), np.asarray([nbh.query_label])]
     provenance = [ORIGINAL] * len(nbh.rows) + [QUERY]
     if smote_cfg is not None:
         syn_X, _ = smote_nc(nbh.rows, nbh.relabels, schema, smote_cfg)
@@ -186,20 +191,27 @@ def _merge_path(path, schema: Schema) -> list[Condition]:
     return out
 
 
-def match_epsilon(cfg: ExplainConfig, task: str, label) -> float:
+def match_epsilon(task: str, label) -> float:
     """Distance within which a prediction matches the label: 0 for classes,
-    the regression epsilon around the label for numeric targets."""
+    1e-6 relative plus 1e-9 absolute around the label for numeric targets."""
     if task == CLASSIFICATION:
         return 0.0
-    return cfg.regression_rel_eps * abs(float(label)) + cfg.regression_abs_eps
+    return 1e-6 * abs(float(label)) + 1e-9
 
 
 def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
                      cfg: ExplainConfig = ExplainConfig()) -> Explanation:
     """Run the full pipeline for one query instance."""
     x = np.asarray(x, dtype=float)
-    validate_instance(train.schema, x)
-    schema = train.schema
+    nbh = select_neighborhood(train, x, oracle, cfg)
+    return explain_neighborhood(nbh, x, oracle, cfg, train.schema)
+
+
+def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOracle,
+                         cfg: ExplainConfig, schema: Schema) -> Explanation:
+    """Steps 3-5 of the pipeline on the neighborhood `select_neighborhood`
+    returned for x under the same cfg."""
+    x = np.asarray(x, dtype=float)
     task = oracle.task
 
     smote_cfg = cfg.smote
@@ -209,10 +221,9 @@ def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
         smote_cfg = None
         smote_off_reason = "regression task"
 
-    nbh = select_neighborhood(train, x, oracle, cfg)
     eset = build_explainer_set(nbh, x, oracle, smote_cfg, schema)
-    q = eset.provenance.index(QUERY)
-    oracle_label = eset.y[q]
+    q = len(nbh.rows)  # the query row follows the neighborhood rows
+    oracle_label = nbh.query_label
 
     tree = cart.fit_tree(eset.X, eset.y, schema, cfg.cart, task=task)
     path = cart.decision_path(tree, x)
@@ -221,7 +232,7 @@ def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
     # the rows meeting every condition are exactly the rows routed to x's leaf
     leaves = cart.apply(tree, eset.X)
     pred_encoded = tree.table.pred[leaves[q]]
-    eps = match_epsilon(cfg, task, oracle_label)
+    eps = match_epsilon(task, oracle_label)
     faithful = bool(abs(pred_encoded - oracle_label) <= eps)
     in_leaf = eset.y[leaves == leaves[q]]
     agree = int((np.abs(in_leaf - pred_encoded) <= eps).sum())

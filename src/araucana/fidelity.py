@@ -1,10 +1,12 @@
 """Fidelity evaluation of local explainers against the black box.
 
-For every test instance, each explainer predicts the instance through its own
-pipeline; fidelity is the fraction of instances where that prediction matches
-the oracle's. The weighted-linear baseline mirrors the usual local-linear
-recipe: least squares on the encoded neighborhood with proximity weights
-exp(-d^2 / w^2) and a small ridge term.
+For every test instance the neighborhood is selected once, and one oracle
+call labels its rows together with the instance; every explainer is fitted to
+that same neighborhood and predicts the instance. Fidelity is the fraction of
+instances where that prediction matches the oracle's label. The weighted-linear
+baseline mirrors the usual local-linear recipe: least squares on the encoded
+neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
+dimension), and a ridge term of 1e-3.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .explain import (
     ExplainConfig,
     Neighborhood,
-    explain_instance,
+    explain_neighborhood,
     match_epsilon,
     select_neighborhood,
 )
@@ -79,13 +81,11 @@ def encoded_dim(schema: Schema) -> int:
     return sum(1 if f.is_numeric else len(f.categories) for f in schema.features)
 
 
-def fit_linear_explainer(nbh: Neighborhood, x: np.ndarray, schema: Schema,
-                         task: str = CLASSIFICATION, kernel_width: float | None = None,
-                         ridge: float = 1e-3) -> LinearExplainer:
+def fit_linear_explainer(nbh: Neighborhood, schema: Schema,
+                         task: str = CLASSIFICATION) -> LinearExplainer:
     """Weighted least squares on the relabeled neighborhood."""
     dim = encoded_dim(schema)
-    if kernel_width is None:
-        kernel_width = 0.75 * np.sqrt(dim)
+    kernel_width = 0.75 * np.sqrt(dim)
     y = np.asarray(nbh.relabels)
     if task == CLASSIFICATION and len(np.unique(y)) < 2:
         return LinearExplainer(np.zeros((1, dim)), np.zeros(1), kernel_width, task,
@@ -104,7 +104,7 @@ def fit_linear_explainer(nbh: Neighborhood, x: np.ndarray, schema: Schema,
     Aa = np.hstack([A, np.ones((len(A), 1))])
     WA = Aa * w[:, None]
     gram = Aa.T @ WA
-    reg = ridge * np.eye(dim + 1)
+    reg = 1e-3 * np.eye(dim + 1)
     reg[dim, dim] = 0.0
     beta = np.linalg.solve(gram + reg, WA.T @ targets)  # (dim+1, n_outputs)
     return LinearExplainer(beta[:-1].T, beta[-1], kernel_width, task, schema)
@@ -115,8 +115,6 @@ class FidelityReport:
     summaries: list[dict]  # per explainer: name, agreements, total, fidelity
     per_instance: list[dict]  # explainer, index, oracle_label, prediction, agree
     failures: dict[str, int]
-    config: dict
-    seed: int
 
 
 def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
@@ -124,7 +122,9 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     """Per-instance agreement of each explainer with the oracle over a test set.
 
     Explainer failures other than oracle breakage are excluded from the
-    denominator (with a warning); oracle errors abort the run.
+    denominator (with a warning); oracle errors abort the run, and so does a
+    test row the shared neighborhood selection rejects (SchemaError when it
+    does not conform to the training schema).
     """
     for name in explainers:
         if name not in EXPLAINERS:
@@ -137,25 +137,23 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
 
     for i in range(len(test)):
         x = test.X[i]
-        oracle_label = oracle.predict_batch(x.reshape(1, -1))[0]
         # per-instance sub-seed, fixed offset scheme keyed on the test row index
         smote = None if cfg.smote is None else replace(cfg.smote, seed=cfg.seed + i)
         icfg = replace(cfg, smote=smote, seed=cfg.seed + i)
-        nbh = None
+        nbh = select_neighborhood(train, x, oracle, icfg)
+        oracle_label = nbh.query_label
         for name in explainers:
             try:
                 if name == ARAUCANA:
-                    expl = explain_instance(train, x, oracle, icfg)
+                    expl = explain_neighborhood(nbh, x, oracle, icfg, schema)
                     prediction = expl.rule.prediction
                     agree = expl.faithful
                 else:
-                    if nbh is None:
-                        nbh = select_neighborhood(train, x, oracle, icfg)
-                    lin = fit_linear_explainer(nbh, x, schema, task=oracle.task)
+                    lin = fit_linear_explainer(nbh, schema, task=oracle.task)
                     pred = lin.predict(x)
                     prediction = schema.decode_label(pred)
                     agree = bool(abs(pred - oracle_label)
-                                 <= match_epsilon(cfg, oracle.task, oracle_label))
+                                 <= match_epsilon(oracle.task, oracle_label))
             except OracleError:
                 raise
             except Exception as exc:  # noqa: BLE001 - per-instance isolation
@@ -185,13 +183,7 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                 "fidelity": agreements[name] / total if total else float("nan"),
             }
         )
-    config_echo = {
-        "n_neighbors": cfg.n_neighbors,
-        "distance": cfg.distance,
-        "smote": "off" if cfg.smote is None else cfg.smote.target_policy,
-        "explainers": list(explainers),
-    }
-    return FidelityReport(summaries, per_instance, failures, config_echo, cfg.seed)
+    return FidelityReport(summaries, per_instance, failures)
 
 
 def report_to_csv(report: FidelityReport) -> tuple[bytes, bytes]:

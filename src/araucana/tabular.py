@@ -346,18 +346,19 @@ def infer_schema(header: list[str], rows: list[list[str]], target: str | None = 
     return Schema(tuple(features), target_spec)
 
 
-def load_dataset(csv_path, schema_path=None, *, target: str | None = None,
-                 ignore: tuple[str, ...] = ()) -> Dataset:
+def load_dataset(csv_path, schema_path=None, *, schema: Schema | None = None,
+                 target: str | None = None, ignore: tuple[str, ...] = ()) -> Dataset:
     """Load a CSV into a Dataset.
 
-    With a schema file the CSV header must contain every schema column (feature
-    and target names); columns listed in `ignore` are dropped. Without a schema
+    With a schema, read from `schema_path` or given as `schema`, the CSV header
+    must contain every schema column (feature and target names) and no other
+    column except those listed in `ignore`, which are dropped. Without a schema
     the column kinds are inferred and `target` names the label column.
     """
     header, rows = read_csv(csv_path)
     if schema_path is not None:
         schema = Schema.load(schema_path)
-    else:
+    if schema is None:
         keep = [i for i, name in enumerate(header) if name not in ignore]
         header = [header[i] for i in keep]
         rows = [[row[i] for i in keep] for row in rows]
@@ -371,7 +372,7 @@ def load_dataset(csv_path, schema_path=None, *, target: str | None = None,
     if missing:
         raise DataError(f"{csv_path}: columns {missing} required by schema are missing")
     extra = [name for name in header if name not in expected and name not in ignore]
-    if schema_path is not None and extra:
+    if extra:
         raise DataError(
             f"{csv_path}: columns {extra} not in schema (pass them via ignore= to drop)"
         )
@@ -402,33 +403,36 @@ def load_dataset(csv_path, schema_path=None, *, target: str | None = None,
     y = None
     if schema.target is not None:
         c = col_of[schema.target.name]
-        if schema.target.kind == CLASSIFICATION:
-            index = {cls: k for k, cls in enumerate(schema.target.classes)}
-            y = np.empty(n, dtype=np.int64)
-            for r, row in enumerate(rows):
-                cell = row[c]
-                if cell not in index and _parse_float(cell) is not None:
-                    # integer-coded class columns round-trip as "0", "1", ...
-                    as_int = _parse_float(cell)
-                    if as_int == int(as_int):
-                        cell = str(int(as_int))
-                if cell not in index:
-                    raise DataError(
-                        f"{csv_path}: row {r}: unknown class {row[c]!r} "
-                        f"for target {schema.target.name!r}"
-                    )
-                y[r] = index[cell]
-        else:
-            y = np.empty(n)
-            for r, row in enumerate(rows):
-                v = _parse_float(row[c])
-                if v is None:
-                    raise DataError(
-                        f"{csv_path}: row {r}, column {schema.target.name!r}: "
-                        f"{row[c]!r} is not numeric"
-                    )
-                y[r] = v
+        y = encode_labels([row[c] for row in rows], schema.target, csv_path,
+                          schema.target.name)
     return Dataset(schema, X, y)
+
+
+def encode_labels(cells: list[str], target: TargetSpec, csv_path, column: str) -> np.ndarray:
+    """Encode the cells of a label column of `csv_path` under `target`: class
+    indices for classification, finite reals for regression."""
+    if target.kind == CLASSIFICATION:
+        index = {cls: k for k, cls in enumerate(target.classes)}
+        y = np.empty(len(cells), dtype=np.int64)
+        for r, cell in enumerate(cells):
+            v = _parse_float(cell)
+            if cell not in index and v is not None and v == int(v):
+                # integer-coded class columns round-trip as "0", "1", ...
+                cell = str(int(v))
+            if cell not in index:
+                raise DataError(
+                    f"{csv_path}: row {r}, column {column!r}: unknown class {cells[r]!r} "
+                    f"for target {target.name!r}"
+                )
+            y[r] = index[cell]
+        return y
+    y = np.empty(len(cells))
+    for r, cell in enumerate(cells):
+        v = _parse_float(cell)
+        if v is None:
+            raise DataError(f"{csv_path}: row {r}, column {column!r}: {cell!r} is not numeric")
+        y[r] = v
+    return y
 
 
 def save_dataset(ds: Dataset, csv_path, schema_path=None) -> None:

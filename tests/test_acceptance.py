@@ -270,7 +270,8 @@ def test_criterion_8_subprocess_conformance(tmp_path, capsys):
                     "--out", data_dir]) == 0
     code = run_cli(["explain", "--data", data_dir / "data.csv",
                     "--schema", data_dir / "schema.json",
-                    "--oracle", f"cmd:{sys.executable} {STUB} --mode constant --die-after 1",
+                    "--oracle",
+                    f"cmd:{sys.executable} {STUB} --mode threshold --value 0.8 --die-after 1",
                     "--index", 0, "--seed", 1])
     err = capsys.readouterr().err
     assert code == 1

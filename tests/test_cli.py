@@ -1,11 +1,20 @@
+import csv
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from araucana.cli import main
-from araucana.tabular import SynthSpec, load_dataset, save_dataset, synth_dataset
+from araucana.tabular import (
+    Dataset,
+    SynthSpec,
+    load_dataset,
+    read_csv,
+    save_dataset,
+    synth_dataset,
+)
 
 from conftest import DEEP_JSON_REFUSED, chain_dataset
 
@@ -160,7 +169,8 @@ def test_explain_too_deep_tree_exits_1(tmp_path, capsys):
 def test_explain_oracle_death_exit_1(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 80, 4)
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
-                "--oracle", f'cmd:{sys.executable} {STUB} --mode constant --die-after 1',
+                "--oracle",
+                f'cmd:{sys.executable} {STUB} --mode threshold --value 0.8 --die-after 1',
                 "--index", 1, "--seed", 0])
     assert code == 1
     assert "oracle" in capsys.readouterr().err.lower()
@@ -236,6 +246,63 @@ def test_evaluate_with_separate_test_file(tmp_path):
                 "--seed", 3, "--out", out])
     assert code == 0
     assert (out / "per_instance.csv").read_text().count("\n") == 21  # header + 20
+
+
+def _xor_train_csv(tmp_path):
+    ds = synth_dataset(SynthSpec("xor_mixed", 200), seed=3)
+    save_dataset(ds, tmp_path / "train.csv")
+    return ds
+
+
+def test_evaluate_test_file_encoded_under_training_schema(tmp_path):
+    # the test file holds only cat0 == "b"; inferred on its own, "b" would be
+    # category 0, which the training schema reads as "a"
+    ds = _xor_train_csv(tmp_path)
+    rows = np.flatnonzero(ds.X[:, ds.schema.feature_names.index("cat0")] == 1)[:15]
+    save_dataset(Dataset(ds.schema, ds.X[rows], ds.y[rows]), tmp_path / "test.csv")
+    out = tmp_path / "ev"
+    code = run(["evaluate", "--data", tmp_path / "train.csv", "--target", "label",
+                "--test", tmp_path / "test.csv", "--oracle", "builtin:knn", "--k", 1,
+                "--n-neighbors", 30, "--seed", 2, "--out", out])
+    assert code == 0
+    # a 1-NN oracle labels a training row with its own label
+    got = [line.split(",")[2] for line in
+           (out / "per_instance.csv").read_text().splitlines()[1:]]
+    assert got == [ds.schema.decode_label(v) for v in ds.y[rows]]
+
+
+def test_evaluate_test_file_unknown_category_or_extra_column_exits_1(tmp_path, capsys):
+    _xor_train_csv(tmp_path)
+    header, rows = read_csv(tmp_path / "train.csv")
+    c = header.index("cat0")
+    bad = {"unknown category 'z'": (header, [r[:c] + ["z"] + r[c + 1:] for r in rows[:5]]),
+           "['extra'] not in schema": (header + ["extra"], [r + ["1"] for r in rows[:5]])}
+    for message, (head, body) in bad.items():
+        with (tmp_path / "test.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([head, *body])
+        code = run(["evaluate", "--data", tmp_path / "train.csv", "--target", "label",
+                    "--test", tmp_path / "test.csv", "--oracle", "builtin:knn"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+
+
+def test_precomputed_non_finite_cell_exits_1(tmp_path, capsys):
+    ds = synth_dataset(SynthSpec("moons2d", 30), seed=2)
+    target = {"classification": [ds.schema.decode_label(v) for v in ds.y],
+              "regression": [repr(0.5 + float(v)) for v in ds.X[:, 0]]}
+    for task, labels in target.items():
+        p = tmp_path / f"{task}.csv"
+        with p.open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(ds.schema.feature_names + ["y", "pred"])
+            for i, (r, label) in enumerate(zip(ds.X, labels)):
+                w.writerow([repr(v) for v in r] + [label, "inf" if i == 3 else label])
+        code = run(["explain", "--data", p, "--target", "y", "--oracle", "precomputed:pred",
+                    "--smote-policy", "off", "--index", 0])
+        err = capsys.readouterr().err
+        assert code == 1, task
+        assert err.startswith("error: ") and "'inf'" in err, task
 
 
 def test_evaluate_precomputed_covers_test_split(tmp_path):

@@ -1,7 +1,10 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from araucana.explain import ExplainConfig, Neighborhood
+from araucana.explain import ExplainConfig, Neighborhood, explain_instance, select_neighborhood
 from araucana.fidelity import (
     FidelityReport,
     evaluate_fidelity,
@@ -11,6 +14,7 @@ from araucana.fidelity import (
 from araucana.oracle import BuiltinOracle, ForestConfig, PredictionOracle, train_forest
 from araucana.tabular import Dataset, FeatureSpec, Schema, SynthSpec, TargetSpec, synth_dataset
 
+from conftest import make_dataset, random_mixed_schema
 from test_explain import FixedOracle
 
 
@@ -30,7 +34,9 @@ def neighborhood_of(rows, labels, x, schema):
 
     d = distances_to(DistanceMetric(schema), x, rows)
     order = np.argsort(d, kind="stable")
-    return Neighborhood(order, d[order], rows[order], np.asarray(labels)[order])
+    labels = np.asarray(labels)[order]
+    # x is one of the rows, so the nearest row carries its label
+    return Neighborhood(order, d[order], rows[order], labels, labels[0])
 
 
 def test_constant_relabels_constant_predictor():
@@ -38,7 +44,7 @@ def test_constant_relabels_constant_predictor():
     rng = np.random.default_rng(0)
     rows = rng.random((30, 2))
     nbh = neighborhood_of(rows, np.ones(30, dtype=int), rows[0], schema)
-    lin = fit_linear_explainer(nbh, rows[0], schema)
+    lin = fit_linear_explainer(nbh, schema)
     assert lin.constant == 1
     assert all(lin.predict(r) == 1 for r in rows)
 
@@ -52,7 +58,7 @@ def test_linearly_separable_neighborhood_high_agreement():
         labels[0] = 1 - labels[0]
     x = rows[0]
     nbh = neighborhood_of(rows, labels, x, schema)
-    lin = fit_linear_explainer(nbh, x, schema)
+    lin = fit_linear_explainer(nbh, schema)
     agree = np.mean([lin.predict(r) == l for r, l in zip(rows, labels)])
     assert agree >= 0.95
 
@@ -66,7 +72,7 @@ def test_xor_corners_cap_three_quarters():
     labels = np.repeat(xor, 10)
     x = corners[0]
     nbh = neighborhood_of(rows, labels, x, schema)
-    lin = fit_linear_explainer(nbh, x, schema)
+    lin = fit_linear_explainer(nbh, schema)
     agree = np.mean([lin.predict(c) == l for c, l in zip(corners, xor)])
     assert agree <= 0.75 + 1e-12
 
@@ -161,7 +167,7 @@ def test_unknown_explainer_rejected():
 def test_report_to_csv_rendering():
     empty = FidelityReport(
         [{"explainer": "araucana", "agreements": 0, "total": 0, "fidelity": float("nan")}],
-        [], {"araucana": 0}, {}, 0,
+        [], {"araucana": 0},
     )
     summary, per_instance = report_to_csv(empty)
     assert summary == b"explainer,agreements,total,fidelity\naraucana,0,0,nan\n"
@@ -171,7 +177,7 @@ def test_report_to_csv_rendering():
         [{"explainer": "araucana", "agreements": 1, "total": 1, "fidelity": 1.0}],
         [{"explainer": "araucana", "index": 0, "oracle_label": "1",
           "prediction": "1", "agree": True}],
-        {"araucana": 0}, {}, 0,
+        {"araucana": 0},
     )
     s1, p1 = report_to_csv(one)
     assert b"araucana,1,1,1.000000" in s1
@@ -186,5 +192,71 @@ def test_kernel_width_default():
     rows = rng.random((20, 2))
     labels = rng.integers(0, 2, size=20)
     nbh = neighborhood_of(rows, labels, rows[0], schema)
-    lin = fit_linear_explainer(nbh, rows[0], schema)
+    lin = fit_linear_explainer(nbh, schema)
     assert lin.kernel_width == pytest.approx(0.75 * np.sqrt(2))
+
+
+class CountingOracle(PredictionOracle):
+    """Forwards to another oracle and records the row count of every call."""
+
+    def __init__(self, inner):
+        super().__init__(inner.schema, inner.task)
+        self.inner = inner
+        self.calls = []
+
+    def predict_batch(self, rows):
+        self.calls.append(len(rows))
+        return self.inner.predict_batch(rows)
+
+
+def _reference_evaluation(train, test, oracle, cfg):
+    """per_instance rows with nothing shared between the explainers: x labelled
+    in a call of its own, explain_instance under the per-row config, and the
+    linear fit on a freshly selected neighborhood. Also returns, per row, the
+    number of synthetic rows SMOTE made for araucana."""
+    schema = train.schema
+    rows, synthetics = [], []
+    for i, x in enumerate(test.X):
+        label = oracle.predict_batch(x.reshape(1, -1))[0]
+        smote = None if cfg.smote is None else replace(cfg.smote, seed=cfg.seed + i)
+        icfg = replace(cfg, smote=smote, seed=cfg.seed + i)
+        expl = explain_instance(train, x, oracle, icfg)
+        synthetics.append(expl.explainer_set.provenance.count("synthetic"))
+        lin = fit_linear_explainer(select_neighborhood(train, x, oracle, icfg), schema,
+                                   task=oracle.task)
+        pred = lin.predict(x)
+        eps = 0.0 if oracle.task == "classification" else 1e-6 * abs(float(label)) + 1e-9
+        shown = schema.decode_label(label)
+        rows.append({"explainer": "araucana", "index": i, "oracle_label": shown,
+                     "prediction": expl.rule.prediction, "agree": expl.faithful})
+        rows.append({"explainer": "linear", "index": i, "oracle_label": shown,
+                     "prediction": schema.decode_label(pred),
+                     "agree": bool(abs(pred - label) <= eps)})
+    return rows, synthetics
+
+
+def test_shared_neighborhood_equals_reference_and_labels_x_once():
+    """One selection per row, x labelled in the neighbor call, same rows as
+    explaining each row with nothing shared."""
+    for seed, task in itertools.product((0, 1, 2), ("classification", "regression")):
+        rng = np.random.default_rng(seed)
+        schema = random_mixed_schema(rng, n_classes=2 + seed % 2)
+        if task == "regression":
+            schema = Schema(schema.features, TargetSpec("target", "regression"))
+        train = make_dataset(rng, schema, 120)
+        test = make_dataset(rng, schema, 6)
+        forest = train_forest(train, ForestConfig(n_trees=5, seed=seed))
+        oracle = CountingOracle(BuiltinOracle(forest))
+        cfg = ExplainConfig(n_neighbors=30, seed=seed)
+        report = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+        calls, oracle.calls = oracle.calls, []
+        rows, synthetics = _reference_evaluation(train, test, oracle, cfg)
+        assert report.per_instance == rows, (seed, task)
+        # per row: one call of the 30 neighbors plus x, then one of the
+        # synthetics when SMOTE made any
+        expected = []
+        for k in synthetics:
+            expected += [31, k] if k else [31]
+        assert calls == expected, (seed, task)
+        if task == "classification":
+            assert any(synthetics), seed  # the SMOTE relabel call is exercised
