@@ -9,20 +9,24 @@ splits are accepted -- XOR-shaped nodes have no positive-gain split, yet must
 be grown through -- so the default configuration reaches zero training error
 whenever no two rows share a feature vector with different labels.
 
+The task decides the criterion: Gini impurity for classes, MSE for regression.
 Tie-breaking is deterministic: best gain wins; ties go to the lowest feature
 index, then the lowest threshold / category index.
 
 A tree has one form, the struct-of-arrays layout of scikit-learn's `tree_`:
 a NodeTable whose nodes are in preorder (the root is node 0, a split's left
-child follows it) plus one leaf-statistics array beside it. The grower and
-tree_from_dict append nodes in that order with an explicit stack; routing,
-decision paths and tree_to_dict read the arrays.
+child follows it) plus one leaf-statistics array beside it. A forest is the
+same table with many roots: each tree's preorder nodes follow the previous
+tree's, and child ids index the whole table. The grower and tree_from_dict
+append nodes in that order with an explicit stack; routing, decision paths
+and tree_to_dict read the arrays.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +34,6 @@ import numpy as np
 from .tabular import CLASSIFICATION, REGRESSION, Schema, validate_instance
 
 GINI = "gini"
-ENTROPY = "entropy"
 MSE = "mse"
 
 NUMERIC_LE = "numeric_le"
@@ -39,15 +42,12 @@ CATEGORY_EQ = "category_eq"
 
 @dataclass(frozen=True)
 class CartConfig:
-    criterion: str = GINI
     min_samples_split: int = 2
     max_depth: int | None = None
     seed: int = 0
     feature_subsample: int | None = None
 
     def __post_init__(self):
-        if self.criterion not in (GINI, ENTROPY, MSE):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:
@@ -55,12 +55,12 @@ class CartConfig:
 
 
 class NodeTable(NamedTuple):
-    """Struct-of-arrays node table for one tree or many packed together.
+    """Struct-of-arrays node table for one tree or a forest of them.
 
     Node i is a leaf when feat[i] < 0, and then pred[i] is its prediction.
     Otherwise it tests row[feat[i]] <= val[i] (is_le[i]) or row[feat[i]] ==
     val[i] and sends the row to left[i] when the test holds, else right[i].
-    A single tree's nodes are in preorder: the root is node 0 and a split's
+    Each tree's nodes are in preorder: its root comes first and a split's
     left child is the node right after it.
     """
 
@@ -79,7 +79,8 @@ class ExplainerTree:
     leaf_stats[i] holds, for a leaf i, the training rows that reached it: the
     class counts for classification (shape (nodes, n_classes)) or the row
     count for regression (shape (nodes,)). It is zero at internal nodes and
-    sits beside the table, so packing trees into a forest leaves it out.
+    sits beside the table. A forest is one such tree with many roots (see
+    oracle.ForestModel), its depth and leaf_count taken over all its trees.
     """
 
     table: NodeTable
@@ -91,13 +92,20 @@ class ExplainerTree:
 
 
 class _Preorder:
-    """Node columns appended in preorder; a split's right child is linked to
-    it when that child is added."""
+    """Node columns appended in preorder, one tree after another; a split's
+    right child is linked to it when that child is added. The columns are
+    typed arrays, so a forest's nodes cost bytes rather than Python objects.
+    A node's stats are its class counts, or (row count,) for regression."""
 
-    def __init__(self, schema: Schema, task: str, n_classes: int):
+    def __init__(self, schema: Schema, task: str, n_classes: int | None = None):
         self.schema, self.task = schema, task
-        self.feat, self.is_le, self.val, self.right, self.pred, self.stats = [], [], [], [], [], []
-        self.no_stats = np.zeros(n_classes, dtype=np.int64) if task == CLASSIFICATION else 0
+        if n_classes is None:  # the schema's class count
+            has_classes = task == CLASSIFICATION and schema.target is not None
+            n_classes = len(schema.target.classes) if has_classes else 0
+        self.n_classes = n_classes
+        self.feat, self.right, self.stats = array("q"), array("q"), array("q")
+        self.is_le, self.val, self.pred = array("b"), array("d"), array("d")
+        self.no_stats = [0] * n_classes if task == CLASSIFICATION else [0]
         self.depth = 0
 
     def add(self, depth: int, right_of: int, feature: int = -1, kind: str = CATEGORY_EQ,
@@ -113,18 +121,48 @@ class _Preorder:
         self.val.append(value)
         self.right.append(0)
         self.pred.append(pred)
-        self.stats.append(self.no_stats if stats is None else stats)
+        self.stats.extend(self.no_stats if stats is None else stats)
         return node
 
+    def read(self, d: dict) -> int:
+        """Append the nested JSON tree d (see tree_to_dict); return its root id."""
+        root, add, classes = len(self.feat), self.add, self.task == CLASSIFICATION
+        stack = [(d, 0, -1)]  # (subtree, depth, split whose right child this is)
+        while stack:
+            sub, depth, right_of = stack.pop()
+            if "leaf" in sub:
+                leaf = sub["leaf"]
+                if not classes:
+                    add(depth, right_of, pred=float(leaf["prediction"]),
+                        stats=(int(leaf["stats"]["n"]),))
+                elif len(leaf["counts"]) != self.n_classes:
+                    raise ValueError(f"leaf counts {leaf['counts']} for {self.n_classes} classes")
+                else:
+                    add(depth, right_of, pred=self.schema.encode_label(leaf["prediction"]),
+                        stats=leaf["counts"])
+                continue
+            test = sub["test"]
+            kind = test["kind"]
+            value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
+            node = add(depth, right_of, int(sub["feature"]), kind, value)
+            stack.append((sub["right"], depth + 1, node))
+            stack.append((sub["left"], depth + 1, -1))
+        return root
+
     def tree(self) -> ExplainerTree:
-        feat = np.array(self.feat, dtype=np.int64)
+        """The nodes as an ExplainerTree; its arrays view the columns, which
+        can take no more nodes after this."""
+        feat = np.frombuffer(self.feat, dtype=np.int64)
         split = feat >= 0
         left = np.where(split, np.arange(len(feat)) + 1, 0)
-        table = NodeTable(feat, np.array(self.is_le, dtype=bool), np.array(self.val, dtype=float),
-                          left, np.array(self.right, dtype=np.int64),
-                          np.array(self.pred, dtype=float))
-        return ExplainerTree(table, np.array(self.stats, dtype=np.int64), self.schema, self.task,
-                             self.depth, int(len(feat) - split.sum()))
+        table = NodeTable(feat, np.frombuffer(self.is_le, dtype=bool), np.frombuffer(self.val),
+                          left, np.frombuffer(self.right, dtype=np.int64),
+                          np.frombuffer(self.pred))
+        stats = np.frombuffer(self.stats, dtype=np.int64)
+        if self.task == CLASSIFICATION:
+            stats = stats.reshape(len(feat), self.n_classes)
+        return ExplainerTree(table, stats, self.schema, self.task, self.depth,
+                             int(len(feat) - split.sum()))
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -132,29 +170,20 @@ def _gini(counts: np.ndarray, n) -> np.ndarray:
     return 1.0 - (p * p).sum(axis=-1)
 
 
-def _entropy(counts: np.ndarray, n) -> np.ndarray:
-    p = counts / np.maximum(n, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(p > 0, p * np.log2(p, where=p > 0), 0.0)
-    return -term.sum(axis=-1)
-
-
-def _class_impurity(counts, n, criterion):
-    return _entropy(counts, n) if criterion == ENTROPY else _gini(counts, n)
-
-
 class _Grower:
-    def __init__(self, X, y, schema: Schema, cfg: CartConfig, task, n_classes):
+    """Grows one tree on rows of X (given as indices) into a _Preorder, after
+    the nodes already in it."""
+
+    def __init__(self, X, y, cfg: CartConfig, nodes: _Preorder):
         self.X = X
         self.y = y
-        self.schema = schema
         self.cfg = cfg
-        self.task = task
-        self.n_classes = n_classes
-        self.numeric = schema.numeric_mask()
+        self.nodes = nodes
+        self.schema, self.task, self.n_classes = nodes.schema, nodes.task, nodes.n_classes
+        self.numeric = self.schema.numeric_mask()
         self.rng = (
             np.random.default_rng(cfg.seed)
-            if cfg.feature_subsample is not None and cfg.feature_subsample < schema.n_features
+            if cfg.feature_subsample is not None and cfg.feature_subsample < self.schema.n_features
             else None
         )
 
@@ -168,7 +197,7 @@ class _Grower:
     def node_impurity(self, y_node):
         if self.task == CLASSIFICATION:
             counts = np.bincount(y_node, minlength=self.n_classes)
-            return float(_class_impurity(counts, len(y_node), self.cfg.criterion)), counts
+            return float(_gini(counts, len(y_node))), counts
         v = y_node.var() if len(y_node) else 0.0
         return float(v), None
 
@@ -211,8 +240,8 @@ class _Grower:
             cum = onehot.cumsum(axis=0)
             lc = cum[cuts]
             rc = cum[-1] - lc
-            il = _class_impurity(lc, nl[:, None], self.cfg.criterion)
-            ir = _class_impurity(rc, nr[:, None], self.cfg.criterion)
+            il = _gini(lc, nl[:, None])
+            ir = _gini(rc, nr[:, None])
         else:
             s1 = sy.cumsum()
             s2 = (sy * sy).cumsum()
@@ -240,8 +269,8 @@ class _Grower:
             total = counts.sum(axis=0)
             nl = counts.sum(axis=1)
             nr = n - nl
-            il = _class_impurity(counts, nl[:, None], self.cfg.criterion)
-            ir = _class_impurity(total - counts, nr[:, None], self.cfg.criterion)
+            il = _gini(counts, nl[:, None])
+            ir = _gini(total - counts, nr[:, None])
         else:
             s1 = np.bincount(inverse, weights=y_node, minlength=len(cats))
             s2 = np.bincount(inverse, weights=y_node * y_node, minlength=len(cats))
@@ -258,10 +287,12 @@ class _Grower:
             return None
         return float(gains[k]), CATEGORY_EQ, float(cats[k])
 
-    def grow(self, root_idx) -> ExplainerTree:
+    def grow(self, root_idx) -> None:
         # explicit preorder stack: unpruned trees on conflicted data can grow
         # deeper than the interpreter recursion limit
-        nodes = _Preorder(self.schema, self.task, self.n_classes)
+        if len(root_idx) == 0:
+            raise ValueError("cannot fit a tree on zero rows")
+        nodes = self.nodes
         stack = [(root_idx, 0, -1)]  # (rows, depth, split whose right child this is)
         while stack:
             idx, depth, right_of = stack.pop()
@@ -279,7 +310,7 @@ class _Grower:
                 if self.task == CLASSIFICATION:
                     nodes.add(depth, right_of, pred=int(np.argmax(counts)), stats=counts)
                 else:
-                    nodes.add(depth, right_of, pred=float(y_node.mean()), stats=n)
+                    nodes.add(depth, right_of, pred=float(y_node.mean()), stats=(n,))
                 continue
 
             _, f, kind, value = split
@@ -288,7 +319,6 @@ class _Grower:
             mask = col <= value if kind == NUMERIC_LE else col == value
             stack.append((idx[~mask], depth + 1, node))
             stack.append((idx[mask], depth + 1, -1))
-        return nodes.tree()
 
 
 def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConfig,
@@ -296,8 +326,6 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConf
     """Grow a CART tree; task defaults to the label dtype (ints = classification)."""
     X = np.asarray(rows, dtype=float)
     y = np.asarray(labels)
-    if len(X) == 0:
-        raise ValueError("cannot fit a tree on zero rows")
     if len(X) != len(y):
         raise ValueError(f"{len(X)} rows but {len(y)} labels")
     if task is None:
@@ -307,29 +335,17 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConf
         if schema.target is not None and schema.target.classes is not None:
             n_classes = len(schema.target.classes)
         else:
-            n_classes = int(y.max()) + 1
+            n_classes = int(y.max(initial=-1)) + 1  # grow() rejects zero rows
     else:
         y = y.astype(float)
         n_classes = 0
-        if cfg.criterion in (GINI, ENTROPY):
-            cfg = replace(cfg, criterion=MSE)
-    return _Grower(X, y, schema, cfg, task, n_classes).grow(np.arange(len(X)))
+    nodes = _Preorder(schema, task, n_classes)
+    _Grower(X, y, cfg, nodes).grow(np.arange(len(X)))
+    return nodes.tree()
 
 
 # (row, root) pairs routed at once; bounds the index arrays of one pass
 ROUTE_CHUNK_PAIRS = 1 << 15
-
-
-def pack_tables(tables) -> tuple[NodeTable, np.ndarray]:
-    """Concatenate node tables into one, children shifted by each table's offset.
-
-    Returns the packed table and the root offsets, one per input table.
-    """
-    sizes = np.array([len(t.feat) for t in tables], dtype=np.int64)
-    roots = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.int64)
-    shift = np.repeat(roots, sizes)
-    packed = NodeTable(*(np.concatenate(col) for col in zip(*tables)))
-    return packed._replace(left=packed.left + shift, right=packed.right + shift), roots
 
 
 def route(table: NodeTable, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -410,12 +426,13 @@ def tree_stats(tree: ExplainerTree) -> dict:
     }
 
 
-def tree_to_dict(tree: ExplainerTree) -> dict:
-    """Nested JSON form of the tree: each split holds its left and right subtrees."""
-    t = tree.table
-    feat, is_le, val = t.feat.tolist(), t.is_le.tolist(), t.val.tolist()
-    left, right, pred = t.left.tolist(), t.right.tolist(), t.pred.tolist()
-    stats = tree.leaf_stats.tolist()
+def tree_to_dict(tree: ExplainerTree, start: int = 0, stop: int | None = None) -> dict:
+    """Nested JSON form of the tree in nodes start..stop of the table (all of
+    it by default): each split holds its left and right subtrees."""
+    t, part = tree.table, slice(start, stop)
+    feat, is_le, val = t.feat[part].tolist(), t.is_le[part].tolist(), t.val[part].tolist()
+    left, right = (t.left[part] - start).tolist(), (t.right[part] - start).tolist()
+    pred, stats = t.pred[part].tolist(), tree.leaf_stats[part].tolist()
     docs: list = [None] * len(feat)
     for i in range(len(feat) - 1, -1, -1):  # children come after their parent
         if feat[i] >= 0:
@@ -435,28 +452,8 @@ def tree_to_dict(tree: ExplainerTree) -> dict:
 
 
 def tree_from_dict(d: dict, schema: Schema, task: str) -> ExplainerTree:
-    n_classes = len(schema.target.classes) if (
-        task == CLASSIFICATION and schema.target is not None
-    ) else 0
-    nodes = _Preorder(schema, task, n_classes)
-    stack = [(d, 0, -1)]  # (subtree, depth, split whose right child this is)
-    while stack:
-        sub, depth, right_of = stack.pop()
-        if "leaf" in sub:
-            leaf = sub["leaf"]
-            if task == CLASSIFICATION:
-                nodes.add(depth, right_of, pred=schema.encode_label(leaf["prediction"]),
-                          stats=leaf["counts"])
-            else:
-                nodes.add(depth, right_of, pred=float(leaf["prediction"]),
-                          stats=int(leaf["stats"]["n"]))
-            continue
-        test = sub["test"]
-        kind = test["kind"]
-        value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
-        node = nodes.add(depth, right_of, int(sub["feature"]), kind, value)
-        stack.append((sub["right"], depth + 1, node))
-        stack.append((sub["left"], depth + 1, -1))
+    nodes = _Preorder(schema, task)
+    nodes.read(d)
     return nodes.tree()
 
 

@@ -169,14 +169,16 @@ def _nonneg_int(value: str) -> int:
     return v
 
 
+def _ignored_columns(args) -> tuple[str, ...]:
+    """The `precomputed:<column>` prediction column, which is not a feature."""
+    spec = getattr(args, "oracle", None) or ""
+    return (spec.split(":", 1)[1],) if spec.startswith("precomputed:") else ()
+
+
 def _load_data(args, manifest: _Manifest) -> Dataset:
     schema_path = getattr(args, "schema", None)
-    ignore = ()
-    spec = getattr(args, "oracle", None)
-    if spec and spec.startswith("precomputed:"):
-        ignore = (spec.split(":", 1)[1],)
     ds = load_dataset(args.data, schema_path, target=getattr(args, "target", None),
-                      ignore=ignore)
+                      ignore=_ignored_columns(args))
     manifest.add_input(args.data)
     if schema_path:
         manifest.add_input(schema_path)
@@ -342,14 +344,11 @@ def _split_test_frac(data: Dataset, frac: float, seed: int) -> tuple[Dataset, Da
 def cmd_evaluate(args) -> int:
     manifest = _Manifest("evaluate", args)
     data = _load_data(args, manifest)
-    ignore = ()
-    if args.oracle.startswith("precomputed:"):
-        ignore = (args.oracle.split(":", 1)[1],)
     if args.test is not None:
         train = data
         # under the training schema, so a category index means the same
         # category in both files
-        test = load_dataset(args.test, schema=data.schema, ignore=ignore)
+        test = load_dataset(args.test, schema=data.schema, ignore=_ignored_columns(args))
         manifest.add_input(args.test)
     else:
         train, test = _split_test_frac(data, args.test_frac, args.seed)

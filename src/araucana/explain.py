@@ -262,7 +262,7 @@ def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOra
         "distance": cfg.distance,
         "smote": smote_echo,
         "cart": {
-            "criterion": cfg.cart.criterion if task == CLASSIFICATION else cart.MSE,
+            "criterion": cart.GINI if task == CLASSIFICATION else cart.MSE,
             "min_samples_split": cfg.cart.min_samples_split,
             "max_depth": cfg.cart.max_depth,
         },

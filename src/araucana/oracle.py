@@ -75,29 +75,29 @@ class ForestConfig:
 class ForestModel:
     """Bagged unpruned CART trees; majority vote / mean.
 
-    Prediction routes every tree at once through one packed node table: the
-    trees' node tables concatenated, with child indices shifted by each tree's
-    offset and `_roots` holding the offset of each tree's root. The leaf ids
-    come back tree-major, one row per tree in the order of `trees`, and their
-    predictions are the votes.
+    All trees live in one node table with its leaf statistics (`nodes`, a
+    cart.ExplainerTree with many roots). Tree k is the preorder run of nodes
+    from roots[k] up to the next root, and child ids index the whole table,
+    so training, loading, saving and routing need no per-tree copies.
+    Prediction routes every tree at once; the leaf ids come back tree-major,
+    one row per tree, and their predictions are the votes.
     """
 
-    def __init__(self, trees, schema: Schema, task: str, tree_seeds, feature_subsample,
+    def __init__(self, nodes: cart.ExplainerTree, roots, tree_seeds, feature_subsample,
                  bootstrap=True):
-        self.trees = trees
-        self.schema = schema
-        self.task = task
-        self.n_trees = len(trees)
+        self.nodes = nodes
+        self.roots = np.asarray(roots, dtype=np.int64)
+        self.schema, self.task = nodes.schema, nodes.task
+        self.n_trees = len(self.roots)
         self.tree_seeds = list(tree_seeds)
         self.feature_subsample = feature_subsample
         self.bootstrap = bootstrap
-        self._table, self._roots = cart.pack_tables([t.table for t in trees])
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        votes = self._table.pred[cart.route(self._table, self._roots, rows)]
+        votes = self.nodes.table.pred[cart.route(self.nodes.table, self.roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
         n_classes = len(self.schema.target.classes)
@@ -106,7 +106,8 @@ class ForestModel:
 
 
 def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bootstrap-resampled trees with per-node feature subsampling."""
+    """Bootstrap-resampled trees with per-node feature subsampling, grown one
+    after another into one node table."""
     if data.y is None:
         raise ValueError("training a forest requires a dataset with targets")
     p = data.schema.n_features
@@ -115,7 +116,8 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
         sub = max(1, math.ceil(math.sqrt(p)))
     sub = min(sub, p)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_trees)
-    trees = []
+    nodes = cart._Preorder(data.schema, data.task)
+    roots = []
     n = len(data)
     for t in range(cfg.n_trees):
         if cfg.bootstrap:
@@ -123,14 +125,13 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
         else:
             idx = np.arange(n)
         tree_cfg = cart.CartConfig(
-            criterion=cart.MSE if data.task == REGRESSION else cart.GINI,
             max_depth=cfg.max_depth,
             seed=int(seeds[2 * t + 1]),
             feature_subsample=sub if sub < p else None,
         )
-        trees.append(cart.fit_tree(data.X[idx], data.y[idx], data.schema, tree_cfg,
-                                   task=data.task))
-    return ForestModel(trees, data.schema, data.task, seeds[::2], sub, cfg.bootstrap)
+        roots.append(len(nodes.feat))
+        cart._Grower(data.X, data.y, tree_cfg, nodes).grow(idx)  # row ids, not a copy of the rows
+    return ForestModel(nodes.tree(), roots, seeds[::2], sub, cfg.bootstrap)
 
 
 class KnnModel:
@@ -338,7 +339,7 @@ class PrecomputedOracle(PredictionOracle):
             if i is None:
                 raise OracleError(
                     "precomputed oracle cannot label synthetic instances "
-                    "(or any row outside its dataset); rerun with --smote-policy off"
+                    "or any other row outside its dataset"
                 )
             out.append(self.predictions[i])
         dtype = np.int64 if self.task == CLASSIFICATION else float
@@ -350,6 +351,7 @@ class PrecomputedOracle(PredictionOracle):
 
 def save_model(model, path) -> None:
     if isinstance(model, ForestModel):
+        bounds = model.roots.tolist() + [None]  # tree k is nodes bounds[k]..bounds[k + 1]
         doc = {
             "type": "forest",
             "task": model.task,
@@ -357,7 +359,7 @@ def save_model(model, path) -> None:
             "feature_subsample": model.feature_subsample,
             "bootstrap": model.bootstrap,
             "tree_seeds": [int(s) for s in model.tree_seeds],
-            "trees": [cart.tree_to_dict(t) for t in model.trees],
+            "trees": [cart.tree_to_dict(model.nodes, a, b) for a, b in zip(bounds, bounds[1:])],
         }
     elif isinstance(model, KnnModel):
         doc = {
@@ -384,8 +386,11 @@ def load_model(path):
         schema = Schema.from_dict(doc["schema"])
         task = doc["task"]
         if kind == "forest":
-            trees = [cart.tree_from_dict(d, schema, task) for d in doc["trees"]]
-            return ForestModel(trees, schema, task, doc["tree_seeds"],
+            nodes = cart._Preorder(schema, task)
+            roots = [nodes.read(d) for d in doc["trees"]]
+            if not roots:
+                raise ValueError("a forest needs at least one tree")
+            return ForestModel(nodes.tree(), roots, doc["tree_seeds"],
                                doc["feature_subsample"], doc.get("bootstrap", True))
         if kind == "knn":
             X = np.array([schema.encode_row(r) for r in doc["rows"]])

@@ -373,9 +373,7 @@ def load_dataset(csv_path, schema_path=None, *, schema: Schema | None = None,
         raise DataError(f"{csv_path}: columns {missing} required by schema are missing")
     extra = [name for name in header if name not in expected and name not in ignore]
     if extra:
-        raise DataError(
-            f"{csv_path}: columns {extra} not in schema (pass them via ignore= to drop)"
-        )
+        raise DataError(f"{csv_path}: columns {extra} not in schema")
 
     n = len(rows)
     X = np.empty((n, schema.n_features))

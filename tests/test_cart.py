@@ -294,5 +294,3 @@ def test_errors():
         fit_tree(np.array([[0.1]]), np.array([1, 2]), schema, CartConfig())
     with pytest.raises(ValueError):
         CartConfig(min_samples_split=1)
-    with pytest.raises(ValueError):
-        CartConfig(criterion="absolute")

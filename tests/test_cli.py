@@ -285,6 +285,22 @@ def test_evaluate_test_file_unknown_category_or_extra_column_exits_1(tmp_path, c
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and message in err
+        assert "ignore=" not in err  # a library argument that no flag sets
+
+
+def test_precomputed_query_outside_dataset_exits_1_without_smote_advice(tmp_path, capsys):
+    ds = _xor_train_csv(tmp_path)
+    header, rows = read_csv(tmp_path / "train.csv")
+    with (tmp_path / "pred.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([header + ["pred"], *(r + [r[-1]] for r in rows)])
+    assert [0.5, 0.5, "a", "b"] not in [ds.schema.decode_row(r) for r in ds.X]
+    code = run(["explain", "--data", tmp_path / "pred.csv", "--target", "label",
+                "--oracle", "precomputed:pred", "--smote-policy", "off",
+                "--instance", '[0.5, 0.5, "a", "b"]'])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "outside its dataset" in err
+    assert "--smote-policy off" not in err  # SMOTE is already off; it cannot help
 
 
 def test_precomputed_non_finite_cell_exits_1(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -5,11 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from araucana.cart import ROUTE_CHUNK_PAIRS, CartConfig, fit_tree, predict_batch
+from araucana.cart import ROUTE_CHUNK_PAIRS, CartConfig, fit_tree, predict_batch, tree_to_dict
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
-    ForestModel,
     OracleError,
     PrecomputedOracle,
     SubprocessOracle,
@@ -69,12 +70,30 @@ def test_forest_learns_xor_mixed_training_set():
     assert acc >= 0.95
 
 
-def _per_tree_vote(forest, rows):
+def _reference_trees(ds, cfg):
+    """The trees of train_forest(ds, cfg), each grown on its own by fit_tree
+    on a copy of its bootstrap rows, from the same seed derivation."""
+    p = ds.schema.n_features
+    sub = min(cfg.feature_subsample or max(1, math.ceil(math.sqrt(p))), p)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_trees)
+    trees = []
+    for t in range(cfg.n_trees):
+        if cfg.bootstrap:
+            idx = np.random.default_rng(int(seeds[2 * t])).integers(0, len(ds), size=len(ds))
+        else:
+            idx = np.arange(len(ds))
+        tree_cfg = CartConfig(max_depth=cfg.max_depth, seed=int(seeds[2 * t + 1]),
+                              feature_subsample=sub if sub < p else None)
+        trees.append(fit_tree(ds.X[idx], ds.y[idx], ds.schema, tree_cfg, task=ds.task))
+    return trees
+
+
+def _per_tree_vote(trees, ds, rows):
     """Reference forest prediction: route each tree on its own, then vote."""
-    votes = np.stack([predict_batch(t, rows) for t in forest.trees])
-    if forest.task == REGRESSION:
+    votes = np.stack([predict_batch(t, rows) for t in trees])
+    if ds.task == REGRESSION:
         return votes.mean(axis=0)
-    n_classes = len(forest.schema.target.classes)
+    n_classes = len(ds.schema.target.classes)
     counts = np.stack([(votes == c).sum(axis=0) for c in range(n_classes)])
     return counts.argmax(axis=0)
 
@@ -87,21 +106,29 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
     if target == "regression":
         schema = Schema(schema.features, TargetSpec("label", REGRESSION))
     ds = make_dataset(rng, schema, 60)
-    forest = train_forest(ds, ForestConfig(n_trees=7, seed=seed))
-    stumps = train_forest(ds, ForestConfig(n_trees=3, seed=seed, max_depth=0))
-    assert all(t.leaf_count == 1 for t in stumps.trees)
+    n_trees = 7
     # more rows than one routing chunk holds for a 7-tree forest
-    probe = random_rows(rng, schema, ROUTE_CHUNK_PAIRS // forest.n_trees + 5)
-    for model in (forest, stumps):
-        for rows in (probe[:1], probe[0], probe[:30], probe):
-            np.testing.assert_array_equal(model.predict_batch(rows),
-                                          _per_tree_vote(model, np.atleast_2d(rows)))
+    probe = random_rows(rng, schema, ROUTE_CHUNK_PAIRS // n_trees + 5)
+    for bootstrap in (True, False):
+        for max_depth in (None, 0):
+            cfg = ForestConfig(n_trees=n_trees, seed=seed, bootstrap=bootstrap,
+                               max_depth=max_depth)
+            forest = train_forest(ds, cfg)
+            trees = _reference_trees(ds, cfg)
+            if max_depth == 0:  # one leaf per tree
+                np.testing.assert_array_equal(forest.roots, np.arange(n_trees))
+                assert (forest.nodes.table.feat < 0).all()
+            for rows in (probe[:1], probe[0], probe[:30], probe):
+                np.testing.assert_array_equal(forest.predict_batch(rows),
+                                              _per_tree_vote(trees, ds, np.atleast_2d(rows)))
 
-    save_model(forest, tmp_path / "a.json")
-    back = load_model(tmp_path / "a.json")
-    np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
-    save_model(back, tmp_path / "b.json")
-    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+            a, b = tmp_path / "a.json", tmp_path / "b.json"
+            save_model(forest, a)
+            assert json.loads(a.read_text())["trees"] == [tree_to_dict(t) for t in trees]
+            back = load_model(a)
+            np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
+            save_model(back, b)
+            assert b.read_bytes() == a.read_bytes()
 
 
 def test_knn_examples():
@@ -143,8 +170,8 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_model_too_deep_tree(tmp_path):
     ds = chain_dataset(1200)
-    tree = fit_tree(ds.X, ds.y, ds.schema, CartConfig())
-    model = ForestModel([tree], ds.schema, ds.task, [0], None)
+    model = train_forest(ds, ForestConfig(n_trees=1, bootstrap=False,
+                                          feature_subsample=ds.schema.n_features))
     path = tmp_path / "model.json"
     if DEEP_JSON_REFUSED:
         with pytest.raises(ValueError, match="too deep to nest as JSON"):
