@@ -11,15 +11,23 @@ whenever no two rows share a feature vector with different labels.
 
 The task decides the criterion: Gini impurity for classes, MSE for regression.
 Tie-breaking is deterministic: best gain wins; ties go to the lowest feature
-index, then the lowest threshold / category index.
+index, then the lowest threshold / category index. Rows with equal values keep
+their order in the node, and that order fixes how the MSE sums round.
+
+One grower builds every tree: a frontier of open nodes, from one tree or
+many, searched a step at a time with array calls over all their rows (see
+_Frontier). A tree that draws a feature subset per split (a forest tree)
+puts its next preorder node into each step, so its rng draws come in the
+order a one-node-at-a-time grower makes them; a tree that draws none (an
+explainer tree) puts in all its open nodes and grows level by level.
 
 A tree has one form, the struct-of-arrays layout of scikit-learn's `tree_`:
 a NodeTable whose nodes are in preorder (the root is node 0, a split's left
 child follows it) plus one leaf-statistics array beside it. A forest is the
 same table with many roots: each tree's preorder nodes follow the previous
-tree's, and child ids index the whole table. The grower and tree_from_dict
-append nodes in that order with an explicit stack; routing, decision paths
-and tree_to_dict read the arrays.
+tree's, and child ids index the whole table. The grower numbers the nodes in
+preorder once growth ends, and tree_from_dict appends them in that order with
+an explicit stack; routing, decision paths and tree_to_dict read the arrays.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class CartConfig:
             raise ValueError("min_samples_split must be >= 2")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
+        if self.feature_subsample is not None and self.feature_subsample < 1:
+            raise ValueError("feature_subsample must be >= 1")
 
 
 class NodeTable(NamedTuple):
@@ -152,17 +162,21 @@ class _Preorder:
     def tree(self) -> ExplainerTree:
         """The nodes as an ExplainerTree; its arrays view the columns, which
         can take no more nodes after this."""
-        feat = np.frombuffer(self.feat, dtype=np.int64)
-        split = feat >= 0
-        left = np.where(split, np.arange(len(feat)) + 1, 0)
-        table = NodeTable(feat, np.frombuffer(self.is_le, dtype=bool), np.frombuffer(self.val),
-                          left, np.frombuffer(self.right, dtype=np.int64),
-                          np.frombuffer(self.pred))
         stats = np.frombuffer(self.stats, dtype=np.int64)
         if self.task == CLASSIFICATION:
-            stats = stats.reshape(len(feat), self.n_classes)
-        return ExplainerTree(table, stats, self.schema, self.task, self.depth,
-                             int(len(feat) - split.sum()))
+            stats = stats.reshape(len(self.feat), self.n_classes)
+        return _explainer_tree(self.schema, self.task, np.frombuffer(self.feat, dtype=np.int64),
+                               np.frombuffer(self.is_le, dtype=bool), np.frombuffer(self.val),
+                               np.frombuffer(self.right, dtype=np.int64),
+                               np.frombuffer(self.pred), stats, self.depth)
+
+
+def _explainer_tree(schema, task, feat, is_le, val, right, pred, stats, depth) -> ExplainerTree:
+    """A tree from its preorder node columns; a split's left child follows it."""
+    split = feat >= 0
+    left = np.where(split, np.arange(len(feat)) + 1, 0)
+    return ExplainerTree(NodeTable(feat, is_le, val, left, right, pred), stats, schema, task,
+                         depth, int(len(feat) - split.sum()))
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -170,178 +184,265 @@ def _gini(counts: np.ndarray, n) -> np.ndarray:
     return 1.0 - (p * p).sum(axis=-1)
 
 
-class _Grower:
-    """Grows one tree on rows of X (given as indices) into a _Preorder, after
-    the nodes already in it."""
+# (row, feature) pairs searched in one grower step; bounds the arrays of a step
+GROW_CHUNK_PAIRS = 1 << 14
 
-    def __init__(self, X, y, cfg: CartConfig, nodes: _Preorder):
-        self.X = X
-        self.y = y
-        self.cfg = cfg
-        self.nodes = nodes
-        self.schema, self.task, self.n_classes = nodes.schema, nodes.task, nodes.n_classes
-        self.numeric = self.schema.numeric_mask()
-        self.rng = (
-            np.random.default_rng(cfg.seed)
-            if cfg.feature_subsample is not None and cfg.feature_subsample < self.schema.n_features
-            else None
-        )
 
-    def candidate_features(self):
-        p = self.schema.n_features
-        if self.rng is None:
-            return range(p)
-        sub = self.rng.choice(p, size=self.cfg.feature_subsample, replace=False)
-        return np.sort(sub)
+class _Frontier:
+    """Grows CART trees on rows of X, many trees and many nodes per step.
 
-    def node_impurity(self, y_node):
-        if self.task == CLASSIFICATION:
-            counts = np.bincount(y_node, minlength=self.n_classes)
-            return float(_gini(counts, len(y_node))), counts
-        v = y_node.var() if len(y_node) else 0.0
-        return float(v), None
+    A step searches a batch of open nodes at once. Each (node, candidate
+    feature) pair takes a copy of the node's rows, and one stable argsort of
+    the int keys (pair, value key) orders every pair by value, ties in the
+    node's row order; a numeric value's key is its rank, a category is its
+    own key. Each run of equal keys is a candidate: on a numeric feature the
+    rows up to and including the run go left, on a categorical one the run
+    alone. Class counts come from one cumulative count over all runs and are
+    exact. The MSE sums run per pair (numeric) or per run (categorical) along
+    the rows of a zero-padded array, in the order of the per-node search
+    they replaced, and node sums and variances come from the node's own rows,
+    so every gain rounds as it did.
+    """
 
-    def best_split(self, idx, parent_imp):
-        """Best (gain, feature, kind, value) over candidate features, or None.
+    def __init__(self, X, y, schema: Schema, task: str, n_classes: int):
+        self.y, self.schema, self.task, self.K = y, schema, task, n_classes
+        self.n, self.p = X.shape
+        self.numeric = schema.numeric_mask()
+        keys = X.astype(np.int64)  # a category is its own key
+        for f in self.numeric.nonzero()[0]:
+            keys[:, f] = np.unique(X[:, f], return_inverse=True)[1].reshape(-1)
+        self.B = int(keys.max(initial=0)) + 1
+        self.Xf, self.Vf = X.T.ravel(), keys.T.ravel()  # (row, feature) at f * n + row
 
-        Candidates always leave both sides non-empty, so accepting the best
-        one -- even at zero gain -- strictly shrinks the children and the
-        recursion terminates. None only when every candidate feature is
-        constant over the node.
+    def grow(self, samples, cfgs) -> tuple[ExplainerTree, np.ndarray]:
+        """Grow tree t on rows samples[t] of X under cfgs[t]; return one table
+        with each tree's nodes in preorder after the tree before it, and the
+        trees' root ids.
+
+        A tree that draws features adds only its next preorder stack pop to a
+        step, so its rng draws come in preorder, one per split search; a
+        tree that draws none adds all its open nodes and grows level by level.
         """
-        n = len(idx)
-        y_node = self.y[idx]
-        best = None  # (gain, feature, kind, value)
-        for f in self.candidate_features():
-            vals = self.X[idx, f]
-            if self.numeric[f]:
-                found = self._best_numeric(vals, y_node, n, parent_imp)
-            else:
-                found = self._best_categorical(vals, y_node, n, parent_imp)
-            if found is None:
-                continue
-            gain, kind, value = found
-            if best is None or gain > best[0]:
-                best = (gain, f, kind, value)
-        return best
-
-    def _best_numeric(self, vals, y_node, n, parent_imp):
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        cuts = np.flatnonzero(sv[:-1] < sv[1:])  # split after position i
-        if len(cuts) == 0:
-            return None
-        sy = y_node[order]
-        nl = (cuts + 1).astype(float)
-        nr = n - nl
-        if self.task == CLASSIFICATION:
-            onehot = np.zeros((n, self.n_classes))
-            onehot[np.arange(n), sy] = 1.0
-            cum = onehot.cumsum(axis=0)
-            lc = cum[cuts]
-            rc = cum[-1] - lc
-            il = _gini(lc, nl[:, None])
-            ir = _gini(rc, nr[:, None])
-        else:
-            s1 = sy.cumsum()
-            s2 = (sy * sy).cumsum()
-            l1, l2 = s1[cuts], s2[cuts]
-            r1, r2 = s1[-1] - l1, s2[-1] - l2
-            il = np.maximum(l2 / nl - (l1 / nl) ** 2, 0.0)
-            ir = np.maximum(r2 / nr - (r1 / nr) ** 2, 0.0)
-        gains = parent_imp - (nl * il + nr * ir) / n
-        k = int(np.argmax(gains))  # first max -> lowest threshold
-        a, b = sv[cuts[k]], sv[cuts[k] + 1]
-        mid = (a + b) / 2.0
-        if not (a <= mid < b):  # adjacent floats: fall back to the left value
-            mid = a
-        return float(gains[k]), NUMERIC_LE, mid
-
-    def _best_categorical(self, vals, y_node, n, parent_imp):
-        cats, inverse = np.unique(vals.astype(np.int64), return_inverse=True)
-        if len(cats) < 2:
-            return None
-        best = None
-        if self.task == CLASSIFICATION:
-            # counts[c, k] = rows with category c and class k
-            counts = np.zeros((len(cats), self.n_classes))
-            np.add.at(counts, (inverse, y_node), 1.0)
-            total = counts.sum(axis=0)
-            nl = counts.sum(axis=1)
-            nr = n - nl
-            il = _gini(counts, nl[:, None])
-            ir = _gini(total - counts, nr[:, None])
-        else:
-            s1 = np.bincount(inverse, weights=y_node, minlength=len(cats))
-            s2 = np.bincount(inverse, weights=y_node * y_node, minlength=len(cats))
-            nl = np.bincount(inverse, minlength=len(cats)).astype(float)
-            nr = n - nl
-            t1, t2 = y_node.sum(), (y_node * y_node).sum()
-            nr_safe = np.maximum(nr, 1)
-            il = np.maximum(s2 / nl - (s1 / nl) ** 2, 0.0)
-            ir = np.maximum((t2 - s2) / nr_safe - ((t1 - s1) / nr_safe) ** 2, 0.0)
-        gains = parent_imp - (nl * il + nr * np.where(nr > 0, ir, 0.0)) / n
-        gains = np.where(nr > 0, gains, -np.inf)  # category covering the node splits nothing
-        k = int(np.argmax(gains))  # cats ascending -> lowest category index
-        if not np.isfinite(gains[k]):
-            return None
-        return float(gains[k]), CATEGORY_EQ, float(cats[k])
-
-    def grow(self, root_idx) -> None:
-        # explicit preorder stack: unpruned trees on conflicted data can grow
-        # deeper than the interpreter recursion limit
-        if len(root_idx) == 0:
+        if any(len(rows) == 0 for rows in samples):
             raise ValueError("cannot fit a tree on zero rows")
-        nodes = self.nodes
-        stack = [(root_idx, 0, -1)]  # (rows, depth, split whose right child this is)
-        while stack:
-            idx, depth, right_of = stack.pop()
-            y_node = self.y[idx]
-            imp, counts = self.node_impurity(y_node)
-            n = len(idx)
+        self.mss = np.array([c.min_samples_split for c in cfgs])
+        self.max_depth = np.array([np.iinfo(np.int64).max if c.max_depth is None
+                                   else c.max_depth for c in cfgs])
+        self.draws = [(np.random.default_rng(c.seed), c.feature_subsample)
+                      if c.feature_subsample is not None and c.feature_subsample < self.p
+                      else None for c in cfgs]
+        width = [self.p if d is None else d[1] for d in self.draws]
+        # each node's rows are a slice of one buffer; a split reorders its slice in place
+        self.rows = np.concatenate(samples)
+        ends = np.cumsum([len(rows) for rows in samples]).tolist()
+        self.stacks = [[(t, t, ends[t] - len(rows), ends[t], 0)]  # (tree, id, lo, hi, depth)
+                       for t, rows in enumerate(samples)]
+        # one column per node id: feature, value, prediction, parent, then the
+        # leaf stats; ints are exact in float64, and the ids a step allocates
+        # (its splits' children) start at blocks[step]
+        self.cols = np.zeros((4 + (self.K or 1), 4 * len(samples)))
+        self.n_ids, self.blocks, self.depth = len(samples), [len(samples)], 0
+        while True:
+            batch = []
+            for t, stack in enumerate(self.stacks):
+                if self.draws[t] is None:
+                    batch += stack
+                    stack.clear()
+                elif stack:
+                    batch.append(stack.pop())
+            if not batch:
+                return self._preorder(len(samples))
+            # largest first, so a step's first node is its largest; the MSE
+            # sums pad every node's rows to that length, and count it so
+            batch.sort(key=lambda node: node[2] - node[3])  # changes no result
+            start, pairs = 0, 0
+            for i, (t, _, lo, hi, _) in enumerate(batch):
+                padded = batch[start][3] - batch[start][2] if self.task == REGRESSION else hi - lo
+                pairs += padded * width[t]
+                if pairs > GROW_CHUNK_PAIRS and i > start:
+                    self._step(batch[start:i])
+                    start, pairs = i, (hi - lo) * width[t]
+            self._step(batch[start:])
 
-            stop = (
-                n < self.cfg.min_samples_split
-                or imp <= 0.0
-                or (self.cfg.max_depth is not None and depth >= self.cfg.max_depth)
-            )
-            split = None if stop else self.best_split(idx, imp)
-            if split is None:
-                if self.task == CLASSIFICATION:
-                    nodes.add(depth, right_of, pred=int(np.argmax(counts)), stats=counts)
-                else:
-                    nodes.add(depth, right_of, pred=float(y_node.mean()), stats=(n,))
-                continue
+    def _step(self, batch) -> None:
+        tree, ids, lo, hi, depth = np.array(batch).T
+        m, K, y = len(batch), self.K, self.y
+        sizes = hi - lo
+        starts = sizes.cumsum() - sizes
+        at = (lo - starts).repeat(sizes) + np.arange(int(sizes.sum()))  # buffer place of each row
+        R = self.rows[at]
+        seg = np.arange(m).repeat(sizes)
+        alive = (sizes >= self.mss[tree]) & (depth < self.max_depth[tree])
+        imp, sums = np.zeros(m), np.zeros((2, m))
+        if self.task == CLASSIFICATION:
+            counts = np.bincount(seg * K + y[R], minlength=m * K).reshape(m, K)
+            imp = _gini(counts, sizes[:, None])
+        else:
+            counts = sizes
+            for j in alive.nonzero()[0]:  # pairwise sums, as on the node alone
+                y_node = y[R[starts[j]:starts[j] + sizes[j]]]
+                imp[j], sums[:, j] = y_node.var(), (y_node.sum(), (y_node * y_node).sum())
+        search = (alive & ~(imp <= 0.0)).nonzero()[0]
+        split, f, v, n_left = self._search(search, tree, R, sizes, starts, imp, counts, sums)
+        leaf = np.ones(m, bool)
+        leaf[split] = False
+        feat, val = np.full(m, -1), np.zeros(m)
+        feat[split], val[split] = f, v
+        if self.task == CLASSIFICATION:
+            pred, stats = counts.argmax(axis=1), counts * leaf[:, None]
+        else:
+            pred = np.array([y[R[starts[j]:starts[j] + sizes[j]]].mean() if leaf[j] else 0.0
+                             for j in range(m)])
+            stats = (sizes * leaf)[:, None]
+        cols = self.cols
+        cols[0, ids], cols[1, ids], cols[2, ids], cols[4:, ids] = feat, val, pred * leaf, stats.T
+        self.depth = max(self.depth, int(depth.max()))
+        if not len(split):
+            return
+        first, self.n_ids = self.n_ids, self.n_ids + 2 * len(split)
+        if self.n_ids > cols.shape[1]:
+            self.cols = cols = np.concatenate([cols, np.zeros_like(cols)], axis=1)
+        cols[3, first:self.n_ids] = ids[split].repeat(2)  # split i's children are first + 2i, + 1
+        self.blocks.append(first)
+        f_row = np.maximum(feat, 0)[seg]
+        x, t = self.Xf[f_row * self.n + R], val[seg]
+        go_left = np.where(self.numeric[f_row], x <= t, x == t)
+        moving = (~leaf[seg]).nonzero()[0]
+        order = np.argsort(2 * seg[moving] + ~go_left[moving], kind="stable")
+        self.rows[at[moving]] = R[moving[order]]  # left rows, then right rows
+        mid = lo[split] + n_left
+        for i, (j, s) in enumerate(zip(split.tolist(), mid.tolist())):
+            t, c, d = int(tree[j]), first + 2 * i, int(depth[j]) + 1
+            self.stacks[t] += [(t, c + 1, s, int(hi[j]), d), (t, c, int(lo[j]), s, d)]
 
-            _, f, kind, value = split
-            node = nodes.add(depth, right_of, int(f), kind, float(value))
-            col = self.X[idx, f]
-            mask = col <= value if kind == NUMERIC_LE else col == value
-            stack.append((idx[~mask], depth + 1, node))
-            stack.append((idx[mask], depth + 1, -1))
+    def _search(self, search, tree, R, sizes, starts, imp, counts, sums):
+        """Best split of each node in search: (batch positions of the nodes
+        that split, their features, values and left row counts)."""
+        p, n, B = self.p, self.n, self.B
+        cand = np.ones((len(search), p), bool)
+        for i, j in enumerate(search.tolist()):
+            draw = self.draws[tree[j]]
+            if draw is not None:
+                cand[i] = False
+                cand[i, draw[0].choice(p, size=draw[1], replace=False)] = True
+        pi, pf = np.nonzero(cand)  # (node, feature) pairs, node-major, features ascending
+        if not len(pi):  # no node to search, or a schema without features
+            return [np.empty(0, np.int64)] * 4
+        pn = search[pi]
+        psize = sizes[pn]
+        pend = psize.cumsum()
+        pstart, T = pend - psize, int(pend[-1])
+        rid = R[np.arange(T) + (starts[pn] - pstart).repeat(psize)]
+        col = (pf * n).repeat(psize) + rid
+        keys = (np.arange(len(pn)) * B).repeat(psize) + self.Vf[col]
+        o = np.argsort(keys, kind="stable")
+        keys = keys[o]
+        ys = self.y[rid[o]]
+        new_run = keys[1:] != keys[:-1]
+        brk = new_run.nonzero()[0]
+        gend = np.concatenate((brk, [T - 1]))  # the last position of each run of equal keys
+        gstart = np.concatenate(([0], brk + 1))
+        gp = keys[gend] // B
+        num = self.numeric[pf[gp]]
+        base = np.where(num, pstart[gp], gstart)  # the first row that goes left with the run
+        nl = gend + 1 - base
+        ok = (nl < psize[gp]).nonzero()[0]  # some row goes right
+        if not len(ok):
+            return [np.empty(0, np.int64)] * 4
+        gend, base, nl, gp, num = gend[ok], base[ok], nl[ok], gp[ok], num[ok]
+        node, nn = pn[gp], psize[gp]
+        nr = nn - nl
+        if self.task == CLASSIFICATION:
+            C = np.zeros((T + 1, self.K), np.int64)
+            np.cumsum(ys[:, None] == np.arange(self.K), axis=0, out=C[1:])
+            lc = C[gend + 1] - C[base]
+            gains = imp[node] - (nl * _gini(lc, nl[:, None])
+                                 + nr * _gini(counts[node] - lc, nr[:, None])) / nn
+        else:
+            run, pair = np.concatenate(([0], new_run.cumsum())), keys // B
+            pos = np.arange(T) - np.where(self.numeric[pf[pair]], pstart[pair], gstart[run])
+            sid = np.cumsum(pos == 0) - 1  # each pair (numeric) or run (categorical) a row
+            M = np.zeros((int(sid[-1]) + 1, int(pos.max()) + 1))
+            M[sid, pos] = ys
+            S1, S2 = M.cumsum(axis=1), (M * M).cumsum(axis=1)
+            gs, last = sid[gend], np.where(num, nn - 1, 0)
+            l1, l2 = S1[gs, nl - 1], S2[gs, nl - 1]
+            t1 = np.where(num, S1[gs, last], sums[0, node])
+            t2 = np.where(num, S2[gs, last], sums[1, node])
+            il = np.maximum(l2 / nl - (l1 / nl) ** 2, 0.0)
+            ir = np.maximum((t2 - l2) / nr - ((t1 - l1) / nr) ** 2, 0.0)
+            gains = imp[node] - (nl * il + nr * ir) / nn
+        # the first maximum per node: lowest feature, then lowest threshold or category
+        head = np.concatenate(([True], node[1:] != node[:-1]))
+        top = np.maximum.reduceat(gains, head.nonzero()[0])[head.cumsum() - 1]
+        hit = (gains == top).nonzero()[0]
+        best = hit[np.concatenate(([True], node[hit[1:]] != node[hit[:-1]]))]
+        e = gend[best]
+        a, b = self.Xf[col[o[e]]], self.Xf[col[o[np.minimum(e + 1, T - 1)]]]
+        mid = (a + b) / 2.0
+        # adjacent floats: fall back to the left value
+        val = np.where(num[best] & (a <= mid) & (mid < b), mid, a)
+        return node[best], pf[gp[best]], val, nl[best]
+
+    def _preorder(self, n_trees: int) -> tuple[ExplainerTree, np.ndarray]:
+        """The recorded nodes in preorder, and the trees' root places."""
+        at, right, roots = self._places(n_trees)
+        cols, self.cols = self.cols, None
+        feat, val, pred = cols[0, at].astype(np.int64), cols[1, at], cols[2, at]
+        stats = cols[4:, at].T.astype(np.int64, order="C")
+        del cols, at  # a forest's columns are large: free them before the table is built
+        is_le = np.append(self.numeric, False)[feat]  # a leaf's -1 reads the False
+        tree = _explainer_tree(self.schema, self.task, feat, is_le, val,
+                               np.where(feat >= 0, right, 0), pred,
+                               stats if self.task == CLASSIFICATION else stats[:, 0], self.depth)
+        return tree, roots
+
+    def _places(self, n_trees: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The id at each preorder place, the place of the right child a split
+        at that place has, and the trees' root places. Ids are allocated in
+        steps, each step's after its splits' ids, so subtree sizes add up over
+        the steps in reverse and places follow over the steps in order."""
+        N = self.n_ids
+        parent = self.cols[3, :N].astype(np.int64)
+        steps = list(zip(self.blocks, self.blocks[1:] + [N]))
+        size = np.ones(N, np.int64)
+        for a, b in reversed(steps):
+            size[parent[a:b:2]] += size[a:b:2] + size[a + 1:b:2]
+        pos = np.zeros(N, np.int64)
+        pos[:n_trees] = np.cumsum(size[:n_trees]) - size[:n_trees]  # tree roots
+        for a, b in steps:
+            pos[a:b:2] = pos[parent[a:b:2]] + 1
+            pos[a + 1:b:2] = pos[a:b:2] + size[a:b:2]
+        at = np.empty(N, np.int64)
+        at[pos] = np.arange(N)
+        after = np.minimum(np.arange(1, N + 1), N - 1)  # where a split's left child is
+        return at, after + size[at[after]], pos[:n_trees].copy()
 
 
-def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConfig,
-             task: str | None = None) -> ExplainerTree:
-    """Grow a CART tree; task defaults to the label dtype (ints = classification)."""
-    X = np.asarray(rows, dtype=float)
-    y = np.asarray(labels)
-    if len(X) != len(y):
-        raise ValueError(f"{len(X)} rows but {len(y)} labels")
-    if task is None:
-        task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
+def grow_trees(X, y, schema: Schema, task: str, samples, cfgs) -> tuple[ExplainerTree, np.ndarray]:
+    """Grow tree t on rows samples[t] of X (row indices) under cfgs[t], all
+    in one frontier (see _Frontier.grow); returns the table and root ids."""
+    X = np.asarray(X, dtype=float)
     if task == CLASSIFICATION:
-        y = y.astype(np.int64)
+        y = np.asarray(y).astype(np.int64)
         if schema.target is not None and schema.target.classes is not None:
             n_classes = len(schema.target.classes)
         else:
             n_classes = int(y.max(initial=-1)) + 1  # grow() rejects zero rows
     else:
-        y = y.astype(float)
-        n_classes = 0
-    nodes = _Preorder(schema, task, n_classes)
-    _Grower(X, y, cfg, nodes).grow(np.arange(len(X)))
-    return nodes.tree()
+        y, n_classes = np.asarray(y).astype(float), 0
+    return _Frontier(X, y, schema, task, n_classes).grow(samples, cfgs)
+
+
+def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConfig,
+             task: str | None = None) -> ExplainerTree:
+    """Grow a CART tree; task defaults to the label dtype (ints = classification)."""
+    y = np.asarray(labels)
+    if len(rows) != len(y):
+        raise ValueError(f"{len(rows)} rows but {len(y)} labels")
+    if task is None:
+        task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
+    return grow_trees(rows, y, schema, task, [np.arange(len(y))], [cfg])[0]
 
 
 # (row, root) pairs routed at once; bounds the index arrays of one pass

@@ -70,6 +70,8 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.feature_subsample is not None and self.feature_subsample < 1:
+            raise ValueError("feature_subsample must be >= 1")
 
 
 class ForestModel:
@@ -106,8 +108,10 @@ class ForestModel:
 
 
 def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bootstrap-resampled trees with per-node feature subsampling, grown one
-    after another into one node table."""
+    """Bootstrap-resampled trees with per-node feature subsampling, grown
+    together in one frontier (cart.grow_trees) into one node table: each
+    step searches the next preorder node of every tree, so every tree makes
+    its feature draws in the order it would make them grown alone."""
     if data.y is None:
         raise ValueError("training a forest requires a dataset with targets")
     p = data.schema.n_features
@@ -116,22 +120,21 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
         sub = max(1, math.ceil(math.sqrt(p)))
     sub = min(sub, p)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_trees)
-    nodes = cart._Preorder(data.schema, data.task)
-    roots = []
     n = len(data)
+    samples = np.empty((cfg.n_trees, n), dtype=np.int64)  # row ids, not copies of the rows
+    cfgs = []
     for t in range(cfg.n_trees):
         if cfg.bootstrap:
-            idx = np.random.default_rng(int(seeds[2 * t])).integers(0, n, size=n)
+            samples[t] = np.random.default_rng(int(seeds[2 * t])).integers(0, n, size=n)
         else:
-            idx = np.arange(n)
-        tree_cfg = cart.CartConfig(
+            samples[t] = np.arange(n)
+        cfgs.append(cart.CartConfig(
             max_depth=cfg.max_depth,
             seed=int(seeds[2 * t + 1]),
             feature_subsample=sub if sub < p else None,
-        )
-        roots.append(len(nodes.feat))
-        cart._Grower(data.X, data.y, tree_cfg, nodes).grow(idx)  # row ids, not a copy of the rows
-    return ForestModel(nodes.tree(), roots, seeds[::2], sub, cfg.bootstrap)
+        ))
+    nodes, roots = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, cfgs)
+    return ForestModel(nodes, roots, seeds[::2], sub, cfg.bootstrap)
 
 
 class KnnModel:

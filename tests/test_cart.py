@@ -14,9 +14,10 @@ from araucana.cart import (
     tree_stats,
     tree_to_dict,
 )
-from araucana.tabular import FeatureSpec, Schema, TargetSpec
+from araucana.tabular import REGRESSION, FeatureSpec, Schema, TargetSpec
 
 from conftest import DEEP_JSON_REFUSED, chain_dataset, random_mixed_schema, random_rows
+from reference_cart import reference_fit_tree, reference_grow
 
 
 def and_dataset(two_cat_schema):
@@ -286,6 +287,13 @@ def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
     assert leaf_totals == sizes  # leaves in preorder
 
 
+def test_no_features_grows_one_leaf():
+    schema = Schema((), TargetSpec("label", "classification", classes=("0", "1")))
+    tree = fit_tree(np.empty((5, 0)), np.array([0, 1, 1, 0, 1]), schema, CartConfig())
+    assert tree.leaf_count == 1
+    assert tree.leaf_stats.tolist() == [[2, 3]]
+
+
 def test_errors():
     schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 1.0)),))
     with pytest.raises(ValueError, match="zero rows"):
@@ -294,3 +302,73 @@ def test_errors():
         fit_tree(np.array([[0.1]]), np.array([1, 2]), schema, CartConfig())
     with pytest.raises(ValueError):
         CartConfig(min_samples_split=1)
+
+
+def _tied_data(rng, target, n=70):
+    """Random mixed rows with repeated values, duplicated rows, and, for
+    regression, labels of mixed magnitude that repeat: ties set the row order
+    within a node, and that order sets how the MSE sums round."""
+    schema = random_mixed_schema(rng, n_num=int(rng.integers(1, 4)), n_cat=int(rng.integers(1, 4)),
+                                 n_classes=3 if target == "3 classes" else 2)
+    if target == "regression":
+        schema = Schema(schema.features, TargetSpec("label", REGRESSION))
+    X = random_rows(rng, schema, n)
+    for f in np.flatnonzero(schema.numeric_mask()):
+        few = rng.random(n) < 0.5
+        X[few, f] = rng.choice(X[:4, f], size=few.sum())
+    dup = rng.integers(0, n, size=n // 4)
+    X[-len(dup):] = X[dup]
+    if target == "regression":
+        y = rng.choice(rng.standard_normal(12) * 10.0 ** rng.integers(-3, 4, size=12), size=n)
+        y[: n // 5] = 0.1
+    else:
+        y = rng.integers(0, len(schema.target.classes), size=n)
+    task = "regression" if target == "regression" else "classification"
+    return schema, X, y, task
+
+
+def _same_trees(a, b):
+    for x, z in zip(a.table, b.table):
+        assert x.dtype == z.dtype
+        np.testing.assert_array_equal(x, z)
+    assert a.leaf_stats.dtype == b.leaf_stats.dtype
+    np.testing.assert_array_equal(a.leaf_stats, b.leaf_stats)
+    assert (a.depth, a.leaf_count) == (b.depth, b.leaf_count)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
+def test_frontier_grower_equals_per_node_reference(target, seed):
+    rng = np.random.default_rng(70 + seed)
+    schema, X, y, task = _tied_data(rng, target)
+    p = schema.n_features
+    for sub in sorted({None, 1, max(1, p - 1)}, key=str):
+        for max_depth in (None, 0, 3):
+            for mss in (2, 7):
+                cfg = CartConfig(min_samples_split=mss, max_depth=max_depth, seed=seed,
+                                 feature_subsample=sub)
+                _same_trees(fit_tree(X, y, schema, cfg, task=task),
+                            reference_fit_tree(X, y, schema, cfg, task=task))
+
+
+@pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
+def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
+    rng = np.random.default_rng(90)
+    schema, X, y, task = _tied_data(rng, target)
+    p = schema.n_features
+    samples = [rng.integers(0, len(X), size=int(rng.integers(1, len(X)))) for _ in range(6)]
+    # lockstep trees (drawing features) and level-by-level trees in one call
+    cfgs = [CartConfig(seed=t, feature_subsample=(1 + t % p) if t % 2 else None,
+                       max_depth=None if t % 3 else 4, min_samples_split=2 + t % 4)
+            for t in range(len(samples))]
+    together, roots = cart.grow_trees(X, y, schema, task, samples, cfgs)
+    reference, ref_roots = reference_grow(X, y, schema, task, samples, cfgs)
+    _same_trees(together, reference)
+    np.testing.assert_array_equal(roots, ref_roots)
+    ends = list(roots[1:]) + [len(together.table.feat)]
+    for t, (rows, cfg) in enumerate(zip(samples, cfgs)):
+        alone, _ = cart.grow_trees(X, y, schema, task, [rows], [cfg])
+        assert tree_to_dict(together, roots[t], ends[t]) == tree_to_dict(alone)
+    for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
+        monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
+        _same_trees(cart.grow_trees(X, y, schema, task, samples, cfgs)[0], together)

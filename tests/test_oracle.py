@@ -22,6 +22,8 @@ from araucana.oracle import (
 )
 from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
 
+from reference_cart import reference_fit_tree
+
 from conftest import (
     DEEP_JSON_REFUSED,
     chain_dataset,
@@ -52,6 +54,15 @@ def test_forest_needs_a_tree():
         ForestConfig(n_trees=0)
 
 
+@pytest.mark.parametrize("sub", [0, -1])
+def test_forest_needs_a_feature_per_split(sub):
+    # with 0, every tree would be one leaf voting the majority class everywhere
+    with pytest.raises(ValueError, match="feature_subsample must be >= 1"):
+        ForestConfig(feature_subsample=sub)
+    with pytest.raises(ValueError, match="feature_subsample must be >= 1"):
+        CartConfig(feature_subsample=sub)
+
+
 def test_forest_determinism_and_batch_loop_equivalence():
     ds = synth_dataset(SynthSpec("imbalanced_mixed", 150), seed=4)
     a = train_forest(ds, ForestConfig(n_trees=10, seed=9))
@@ -71,8 +82,9 @@ def test_forest_learns_xor_mixed_training_set():
 
 
 def _reference_trees(ds, cfg):
-    """The trees of train_forest(ds, cfg), each grown on its own by fit_tree
-    on a copy of its bootstrap rows, from the same seed derivation."""
+    """The trees of train_forest(ds, cfg), each grown on its own by the
+    per-node reference grower on a copy of its bootstrap rows, from the same
+    seed derivation."""
     p = ds.schema.n_features
     sub = min(cfg.feature_subsample or max(1, math.ceil(math.sqrt(p))), p)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_trees)
@@ -84,7 +96,7 @@ def _reference_trees(ds, cfg):
             idx = np.arange(len(ds))
         tree_cfg = CartConfig(max_depth=cfg.max_depth, seed=int(seeds[2 * t + 1]),
                               feature_subsample=sub if sub < p else None)
-        trees.append(fit_tree(ds.X[idx], ds.y[idx], ds.schema, tree_cfg, task=ds.task))
+        trees.append(reference_fit_tree(ds.X[idx], ds.y[idx], ds.schema, tree_cfg, task=ds.task))
     return trees
 
 
