@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cart
-from .gower import DistanceMetric, distances_to
+from .gower import DistanceMetric, distances_to, nearest
 from .oracle import PredictionOracle
 from .smote import SmoteConfig, smote_nc
 from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, validate_instance
@@ -135,7 +135,7 @@ def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
         n = len(train)
     metric = DistanceMetric(train.schema, cfg.distance)
     d = distances_to(metric, x, train.X)
-    order = np.argsort(d, kind="stable")[:n]
+    order = nearest(d, n)
     rows = train.X[order]
     labels = oracle.predict_batch(np.vstack([rows, x]))
     return Neighborhood(order, d[order], rows, labels[:-1], labels[-1])

@@ -9,6 +9,10 @@ EuclideanNormalized: Euclidean distance over range-normalized numerics with
 one-hot categoricals, divided by sqrt(feature count). One-hot entries are
 scaled by 1/sqrt(2) so a categorical mismatch adds exactly 1 to the squared
 sum, which keeps the result in [0, 1].
+
+`distances_many` takes many queries at once in fixed-size chunks (`distances_to`
+is its one-query case); `nearest` is the one k-nearest rule, ties to the lower
+row index, of both the k-NN oracle and neighborhood selection.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ from .tabular import Schema, validate_instance
 
 GOWER = "gower"
 EUCLIDEAN = "euclidean"
+
+# (query, row, feature) cells in one chunk of distances_many, and distances in
+# one partition of nearest: about 0.5 MB per float64 temporary, whatever the
+# number of queries or rows
+DISTANCE_CHUNK_CELLS = 2**16
 
 
 class DistanceMetric:
@@ -49,21 +58,55 @@ def distances_to(metric: DistanceMetric, x: np.ndarray, rows: np.ndarray) -> np.
     entry points. Vectorized over rows.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.size == 0:
+    if len(rows) == 0:
         return np.empty(0)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
-    x = np.asarray(x, dtype=float)
-    p = metric.schema.n_features
-    xn = _clamped_numeric(metric, x)
-    rn = _clamped_numeric(metric, rows)
-    num_diff = np.abs(rn - xn) / metric._span * metric._live
-    cat_diff = rows[:, ~metric._numeric] != x[~metric._numeric]
-    if metric.kind == GOWER:
-        return (num_diff.sum(axis=1) + cat_diff.sum(axis=1)) / p
-    # euclidean over the normalized encoding
-    sq = (num_diff**2).sum(axis=1) + cat_diff.sum(axis=1)
-    return np.sqrt(sq) / np.sqrt(p)
+    return distances_many(metric, np.reshape(x, (1, -1)), np.atleast_2d(rows))[0]
+
+
+def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(X), len(rows)) distances from each query row of X to each row of rows.
+
+    Queries go in chunks of about DISTANCE_CHUNK_CELLS (query, row, feature)
+    cells, at least one query each, with in-place arithmetic summed over the
+    feature axis, so each distance equals that of a one-query call bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    p = max(metric.schema.n_features, 1)  # rows without features are all at distance 0
+    cat = ~metric._numeric
+    xn, rn = _clamped_numeric(metric, X), _clamped_numeric(metric, rows)
+    xc, rc = X[:, cat], rows[:, cat]
+    out = np.empty((len(X), len(rows)))
+    step = max(1, DISTANCE_CHUNK_CELLS // max(1, rows.size))
+    for a in range(0, len(X), step):
+        diff = rn - xn[a:a + step, None]
+        np.abs(diff, out=diff)
+        diff /= metric._span
+        diff *= metric._live
+        if metric.kind == EUCLIDEAN:
+            diff *= diff  # squared terms of the normalized encoding
+        d = diff.sum(axis=-1)
+        d += (rc != xc[a:a + step, None]).sum(axis=-1)
+        out[a:a + step] = d / p if metric.kind == GOWER else np.sqrt(d) / np.sqrt(p)
+    return out
+
+
+def nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """`argsort(d, kind="stable")[..., :k]`: the k nearest, ties to the lower
+    index. A partition finds each row's k-th distance, and only the candidates
+    at or below it are sorted."""
+    n = d.shape[-1]
+    if k >= n:
+        return np.argsort(d, axis=-1, kind="stable")
+    flat = d.reshape(-1, n)
+    kth = np.empty((len(flat), 1))
+    step = max(1, DISTANCE_CHUNK_CELLS // n)
+    for a in range(0, len(flat), step):
+        kth[a:a + step] = np.partition(flat[a:a + step], k - 1, axis=1)[:, k - 1:k]
+    r, c = np.nonzero(flat <= kth)  # row-major: candidates in index order
+    order = np.lexsort((flat[r, c], r))  # stable: equal distances keep index order
+    starts = np.searchsorted(r, np.arange(len(flat)))  # each row's first candidate
+    return c[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(d.shape[:-1] + (k,))
 
 
 def distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:

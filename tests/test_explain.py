@@ -24,6 +24,7 @@ from araucana.tabular import (
     synth_dataset,
 )
 from araucana import cart
+from araucana.gower import DistanceMetric, distances_to
 
 from conftest import make_dataset, random_mixed_schema
 
@@ -188,8 +189,6 @@ def test_seed_stability_byte_identical_json():
 
 def test_neighborhood_boundary_monotonicity():
     ds, oracle = small_classification()
-    from araucana.gower import DistanceMetric, distances_to
-
     cfg = ExplainConfig(n_neighbors=20, seed=0)
     x = ds.X[5]
     nbh = select_neighborhood(ds, x, oracle, cfg)
@@ -197,6 +196,24 @@ def test_neighborhood_boundary_monotonicity():
     all_d = distances_to(metric, x, ds.X)
     outside = np.setdiff1d(np.arange(len(ds)), nbh.indices)
     assert nbh.distances[-1] <= all_d[outside].min() + 1e-15
+
+
+def test_neighborhood_is_stable_argsort_prefix():
+    rng = np.random.default_rng(37)
+    for _ in range(10):
+        # categorical-only schemas and duplicated rows give exact distance ties
+        schema = random_mixed_schema(rng, n_num=int(rng.integers(0, 2)))
+        ds = make_dataset(rng, schema, 60)
+        ds.X[:20] = ds.X[40:]
+        oracle = FixedOracle(schema, lambda r: 0)
+        metric = DistanceMetric(schema)
+        for x in ds.X[rng.integers(0, 60, 3)]:
+            d = distances_to(metric, x, ds.X)
+            for n in (1, 7, 30, 60):
+                nbh = select_neighborhood(ds, x, oracle, ExplainConfig(n_neighbors=n, seed=0))
+                order = np.argsort(d, kind="stable")[:n]
+                np.testing.assert_array_equal(nbh.indices, order)
+                np.testing.assert_array_equal(nbh.distances, d[order])
 
 
 def test_merge_path_intervals():

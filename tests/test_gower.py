@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from araucana.gower import DistanceMetric, distance, distances_to
+from araucana import gower
+from araucana.gower import (
+    EUCLIDEAN,
+    GOWER,
+    DistanceMetric,
+    distance,
+    distances_many,
+    distances_to,
+    nearest,
+)
 from araucana.tabular import FeatureSpec, Schema, SchemaError
 
 from conftest import random_mixed_schema, random_rows
@@ -115,3 +124,70 @@ def test_euclidean_normalized_range_and_categorical_unit():
 def test_unknown_metric_kind(age_sex_schema):
     with pytest.raises(ValueError):
         DistanceMetric(age_sex_schema, "cosine")
+
+
+def _formula_distances(metric, x, rows):
+    """One query against all rows with out-of-place arithmetic: the unchunked formula."""
+    num = metric._numeric
+    xn = np.clip(x[num], metric._lo, metric._hi)
+    rn = np.clip(rows[:, num], metric._lo, metric._hi)
+    num_diff = np.abs(rn - xn) / metric._span * metric._live
+    cat_diff = rows[:, ~num] != x[~num]
+    p = metric.schema.n_features
+    if metric.kind == GOWER:
+        return (num_diff.sum(axis=1) + cat_diff.sum(axis=1)) / p
+    return np.sqrt((num_diff**2).sum(axis=1) + cat_diff.sum(axis=1)) / np.sqrt(p)
+
+
+def _with_constant_features(rng, schema):
+    """schema plus 1-2 constant numeric features at random positions."""
+    feats = list(schema.features)
+    for i in range(int(rng.integers(1, 3))):
+        v = float(rng.uniform(-3, 3))
+        feats.insert(int(rng.integers(0, len(feats) + 1)),
+                     FeatureSpec(f"const{i}", "numeric", range=(v, v)))
+    return Schema(tuple(feats), schema.target)
+
+
+def _out_of_range(rng, schema, X):
+    """X with about a third of its numeric cells moved outside the schema range."""
+    X = X.copy()
+    for j, f in enumerate(schema.features):
+        if f.is_numeric:
+            lo, hi = f.range
+            far = rng.random(len(X)) < 1 / 3
+            X[far, j] = np.where(rng.random(far.sum()) < 0.5, lo - 1 - 5 * rng.random(far.sum()),
+                                 hi + 1 + 5 * rng.random(far.sum()))
+    return X
+
+
+@pytest.mark.parametrize("cells", [1, 2**40])
+@pytest.mark.parametrize("kind", [GOWER, EUCLIDEAN])
+def test_distances_many_equals_distances_to(monkeypatch, kind, cells):
+    # cells=1: one query per chunk; cells=2**40: the whole batch in one chunk
+    monkeypatch.setattr(gower, "DISTANCE_CHUNK_CELLS", cells)
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        schema = _with_constant_features(rng, random_mixed_schema(rng))
+        m = DistanceMetric(schema, kind)
+        rows = _out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(1, 40))))
+        X = _out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(0, 12))))
+        X[: len(X) // 2] = rows[rng.integers(0, len(rows), len(X) // 2)]
+        block = distances_many(m, X, rows)
+        assert block.shape == (len(X), len(rows))
+        for i, x in enumerate(X):
+            assert block[i].tobytes() == distances_to(m, x, rows).tobytes()
+            assert block[i].tobytes() == _formula_distances(m, x, rows).tobytes()
+
+
+def test_nearest_is_stable_argsort_prefix():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        # few distinct values: many exact ties, also across the k-th distance
+        d = rng.integers(0, int(rng.integers(1, 6)), size=(int(rng.integers(0, 6)), n)) / 4
+        for k in (1, 2, n // 2 + 1, n, n + 3):
+            want = np.argsort(d, axis=1, kind="stable")[:, :k]
+            np.testing.assert_array_equal(nearest(d, k), want)
+            if len(d):
+                np.testing.assert_array_equal(nearest(d[0], k), want[0])

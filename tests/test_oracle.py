@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from araucana import gower
 from araucana.cart import ROUTE_CHUNK_PAIRS, CartConfig, fit_tree, predict_batch, tree_to_dict
+from araucana.gower import DistanceMetric, distances_to
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
@@ -162,6 +164,90 @@ def test_knn_distance_tie_lower_row_index():
     k1 = train_knn(ds, k=1)
     # both stored copies of `lo` are at distance 0; the first one wins
     assert k1.predict_batch(np.array([[lo]]))[0] == 1
+
+
+def test_knn_needs_a_training_row(tmp_path):
+    ds = synth_dataset(SynthSpec("moons2d", 20), seed=1)
+    reg = Schema(ds.schema.features, TargetSpec("y", REGRESSION))
+    for schema, y in ((ds.schema, ds.y[:0]), (reg, np.empty(0))):
+        # it answered class 0, or nan with a RuntimeWarning, for every query
+        with pytest.raises(ValueError, match="at least one training row"):
+            train_knn(Dataset(schema, ds.X[:0], y), k=3)
+    path = tmp_path / "k.json"
+    save_model(train_knn(ds, k=3), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(dict(doc, rows=[], labels=[])), encoding="utf-8")
+    with pytest.raises(OracleError, match="at least one training row"):
+        load_model(path)
+
+
+def test_knn_without_features_votes_over_first_rows():
+    # with no features every row is at distance 0, so the k lowest rows vote;
+    # an empty distance array had made every query answer class 0
+    schema = Schema((), TargetSpec("y", "classification", classes=("0", "1")))
+    ds = Dataset(schema, np.empty((5, 0)), np.array([0, 1, 1, 0, 0]))
+    np.testing.assert_array_equal(distances_to(DistanceMetric(schema), np.empty(0), ds.X),
+                                  np.zeros(5))
+    np.testing.assert_array_equal(train_knn(ds, k=3).predict_batch(np.empty((2, 0))), [1, 1])
+    np.testing.assert_array_equal(train_knn(ds, k=5).predict_batch(np.empty((2, 0))), [0, 0])
+
+
+def _reference_knn(model, rows):
+    """The per-row k-NN: one distances_to pass and a full stable argsort per row."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 1:
+        rows = rows.reshape(1, -1)
+    k = min(model.k, len(model.X))
+    preds = []
+    for x in rows:
+        near = np.argsort(distances_to(model.metric, x, model.X), kind="stable")[:k]
+        if model.task == REGRESSION:
+            preds.append(float(model.y[near].mean()))
+        else:
+            counts = np.bincount(model.y[near].astype(np.int64),
+                                 minlength=len(model.schema.target.classes))
+            preds.append(int(np.argmax(counts)))
+    return np.asarray(preds, dtype=float if model.task == REGRESSION else np.int64)
+
+
+def _same(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["gower", "euclidean"])
+@pytest.mark.parametrize("target", ["2-class", "3-class", "regression"])
+def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target, kind):
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        schema = random_mixed_schema(rng, n_classes=3 if target == "3-class" else 2)
+        if target == "regression":
+            schema = Schema(schema.features, TargetSpec("y", REGRESSION))
+        n = int(rng.integers(2, 30))
+        ds = make_dataset(rng, schema, n)
+        X = ds.X.copy()
+        X[: n // 3] = X[n - n // 3:]  # duplicated training rows: exact distance ties
+        y = ds.y * 10.0 ** rng.integers(-3, 6, n) if target == "regression" else ds.y
+        ds = Dataset(schema, X, y)
+        queries = random_rows(rng, schema, 20)
+        queries[:8] = X[rng.integers(0, n, 8)]  # queries equal to training rows
+        metric = DistanceMetric(schema, kind)
+        for k in (1, 5, n, n + 3):  # even k with 2 classes: vote ties
+            model = train_knn(ds, k=k, metric=metric)
+            want = _reference_knn(model, queries)
+            _same(model.predict_batch(queries), want)
+            _same(model.predict_batch(queries[3]), want[3:4])
+            _same(model.predict_batch(queries[:0]), want[:0])
+            # 3 queries per distance chunk and partition, or per block of the
+            # oracle (the batch of 20 spans 7 of them), or 1 query for all three
+            for cells, block in ((3 * X.size, 2**18), (2**40, 3 * n), (1, 1)):
+                with monkeypatch.context() as mp:
+                    mp.setattr(gower, "DISTANCE_CHUNK_CELLS", cells)
+                    mp.setattr("araucana.oracle.KNN_BLOCK_DISTANCES", block)
+                    _same(model.predict_batch(queries), want)
+        path = tmp_path / f"knn{trial}.json"
+        save_model(model, path)
+        _same(load_model(path).predict_batch(queries), want)
 
 
 def test_save_load_roundtrip(tmp_path):
