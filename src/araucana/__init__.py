@@ -8,7 +8,7 @@ and a fidelity harness with a weighted-linear baseline.
 
 __version__ = "0.1.0"
 
-from .cart import CartConfig, ExplainerTree, decision_path, fit_tree, predict_tree, tree_stats
+from .cart import ExplainerTree, decision_path, fit_tree, predict_tree, tree_stats
 from .explain import (
     ExplainConfig,
     Explanation,
@@ -42,7 +42,7 @@ from .oracle import (
     train_forest,
     train_knn,
 )
-from .smote import SmoteConfig, nearest_same_class, smote_nc
+from .smote import SmoteConfig, smote_nc
 from .tabular import (
     DataError,
     Dataset,

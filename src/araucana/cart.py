@@ -3,11 +3,12 @@
 Splits are binary and axis-aligned: numeric features test `value <= threshold`
 (thresholds at midpoints between consecutive distinct sorted values),
 categorical features test `value == category` one-vs-rest. The true branch is
-the left child. Growth stops only at purity, min_samples_split, max_depth, or
-when no two-sided split exists (all remaining rows identical). Zero-gain
-splits are accepted -- XOR-shaped nodes have no positive-gain split, yet must
-be grown through -- so the default configuration reaches zero training error
-whenever no two rows share a feature vector with different labels.
+the left child. There is no pruning and no knob: a node stops growing only
+when it is pure, holds one row, or has no two-sided split (all its rows are
+identical). Zero-gain splits are accepted -- XOR-shaped nodes have no
+positive-gain split, yet must be grown through -- so a tree reaches zero
+training error whenever no two rows share a feature vector with different
+labels.
 
 The task decides the criterion: Gini impurity for classes, MSE for regression.
 Tie-breaking is deterministic: best gain wins; ties go to the lowest feature
@@ -46,22 +47,6 @@ MSE = "mse"
 
 NUMERIC_LE = "numeric_le"
 CATEGORY_EQ = "category_eq"
-
-
-@dataclass(frozen=True)
-class CartConfig:
-    min_samples_split: int = 2
-    max_depth: int | None = None
-    seed: int = 0
-    feature_subsample: int | None = None
-
-    def __post_init__(self):
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be >= 2")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.feature_subsample is not None and self.feature_subsample < 1:
-            raise ValueError("feature_subsample must be >= 1")
 
 
 class NodeTable(NamedTuple):
@@ -214,9 +199,11 @@ class _Frontier:
         self.B = int(keys.max(initial=0)) + 1
         self.Xf, self.Vf = X.T.ravel(), keys.T.ravel()  # (row, feature) at f * n + row
 
-    def grow(self, samples, cfgs) -> tuple[ExplainerTree, np.ndarray]:
-        """Grow tree t on rows samples[t] of X under cfgs[t]; return one table
-        with each tree's nodes in preorder after the tree before it, and the
+    def grow(self, samples, draws) -> tuple[ExplainerTree, np.ndarray]:
+        """Grow tree t on rows samples[t] of X, searching every feature at
+        each split when draws[t] is None, or `width` features drawn by an rng
+        seeded `seed` when draws[t] is (seed, width); return one table with
+        each tree's nodes in preorder after the tree before it, and the
         trees' root ids.
 
         A tree that draws features adds only its next preorder stack pop to a
@@ -225,13 +212,8 @@ class _Frontier:
         """
         if any(len(rows) == 0 for rows in samples):
             raise ValueError("cannot fit a tree on zero rows")
-        self.mss = np.array([c.min_samples_split for c in cfgs])
-        self.max_depth = np.array([np.iinfo(np.int64).max if c.max_depth is None
-                                   else c.max_depth for c in cfgs])
-        self.draws = [(np.random.default_rng(c.seed), c.feature_subsample)
-                      if c.feature_subsample is not None and c.feature_subsample < self.p
-                      else None for c in cfgs]
-        width = [self.p if d is None else d[1] for d in self.draws]
+        self.draws = [None if d is None else (np.random.default_rng(d[0]), d[1]) for d in draws]
+        width = [self.p if d is None else d[1] for d in draws]
         # each node's rows are a slice of one buffer; a split reorders its slice in place
         self.rows = np.concatenate(samples)
         ends = np.cumsum([len(rows) for rows in samples]).tolist()
@@ -272,7 +254,7 @@ class _Frontier:
         at = (lo - starts).repeat(sizes) + np.arange(int(sizes.sum()))  # buffer place of each row
         R = self.rows[at]
         seg = np.arange(m).repeat(sizes)
-        alive = (sizes >= self.mss[tree]) & (depth < self.max_depth[tree])
+        alive = sizes >= 2  # a one-row node is a leaf: no sums, no search
         imp, sums = np.zeros(m), np.zeros((2, m))
         if self.task == CLASSIFICATION:
             counts = np.bincount(seg * K + y[R], minlength=m * K).reshape(m, K)
@@ -419,9 +401,10 @@ class _Frontier:
         return at, after + size[at[after]], pos[:n_trees].copy()
 
 
-def grow_trees(X, y, schema: Schema, task: str, samples, cfgs) -> tuple[ExplainerTree, np.ndarray]:
-    """Grow tree t on rows samples[t] of X (row indices) under cfgs[t], all
-    in one frontier (see _Frontier.grow); returns the table and root ids."""
+def grow_trees(X, y, schema: Schema, task: str, samples, draws) -> tuple[ExplainerTree, np.ndarray]:
+    """Grow tree t on rows samples[t] of X (row indices) with feature draws
+    draws[t] -- None for an explainer tree, (seed, width) for a forest tree --
+    all in one frontier (see _Frontier.grow); returns the table and root ids."""
     X = np.asarray(X, dtype=float)
     if task == CLASSIFICATION:
         y = np.asarray(y).astype(np.int64)
@@ -431,10 +414,10 @@ def grow_trees(X, y, schema: Schema, task: str, samples, cfgs) -> tuple[Explaine
             n_classes = int(y.max(initial=-1)) + 1  # grow() rejects zero rows
     else:
         y, n_classes = np.asarray(y).astype(float), 0
-    return _Frontier(X, y, schema, task, n_classes).grow(samples, cfgs)
+    return _Frontier(X, y, schema, task, n_classes).grow(samples, draws)
 
 
-def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConfig,
+def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema,
              task: str | None = None) -> ExplainerTree:
     """Grow a CART tree; task defaults to the label dtype (ints = classification)."""
     y = np.asarray(labels)
@@ -442,7 +425,7 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema, cfg: CartConf
         raise ValueError(f"{len(rows)} rows but {len(y)} labels")
     if task is None:
         task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
-    return grow_trees(rows, y, schema, task, [np.arange(len(y))], [cfg])[0]
+    return grow_trees(rows, y, schema, task, [np.arange(len(y))], [None])[0]
 
 
 # (row, root) pairs routed at once; bounds the index arrays of one pass

@@ -35,7 +35,6 @@ from .oracle import (
     train_knn,
 )
 from .smote import SmoteConfig
-from .cart import CartConfig
 from .tabular import (
     CLASSIFICATION,
     DataError,
@@ -185,6 +184,13 @@ def _load_data(args, manifest: _Manifest) -> Dataset:
     return ds
 
 
+def _train_builtin(kind: str, data: Dataset, args, seed: int):
+    """The built-in black box `kind` (forest or knn) under --trees or --k."""
+    if kind == "forest":
+        return train_forest(data, ForestConfig(n_trees=args.trees, seed=seed))
+    return train_knn(data, k=args.k)
+
+
 def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
                   full_data: Dataset | None = None):
     """data: rows built-in models train on; full_data: every row the
@@ -193,12 +199,7 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
     if data.task is None:
         raise DataError("the dataset declares no target; an oracle task is undefined")
     if kind == "builtin":
-        model_seed = args.seed + SEED_ORACLE_OFFSET
-        if arg == "forest":
-            model = train_forest(data, ForestConfig(n_trees=args.trees, seed=model_seed))
-        else:
-            model = train_knn(data, k=args.k)
-        return BuiltinOracle(model)
+        return BuiltinOracle(_train_builtin(arg, data, args, args.seed + SEED_ORACLE_OFFSET))
     if kind == "file":
         model = load_model(arg)
         manifest.add_input(arg)
@@ -229,7 +230,6 @@ def _explain_config(args) -> ExplainConfig:
         n_neighbors=args.n_neighbors,
         distance=args.distance,
         smote=smote,
-        cart=CartConfig(),
         seed=args.seed,
     )
 
@@ -266,10 +266,7 @@ def cmd_train(args) -> int:
         raise DataError(
             "training requires a target column (got none; pass --schema or --target)"
         )
-    if args.model == "forest":
-        model = train_forest(data, ForestConfig(n_trees=args.trees, seed=args.seed))
-    else:
-        model = train_knn(data, k=args.k)
+    model = _train_builtin(args.model, data, args, args.seed)
     preds = model.predict_batch(data.X)
     if data.task == CLASSIFICATION:
         score = float((preds == data.y).mean())
@@ -328,8 +325,6 @@ def cmd_explain(args) -> int:
 
 
 def _split_test_frac(data: Dataset, frac: float, seed: int) -> tuple[Dataset, Dataset]:
-    if not 0.0 < frac < 1.0:
-        raise DataError(f"--test-frac must be in (0, 1), got {frac}")
     rng = np.random.default_rng(seed + SEED_SPLIT_OFFSET)
     perm = rng.permutation(len(data))
     n_test = int(round(frac * len(data)))

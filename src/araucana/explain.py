@@ -51,7 +51,6 @@ class ExplainConfig:
     n_neighbors: int = 100
     distance: str = "gower"
     smote: SmoteConfig | None = field(default_factory=SmoteConfig)  # None = off
-    cart: cart.CartConfig = field(default_factory=cart.CartConfig)
     seed: int = 0
 
     def __post_init__(self):
@@ -225,7 +224,7 @@ def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOra
     q = len(nbh.rows)  # the query row follows the neighborhood rows
     oracle_label = nbh.query_label
 
-    tree = cart.fit_tree(eset.X, eset.y, schema, cfg.cart, task=task)
+    tree = cart.fit_tree(eset.X, eset.y, schema, task)
     path = cart.decision_path(tree, x)
     conditions = _merge_path(path, schema)
 
@@ -261,10 +260,10 @@ def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOra
         "n_neighbors": int(len(nbh.rows)),
         "distance": cfg.distance,
         "smote": smote_echo,
-        "cart": {
+        "cart": {  # fixed: a node splits down to one row, at any depth
             "criterion": cart.GINI if task == CLASSIFICATION else cart.MSE,
-            "min_samples_split": cfg.cart.min_samples_split,
-            "max_depth": cfg.cart.max_depth,
+            "min_samples_split": 2,
+            "max_depth": None,
         },
         "task": task,
     }

@@ -9,8 +9,8 @@ Subprocess wire protocol (one JSON object per line, both directions):
   request  {"instances": [[v, ...], ...]}   numerics as numbers, categoricals
                                             as category strings
   reply    {"predictions": [p, ...]}        class names as strings (or class
-                                            indices as integers); numbers for
-                                            regression
+                                            indices as integers); finite
+                                            numbers for regression
 The child is spawned once and persists across batches; the per-batch timeout
 (default 30 seconds) covers writing the request and reading the reply.
 """
@@ -61,17 +61,17 @@ def ensure_same_schema(a: Schema, b: Schema, what: str = "model") -> None:
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """A random forest: n_trees unpruned CART trees, each grown on n rows
+    drawn with replacement from the n training rows, each split searching
+    ceil(sqrt(n_features)) features drawn at random; every draw derives
+    from seed."""
+
     n_trees: int = 100
     seed: int = 0
-    bootstrap: bool = True
-    feature_subsample: int | None = None  # None = ceil(sqrt(n_features))
-    max_depth: int | None = None
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.feature_subsample is not None and self.feature_subsample < 1:
-            raise ValueError("feature_subsample must be >= 1")
 
 
 class ForestModel:
@@ -85,15 +85,13 @@ class ForestModel:
     one row per tree, and their predictions are the votes.
     """
 
-    def __init__(self, nodes: cart.ExplainerTree, roots, tree_seeds, feature_subsample,
-                 bootstrap=True):
+    def __init__(self, nodes: cart.ExplainerTree, roots, tree_seeds, feature_subsample):
         self.nodes = nodes
         self.roots = np.asarray(roots, dtype=np.int64)
         self.schema, self.task = nodes.schema, nodes.task
         self.n_trees = len(self.roots)
         self.tree_seeds = list(tree_seeds)
         self.feature_subsample = feature_subsample
-        self.bootstrap = bootstrap
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -108,33 +106,25 @@ class ForestModel:
 
 
 def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
-    """Bootstrap-resampled trees with per-node feature subsampling, grown
-    together in one frontier (cart.grow_trees) into one node table: each
-    step searches the next preorder node of every tree, so every tree makes
-    its feature draws in the order it would make them grown alone."""
+    """Each tree grows on n rows drawn with replacement from the n rows of
+    data and searches min(ceil(sqrt(p)), p) features drawn per split; a tree
+    with no more features than that searches them all, drawing none. The trees grow together in one
+    frontier (cart.grow_trees) into one node table: each step searches the
+    next preorder node of every tree, so every tree makes its feature draws
+    in the order it would make them grown alone."""
     if data.y is None:
         raise ValueError("training a forest requires a dataset with targets")
-    p = data.schema.n_features
-    sub = cfg.feature_subsample
-    if sub is None:
-        sub = max(1, math.ceil(math.sqrt(p)))
-    sub = min(sub, p)
+    p, n = data.schema.n_features, len(data)
+    sub = min(max(1, math.ceil(math.sqrt(p))), p)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_trees)
-    n = len(data)
-    samples = np.empty((cfg.n_trees, n), dtype=np.int64)  # row ids, not copies of the rows
-    cfgs = []
-    for t in range(cfg.n_trees):
-        if cfg.bootstrap:
-            samples[t] = np.random.default_rng(int(seeds[2 * t])).integers(0, n, size=n)
-        else:
-            samples[t] = np.arange(n)
-        cfgs.append(cart.CartConfig(
-            max_depth=cfg.max_depth,
-            seed=int(seeds[2 * t + 1]),
-            feature_subsample=sub if sub < p else None,
-        ))
-    nodes, roots = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, cfgs)
-    return ForestModel(nodes, roots, seeds[::2], sub, cfg.bootstrap)
+    # row ids, not copies of the rows, in one block the allocator can give back
+    # whole: per-tree arrays raised forest_imbalanced's peak RSS by 3.4 MB
+    samples = np.empty((cfg.n_trees, n), dtype=np.int64)
+    for t, s in enumerate(seeds[::2]):
+        samples[t] = np.random.default_rng(int(s)).integers(0, n, size=n)
+    draws = [(int(s), sub) if sub < p else None for s in seeds[1::2]]
+    nodes, roots = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, draws)
+    return ForestModel(nodes, roots, seeds[::2], sub)
 
 
 # distances in one block of the k-NN oracle (2 MB of float64), which bounds its
@@ -287,6 +277,10 @@ class SubprocessOracle(PredictionOracle):
         return self._decode_predictions(preds)
 
     def _decode_predictions(self, preds) -> np.ndarray:
+        """Labels of a JSON reply. JSON true and false are not numbers here,
+        and a float names a class only when it is a finite whole number."""
+        if any(isinstance(v, bool) for v in preds):
+            raise OracleError("boolean prediction: expected a class name, index or number")
         if self.task == REGRESSION:
             try:
                 out = np.asarray([float(v) for v in preds])
@@ -302,7 +296,7 @@ class SubprocessOracle(PredictionOracle):
                 if v not in classes:
                     raise OracleError(f"unknown class {v!r} (known: {list(classes)})")
                 out[i] = classes.index(v)
-            elif isinstance(v, (int, np.integer)) or (isinstance(v, float) and v == int(v)):
+            elif isinstance(v, int) or (isinstance(v, float) and v.is_integer()):
                 j = int(v)
                 if not 0 <= j < len(classes):
                     raise OracleError(f"class index {j} out of range 0..{len(classes) - 1}")
@@ -371,7 +365,7 @@ def save_model(model, path) -> None:
             "task": model.task,
             "schema": model.schema.to_dict(),
             "feature_subsample": model.feature_subsample,
-            "bootstrap": model.bootstrap,
+            "bootstrap": True,  # every forest bootstraps; load_model does not read it
             "tree_seeds": [int(s) for s in model.tree_seeds],
             "trees": [cart.tree_to_dict(model.nodes, a, b) for a, b in zip(bounds, bounds[1:])],
         }
@@ -404,8 +398,7 @@ def load_model(path):
             roots = [nodes.read(d) for d in doc["trees"]]
             if not roots:
                 raise ValueError("a forest needs at least one tree")
-            return ForestModel(nodes.tree(), roots, doc["tree_seeds"],
-                               doc["feature_subsample"], doc.get("bootstrap", True))
+            return ForestModel(nodes.tree(), roots, doc["tree_seeds"], doc["feature_subsample"])
         if kind == "knn":
             X = np.array([schema.encode_row(r) for r in doc["rows"]])
             y = np.array([schema.encode_label(v) for v in doc["labels"]])

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gower import nearest
 from .tabular import CLASSIFICATION, Schema
 
 BALANCE = "balance"
@@ -56,38 +57,21 @@ def _mismatch_penalty(norm_num: np.ndarray) -> float:
     return (med / 2.0) ** 2
 
 
-def _class_neighbor_order(X: np.ndarray, schema: Schema, members: np.ndarray) -> np.ndarray:
-    """For each member row, all other members ordered by SMOTE-NC distance.
-
-    Returns an (m, m-1) array of positions into `members`; ties break toward
-    the lower original row index (members are in ascending index order).
+def _class_neighbor_order(X: np.ndarray, schema: Schema, members: np.ndarray,
+                          k: int) -> np.ndarray:
+    """For each member row, the k other members nearest it by SMOTE-NC
+    distance, nearest first, as an (m, k) array of positions into `members`;
+    k < m. Ties break toward the lower original row index (members are in
+    ascending index order), so a duplicate may precede a row at distance 0.
     """
     sub = X[members]
     norm = _normalized_numeric(sub, schema)
     penalty = _mismatch_penalty(norm)
     cat = sub[:, ~schema.numeric_mask()]
-    m = len(members)
     d2 = ((norm[:, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
     d2 += penalty * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    # drop self from each row's ordering; duplicates at distance 0 with a lower
-    # index legitimately precede self, so self is not always column 0
-    keep = order != np.arange(m)[:, None]
-    return order[keep].reshape(m, m - 1) if m > 1 else order[:, :0]
-
-
-def nearest_same_class(rows: np.ndarray, labels: np.ndarray, index: int, k: int,
-                       schema: Schema) -> list[int]:
-    """Indices of the k same-class rows nearest rows[index] (self excluded)."""
-    rows = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels)
-    members = np.flatnonzero(labels == labels[index])
-    if len(members) < 2:
-        raise ValueError(f"row {index} has no same-class peer")
-    order = _class_neighbor_order(rows, schema, members)
-    pos = int(np.searchsorted(members, index))
-    k = min(k, len(members) - 1)
-    return [int(members[j]) for j in order[pos, :k]]
+    np.fill_diagonal(d2, np.inf)  # a row is not its own neighbor
+    return nearest(d2, k)
 
 
 def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
@@ -129,10 +113,10 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
                 stacklevel=2,
             )
         members = np.flatnonzero(labels == cls)
-        order = _class_neighbor_order(rows, schema, members)
+        order = _class_neighbor_order(rows, schema, members, k)
         for _ in range(need):
             si = int(rng.integers(len(members)))
-            neigh = order[si, :k]
+            neigh = order[si]
             nj = int(neigh[rng.integers(len(neigh))])
             seed_row = rows[members[si]]
             nbr_row = rows[members[nj]]

@@ -8,33 +8,29 @@ statistics, same rng draws.
 
 import numpy as np
 
-from araucana.cart import CATEGORY_EQ, NUMERIC_LE, CartConfig, _gini, _Preorder
+from araucana.cart import CATEGORY_EQ, NUMERIC_LE, _gini, _Preorder
 from araucana.tabular import CLASSIFICATION, REGRESSION
 
 
 class _Grower:
     """Grows one tree on rows of X (given as indices) into a _Preorder, after
-    the nodes already in it."""
+    the nodes already in it; draw is None (search every feature) or (seed,
+    width) (search width features drawn per split), as in cart.grow_trees."""
 
-    def __init__(self, X, y, cfg: CartConfig, nodes: _Preorder):
+    def __init__(self, X, y, draw, nodes: _Preorder):
         self.X = X
         self.y = y
-        self.cfg = cfg
         self.nodes = nodes
         self.schema, self.task, self.n_classes = nodes.schema, nodes.task, nodes.n_classes
         self.numeric = self.schema.numeric_mask()
-        self.rng = (
-            np.random.default_rng(cfg.seed)
-            if cfg.feature_subsample is not None and cfg.feature_subsample < self.schema.n_features
-            else None
-        )
+        self.rng = None if draw is None else np.random.default_rng(draw[0])
+        self.width = None if draw is None else draw[1]
 
     def candidate_features(self):
         p = self.schema.n_features
         if self.rng is None:
             return range(p)
-        sub = self.rng.choice(p, size=self.cfg.feature_subsample, replace=False)
-        return np.sort(sub)
+        return np.sort(self.rng.choice(p, size=self.width, replace=False))
 
     def node_impurity(self, y_node):
         if self.task == CLASSIFICATION:
@@ -133,12 +129,7 @@ class _Grower:
             imp, counts = self.node_impurity(y_node)
             n = len(idx)
 
-            stop = (
-                n < self.cfg.min_samples_split
-                or imp <= 0.0
-                or (self.cfg.max_depth is not None and depth >= self.cfg.max_depth)
-            )
-            split = None if stop else self.best_split(idx, imp)
+            split = None if n < 2 or imp <= 0.0 else self.best_split(idx, imp)
             if split is None:
                 if self.task == CLASSIFICATION:
                     nodes.add(depth, right_of, pred=int(np.argmax(counts)), stats=counts)
@@ -154,8 +145,8 @@ class _Grower:
             stack.append((idx[mask], depth + 1, -1))
 
 
-def reference_grow(X, y, schema, task, samples, cfgs):
-    """Each (rows, cfg) tree grown on its own by the per-node grower, one
+def reference_grow(X, y, schema, task, samples, draws):
+    """Each (rows, draw) tree grown on its own by the per-node grower, one
     after another into one table; returns (tree, root ids)."""
     X = np.asarray(X, dtype=float)
     if task == CLASSIFICATION:
@@ -168,15 +159,15 @@ def reference_grow(X, y, schema, task, samples, cfgs):
         y, n_classes = np.asarray(y).astype(float), 0
     nodes = _Preorder(schema, task, n_classes)
     roots = []
-    for rows, cfg in zip(samples, cfgs):
+    for rows, draw in zip(samples, draws):
         roots.append(len(nodes.feat))
-        _Grower(X, y, cfg, nodes).grow(np.asarray(rows))
+        _Grower(X, y, draw, nodes).grow(np.asarray(rows))
     return nodes.tree(), np.array(roots)
 
 
-def reference_fit_tree(rows, labels, schema, cfg, task=None):
-    """cart.fit_tree on the per-node grower."""
+def reference_fit_tree(rows, labels, schema, task=None, draw=None):
+    """cart.fit_tree on the per-node grower; draw as in cart.grow_trees."""
     y = np.asarray(labels)
     if task is None:
         task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
-    return reference_grow(rows, y, schema, task, [np.arange(len(y))], [cfg])[0]
+    return reference_grow(rows, y, schema, task, [np.arange(len(y))], [draw])[0]

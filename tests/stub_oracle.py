@@ -10,6 +10,8 @@ Options:
   --die-after N   exit(3) after answering N batches
   --delay S       sleep S seconds before each reply
   --no-read       never read stdin: sleep --delay seconds (default 60), then exit
+  --token T       reply the raw JSON token T (NaN, Infinity, 1e400, true, ...)
+                  for every instance, on batch --token-on only (default: on all)
 """
 
 import argparse
@@ -26,6 +28,8 @@ def main():
     ap.add_argument("--die-after", type=int, default=0)
     ap.add_argument("--delay", type=float, default=0.0)
     ap.add_argument("--no-read", action="store_true")
+    ap.add_argument("--token")
+    ap.add_argument("--token-on", type=int, default=0)
     args = ap.parse_args()
     if args.no_read:
         time.sleep(args.delay or 60.0)
@@ -41,6 +45,11 @@ def main():
             sys.stdout.write("not json at all\n")
             sys.stdout.flush()
             continue
+        batches += 1
+        if args.token is not None and args.token_on in (0, batches):
+            sys.stdout.write('{"predictions": [%s]}\n' % ", ".join([args.token] * len(instances)))
+            sys.stdout.flush()
+            continue
         preds = []
         for inst in instances:
             numeric_sum = sum(v for v in inst if isinstance(v, (int, float)))
@@ -52,7 +61,6 @@ def main():
                 preds.append(numeric_sum)
         sys.stdout.write(json.dumps({"predictions": preds}) + "\n")
         sys.stdout.flush()
-        batches += 1
         if args.die_after and batches >= args.die_after:
             sys.exit(3)
 

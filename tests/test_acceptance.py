@@ -149,7 +149,7 @@ def test_criterion_4_cart_oracle_equivalence_exhaustive():
             for labeling in itertools.product((0, 1), repeat=len(members)):
                 y = np.array(labeling)
                 best = (tables[:, members] != y).sum(axis=1).min()
-                tree = cart.fit_tree(X, y, schema, cart.CartConfig())
+                tree = cart.fit_tree(X, y, schema)
                 err = int((cart.predict_batch(tree, X) != y).sum())
                 assert best == 0  # consistent labels are always realizable
                 assert err == best, f"p={p} subset={subset_bits} labels={labeling}"

@@ -5,7 +5,6 @@ import pytest
 
 from araucana import cart
 from araucana.cart import (
-    CartConfig,
     decision_path,
     fit_tree,
     predict_batch,
@@ -32,7 +31,7 @@ def test_gini_formula():
 
 def test_and_dataset_zero_error_small_tree(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
-    tree = fit_tree(X, y, two_cat_schema, CartConfig())
+    tree = fit_tree(X, y, two_cat_schema)
     np.testing.assert_array_equal(predict_batch(tree, X), y)
     assert tree.leaf_count <= 3
     assert predict_tree(tree, np.array([1.0, 1.0])) == 1
@@ -40,7 +39,7 @@ def test_and_dataset_zero_error_small_tree(two_cat_schema):
 
 def test_pure_labels_single_leaf(two_cat_schema):
     X, _ = and_dataset(two_cat_schema)
-    tree = fit_tree(X, np.array([1, 1, 1, 1]), two_cat_schema, CartConfig())
+    tree = fit_tree(X, np.array([1, 1, 1, 1]), two_cat_schema)
     stats = tree_stats(tree)
     assert stats == {"depth": 0, "leaf_count": 1, "node_count": 1}
     assert predict_tree(tree, np.array([0.0, 1.0])) == 1
@@ -50,7 +49,7 @@ def test_pure_labels_single_leaf(two_cat_schema):
 def test_depth_one_tree_single_condition(two_cat_schema):
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])  # label = a
-    tree = fit_tree(X, y, two_cat_schema, CartConfig())
+    tree = fit_tree(X, y, two_cat_schema)
     assert tree_stats(tree) == {"depth": 1, "leaf_count": 2, "node_count": 3}
     path = decision_path(tree, X[3])
     assert len(path) == 1
@@ -61,7 +60,7 @@ def test_path_conditions_hold_in_branch_direction():
     schema = random_mixed_schema(rng, n_num=2, n_cat=2)
     X = random_rows(rng, schema, 60)
     y = rng.integers(0, 2, size=60)
-    tree = fit_tree(X, y, schema, CartConfig())
+    tree = fit_tree(X, y, schema)
     for row in X[:20]:
         for feat, kind, value, taken in decision_path(tree, row):
             if kind == cart.NUMERIC_LE:
@@ -79,7 +78,7 @@ def test_zero_training_error_without_conflicts():
         _, keep = np.unique(X, axis=0, return_index=True)
         X = X[np.sort(keep)]
         y = rng.integers(0, 2, size=len(X))
-        tree = fit_tree(X, y, schema, CartConfig())
+        tree = fit_tree(X, y, schema)
         np.testing.assert_array_equal(predict_batch(tree, X), y)
 
 
@@ -88,15 +87,15 @@ def test_zero_training_error_regression():
     schema = random_mixed_schema(rng, n_num=2, n_cat=1)
     X = random_rows(rng, schema, 40)
     y = rng.standard_normal(40)
-    tree = fit_tree(X, y, schema, CartConfig(), task="regression")
+    tree = fit_tree(X, y, schema, task="regression")
     np.testing.assert_allclose(predict_batch(tree, X), y, rtol=0, atol=1e-12)
 
 
 def test_regression_leaf_mean_and_root_mse():
     schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 1.0)),))
-    X = np.array([[0.1], [0.2], [0.3], [0.4]])
+    X = np.array([[0.3]] * 4)  # identical rows: no two-sided split
     y = np.array([1.0, 2.0, 3.0, 6.0])
-    leaf = fit_tree(X, y, schema, CartConfig(max_depth=0), task="regression")
+    leaf = fit_tree(X, y, schema, task="regression")
     assert predict_tree(leaf, np.array([0.5])) == pytest.approx(y.mean())
     assert leaf.leaf_stats[0] == 4 and leaf.table.pred[0] == 3.0  # n and mean
 
@@ -104,7 +103,7 @@ def test_regression_leaf_mean_and_root_mse():
 def test_conflicting_duplicates_majority_leaf(two_cat_schema):
     X = np.array([[1.0, 1.0]] * 5)
     y = np.array([0, 1, 1, 0, 0])
-    tree = fit_tree(X, y, two_cat_schema, CartConfig())
+    tree = fit_tree(X, y, two_cat_schema)
     assert tree.leaf_count == 1
     assert predict_tree(tree, X[0]) == 0  # majority
 
@@ -116,7 +115,7 @@ def test_majority_tie_goes_to_lowest_class(two_cat_schema):
         two_cat_schema.features,
         TargetSpec("label", "classification", classes=("a", "b", "c")),
     )
-    tree = fit_tree(X, y, schema, CartConfig())
+    tree = fit_tree(X, y, schema)
     assert predict_tree(tree, X[0]) == 1
 
 
@@ -127,8 +126,8 @@ def test_split_admissibility_and_determinism():
     y = rng.integers(0, 3, size=80)
     sch = Schema(schema.features, TargetSpec("label", "classification",
                                              classes=("0", "1", "2")))
-    t1 = fit_tree(X, y, sch, CartConfig())
-    t2 = fit_tree(X, y, sch, CartConfig())
+    t1 = fit_tree(X, y, sch)
+    t2 = fit_tree(X, y, sch)
     assert tree_to_dict(t1) == tree_to_dict(t2)
 
     # chosen splits never increase weighted impurity and never strand a side
@@ -151,7 +150,7 @@ def test_categorical_xor_reaches_purity(two_cat_schema):
     # every one-vs-rest split has zero gain here, yet the tree must grow through
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    tree = fit_tree(X, y, two_cat_schema, CartConfig())
+    tree = fit_tree(X, y, two_cat_schema)
     np.testing.assert_array_equal(predict_batch(tree, X), y)
 
 
@@ -159,7 +158,7 @@ def test_tie_break_prefers_first_feature(two_cat_schema):
     # both features separate the labels equally well
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, two_cat_schema, CartConfig())
+    tree = fit_tree(X, y, two_cat_schema)
     assert tree.table.feat[0] == 0
     # and the lowest category index for equal-gain categories on one feature
     schema = Schema(
@@ -167,7 +166,7 @@ def test_tie_break_prefers_first_feature(two_cat_schema):
         TargetSpec("label", "classification", classes=("0", "1")),
     )
     X2 = np.array([[0.0], [1.0]])
-    tree2 = fit_tree(X2, np.array([0, 1]), schema, CartConfig())
+    tree2 = fit_tree(X2, np.array([0, 1]), schema)
     assert tree2.table.val[0] == 0.0
 
 
@@ -178,19 +177,8 @@ def test_numeric_threshold_is_midpoint():
     )
     X = np.array([[1.0], [3.0], [7.0], [9.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, schema, CartConfig())
+    tree = fit_tree(X, y, schema)
     assert tree.table.val[0] == 5.0
-
-
-def test_max_depth_and_min_samples_split():
-    rng = np.random.default_rng(3)
-    schema = random_mixed_schema(rng, n_num=2, n_cat=0)
-    X = random_rows(rng, schema, 64)
-    y = rng.integers(0, 2, size=64)
-    capped = fit_tree(X, y, schema, CartConfig(max_depth=2))
-    assert capped.depth <= 2
-    chunky = fit_tree(X, y, schema, CartConfig(min_samples_split=32))
-    assert all(n >= 32 for n in _node_sizes(chunky, X, internal_only=True))
 
 
 def _is_leaf(tree, node):
@@ -217,11 +205,6 @@ def _walk_sizes(tree, X):
     return out
 
 
-def _node_sizes(tree, X, internal_only=False):
-    return [len(idx) for node, idx in _walk_sizes(tree, X)
-            if not (internal_only and _is_leaf(tree, node))]
-
-
 def _leaf_sizes(tree, X):
     return [len(idx) for node, idx in _walk_sizes(tree, X) if _is_leaf(tree, node)]
 
@@ -231,7 +214,7 @@ def test_json_roundtrip_classification_and_regression():
     schema = random_mixed_schema(rng, n_num=2, n_cat=2)
     X = random_rows(rng, schema, 50)
     y = rng.integers(0, 2, size=50)
-    tree = fit_tree(X, y, schema, CartConfig())
+    tree = fit_tree(X, y, schema)
     doc = tree_to_dict(tree)
     back = tree_from_dict(doc, schema, "classification")
     probe = random_rows(rng, schema, 100)
@@ -239,7 +222,7 @@ def test_json_roundtrip_classification_and_regression():
     assert tree_stats(back) == tree_stats(tree)
 
     yr = rng.standard_normal(50)
-    rtree = fit_tree(X, yr, schema, CartConfig(), task="regression")
+    rtree = fit_tree(X, yr, schema, task="regression")
     rdoc = tree_to_dict(rtree)
     rback = tree_from_dict(rdoc, schema, "regression")
     np.testing.assert_allclose(predict_batch(rback, probe), predict_batch(rtree, probe))
@@ -254,7 +237,7 @@ def test_json_roundtrip_classification_and_regression():
 
 def test_deep_tree_walks_without_recursion():
     ds = chain_dataset(1200)
-    tree = fit_tree(ds.X, ds.y, ds.schema, CartConfig())
+    tree = fit_tree(ds.X, ds.y, ds.schema)
     assert tree.depth == 1199
     np.testing.assert_array_equal(predict_batch(tree, ds.X), ds.y)
     assert len(decision_path(tree, ds.X[-1])) == 1199
@@ -270,17 +253,17 @@ def test_deep_tree_walks_without_recursion():
 
 def test_json_field_names(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
-    doc = tree_to_dict(fit_tree(X, y, two_cat_schema, CartConfig()))
+    doc = tree_to_dict(fit_tree(X, y, two_cat_schema))
     assert set(doc) == {"feature", "test", "left", "right"}
     assert doc["test"]["kind"] in ("numeric_le", "category_eq")
-    leafy = tree_to_dict(fit_tree(X, np.array([0, 0, 0, 0]), two_cat_schema, CartConfig()))
+    leafy = tree_to_dict(fit_tree(X, np.array([0, 0, 0, 0]), two_cat_schema))
     assert set(leafy) == {"leaf"}
     assert set(leafy["leaf"]) == {"prediction", "counts"}
 
 
 def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
-    tree = fit_tree(X, y, two_cat_schema, CartConfig())
+    tree = fit_tree(X, y, two_cat_schema)
     sizes = _leaf_sizes(tree, X)
 
     leaf_totals = [int(tree.leaf_stats[node].sum()) for node in np.flatnonzero(tree.table.feat < 0)]
@@ -289,7 +272,7 @@ def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
 
 def test_no_features_grows_one_leaf():
     schema = Schema((), TargetSpec("label", "classification", classes=("0", "1")))
-    tree = fit_tree(np.empty((5, 0)), np.array([0, 1, 1, 0, 1]), schema, CartConfig())
+    tree = fit_tree(np.empty((5, 0)), np.array([0, 1, 1, 0, 1]), schema)
     assert tree.leaf_count == 1
     assert tree.leaf_stats.tolist() == [[2, 3]]
 
@@ -297,11 +280,9 @@ def test_no_features_grows_one_leaf():
 def test_errors():
     schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 1.0)),))
     with pytest.raises(ValueError, match="zero rows"):
-        fit_tree(np.empty((0, 1)), np.empty(0, dtype=int), schema, CartConfig())
+        fit_tree(np.empty((0, 1)), np.empty(0, dtype=int), schema)
     with pytest.raises(ValueError, match="labels"):
-        fit_tree(np.array([[0.1]]), np.array([1, 2]), schema, CartConfig())
-    with pytest.raises(ValueError):
-        CartConfig(min_samples_split=1)
+        fit_tree(np.array([[0.1]]), np.array([1, 2]), schema)
 
 
 def _tied_data(rng, target, n=70):
@@ -342,13 +323,11 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
     rng = np.random.default_rng(70 + seed)
     schema, X, y, task = _tied_data(rng, target)
     p = schema.n_features
-    for sub in sorted({None, 1, max(1, p - 1)}, key=str):
-        for max_depth in (None, 0, 3):
-            for mss in (2, 7):
-                cfg = CartConfig(min_samples_split=mss, max_depth=max_depth, seed=seed,
-                                 feature_subsample=sub)
-                _same_trees(fit_tree(X, y, schema, cfg, task=task),
-                            reference_fit_tree(X, y, schema, cfg, task=task))
+    _same_trees(fit_tree(X, y, schema, task=task), reference_fit_tree(X, y, schema, task=task))
+    for width in sorted({1, p - 1}):  # a forest tree's feature draws
+        draw = (seed, width)
+        _same_trees(cart.grow_trees(X, y, schema, task, [np.arange(len(X))], [draw])[0],
+                    reference_fit_tree(X, y, schema, task=task, draw=draw))
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
@@ -358,17 +337,15 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     p = schema.n_features
     samples = [rng.integers(0, len(X), size=int(rng.integers(1, len(X)))) for _ in range(6)]
     # lockstep trees (drawing features) and level-by-level trees in one call
-    cfgs = [CartConfig(seed=t, feature_subsample=(1 + t % p) if t % 2 else None,
-                       max_depth=None if t % 3 else 4, min_samples_split=2 + t % 4)
-            for t in range(len(samples))]
-    together, roots = cart.grow_trees(X, y, schema, task, samples, cfgs)
-    reference, ref_roots = reference_grow(X, y, schema, task, samples, cfgs)
+    draws = [(t, 1 + t % p) if t % 2 else None for t in range(len(samples))]
+    together, roots = cart.grow_trees(X, y, schema, task, samples, draws)
+    reference, ref_roots = reference_grow(X, y, schema, task, samples, draws)
     _same_trees(together, reference)
     np.testing.assert_array_equal(roots, ref_roots)
     ends = list(roots[1:]) + [len(together.table.feat)]
-    for t, (rows, cfg) in enumerate(zip(samples, cfgs)):
-        alone, _ = cart.grow_trees(X, y, schema, task, [rows], [cfg])
+    for t, (rows, draw) in enumerate(zip(samples, draws)):
+        alone, _ = cart.grow_trees(X, y, schema, task, [rows], [draw])
         assert tree_to_dict(together, roots[t], ends[t]) == tree_to_dict(alone)
     for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
-        _same_trees(cart.grow_trees(X, y, schema, task, samples, cfgs)[0], together)
+        _same_trees(cart.grow_trees(X, y, schema, task, samples, draws)[0], together)

@@ -101,7 +101,8 @@ def test_explain_defaults_and_json_schema(tmp_path, capsys):
     assert doc["config"]["n_neighbors"] == 100
     assert doc["config"]["distance"] == "gower"
     assert doc["config"]["smote"]["policy"] == "balance"
-    assert doc["config"]["cart"]["max_depth"] is None
+    assert doc["config"]["cart"] == {"criterion": "gini", "min_samples_split": 2,
+                                     "max_depth": None}
     assert list(doc) == ["query", "oracle_label", "rule", "tree", "tree_stats",
                          "faithful", "config", "seed"]
     on_disk = json.loads((out / "explanation.json").read_text())
@@ -174,6 +175,31 @@ def test_explain_oracle_death_exit_1(tmp_path, capsys):
                 "--index", 1, "--seed", 0])
     assert code == 1
     assert "oracle" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400", "true"])
+def test_explain_non_finite_or_boolean_class_reply_exits_1(tmp_path, capsys, token):
+    data = synth_dir(tmp_path, "xor_mixed", 80, 4)
+    code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", f"cmd:{sys.executable} {STUB} --token {token}", "--index", 1])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "prediction" in err
+
+
+def test_evaluate_aborts_on_a_garbage_smote_relabel(tmp_path, capsys):
+    # the child answers NaN only to its second request, the first test row's
+    # SMOTE batch; that row used to be excluded as an explainer failure
+    data = synth_dir(tmp_path, "moons2d", 80, 4)
+    out = tmp_path / "ev"
+    code = run(["evaluate", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle",
+                f"cmd:{sys.executable} {STUB} --mode threshold --value 0.8 --token NaN --token-on 2",
+                "--test-frac", 0.2, "--n-neighbors", 30, "--out", out])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "excluded failures" not in captured.out
+    assert not (out / "summary.csv").exists()
 
 
 def test_precomputed_oracle_requires_smote_off(tmp_path, capsys):

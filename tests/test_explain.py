@@ -4,12 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from araucana.cart import CartConfig, predict_batch
+from araucana.cart import predict_batch
 from araucana.explain import (
     ExplainConfig,
+    Neighborhood,
     _merge_path,
     build_explainer_set,
     explain_instance,
+    explain_neighborhood,
     render_explanation,
     select_neighborhood,
 )
@@ -26,7 +28,7 @@ from araucana.tabular import (
 from araucana import cart
 from araucana.gower import DistanceMetric, distances_to
 
-from conftest import make_dataset, random_mixed_schema
+from conftest import make_dataset, random_mixed_schema, random_rows
 
 
 class FixedOracle(PredictionOracle):
@@ -151,11 +153,9 @@ def _check_rule_support(seed, task):
     ds = make_dataset(rng, schema, 150)
     oracle = BuiltinOracle(train_forest(ds, ForestConfig(n_trees=5, seed=seed)))
     by_name = {f.name: i for i, f in enumerate(schema.features)}
-    for k, i in enumerate(rng.choice(len(ds), size=4, replace=False)):
+    for i in rng.choice(len(ds), size=4, replace=False):
         x = ds.X[i]
-        # depth-capped trees leave impure leaves, so purity is tested below 1 too
-        cfg = ExplainConfig(n_neighbors=40, cart=CartConfig(max_depth=(None, 2)[k % 2]),
-                            seed=int(i))
+        cfg = ExplainConfig(n_neighbors=40, seed=int(i))
         expl = explain_instance(ds, x, oracle, cfg)
         decoded = schema.decode_row(x)
         for c in expl.rule.conditions:
@@ -177,6 +177,35 @@ def _check_rule_support(seed, task):
             agree = np.abs(labels - expl.rule.prediction) <= eps
         assert expl.rule.support == int(match.sum())
         assert expl.rule.purity == int(agree.sum()) / int(match.sum())
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_conflicting_duplicates_of_the_query_share_an_impure_leaf(task):
+    """Rows with x's vector and other labels cannot be split from x: they
+    stay in its leaf, whose support counts them and whose purity is the share
+    that matches the leaf's prediction."""
+    rng = np.random.default_rng(4)
+    schema = random_mixed_schema(rng, n_num=2, n_cat=1, n_classes=3)
+    if task == "regression":
+        schema = Schema(schema.features, TargetSpec("target", "regression"))
+    rows = random_rows(rng, schema, 30)
+    x = rows[0].copy()
+    rows[[3, 8, 12, 20, 27]] = x
+    if task == "classification":
+        relabels = rng.integers(0, 3, size=30)
+        relabels[[0, 3, 8, 12, 20, 27]] = [0, 1, 1, 2, 1, 0]
+        query_label, prediction, purity, faithful = 1, "1", 4 / 7, True
+    else:
+        relabels = rng.standard_normal(30)
+        relabels[[0, 3, 8, 12, 20, 27]] = [1.0, 2.0, 2.0, 5.0, 2.0, 1.0]
+        query_label, prediction, purity, faithful = 2.0, 15.0 / 7, 0.0, False
+    nbh = Neighborhood(np.arange(30), np.zeros(30), rows, relabels, query_label)
+    oracle = FixedOracle(schema, lambda r: query_label, task)
+    expl = explain_neighborhood(nbh, x, oracle, ExplainConfig(smote=None), schema)
+    assert expl.rule.support == 7  # five duplicates, row 0 and the query
+    assert expl.rule.prediction == prediction  # 15 / 7: the leaf mean, summed exactly
+    assert expl.rule.purity == purity
+    assert expl.faithful is faithful
 
 
 def test_seed_stability_byte_identical_json():
@@ -295,7 +324,7 @@ def test_smote_off_reduction_is_plain_neighborhood_tree():
     nbh = select_neighborhood(ds, x, oracle, cfg)
     X = np.vstack([nbh.rows, x.reshape(1, -1)])
     y = np.concatenate([nbh.relabels, oracle.predict_batch(x.reshape(1, -1))])
-    direct = cart.fit_tree(X, y, ds.schema, CartConfig())
+    direct = cart.fit_tree(X, y, ds.schema)
     probe = synth_dataset(SynthSpec("imbalanced_mixed", 50, minority_frac=0.3), seed=123).X
     np.testing.assert_array_equal(
         predict_batch(expl.tree, probe), predict_batch(direct, probe)

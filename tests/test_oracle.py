@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from araucana import gower
-from araucana.cart import ROUTE_CHUNK_PAIRS, CartConfig, fit_tree, predict_batch, tree_to_dict
+from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, predict_batch, tree_to_dict
 from araucana.gower import DistanceMetric, distances_to
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
+    ForestModel,
     OracleError,
     PrecomputedOracle,
     SubprocessOracle,
@@ -41,28 +42,9 @@ def stub_command(extra=""):
     return f"{sys.executable} {STUB} {extra}".strip()
 
 
-def test_forest_reduces_to_single_cart():
-    ds = synth_dataset(SynthSpec("moons2d", 80), seed=2)
-    forest = train_forest(ds, ForestConfig(n_trees=1, bootstrap=False,
-                                           feature_subsample=ds.schema.n_features, seed=0))
-    tree = fit_tree(ds.X, ds.y, ds.schema, CartConfig())
-    rng = np.random.default_rng(0)
-    probe = random_rows(rng, ds.schema, 200)
-    np.testing.assert_array_equal(forest.predict_batch(probe), predict_batch(tree, probe))
-
-
 def test_forest_needs_a_tree():
     with pytest.raises(ValueError, match="n_trees must be >= 1"):
         ForestConfig(n_trees=0)
-
-
-@pytest.mark.parametrize("sub", [0, -1])
-def test_forest_needs_a_feature_per_split(sub):
-    # with 0, every tree would be one leaf voting the majority class everywhere
-    with pytest.raises(ValueError, match="feature_subsample must be >= 1"):
-        ForestConfig(feature_subsample=sub)
-    with pytest.raises(ValueError, match="feature_subsample must be >= 1"):
-        CartConfig(feature_subsample=sub)
 
 
 def test_forest_determinism_and_batch_loop_equivalence():
@@ -88,17 +70,13 @@ def _reference_trees(ds, cfg):
     per-node reference grower on a copy of its bootstrap rows, from the same
     seed derivation."""
     p = ds.schema.n_features
-    sub = min(cfg.feature_subsample or max(1, math.ceil(math.sqrt(p))), p)
+    sub = min(max(1, math.ceil(math.sqrt(p))), p)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(2 * cfg.n_trees)
     trees = []
     for t in range(cfg.n_trees):
-        if cfg.bootstrap:
-            idx = np.random.default_rng(int(seeds[2 * t])).integers(0, len(ds), size=len(ds))
-        else:
-            idx = np.arange(len(ds))
-        tree_cfg = CartConfig(max_depth=cfg.max_depth, seed=int(seeds[2 * t + 1]),
-                              feature_subsample=sub if sub < p else None)
-        trees.append(reference_fit_tree(ds.X[idx], ds.y[idx], ds.schema, tree_cfg, task=ds.task))
+        idx = np.random.default_rng(int(seeds[2 * t])).integers(0, len(ds), size=len(ds))
+        draw = (int(seeds[2 * t + 1]), sub) if sub < p else None
+        trees.append(reference_fit_tree(ds.X[idx], ds.y[idx], ds.schema, ds.task, draw))
     return trees
 
 
@@ -120,29 +98,30 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
     if target == "regression":
         schema = Schema(schema.features, TargetSpec("label", REGRESSION))
     ds = make_dataset(rng, schema, 60)
+    constant = Dataset(schema, ds.X, np.zeros_like(ds.y))
     n_trees = 7
     # more rows than one routing chunk holds for a 7-tree forest
     probe = random_rows(rng, schema, ROUTE_CHUNK_PAIRS // n_trees + 5)
-    for bootstrap in (True, False):
-        for max_depth in (None, 0):
-            cfg = ForestConfig(n_trees=n_trees, seed=seed, bootstrap=bootstrap,
-                               max_depth=max_depth)
-            forest = train_forest(ds, cfg)
-            trees = _reference_trees(ds, cfg)
-            if max_depth == 0:  # one leaf per tree
-                np.testing.assert_array_equal(forest.roots, np.arange(n_trees))
-                assert (forest.nodes.table.feat < 0).all()
-            for rows in (probe[:1], probe[0], probe[:30], probe):
-                np.testing.assert_array_equal(forest.predict_batch(rows),
-                                              _per_tree_vote(trees, ds, np.atleast_2d(rows)))
+    cfg = ForestConfig(n_trees=n_trees, seed=seed)
+    for data in (ds, constant):
+        forest = train_forest(data, cfg)
+        trees = _reference_trees(data, cfg)
+        if data is constant:  # one leaf per tree
+            np.testing.assert_array_equal(forest.roots, np.arange(n_trees))
+            assert (forest.nodes.table.feat < 0).all()
+        for rows in (probe[:1], probe[0], probe[:30], probe):
+            np.testing.assert_array_equal(forest.predict_batch(rows),
+                                          _per_tree_vote(trees, data, np.atleast_2d(rows)))
 
-            a, b = tmp_path / "a.json", tmp_path / "b.json"
-            save_model(forest, a)
-            assert json.loads(a.read_text())["trees"] == [tree_to_dict(t) for t in trees]
-            back = load_model(a)
-            np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
-            save_model(back, b)
-            assert b.read_bytes() == a.read_bytes()
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(forest, a)
+        doc = json.loads(a.read_text())
+        assert doc["trees"] == [tree_to_dict(t) for t in trees]
+        assert (doc["feature_subsample"], doc["bootstrap"]) == (forest.feature_subsample, True)
+        back = load_model(a)
+        np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
+        save_model(back, b)
+        assert b.read_bytes() == a.read_bytes()
 
 
 def test_knn_examples():
@@ -268,8 +247,8 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_save_model_too_deep_tree(tmp_path):
     ds = chain_dataset(1200)
-    model = train_forest(ds, ForestConfig(n_trees=1, bootstrap=False,
-                                          feature_subsample=ds.schema.n_features))
+    tree = fit_tree(ds.X, ds.y, ds.schema)
+    model = ForestModel(tree, [0], [0], ds.schema.n_features)
     path = tmp_path / "model.json"
     if DEEP_JSON_REFUSED:
         with pytest.raises(ValueError, match="too deep to nest as JSON"):
@@ -381,6 +360,20 @@ def test_subprocess_malformed_reply():
     oracle = SubprocessOracle(stub_command("--mode garbage"), ds.schema, "classification")
     try:
         with pytest.raises(OracleError, match="malformed oracle reply"):
+            oracle.predict_batch(ds.X)
+    finally:
+        oracle.close()
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400", "-Infinity", "true", "false"])
+def test_subprocess_non_finite_or_boolean_reply_is_oracle_error(task, token):
+    # int(inf) raised OverflowError and int(nan) ValueError, which escape the
+    # OracleError handling; true and false read as classes 1 and 0
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    oracle = SubprocessOracle(stub_command(f"--token={token}"), ds.schema, task)
+    try:
+        with pytest.raises(OracleError):
             oracle.predict_batch(ds.X)
     finally:
         oracle.close()

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from araucana.smote import SmoteConfig, nearest_same_class, smote_nc
+from araucana.smote import (
+    SmoteConfig,
+    _class_neighbor_order,
+    _mismatch_penalty,
+    _normalized_numeric,
+    smote_nc,
+)
 from araucana.tabular import FeatureSpec, Schema, TargetSpec
 
 from conftest import random_mixed_schema, random_rows
@@ -56,25 +62,37 @@ def test_minority_of_three_numeric_brute_force():
         assert min(minority) <= v <= max(minority)
 
 
-def test_nearest_same_class_examples():
-    schema = Schema(
-        (FeatureSpec("v", "numeric", range=(0.0, 10.0)),),
-        TargetSpec("label", "classification", classes=("0", "1")),
-    )
-    # 2 same-class rows total, k=5 -> the single peer
-    rows = np.array([[1.0], [2.0], [9.0]])
-    labels = np.array([0, 0, 1])
-    assert nearest_same_class(rows, labels, 0, 5, schema) == [1]
-    # 1-D {0, 1, 10} same class, query 0, k=1 -> the row holding 1
-    rows = np.array([[0.0], [1.0], [10.0]])
-    labels = np.array([0, 0, 0])
-    assert nearest_same_class(rows, labels, 0, 1, schema) == [1]
-    # duplicates come before any distinct row
+def _argsort_without_self(rows, schema, members):
+    """The per-row SMOTE-NC neighbor order: a full stable argsort of the
+    class's distances with each row itself dropped."""
+    sub = rows[members]
+    norm = _normalized_numeric(sub, schema)
+    cat = sub[:, ~schema.numeric_mask()]
+    d2 = ((norm[:, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
+    d2 += _mismatch_penalty(norm) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
+    order = np.argsort(d2, axis=1, kind="stable")
+    m = len(members)
+    return order[order != np.arange(m)[:, None]].reshape(m, m - 1)
+
+
+def test_class_neighbors_are_stable_argsort_prefix_without_self():
+    # duplicates at distance 0 with a lower index come before the row itself
+    schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 10.0)),),
+                    TargetSpec("label", "classification", classes=("0", "1")))
     rows = np.array([[5.0], [5.0], [5.1], [5.0]])
-    labels = np.array([0, 0, 0, 0])
-    assert nearest_same_class(rows, labels, 1, 3, schema) == [0, 3, 2]
-    with pytest.raises(ValueError, match="no same-class peer"):
-        nearest_same_class(np.array([[1.0], [2.0]]), np.array([0, 1]), 0, 1, schema)
+    assert _class_neighbor_order(rows, schema, np.arange(4), 3)[1].tolist() == [0, 3, 2]
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        schema = random_mixed_schema(rng)
+        n = int(rng.integers(2, 25))
+        rows = random_rows(rng, schema, n)
+        few = rng.random(n) < 0.5  # duplicated rows: distance ties
+        rows[few] = rows[rng.integers(0, min(3, n), size=few.sum())]
+        members = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        want = _argsort_without_self(rows, schema, members)
+        for k in range(1, len(members)):
+            np.testing.assert_array_equal(_class_neighbor_order(rows, schema, members, k),
+                                          want[:, :k])
 
 
 def test_categorical_value_closure_under_neighbors():
