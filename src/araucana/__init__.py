@@ -14,11 +14,13 @@ from .explain import (
     Explanation,
     Neighborhood,
     Rule,
-    build_explainer_set,
+    TrainLabels,
     explain_instance,
     explain_neighborhood,
+    explain_neighborhoods,
     render_explanation,
     select_neighborhood,
+    select_neighborhoods,
 )
 from .fidelity import (
     FidelityReport,

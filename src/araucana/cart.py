@@ -20,7 +20,9 @@ many, searched a step at a time with array calls over all their rows (see
 _Frontier). A tree that draws a feature subset per split (a forest tree)
 puts its next preorder node into each step, so its rng draws come in the
 order a one-node-at-a-time grower makes them; a tree that draws none (an
-explainer tree) puts in all its open nodes and grows level by level.
+explainer tree) puts in all its open nodes and grows level by level. When
+growth ends each leaf's rows are a slice of the grower's row buffer, so it
+also reports the leaf every sample row reached, with no second routing.
 
 A tree has one form, the struct-of-arrays layout of scikit-learn's `tree_`:
 a NodeTable whose nodes are in preorder (the root is node 0, a split's left
@@ -199,12 +201,13 @@ class _Frontier:
         self.B = int(keys.max(initial=0)) + 1
         self.Xf, self.Vf = X.T.ravel(), keys.T.ravel()  # (row, feature) at f * n + row
 
-    def grow(self, samples, draws) -> tuple[ExplainerTree, np.ndarray]:
+    def grow(self, samples, draws) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
         """Grow tree t on rows samples[t] of X, searching every feature at
         each split when draws[t] is None, or `width` features drawn by an rng
         seeded `seed` when draws[t] is (seed, width); return one table with
-        each tree's nodes in preorder after the tree before it, and the
-        trees' root ids.
+        each tree's nodes in preorder after the tree before it, the trees'
+        root ids, and the leaf id each sample row reached (one per entry of
+        the concatenated samples).
 
         A tree that draws features adds only its next preorder stack pop to a
         step, so its rng draws come in preorder, one per split search; a
@@ -214,8 +217,10 @@ class _Frontier:
             raise ValueError("cannot fit a tree on zero rows")
         self.draws = [None if d is None else (np.random.default_rng(d[0]), d[1]) for d in draws]
         width = [self.p if d is None else d[1] for d in draws]
-        # each node's rows are a slice of one buffer; a split reorders its slice in place
-        self.rows = np.concatenate(samples)
+        # each node's rows are a slice of one buffer of sample positions
+        # (entries of the concatenated samples); a split reorders its slice
+        self.ids = np.concatenate(samples)  # the row of X at each sample position
+        self.rows = np.arange(len(self.ids))
         ends = np.cumsum([len(rows) for rows in samples]).tolist()
         self.stacks = [[(t, t, ends[t] - len(rows), ends[t], 0)]  # (tree, id, lo, hi, depth)
                        for t, rows in enumerate(samples)]
@@ -252,7 +257,8 @@ class _Frontier:
         sizes = hi - lo
         starts = sizes.cumsum() - sizes
         at = (lo - starts).repeat(sizes) + np.arange(int(sizes.sum()))  # buffer place of each row
-        R = self.rows[at]
+        P = self.rows[at]  # sample positions
+        R = self.ids[P]  # their rows of X
         seg = np.arange(m).repeat(sizes)
         alive = sizes >= 2  # a one-row node is a leaf: no sums, no search
         imp, sums = np.zeros(m), np.zeros((2, m))
@@ -291,7 +297,7 @@ class _Frontier:
         go_left = np.where(self.numeric[f_row], x <= t, x == t)
         moving = (~leaf[seg]).nonzero()[0]
         order = np.argsort(2 * seg[moving] + ~go_left[moving], kind="stable")
-        self.rows[at[moving]] = R[moving[order]]  # left rows, then right rows
+        self.rows[at[moving]] = P[moving[order]]  # left rows, then right rows
         mid = lo[split] + n_left
         for i, (j, s) in enumerate(zip(split.tolist(), mid.tolist())):
             t, c, d = int(tree[j]), first + 2 * i, int(depth[j]) + 1
@@ -366,8 +372,10 @@ class _Frontier:
         val = np.where(num[best] & (a <= mid) & (mid < b), mid, a)
         return node[best], pf[gp[best]], val, nl[best]
 
-    def _preorder(self, n_trees: int) -> tuple[ExplainerTree, np.ndarray]:
-        """The recorded nodes in preorder, and the trees' root places."""
+    def _preorder(self, n_trees: int) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
+        """The recorded nodes in preorder, the trees' root places and the
+        leaf place of each sample position. A split puts its left rows before
+        its right rows, so the leaves' slices of the buffer come in preorder."""
         at, right, roots = self._places(n_trees)
         cols, self.cols = self.cols, None
         feat, val, pred = cols[0, at].astype(np.int64), cols[1, at], cols[2, at]
@@ -377,7 +385,10 @@ class _Frontier:
         tree = _explainer_tree(self.schema, self.task, feat, is_le, val,
                                np.where(feat >= 0, right, 0), pred,
                                stats if self.task == CLASSIFICATION else stats[:, 0], self.depth)
-        return tree, roots
+        leaf = (feat < 0).nonzero()[0]
+        leaves = np.empty_like(self.rows)
+        leaves[self.rows] = leaf.repeat(stats[leaf].sum(axis=1))
+        return tree, roots, leaves
 
     def _places(self, n_trees: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The id at each preorder place, the place of the right child a split
@@ -401,10 +412,13 @@ class _Frontier:
         return at, after + size[at[after]], pos[:n_trees].copy()
 
 
-def grow_trees(X, y, schema: Schema, task: str, samples, draws) -> tuple[ExplainerTree, np.ndarray]:
+def grow_trees(X, y, schema: Schema, task: str, samples,
+               draws) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
     """Grow tree t on rows samples[t] of X (row indices) with feature draws
     draws[t] -- None for an explainer tree, (seed, width) for a forest tree --
-    all in one frontier (see _Frontier.grow); returns the table and root ids."""
+    all in one frontier (see _Frontier.grow); returns the table, the root ids
+    and, for each entry of np.concatenate(samples), the id of the leaf that
+    row reached in its tree."""
     X = np.asarray(X, dtype=float)
     if task == CLASSIFICATION:
         y = np.asarray(y).astype(np.int64)
@@ -426,6 +440,25 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema,
     if task is None:
         task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
     return grow_trees(rows, y, schema, task, [np.arange(len(y))], [None])[0]
+
+
+def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
+    """Each tree of a table with many roots (as grow_trees returns it) as an
+    ExplainerTree of its own: its node range, ids counted from its root, and
+    its own depth and leaf count. The arrays view the table's."""
+    t, bounds = tree.table, list(roots) + [len(tree.table.feat)]
+    depth, level, d = np.zeros(len(t.feat), np.int64), np.asarray(roots), 0
+    while len(level):  # one level of every tree at a time
+        depth[level] = d
+        inner = level[t.feat[level] >= 0]
+        level, d = np.concatenate((t.left[inner], t.right[inner])), d + 1
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        feat = t.feat[a:b]
+        out.append(_explainer_tree(tree.schema, tree.task, feat, t.is_le[a:b], t.val[a:b],
+                                   np.where(feat >= 0, t.right[a:b] - a, 0), t.pred[a:b],
+                                   tree.leaf_stats[a:b], int(depth[a:b].max())))
+    return out
 
 
 # (row, root) pairs routed at once; bounds the index arrays of one pass
@@ -510,13 +543,13 @@ def tree_stats(tree: ExplainerTree) -> dict:
     }
 
 
-def tree_to_dict(tree: ExplainerTree, start: int = 0, stop: int | None = None) -> dict:
-    """Nested JSON form of the tree in nodes start..stop of the table (all of
-    it by default): each split holds its left and right subtrees."""
-    t, part = tree.table, slice(start, stop)
-    feat, is_le, val = t.feat[part].tolist(), t.is_le[part].tolist(), t.val[part].tolist()
-    left, right = (t.left[part] - start).tolist(), (t.right[part] - start).tolist()
-    pred, stats = t.pred[part].tolist(), tree.leaf_stats[part].tolist()
+def tree_to_dict(tree: ExplainerTree) -> dict:
+    """Nested JSON form of a one-root tree (split_trees gives a forest's trees
+    one by one): each split holds its left and right subtrees."""
+    t = tree.table
+    feat, is_le, val = t.feat.tolist(), t.is_le.tolist(), t.val.tolist()
+    left, right = t.left.tolist(), t.right.tolist()
+    pred, stats = t.pred.tolist(), tree.leaf_stats.tolist()
     docs: list = [None] * len(feat)
     for i in range(len(feat) - 1, -1, -1):  # children come after their parent
         if feat[i] >= 0:

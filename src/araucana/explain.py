@@ -15,9 +15,15 @@ Because the tree is unpruned and x is part of its training set, the tree
 reproduces the oracle's label for x exactly whenever no other row of the
 explainer set carries x's exact feature vector with a different label.
 
-`select_neighborhood` does steps 1-2 and `explain_neighborhood` steps 3-5, so
-a caller that needs the neighborhood for more than one explainer (the
-fidelity harness) selects and labels it once.
+The pipeline runs on a batch of queries in stages. `select_neighborhoods`
+does steps 1-2 for every query with bounded distance blocks and one oracle
+request, which skips the training rows a TrainLabels already holds and ends
+with the queries. `explain_neighborhoods` does steps 3-5 with one request for
+every query's synthetics and one grow_trees call for every explainer tree.
+`select_neighborhood`, `explain_neighborhood` and `explain_instance` are the
+one-query case, whose first request is the N neighbors and then x. A caller
+that needs the neighborhood for more than one explainer (the fidelity
+harness) selects and labels it once.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cart
-from .gower import DistanceMetric, distances_to, nearest
+from .gower import DistanceMetric, nearest_rows
 from .oracle import PredictionOracle
 from .smote import SmoteConfig, smote_nc
 from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, validate_instance
@@ -119,12 +125,29 @@ class Explanation:
     explainer_set: ExplainerSet | None = None  # kept for inspection, not serialized
 
 
-def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
-                        cfg: ExplainConfig) -> Neighborhood:
-    """The N training rows with lowest distance to x (ties: lower row index),
-    relabeled by the oracle in one call that labels x as its last row."""
-    x = np.asarray(x, dtype=float)
-    validate_instance(train.schema, x)
+class TrainLabels:
+    """The oracle's labels of training rows, kept for one run: values[i] is
+    row i's label once known[i]. A row is sent to the oracle only while its
+    label is unknown; values takes the dtype of the oracle's first reply."""
+
+    def __init__(self, n_rows: int):
+        self.known = np.zeros(n_rows, dtype=bool)
+        self.values: np.ndarray | None = None
+
+
+def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle,
+                         cfg: ExplainConfig, labels: TrainLabels | None = None
+                         ) -> list[Neighborhood]:
+    """Steps 1-2 for every query row of X: the N training rows with lowest
+    distance to it (ties: lower row index), relabeled by the oracle.
+
+    One request labels the neighbor rows whose label `labels` does not hold
+    yet, in order of first appearance (query by query, nearest first),
+    followed by the queries themselves; without `labels` every neighbor row
+    is sent, so one query sends its N neighbors and then itself."""
+    X = np.asarray(X, dtype=float)
+    for x in X:
+        validate_instance(train.schema, x)
     n = cfg.n_neighbors
     if n > len(train):
         warnings.warn(
@@ -132,29 +155,26 @@ def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
             stacklevel=2,
         )
         n = len(train)
-    metric = DistanceMetric(train.schema, cfg.distance)
-    d = distances_to(metric, x, train.X)
-    order = nearest(d, n)
-    rows = train.X[order]
-    labels = oracle.predict_batch(np.vstack([rows, x]))
-    return Neighborhood(order, d[order], rows, labels[:-1], labels[-1])
+    if labels is None:
+        labels = TrainLabels(len(train))
+    order, dist = nearest_rows(DistanceMetric(train.schema, cfg.distance), X, train.X, n)
+    flat = order.ravel()
+    new = flat[np.sort(np.unique(flat, return_index=True)[1])]
+    new = new[~labels.known[new]]
+    got = oracle.predict_batch(np.vstack([train.X[new], X]))
+    if labels.values is None:
+        labels.values = np.empty(len(train), dtype=got.dtype)
+    labels.values[new] = got[:len(new)]
+    labels.known[new] = True
+    query_labels = got[len(new):]
+    return [Neighborhood(near, dist[q], train.X[near], labels.values[near], query_labels[q])
+            for q, near in enumerate(order)]
 
 
-def build_explainer_set(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOracle,
-                        smote_cfg: SmoteConfig | None, schema: Schema) -> ExplainerSet:
-    """Neighborhood rows + query + oracle-relabeled SMOTE synthetics."""
-    x = np.asarray(x, dtype=float)
-    parts_X = [nbh.rows, x.reshape(1, -1)]
-    parts_y = [np.asarray(nbh.relabels), np.asarray([nbh.query_label])]
-    provenance = [ORIGINAL] * len(nbh.rows) + [QUERY]
-    if smote_cfg is not None:
-        syn_X, _ = smote_nc(nbh.rows, nbh.relabels, schema, smote_cfg)
-        if len(syn_X):
-            syn_y = oracle.predict_batch(syn_X)  # oracle labels replace seed labels
-            parts_X.append(syn_X)
-            parts_y.append(syn_y)
-            provenance += [SYNTHETIC] * len(syn_X)
-    return ExplainerSet(np.vstack(parts_X), np.concatenate(parts_y), provenance)
+def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
+                        cfg: ExplainConfig) -> Neighborhood:
+    """The neighborhood of one query x: select_neighborhoods of x alone."""
+    return select_neighborhoods(train, np.asarray(x, dtype=float)[None], oracle, cfg)[0]
 
 
 def _merge_path(path, schema: Schema) -> list[Condition]:
@@ -209,27 +229,81 @@ def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
 def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOracle,
                          cfg: ExplainConfig, schema: Schema) -> Explanation:
     """Steps 3-5 of the pipeline on the neighborhood `select_neighborhood`
-    returned for x under the same cfg."""
-    x = np.asarray(x, dtype=float)
+    returned for x under the same cfg: explain_neighborhoods of x alone."""
+    expl = explain_neighborhoods([nbh], np.asarray(x, dtype=float)[None], oracle, [cfg],
+                                 schema)[0]
+    if isinstance(expl, Exception):
+        raise expl
+    return expl
+
+
+def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: PredictionOracle,
+                          cfgs: list[ExplainConfig], schema: Schema
+                          ) -> list[Explanation | Exception]:
+    """Steps 3-5 for every query row X[q], on the neighborhood nbhs[q] that
+    select_neighborhoods returned for it, under cfgs[q].
+
+    SMOTE-NC runs per query; one oracle request labels every query's
+    synthetic rows, in query order (none when there are none), and one
+    cart.grow_trees call grows every explainer tree. A query whose SMOTE or
+    rule step raises gets that exception in its place and the others go on;
+    an exception from the oracle request or the growth propagates.
+    """
+    X = np.asarray(X, dtype=float)
     task = oracle.task
+    out: list = [None] * len(nbhs)
+    synthetic = []
+    for q, (nbh, cfg) in enumerate(zip(nbhs, cfgs)):
+        syn = np.empty((0, schema.n_features))
+        if cfg.smote is not None and task == CLASSIFICATION:
+            try:
+                syn = smote_nc(nbh.rows, nbh.relabels, schema, cfg.smote)[0]
+            except Exception as exc:  # noqa: BLE001 - fails this query alone
+                out[q] = exc
+        synthetic.append(syn)
+    ends = np.cumsum([len(syn) for syn in synthetic])
+    if any(len(syn) for syn in synthetic):
+        syn_y = oracle.predict_batch(np.vstack(synthetic))  # oracle labels replace seed labels
 
-    smote_cfg = cfg.smote
-    smote_off_reason = None
-    if task == REGRESSION and smote_cfg is not None:
-        # class-based oversampling is undefined for numeric targets
-        smote_cfg = None
-        smote_off_reason = "regression task"
+    live = [q for q in range(len(nbhs)) if out[q] is None]
+    if not live:
+        return out
+    # every live query's explainer set, one after another: its neighborhood
+    # rows, the query, its synthetics
+    parts_X, parts_y, provenance, bounds = [], [], [], [0]
+    for q in live:
+        nbh, syn = nbhs[q], synthetic[q]
+        parts_X += [nbh.rows, X[q:q + 1], syn]
+        parts_y += [np.asarray(nbh.relabels), np.asarray([nbh.query_label])]
+        if len(syn):
+            parts_y.append(syn_y[ends[q] - len(syn):ends[q]])
+        provenance.append([ORIGINAL] * len(nbh.rows) + [QUERY] + [SYNTHETIC] * len(syn))
+        bounds.append(bounds[-1] + len(provenance[-1]))
+    X_all, y_all = np.vstack(parts_X), np.concatenate(parts_y)
+    spans = list(zip(bounds, bounds[1:]))
+    table, roots, leaves = cart.grow_trees(X_all, y_all, schema, task,
+                                           [np.arange(a, b) for a, b in spans], [None] * len(live))
+    for t, (q, tree, (a, b)) in enumerate(zip(live, cart.split_trees(table, roots), spans)):
+        eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance[t])
+        try:
+            out[q] = _explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[t],
+                                  task, schema)
+        except Exception as exc:  # noqa: BLE001 - fails this query alone
+            out[q] = exc
+    return out
 
-    eset = build_explainer_set(nbh, x, oracle, smote_cfg, schema)
+
+def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: ExplainerSet,
+                 tree: cart.ExplainerTree, leaves: np.ndarray, task: str,
+                 schema: Schema) -> Explanation:
+    """Step 5: the rule of x off its grown tree; leaves holds the leaf each
+    explainer-set row reached."""
     q = len(nbh.rows)  # the query row follows the neighborhood rows
     oracle_label = nbh.query_label
-
-    tree = cart.fit_tree(eset.X, eset.y, schema, task)
     path = cart.decision_path(tree, x)
     conditions = _merge_path(path, schema)
 
     # the rows meeting every condition are exactly the rows routed to x's leaf
-    leaves = cart.apply(tree, eset.X)
     pred_encoded = tree.table.pred[leaves[q]]
     eps = match_epsilon(task, oracle_label)
     faithful = bool(abs(pred_encoded - oracle_label) <= eps)
@@ -249,13 +323,17 @@ def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOra
             "mean": float(vals.mean()),
             "max": float(vals.max()),
         }
-    smote_echo = "off" if smote_cfg is None else {
-        "policy": smote_cfg.target_policy,
-        "k_neighbors": smote_cfg.k_neighbors,
-        **({"fixed_total": smote_cfg.fixed_total} if smote_cfg.fixed_total is not None else {}),
-    }
-    if smote_off_reason:
-        smote_echo = f"off ({smote_off_reason})"
+    smote = cfg.smote
+    if smote is None:
+        smote_echo = "off"
+    elif task == REGRESSION:  # class-based oversampling is undefined for numeric targets
+        smote_echo = "off (regression task)"
+    else:
+        smote_echo = {
+            "policy": smote.target_policy,
+            "k_neighbors": smote.k_neighbors,
+            **({"fixed_total": smote.fixed_total} if smote.fixed_total is not None else {}),
+        }
     config_echo = {
         "n_neighbors": int(len(nbh.rows)),
         "distance": cfg.distance,

@@ -1,8 +1,11 @@
 """Fidelity evaluation of local explainers against the black box.
 
-For every test instance the neighborhood is selected once, and one oracle
-call labels its rows together with the instance; every explainer is fitted to
-that same neighborhood and predicts the instance. Fidelity is the fraction of
+The test rows go through the staged explain pipeline in chunks of at most
+EXPLAIN_BATCH_QUERIES. Per chunk, one oracle request labels the neighbor rows
+not labelled before in the run, then the chunk's instances (a TrainLabels
+keeps each training row's label for the whole run), and one more labels every
+SMOTE synthetic of the chunk. Every explainer is fitted to an instance's one
+neighborhood and predicts the instance. Fidelity is the fraction of
 instances where that prediction matches the oracle's label. The weighted-linear
 baseline mirrors the usual local-linear recipe: least squares on the encoded
 neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
@@ -21,9 +24,10 @@ import numpy as np
 from .explain import (
     ExplainConfig,
     Neighborhood,
-    explain_neighborhood,
+    TrainLabels,
+    explain_neighborhoods,
     match_epsilon,
-    select_neighborhood,
+    select_neighborhoods,
 )
 from .oracle import OracleError, PredictionOracle
 from .tabular import CLASSIFICATION, Dataset, Schema
@@ -31,6 +35,10 @@ from .tabular import CLASSIFICATION, Dataset, Schema
 ARAUCANA = "araucana"
 LINEAR = "linear"
 EXPLAINERS = (ARAUCANA, LINEAR)
+
+# test rows explained per stage: bounds a stage's neighborhoods, explainer sets
+# and oracle requests whatever the size of the test set
+EXPLAIN_BATCH_QUERIES = 64
 
 
 @dataclass
@@ -124,7 +132,8 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     Explainer failures other than oracle breakage are excluded from the
     denominator (with a warning); oracle errors abort the run, and so does a
     test row the shared neighborhood selection rejects (SchemaError when it
-    does not conform to the training schema).
+    does not conform to the training schema). Test row i is explained under
+    seed cfg.seed + i, in the SMOTE config as well.
     """
     for name in explainers:
         if name not in EXPLAINERS:
@@ -135,42 +144,46 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     totals = {name: 0 for name in explainers}
     failures = {name: 0 for name in explainers}
 
-    for i in range(len(test)):
-        x = test.X[i]
-        # per-instance sub-seed, fixed offset scheme keyed on the test row index
-        smote = None if cfg.smote is None else replace(cfg.smote, seed=cfg.seed + i)
-        icfg = replace(cfg, smote=smote, seed=cfg.seed + i)
-        nbh = select_neighborhood(train, x, oracle, icfg)
-        oracle_label = nbh.query_label
-        for name in explainers:
-            try:
-                if name == ARAUCANA:
-                    expl = explain_neighborhood(nbh, x, oracle, icfg, schema)
-                    prediction = expl.rule.prediction
-                    agree = expl.faithful
-                else:
-                    lin = fit_linear_explainer(nbh, schema, task=oracle.task)
-                    pred = lin.predict(x)
-                    prediction = schema.decode_label(pred)
-                    agree = bool(abs(pred - oracle_label)
-                                 <= match_epsilon(oracle.task, oracle_label))
-            except OracleError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - per-instance isolation
-                failures[name] += 1
-                warnings.warn(f"{name} failed on test row {i}: {exc}", stacklevel=2)
-                continue
-            totals[name] += 1
-            agreements[name] += int(agree)
-            per_instance.append(
-                {
-                    "explainer": name,
-                    "index": i,
-                    "oracle_label": schema.decode_label(oracle_label),
-                    "prediction": prediction,
-                    "agree": bool(agree),
-                }
-            )
+    labels = TrainLabels(len(train))
+    for a in range(0, len(test), EXPLAIN_BATCH_QUERIES):
+        X = test.X[a:a + EXPLAIN_BATCH_QUERIES]
+        nbhs = select_neighborhoods(train, X, oracle, cfg, labels)
+        if ARAUCANA in explainers:
+            cfgs = [_row_config(cfg, i) for i in range(a, a + len(X))]
+            expls = explain_neighborhoods(nbhs, X, oracle, cfgs, schema)
+        for j, (x, nbh) in enumerate(zip(X, nbhs)):
+            i, oracle_label = a + j, nbh.query_label
+            for name in explainers:
+                try:
+                    if name == ARAUCANA:
+                        expl = expls[j]
+                        if isinstance(expl, Exception):
+                            raise expl
+                        prediction = expl.rule.prediction
+                        agree = expl.faithful
+                    else:
+                        lin = fit_linear_explainer(nbh, schema, task=oracle.task)
+                        pred = lin.predict(x)
+                        prediction = schema.decode_label(pred)
+                        agree = bool(abs(pred - oracle_label)
+                                     <= match_epsilon(oracle.task, oracle_label))
+                except OracleError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - per-instance isolation
+                    failures[name] += 1
+                    warnings.warn(f"{name} failed on test row {i}: {exc}", stacklevel=2)
+                    continue
+                totals[name] += 1
+                agreements[name] += int(agree)
+                per_instance.append(
+                    {
+                        "explainer": name,
+                        "index": i,
+                        "oracle_label": schema.decode_label(oracle_label),
+                        "prediction": prediction,
+                        "agree": bool(agree),
+                    }
+                )
 
     summaries = []
     for name in explainers:
@@ -184,6 +197,12 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
             }
         )
     return FidelityReport(summaries, per_instance, failures)
+
+
+def _row_config(cfg: ExplainConfig, i: int) -> ExplainConfig:
+    """The config of test row i: seed cfg.seed + i, in the SMOTE config too."""
+    smote = None if cfg.smote is None else replace(cfg.smote, seed=cfg.seed + i)
+    return replace(cfg, smote=smote, seed=cfg.seed + i)
 
 
 def report_to_csv(report: FidelityReport) -> tuple[bytes, bytes]:

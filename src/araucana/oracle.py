@@ -11,8 +11,10 @@ Subprocess wire protocol (one JSON object per line, both directions):
   reply    {"predictions": [p, ...]}        class names as strings (or class
                                             indices as integers); finite
                                             numbers for regression
-The child is spawned once and persists across batches; the per-batch timeout
-(default 30 seconds) covers writing the request and reading the reply.
+The child is spawned once and persists across batches. A batch goes out in
+requests of at most SUBPROCESS_REQUEST_ROWS instances, one after another, and
+the replies are joined in order; each request has its own timeout (default
+30 seconds), which covers writing it and reading its reply.
 """
 
 from __future__ import annotations
@@ -123,23 +125,15 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
     for t, s in enumerate(seeds[::2]):
         samples[t] = np.random.default_rng(int(s)).integers(0, n, size=n)
     draws = [(int(s), sub) if sub < p else None for s in seeds[1::2]]
-    nodes, roots = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, draws)
+    nodes, roots, _ = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, draws)
     return ForestModel(nodes, roots, seeds[::2], sub)
-
-
-# distances in one block of the k-NN oracle (2 MB of float64), which bounds its
-# memory for any batch. Four times gower.DISTANCE_CHUNK_CELLS, so a block
-# outweighs the chunk and partition temporaries inside it: at equal sizes the
-# allocator gave back and re-faulted about 4 MB of heap on every 101-row call
-# (1,000 minor faults, +2.5 ms).
-KNN_BLOCK_DISTANCES = 2**18
 
 
 class KnnModel:
     """k nearest neighbors under a mixed-type metric; majority vote / mean. A
-    batch is labelled through chunked distance blocks, not row by row;
-    distance ties go to the lower training row and vote ties to the lower
-    class."""
+    batch is labelled through bounded distance blocks (gower.nearest_rows),
+    not row by row; distance ties go to the lower training row and vote ties
+    to the lower class."""
 
     def __init__(self, X, y, schema: Schema, task: str, k: int, metric: DistanceMetric):
         if k < 1:
@@ -157,11 +151,7 @@ class KnnModel:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        near = np.empty((len(rows), min(self.k, len(self.X))), dtype=np.intp)
-        step = max(1, KNN_BLOCK_DISTANCES // len(self.X))
-        for a in range(0, len(rows), step):
-            near[a:a + step] = gower.nearest(
-                gower.distances_many(self.metric, rows[a:a + step], self.X), self.k)
+        near = gower.nearest_rows(self.metric, rows, self.X, self.k)[0]
         if self.task == REGRESSION:
             return self.y[near].mean(axis=1)
         n_classes = len(self.schema.target.classes)
@@ -188,6 +178,12 @@ class BuiltinOracle(PredictionOracle):
 
 
 # ---------------------------------------------------------------- subprocess
+
+
+# instances in one request to a subprocess oracle: bounds the size of a request
+# line and of its reply whatever the batch. Above the 1,010 rows that labelling
+# ten queries' 100-row neighborhoods can take in one request.
+SUBPROCESS_REQUEST_ROWS = 4096
 
 
 class SubprocessOracle(PredictionOracle):
@@ -219,7 +215,7 @@ class SubprocessOracle(PredictionOracle):
         os.set_blocking(self._proc.stdin.fileno(), False)
 
     def _wait(self, fd, deadline, write=False) -> None:
-        """Block until fd is ready or raise the per-batch timeout."""
+        """Block until fd is ready or raise the per-request timeout."""
         remain = deadline - time.monotonic()
         waits = ([], [fd]) if write else ([fd], [])
         if remain <= 0 or not any(select.select(*waits, [], remain)):
@@ -259,6 +255,13 @@ class SubprocessOracle(PredictionOracle):
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
+        if len(rows) <= SUBPROCESS_REQUEST_ROWS:
+            return self._request(rows)
+        return np.concatenate([self._request(rows[a:a + SUBPROCESS_REQUEST_ROWS])
+                               for a in range(0, len(rows), SUBPROCESS_REQUEST_ROWS)])
+
+    def _request(self, rows: np.ndarray) -> np.ndarray:
+        """Labels of rows from one request and its reply."""
         self._ensure_child()
         payload = {"instances": [self.schema.decode_row(r) for r in rows]}
         deadline = time.monotonic() + self.timeout  # covers the write and the reply
@@ -278,14 +281,18 @@ class SubprocessOracle(PredictionOracle):
 
     def _decode_predictions(self, preds) -> np.ndarray:
         """Labels of a JSON reply. JSON true and false are not numbers here,
+        a regression label is a JSON number (not a string that spells one),
         and a float names a class only when it is a finite whole number."""
         if any(isinstance(v, bool) for v in preds):
             raise OracleError("boolean prediction: expected a class name, index or number")
         if self.task == REGRESSION:
+            for v in preds:
+                if not isinstance(v, (int, float)):
+                    raise OracleError(f"non-numeric regression prediction {v!r}")
             try:
-                out = np.asarray([float(v) for v in preds])
-            except (TypeError, ValueError) as exc:
-                raise OracleError(f"non-numeric regression prediction: {exc}") from exc
+                out = np.asarray(preds, dtype=float)
+            except OverflowError as exc:  # an integer beyond float range
+                raise OracleError(f"non-finite regression prediction: {exc}") from exc
             if not np.isfinite(out).all():
                 raise OracleError("non-finite regression prediction")
             return out
@@ -359,7 +366,6 @@ class PrecomputedOracle(PredictionOracle):
 
 def save_model(model, path) -> None:
     if isinstance(model, ForestModel):
-        bounds = model.roots.tolist() + [None]  # tree k is nodes bounds[k]..bounds[k + 1]
         doc = {
             "type": "forest",
             "task": model.task,
@@ -367,7 +373,7 @@ def save_model(model, path) -> None:
             "feature_subsample": model.feature_subsample,
             "bootstrap": True,  # every forest bootstraps; load_model does not read it
             "tree_seeds": [int(s) for s in model.tree_seeds],
-            "trees": [cart.tree_to_dict(model.nodes, a, b) for a, b in zip(bounds, bounds[1:])],
+            "trees": [cart.tree_to_dict(t) for t in cart.split_trees(model.nodes, model.roots)],
         }
     elif isinstance(model, KnnModel):
         doc = {

@@ -118,13 +118,18 @@ class _Grower:
             return None
         return float(gains[k]), CATEGORY_EQ, float(cats[k])
 
-    def grow(self, root_idx) -> None:
+    def grow(self, root_idx) -> np.ndarray:
+        """Grow the tree on rows root_idx of X; return the leaf id each entry
+        of root_idx reached."""
         if len(root_idx) == 0:
             raise ValueError("cannot fit a tree on zero rows")
         nodes = self.nodes
-        stack = [(root_idx, 0, -1)]  # (rows, depth, split whose right child this is)
+        leaves = np.empty(len(root_idx), dtype=np.int64)
+        # (places in root_idx, depth, split whose right child this is)
+        stack = [(np.arange(len(root_idx)), 0, -1)]
         while stack:
-            idx, depth, right_of = stack.pop()
+            at, depth, right_of = stack.pop()
+            idx = root_idx[at]
             y_node = self.y[idx]
             imp, counts = self.node_impurity(y_node)
             n = len(idx)
@@ -132,22 +137,25 @@ class _Grower:
             split = None if n < 2 or imp <= 0.0 else self.best_split(idx, imp)
             if split is None:
                 if self.task == CLASSIFICATION:
-                    nodes.add(depth, right_of, pred=int(np.argmax(counts)), stats=counts)
+                    leaves[at] = nodes.add(depth, right_of, pred=int(np.argmax(counts)),
+                                           stats=counts)
                 else:
-                    nodes.add(depth, right_of, pred=float(y_node.mean()), stats=(n,))
+                    leaves[at] = nodes.add(depth, right_of, pred=float(y_node.mean()), stats=(n,))
                 continue
 
             _, f, kind, value = split
             node = nodes.add(depth, right_of, int(f), kind, float(value))
             col = self.X[idx, f]
             mask = col <= value if kind == NUMERIC_LE else col == value
-            stack.append((idx[~mask], depth + 1, node))
-            stack.append((idx[mask], depth + 1, -1))
+            stack.append((at[~mask], depth + 1, node))
+            stack.append((at[mask], depth + 1, -1))
+        return leaves
 
 
 def reference_grow(X, y, schema, task, samples, draws):
     """Each (rows, draw) tree grown on its own by the per-node grower, one
-    after another into one table; returns (tree, root ids)."""
+    after another into one table; returns (tree, root ids, the leaf id of
+    each entry of the concatenated samples)."""
     X = np.asarray(X, dtype=float)
     if task == CLASSIFICATION:
         y = np.asarray(y).astype(np.int64)
@@ -158,11 +166,11 @@ def reference_grow(X, y, schema, task, samples, draws):
     else:
         y, n_classes = np.asarray(y).astype(float), 0
     nodes = _Preorder(schema, task, n_classes)
-    roots = []
+    roots, leaves = [], []
     for rows, draw in zip(samples, draws):
         roots.append(len(nodes.feat))
-        _Grower(X, y, draw, nodes).grow(np.asarray(rows))
-    return nodes.tree(), np.array(roots)
+        leaves.append(_Grower(X, y, draw, nodes).grow(np.asarray(rows)))
+    return nodes.tree(), np.array(roots), np.concatenate(leaves)
 
 
 def reference_fit_tree(rows, labels, schema, task=None, draw=None):

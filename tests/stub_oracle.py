@@ -8,7 +8,8 @@ Modes:
   garbage    -- reply something that is not JSON
 Options:
   --die-after N   exit(3) after answering N batches
-  --delay S       sleep S seconds before each reply
+  --delay S       sleep S seconds before each reply (on batch --delay-on only,
+                  default: on all)
   --no-read       never read stdin: sleep --delay seconds (default 60), then exit
   --token T       reply the raw JSON token T (NaN, Infinity, 1e400, true, ...)
                   for every instance, on batch --token-on only (default: on all)
@@ -27,6 +28,7 @@ def main():
     ap.add_argument("--value", default="0")
     ap.add_argument("--die-after", type=int, default=0)
     ap.add_argument("--delay", type=float, default=0.0)
+    ap.add_argument("--delay-on", type=int, default=0)
     ap.add_argument("--no-read", action="store_true")
     ap.add_argument("--token")
     ap.add_argument("--token-on", type=int, default=0)
@@ -39,7 +41,7 @@ def main():
     for line in sys.stdin:
         req = json.loads(line)
         instances = req["instances"]
-        if args.delay:
+        if args.delay and args.delay_on in (0, batches + 1):
             time.sleep(args.delay)
         if args.mode == "garbage":
             sys.stdout.write("not json at all\n")

@@ -324,10 +324,14 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
     schema, X, y, task = _tied_data(rng, target)
     p = schema.n_features
     _same_trees(fit_tree(X, y, schema, task=task), reference_fit_tree(X, y, schema, task=task))
-    for width in sorted({1, p - 1}):  # a forest tree's feature draws
-        draw = (seed, width)
-        _same_trees(cart.grow_trees(X, y, schema, task, [np.arange(len(X))], [draw])[0],
-                    reference_fit_tree(X, y, schema, task=task, draw=draw))
+    # an explainer tree, then a forest tree's feature draws
+    for draw in [None] + [(seed, width) for width in sorted({1, p - 1})]:
+        args = X, y, schema, task, [np.arange(len(X))], [draw]
+        tree, _, leaves = cart.grow_trees(*args)
+        reference, _, ref_leaves = reference_grow(*args)
+        _same_trees(tree, reference)
+        np.testing.assert_array_equal(leaves, ref_leaves)
+        np.testing.assert_array_equal(leaves, cart.apply(tree, X))  # the leaf routing reaches
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
@@ -338,14 +342,19 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     samples = [rng.integers(0, len(X), size=int(rng.integers(1, len(X)))) for _ in range(6)]
     # lockstep trees (drawing features) and level-by-level trees in one call
     draws = [(t, 1 + t % p) if t % 2 else None for t in range(len(samples))]
-    together, roots = cart.grow_trees(X, y, schema, task, samples, draws)
-    reference, ref_roots = reference_grow(X, y, schema, task, samples, draws)
+    together, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
+    reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
     _same_trees(together, reference)
     np.testing.assert_array_equal(roots, ref_roots)
-    ends = list(roots[1:]) + [len(together.table.feat)]
-    for t, (rows, draw) in enumerate(zip(samples, draws)):
-        alone, _ = cart.grow_trees(X, y, schema, task, [rows], [draw])
-        assert tree_to_dict(together, roots[t], ends[t]) == tree_to_dict(alone)
+    np.testing.assert_array_equal(leaves, ref_leaves)
+    starts = np.cumsum([0] + [len(rows) for rows in samples])
+    for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
+        alone, _, alone_leaves = cart.grow_trees(X, y, schema, task, [rows], [draw])
+        assert tree_to_dict(cut) == tree_to_dict(alone)
+        _same_trees(cut, alone)  # its own ids, depth and leaf count
+        part = leaves[starts[t]:starts[t + 1]]
+        np.testing.assert_array_equal(part, cart.route(together.table, roots[t:t + 1], X[rows])[0])
+        np.testing.assert_array_equal(part - roots[t], alone_leaves)
     for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
         _same_trees(cart.grow_trees(X, y, schema, task, samples, draws)[0], together)

@@ -9,7 +9,6 @@ from araucana.explain import (
     ExplainConfig,
     Neighborhood,
     _merge_path,
-    build_explainer_set,
     explain_instance,
     explain_neighborhood,
     render_explanation,
@@ -75,7 +74,7 @@ def test_explainer_set_smote_off():
     ds, oracle = small_classification()
     cfg = ExplainConfig(n_neighbors=30, smote=None, seed=0)
     nbh = select_neighborhood(ds, ds.X[3], oracle, cfg)
-    eset = build_explainer_set(nbh, ds.X[3], oracle, None, ds.schema)
+    eset = explain_neighborhood(nbh, ds.X[3], oracle, cfg, ds.schema).explainer_set
     assert len(eset) == 31
     assert eset.provenance.count("original") == 30
     assert eset.provenance.count("query") == 1
@@ -87,7 +86,7 @@ def test_explainer_set_balanced_relabels_add_nothing(two_cat_schema):
     oracle = FixedOracle(two_cat_schema, lambda r: int(r[0]))  # perfectly balanced
     cfg = ExplainConfig(n_neighbors=12, smote=SmoteConfig(seed=1), seed=1)
     nbh = select_neighborhood(ds, X[0], oracle, cfg)
-    eset = build_explainer_set(nbh, X[0], oracle, cfg.smote, two_cat_schema)
+    eset = explain_neighborhood(nbh, X[0], oracle, cfg, two_cat_schema).explainer_set
     assert eset.provenance.count("synthetic") == 0
 
 
@@ -96,7 +95,7 @@ def test_synthetic_rows_relabeled_by_oracle():
     cfg = ExplainConfig(n_neighbors=40, smote=SmoteConfig(seed=7), seed=7)
     x = ds.X[11]
     nbh = select_neighborhood(ds, x, oracle, cfg)
-    eset = build_explainer_set(nbh, x, oracle, cfg.smote, ds.schema)
+    eset = explain_neighborhood(nbh, x, oracle, cfg, ds.schema).explainer_set
     syn = [i for i, p in enumerate(eset.provenance) if p == "synthetic"]
     if syn:  # relabels must match a fresh oracle query
         np.testing.assert_array_equal(

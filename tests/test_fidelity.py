@@ -4,13 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from araucana.explain import ExplainConfig, Neighborhood, explain_instance, select_neighborhood
+from araucana import explain, fidelity, gower
+from araucana.explain import (
+    ExplainConfig,
+    Neighborhood,
+    explain_instance,
+    render_explanation,
+    select_neighborhood,
+)
 from araucana.fidelity import (
     FidelityReport,
     evaluate_fidelity,
     fit_linear_explainer,
     report_to_csv,
 )
+from araucana.smote import SmoteConfig
 from araucana.oracle import BuiltinOracle, ForestConfig, PredictionOracle, train_forest
 from araucana.tabular import Dataset, FeatureSpec, Schema, SynthSpec, TargetSpec, synth_dataset
 
@@ -237,7 +245,7 @@ def _reference_evaluation(train, test, oracle, cfg):
 
 def test_shared_neighborhood_equals_reference_and_labels_x_once():
     """One selection per row, x labelled in the neighbor call, same rows as
-    explaining each row with nothing shared."""
+    explaining each row with nothing shared; the six rows are one stage."""
     for seed, task in itertools.product((0, 1, 2), ("classification", "regression")):
         rng = np.random.default_rng(seed)
         schema = random_mixed_schema(rng, n_classes=2 + seed % 2)
@@ -252,11 +260,79 @@ def test_shared_neighborhood_equals_reference_and_labels_x_once():
         calls, oracle.calls = oracle.calls, []
         rows, synthetics = _reference_evaluation(train, test, oracle, cfg)
         assert report.per_instance == rows, (seed, task)
-        # per row: one call of the 30 neighbors plus x, then one of the
-        # synthetics when SMOTE made any
-        expected = []
-        for k in synthetics:
-            expected += [31, k] if k else [31]
+        # one call of every distinct neighbor row and then the six rows, and
+        # one of all the synthetics when SMOTE made any
+        near = [select_neighborhood(train, x, oracle.inner, cfg).indices for x in test.X]
+        expected = [len(np.unique(np.concatenate(near))) + len(test)]
+        if sum(synthetics):
+            expected.append(sum(synthetics))
         assert calls == expected, (seed, task)
         if task == "classification":
             assert any(synthetics), seed  # the SMOTE relabel call is exercised
+
+
+def _mixed_task(seed, task, n_train, n_test):
+    """Train and test rows on a random mixed schema, with duplicated rows in
+    both, and a small forest black box."""
+    rng = np.random.default_rng(seed)
+    schema = random_mixed_schema(rng, n_classes=2 + seed % 2)
+    if task == "regression":
+        schema = Schema(schema.features, TargetSpec("target", "regression"))
+    train = make_dataset(rng, schema, n_train)
+    train.X[: n_train // 4] = train.X[n_train // 2: n_train // 2 + n_train // 4]
+    test = make_dataset(rng, schema, n_test)
+    test.X[1], test.X[-1] = test.X[0], train.X[3]
+    oracle = BuiltinOracle(train_forest(train, ForestConfig(n_trees=5, seed=seed)))
+    return train, test, oracle
+
+
+@pytest.mark.parametrize("cap", [1, 3, 2**20])
+def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap):
+    """Stages of any size give the rows and explanations of explaining each
+    query alone, and a run labels each training row once."""
+    monkeypatch.setattr(fidelity, "EXPLAIN_BATCH_QUERIES", cap)
+    monkeypatch.setattr(gower, "NEAREST_BLOCK_DISTANCES", 200)  # two queries per block
+    staged = []
+    real = fidelity.explain_neighborhoods
+
+    def recorded(*args):
+        staged.extend(real(*args))
+        return staged[len(staged) - len(args[0]):]
+
+    monkeypatch.setattr(fidelity, "explain_neighborhoods", recorded)
+    for seed, task, smote in itertools.product((0, 1), ("classification", "regression"),
+                                               (SmoteConfig(), None)):
+        train, test, forest = _mixed_task(20 + seed, task, 90, 8)
+        oracle = CountingOracle(forest)
+        cfg = ExplainConfig(n_neighbors=25, smote=smote, seed=seed)
+        staged.clear()
+        report = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+        sent, oracle.calls = sum(oracle.calls), []
+        rows, synthetics = _reference_evaluation(train, test, forest, cfg)
+        assert report.per_instance == rows, (seed, task, smote)
+        near = np.concatenate([select_neighborhood(train, x, forest, cfg).indices for x in test.X])
+        assert sent == len(np.unique(near)) + len(test) + sum(synthetics)
+        assert len(staged) == len(test)
+        for i, expl in enumerate(staged):
+            alone = explain_instance(train, test.X[i], forest, fidelity._row_config(cfg, i))
+            for form in ("json", "text"):
+                assert render_explanation(expl, form) == render_explanation(alone, form)
+
+
+def test_smote_failure_fails_only_its_row(monkeypatch):
+    train, test, oracle = _mixed_task(5, "classification", 90, 8)
+    cfg = ExplainConfig(n_neighbors=25, seed=7)
+    clean = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+    real = explain.smote_nc
+
+    def flaky(rows, labels, schema, smote_cfg):
+        if smote_cfg.seed == cfg.seed + 2:
+            raise RuntimeError("smote broke")
+        return real(rows, labels, schema, smote_cfg)
+
+    monkeypatch.setattr(explain, "smote_nc", flaky)
+    with pytest.warns(UserWarning, match="araucana failed on test row 2: smote broke"):
+        report = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+    assert report.failures == {"araucana": 1, "linear": 0}
+    assert report.per_instance == [r for r in clean.per_instance
+                                   if (r["explainer"], r["index"]) != ("araucana", 2)]

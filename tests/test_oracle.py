@@ -1,5 +1,6 @@
 import json
 import math
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from araucana import gower
+from araucana import gower, oracle as oracle_mod
 from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, predict_batch, tree_to_dict
 from araucana.gower import DistanceMetric, distances_to
 from araucana.oracle import (
@@ -222,7 +223,7 @@ def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target, kin
             for cells, block in ((3 * X.size, 2**18), (2**40, 3 * n), (1, 1)):
                 with monkeypatch.context() as mp:
                     mp.setattr(gower, "DISTANCE_CHUNK_CELLS", cells)
-                    mp.setattr("araucana.oracle.KNN_BLOCK_DISTANCES", block)
+                    mp.setattr(gower, "NEAREST_BLOCK_DISTANCES", block)
                     _same(model.predict_batch(queries), want)
         path = tmp_path / f"knn{trial}.json"
         save_model(model, path)
@@ -355,6 +356,33 @@ def test_subprocess_write_timeout_when_child_never_reads():
         oracle.close()
 
 
+def test_subprocess_requests_are_capped_and_each_has_its_own_timeout(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "SUBPROCESS_REQUEST_ROWS", 3)
+    ds = synth_dataset(SynthSpec("moons2d", 10), seed=8)
+    want = (ds.X.sum(axis=1) > 1.0).astype(np.int64)
+    # each request takes 0.3 s: four of them outlast one 0.5 s timeout, not four
+    oracle = SubprocessOracle(stub_command("--mode threshold --value 1.0 --delay 0.3"),
+                              ds.schema, "classification", timeout=0.5)
+    sizes = []
+    request = oracle._request
+    monkeypatch.setattr(oracle, "_request", lambda rows: sizes.append(len(rows)) or request(rows))
+    try:
+        np.testing.assert_array_equal(oracle.predict_batch(ds.X), want)
+        assert sizes == [3, 3, 3, 1]
+    finally:
+        oracle.close()
+
+    hangs = SubprocessOracle(stub_command("--mode threshold --delay 30 --delay-on 3"),
+                             ds.schema, "classification", timeout=0.5)
+    try:
+        start = time.monotonic()
+        with pytest.raises(OracleError, match="timed out"):
+            hangs.predict_batch(ds.X)
+        assert time.monotonic() - start < 5.0
+    finally:
+        hangs.close()
+
+
 def test_subprocess_malformed_reply():
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
     oracle = SubprocessOracle(stub_command("--mode garbage"), ds.schema, "classification")
@@ -366,12 +394,15 @@ def test_subprocess_malformed_reply():
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
-@pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400", "-Infinity", "true", "false"])
+@pytest.mark.parametrize("token", ["Infinity", "NaN", "1e400", "-Infinity", "true", "false",
+                                   '"2.5"', pytest.param("1" + "0" * 400, id="10**400")])
 def test_subprocess_non_finite_or_boolean_reply_is_oracle_error(task, token):
     # int(inf) raised OverflowError and int(nan) ValueError, which escape the
-    # OracleError handling; true and false read as classes 1 and 0
+    # OracleError handling; true and false read as classes 1 and 0; a string
+    # is no regression label, and an integer past the float range is none
+    # either
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
-    oracle = SubprocessOracle(stub_command(f"--token={token}"), ds.schema, task)
+    oracle = SubprocessOracle(stub_command(f"--token={shlex.quote(token)}"), ds.schema, task)
     try:
         with pytest.raises(OracleError):
             oracle.predict_batch(ds.X)
