@@ -4,11 +4,11 @@ Splits are binary and axis-aligned: numeric features test `value <= threshold`
 (thresholds at midpoints between consecutive distinct sorted values),
 categorical features test `value == category` one-vs-rest. The true branch is
 the left child. There is no pruning and no knob: a node stops growing only
-when it is pure, holds one row, or has no two-sided split (all its rows are
-identical). Zero-gain splits are accepted -- XOR-shaped nodes have no
-positive-gain split, yet must be grown through -- so a tree reaches zero
-training error whenever no two rows share a feature vector with different
-labels.
+when it is pure (all its labels are equal), holds one row, or has no
+two-sided split (all its rows are identical). Zero-gain splits are accepted
+-- XOR-shaped nodes have no positive-gain split, yet must be grown through --
+so a tree reaches zero training error whenever no two rows share a feature
+vector with different labels.
 
 The task decides the criterion: Gini impurity for classes, MSE for regression.
 Tie-breaking is deterministic: best gain wins; ties go to the lowest feature
@@ -29,14 +29,14 @@ a NodeTable whose nodes are in preorder (the root is node 0, a split's left
 child follows it) plus one leaf-statistics array beside it. A forest is the
 same table with many roots: each tree's preorder nodes follow the previous
 tree's, and child ids index the whole table. The grower numbers the nodes in
-preorder once growth ends, and tree_from_dict appends them in that order with
-an explicit stack; routing, decision paths and tree_to_dict read the arrays.
+preorder once growth ends; routing, decision paths, tree_to_dict and a saved
+forest's columns (oracle.save_model) read the arrays, and a loaded forest is
+built from its columns by _explainer_tree.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,76 +86,6 @@ class ExplainerTree:
     task: str
     depth: int
     leaf_count: int
-
-
-class _Preorder:
-    """Node columns appended in preorder, one tree after another; a split's
-    right child is linked to it when that child is added. The columns are
-    typed arrays, so a forest's nodes cost bytes rather than Python objects.
-    A node's stats are its class counts, or (row count,) for regression."""
-
-    def __init__(self, schema: Schema, task: str, n_classes: int | None = None):
-        self.schema, self.task = schema, task
-        if n_classes is None:  # the schema's class count
-            has_classes = task == CLASSIFICATION and schema.target is not None
-            n_classes = len(schema.target.classes) if has_classes else 0
-        self.n_classes = n_classes
-        self.feat, self.right, self.stats = array("q"), array("q"), array("q")
-        self.is_le, self.val, self.pred = array("b"), array("d"), array("d")
-        self.no_stats = [0] * n_classes if task == CLASSIFICATION else [0]
-        self.depth = 0
-
-    def add(self, depth: int, right_of: int, feature: int = -1, kind: str = CATEGORY_EQ,
-            value: float = 0.0, pred: float = 0.0, stats=None) -> int:
-        """Append one node and return its id; right_of is the split whose
-        right child it is, or -1. A node without a feature is a leaf."""
-        node = len(self.feat)
-        if right_of >= 0:
-            self.right[right_of] = node
-        self.depth = max(self.depth, depth)
-        self.feat.append(feature)
-        self.is_le.append(kind == NUMERIC_LE)
-        self.val.append(value)
-        self.right.append(0)
-        self.pred.append(pred)
-        self.stats.extend(self.no_stats if stats is None else stats)
-        return node
-
-    def read(self, d: dict) -> int:
-        """Append the nested JSON tree d (see tree_to_dict); return its root id."""
-        root, add, classes = len(self.feat), self.add, self.task == CLASSIFICATION
-        stack = [(d, 0, -1)]  # (subtree, depth, split whose right child this is)
-        while stack:
-            sub, depth, right_of = stack.pop()
-            if "leaf" in sub:
-                leaf = sub["leaf"]
-                if not classes:
-                    add(depth, right_of, pred=float(leaf["prediction"]),
-                        stats=(int(leaf["stats"]["n"]),))
-                elif len(leaf["counts"]) != self.n_classes:
-                    raise ValueError(f"leaf counts {leaf['counts']} for {self.n_classes} classes")
-                else:
-                    add(depth, right_of, pred=self.schema.encode_label(leaf["prediction"]),
-                        stats=leaf["counts"])
-                continue
-            test = sub["test"]
-            kind = test["kind"]
-            value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
-            node = add(depth, right_of, int(sub["feature"]), kind, value)
-            stack.append((sub["right"], depth + 1, node))
-            stack.append((sub["left"], depth + 1, -1))
-        return root
-
-    def tree(self) -> ExplainerTree:
-        """The nodes as an ExplainerTree; its arrays view the columns, which
-        can take no more nodes after this."""
-        stats = np.frombuffer(self.stats, dtype=np.int64)
-        if self.task == CLASSIFICATION:
-            stats = stats.reshape(len(self.feat), self.n_classes)
-        return _explainer_tree(self.schema, self.task, np.frombuffer(self.feat, dtype=np.int64),
-                               np.frombuffer(self.is_le, dtype=bool), np.frombuffer(self.val),
-                               np.frombuffer(self.right, dtype=np.int64),
-                               np.frombuffer(self.pred), stats, self.depth)
 
 
 def _explainer_tree(schema, task, feat, is_le, val, right, pred, stats, depth) -> ExplainerTree:
@@ -265,12 +195,15 @@ class _Frontier:
         if self.task == CLASSIFICATION:
             counts = np.bincount(seg * K + y[R], minlength=m * K).reshape(m, K)
             imp = _gini(counts, sizes[:, None])
+            pure = imp <= 0.0
         else:
-            counts = sizes
+            # pure when all its labels are equal: equal floats can have a nonzero variance
+            counts, y_rows = sizes, y[R]
+            pure = np.minimum.reduceat(y_rows, starts) == np.maximum.reduceat(y_rows, starts)
             for j in alive.nonzero()[0]:  # pairwise sums, as on the node alone
                 y_node = y[R[starts[j]:starts[j] + sizes[j]]]
                 imp[j], sums[:, j] = y_node.var(), (y_node.sum(), (y_node * y_node).sum())
-        search = (alive & ~(imp <= 0.0)).nonzero()[0]
+        search = (alive & ~pure).nonzero()[0]
         split, f, v, n_left = self._search(search, tree, R, sizes, starts, imp, counts, sums)
         leaf = np.ones(m, bool)
         leaf[split] = False
@@ -442,16 +375,23 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema,
     return grow_trees(rows, y, schema, task, [np.arange(len(y))], [None])[0]
 
 
+def node_depths(table: NodeTable, roots) -> np.ndarray:
+    """The depth of every node of a table with many roots, walked one level
+    of every tree at a time."""
+    depth, level, d = np.zeros(len(table.feat), np.int64), np.asarray(roots), 0
+    while len(level):
+        depth[level] = d
+        inner = level[table.feat[level] >= 0]
+        level, d = np.concatenate((table.left[inner], table.right[inner])), d + 1
+    return depth
+
+
 def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
     """Each tree of a table with many roots (as grow_trees returns it) as an
     ExplainerTree of its own: its node range, ids counted from its root, and
     its own depth and leaf count. The arrays view the table's."""
     t, bounds = tree.table, list(roots) + [len(tree.table.feat)]
-    depth, level, d = np.zeros(len(t.feat), np.int64), np.asarray(roots), 0
-    while len(level):  # one level of every tree at a time
-        depth[level] = d
-        inner = level[t.feat[level] >= 0]
-        level, d = np.concatenate((t.left[inner], t.right[inner])), d + 1
+    depth = node_depths(t, roots)
     out = []
     for a, b in zip(bounds, bounds[1:]):
         feat = t.feat[a:b]
@@ -566,12 +506,6 @@ def tree_to_dict(tree: ExplainerTree) -> dict:
             docs[i] = {"leaf": {"prediction": pred[i],
                                 "stats": {"n": stats[i], "mean": pred[i]}}}
     return docs[0]
-
-
-def tree_from_dict(d: dict, schema: Schema, task: str) -> ExplainerTree:
-    nodes = _Preorder(schema, task)
-    nodes.read(d)
-    return nodes.tree()
 
 
 def json_text(doc, indent=None) -> str:

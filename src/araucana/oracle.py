@@ -14,7 +14,9 @@ Subprocess wire protocol (one JSON object per line, both directions):
 The child is spawned once and persists across batches. A batch goes out in
 requests of at most SUBPROCESS_REQUEST_ROWS instances, one after another, and
 the replies are joined in order; each request has its own timeout (default
-30 seconds), which covers writing it and reading its reply.
+30 seconds), which covers writing it and reading its reply. The child is not
+waited for when it starts, so the first request's timeout also covers the
+child's start-up.
 """
 
 from __future__ import annotations
@@ -364,52 +366,113 @@ class PrecomputedOracle(PredictionOracle):
 # -------------------------------------------------------------- persistence
 
 
+# model.json format: 2 writes a forest's node table as flat columns; format 1
+# (no "format" key) nested every tree and is refused
+MODEL_FORMAT = 2
+
+
 def save_model(model, path) -> None:
-    if isinstance(model, ForestModel):
-        doc = {
-            "type": "forest",
-            "task": model.task,
-            "schema": model.schema.to_dict(),
-            "feature_subsample": model.feature_subsample,
-            "bootstrap": True,  # every forest bootstraps; load_model does not read it
-            "tree_seeds": [int(s) for s in model.tree_seeds],
-            "trees": [cart.tree_to_dict(t) for t in cart.split_trees(model.nodes, model.roots)],
-        }
-    elif isinstance(model, KnnModel):
-        doc = {
-            "type": "knn",
-            "task": model.task,
-            "schema": model.schema.to_dict(),
-            "k": model.k,
-            "metric": model.metric.kind,
-            "rows": [model.schema.decode_row(r) for r in model.X],
-            "labels": [model.schema.decode_label(v) for v in model.y],
-        }
-    else:
+    """Write a built-in model as one line of JSON: a k-NN model as its rows
+    and labels, a forest as its node table's columns (see _forest_table)."""
+    if not isinstance(model, (ForestModel, KnnModel)):
         raise TypeError(f"cannot save model of type {type(model).__name__}")
-    text = cart.json_text(doc) + "\n"  # before opening: a too-deep tree leaves no file
+    doc = {"format": MODEL_FORMAT, "type": "forest" if isinstance(model, ForestModel) else "knn",
+           "task": model.task, "schema": model.schema.to_dict()}
+    if isinstance(model, ForestModel):
+        t, stats = model.nodes.table, model.nodes.leaf_stats
+        leaf = t.feat < 0
+        classes = model.task == CLASSIFICATION
+        doc.update(feature_subsample=model.feature_subsample,
+                   tree_seeds=[int(s) for s in model.tree_seeds], roots=model.roots.tolist(),
+                   feature=t.feat.tolist(), value=t.val.tolist(), right=t.right.tolist(),
+                   prediction=t.pred[leaf].astype(np.int64 if classes else float).tolist())
+        doc["counts" if classes else "n"] = stats[leaf].ravel().tolist()
+    else:
+        doc.update(k=model.k, metric=model.metric.kind,
+                   rows=[model.schema.decode_row(r) for r in model.X],
+                   labels=[model.schema.decode_label(v) for v in model.y])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path):
+    """Read a model that save_model wrote. A file of another format raises
+    OracleError, and so does a malformed one, naming what is wrong with it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
+        version = doc.get("format", 1)
+        if version != MODEL_FORMAT:
+            raise OracleError(f"{path} is model format {version!r}, but this version reads "
+                              f"only format {MODEL_FORMAT}: retrain it with `araucana train`")
         kind = doc["type"]
         schema = Schema.from_dict(doc["schema"])
         task = doc["task"]
+        if schema.target is None or task != schema.target.kind:
+            raise ValueError(f"task {task!r} does not match the schema's target")
         if kind == "forest":
-            nodes = cart._Preorder(schema, task)
-            roots = [nodes.read(d) for d in doc["trees"]]
-            if not roots:
-                raise ValueError("a forest needs at least one tree")
-            return ForestModel(nodes.tree(), roots, doc["tree_seeds"], doc["feature_subsample"])
+            nodes, roots = _forest_table(doc, schema, task)
+            seeds, sub = _column(doc, "tree_seeds"), doc["feature_subsample"]
+            if len(seeds) != len(roots) or type(sub) is not int or not 0 < sub <= schema.n_features:
+                raise ValueError("tree_seeds or feature_subsample do not fit the trees")
+            return ForestModel(nodes, roots, seeds, sub)
         if kind == "knn":
             X = np.array([schema.encode_row(r) for r in doc["rows"]])
             y = np.array([schema.encode_label(v) for v in doc["labels"]])
-            metric = DistanceMetric(schema, doc["metric"])
-            return KnnModel(X, y, schema, task, doc["k"], metric)
+            if len(y) != len(X) or type(doc["k"]) is not int:
+                raise ValueError(f"{len(y)} labels for {len(X)} rows, or k is not an integer")
+            return KnnModel(X, y, schema, task, doc["k"], DistanceMetric(schema, doc["metric"]))
         raise KeyError(f"unknown model type {kind!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise OracleError(f"malformed model file {path}: {exc}") from exc
+
+
+def _column(doc, key, kinds="iu") -> np.ndarray:
+    """doc[key] as a flat array: integers, or finite numbers when kinds is "iuf"."""
+    col = np.asarray(doc[key])
+    if col.ndim != 1 or len(col) and (col.dtype.kind not in kinds or not np.isfinite(col).all()):
+        raise ValueError(f"{key!r} is not a list of {'numbers' if 'f' in kinds else 'integers'}")
+    return col.astype(float if "f" in kinds else np.int64)
+
+
+def _forest_table(doc, schema: Schema, task: str):
+    """The node table and root ids of a forest file's columns. Node i is a
+    leaf when feature[i] is -1; otherwise it tests feature[i] against value[i]
+    (<= on a numeric feature, == on a categorical one) and sends a row to
+    i + 1 when the test holds, else to right[i]. Per leaf, in node order,
+    come its prediction (the class index, or the regression value) and its
+    class counts (K per leaf) or row count n. The columns are checked before
+    the table is built: every split's children lie after it in its tree, and
+    every node but a root is the child of one split, so the nodes form trees
+    and routing moves forward and stops."""
+    K = len(schema.target.classes) if task == CLASSIFICATION else 0
+    roots, feat, right = _column(doc, "roots"), _column(doc, "feature"), _column(doc, "right")
+    val, pred = _column(doc, "value", "iuf"), _column(doc, "prediction", "iu" if K else "iuf")
+    counts = _column(doc, "counts" if K else "n")
+    N, split = len(feat), (feat >= 0).nonzero()[0]
+    n_leaves = N - len(split)
+    if not len(roots) or roots[0] != 0 or (np.diff(roots) <= 0).any() or roots[-1] >= N:
+        raise ValueError("roots must start at 0 and increase below the node count")
+    if len(val) != N or len(right) != N:
+        raise ValueError(f"{N} features, {len(val)} values and {len(right)} right children")
+    if len(pred) != n_leaves or len(counts) != n_leaves * (K or 1):
+        raise ValueError(f"{len(pred)} predictions and {len(counts)} counts for {n_leaves} leaves")
+    if ((feat < -1) | (feat >= schema.n_features)).any():
+        raise ValueError(f"a feature outside -1..{schema.n_features - 1}")
+    if K and ((pred < 0) | (pred >= K)).any():
+        raise ValueError(f"a class index outside 0..{K - 1}")
+    end = np.append(roots[1:], N)[np.searchsorted(roots, split, side="right") - 1]
+    if ((right[split] <= split + 1) | (right[split] >= end)).any():
+        raise ValueError("a split's right child is not after its left child in its tree")
+    parents = np.bincount(np.concatenate((split + 1, right[split])), minlength=N)
+    if parents.max(initial=0) > 1 or parents[roots].any() or parents.sum() != N - len(roots):
+        raise ValueError("a node is the child of no split or of two")
+    leaf = feat < 0
+    preds, stats = np.zeros(N), np.zeros((N, K) if K else N, np.int64)
+    preds[leaf], stats[leaf] = pred, counts.reshape(n_leaves, K) if K else counts
+    is_le = np.append(schema.numeric_mask(), False)[feat]  # a leaf's -1 reads the False
+    nodes = cart._explainer_tree(schema, task, feat, is_le, val, right, preds, stats, 0)
+    nodes.depth = int(cart.node_depths(nodes.table, roots).max())
+    return nodes, roots

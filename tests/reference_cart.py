@@ -1,15 +1,105 @@
-"""The per-node CART grower that the frontier grower in araucana.cart replaced.
+"""The per-node CART grower that the frontier grower in araucana.cart
+replaced, and the nested (format 1) tree reader that model.json format 2
+replaced.
 
-It searches one node at a time, in preorder, with its own numpy calls per
-candidate feature. It exists only as the reference that the frontier grower's
-tests compare against: same splits, same thresholds, same node ids, same leaf
-statistics, same rng draws.
+The grower searches one node at a time, in preorder, with its own numpy calls
+per candidate feature. It exists only as the reference that the frontier
+grower's tests compare against: same splits, same thresholds, same node ids,
+same leaf statistics, same rng draws. The reader appends the nested JSON of
+cart.tree_to_dict to the same preorder columns, so a forest saved as columns
+can be checked against the same trees read through their nested form.
 """
+
+from array import array
 
 import numpy as np
 
-from araucana.cart import CATEGORY_EQ, NUMERIC_LE, _gini, _Preorder
-from araucana.tabular import CLASSIFICATION, REGRESSION
+from araucana.cart import CATEGORY_EQ, NUMERIC_LE, ExplainerTree, _explainer_tree, _gini
+from araucana.tabular import CLASSIFICATION, REGRESSION, Schema
+
+
+class _Preorder:
+    """Node columns appended in preorder, one tree after another; a split's
+    right child is linked to it when that child is added. A node's stats are
+    its class counts, or (row count,) for regression."""
+
+    def __init__(self, schema: Schema, task: str, n_classes: int | None = None):
+        self.schema, self.task = schema, task
+        if n_classes is None:  # the schema's class count
+            has_classes = task == CLASSIFICATION and schema.target is not None
+            n_classes = len(schema.target.classes) if has_classes else 0
+        self.n_classes = n_classes
+        self.feat, self.right, self.stats = array("q"), array("q"), array("q")
+        self.is_le, self.val, self.pred = array("b"), array("d"), array("d")
+        self.no_stats = [0] * n_classes if task == CLASSIFICATION else [0]
+        self.depth = 0
+
+    def add(self, depth: int, right_of: int, feature: int = -1, kind: str = CATEGORY_EQ,
+            value: float = 0.0, pred: float = 0.0, stats=None) -> int:
+        """Append one node and return its id; right_of is the split whose
+        right child it is, or -1. A node without a feature is a leaf."""
+        node = len(self.feat)
+        if right_of >= 0:
+            self.right[right_of] = node
+        self.depth = max(self.depth, depth)
+        self.feat.append(feature)
+        self.is_le.append(kind == NUMERIC_LE)
+        self.val.append(value)
+        self.right.append(0)
+        self.pred.append(pred)
+        self.stats.extend(self.no_stats if stats is None else stats)
+        return node
+
+    def read(self, d: dict) -> int:
+        """Append the nested JSON tree d (see cart.tree_to_dict); return its root id."""
+        root, add, classes = len(self.feat), self.add, self.task == CLASSIFICATION
+        stack = [(d, 0, -1)]  # (subtree, depth, split whose right child this is)
+        while stack:
+            sub, depth, right_of = stack.pop()
+            if "leaf" in sub:
+                leaf = sub["leaf"]
+                if not classes:
+                    add(depth, right_of, pred=float(leaf["prediction"]),
+                        stats=(int(leaf["stats"]["n"]),))
+                elif len(leaf["counts"]) != self.n_classes:
+                    raise ValueError(f"leaf counts {leaf['counts']} for {self.n_classes} classes")
+                else:
+                    add(depth, right_of, pred=self.schema.encode_label(leaf["prediction"]),
+                        stats=leaf["counts"])
+                continue
+            test = sub["test"]
+            kind = test["kind"]
+            value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
+            node = add(depth, right_of, int(sub["feature"]), kind, value)
+            stack.append((sub["right"], depth + 1, node))
+            stack.append((sub["left"], depth + 1, -1))
+        return root
+
+    def tree(self) -> ExplainerTree:
+        """The nodes as an ExplainerTree; its arrays view the columns, which
+        can take no more nodes after this."""
+        stats = np.frombuffer(self.stats, dtype=np.int64)
+        if self.task == CLASSIFICATION:
+            stats = stats.reshape(len(self.feat), self.n_classes)
+        return _explainer_tree(self.schema, self.task, np.frombuffer(self.feat, dtype=np.int64),
+                               np.frombuffer(self.is_le, dtype=bool), np.frombuffer(self.val),
+                               np.frombuffer(self.right, dtype=np.int64),
+                               np.frombuffer(self.pred), stats, self.depth)
+
+
+def tree_from_dict(d: dict, schema: Schema, task: str) -> ExplainerTree:
+    """One nested JSON tree (cart.tree_to_dict) as an ExplainerTree."""
+    nodes = _Preorder(schema, task)
+    nodes.read(d)
+    return nodes.tree()
+
+
+def forest_from_dicts(trees, schema: Schema, task: str) -> tuple[ExplainerTree, np.ndarray]:
+    """The "trees" list of a format-1 model.json as one node table and its
+    root ids, as the format-1 load_model read it."""
+    nodes = _Preorder(schema, task)
+    roots = np.array([nodes.read(d) for d in trees])
+    return nodes.tree(), roots
 
 
 class _Grower:
@@ -134,7 +224,9 @@ class _Grower:
             imp, counts = self.node_impurity(y_node)
             n = len(idx)
 
-            split = None if n < 2 or imp <= 0.0 else self.best_split(idx, imp)
+            # equal floats can have a nonzero variance
+            pure = imp <= 0.0 if self.task == CLASSIFICATION else y_node.min() == y_node.max()
+            split = None if n < 2 or pure else self.best_split(idx, imp)
             if split is None:
                 if self.task == CLASSIFICATION:
                     leaves[at] = nodes.add(depth, right_of, pred=int(np.argmax(counts)),

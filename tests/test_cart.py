@@ -9,14 +9,13 @@ from araucana.cart import (
     fit_tree,
     predict_batch,
     predict_tree,
-    tree_from_dict,
     tree_stats,
     tree_to_dict,
 )
 from araucana.tabular import REGRESSION, FeatureSpec, Schema, TargetSpec
 
 from conftest import DEEP_JSON_REFUSED, chain_dataset, random_mixed_schema, random_rows
-from reference_cart import reference_fit_tree, reference_grow
+from reference_cart import reference_fit_tree, reference_grow, tree_from_dict
 
 
 def and_dataset(two_cat_schema):
@@ -332,6 +331,22 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
         _same_trees(tree, reference)
         np.testing.assert_array_equal(leaves, ref_leaves)
         np.testing.assert_array_equal(leaves, cart.apply(tree, X))  # the leaf routing reaches
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_regression_split_never_has_equal_labels(seed):
+    # few distinct labels, 0.1 and 0.3 among them: equal floats whose variance
+    # is not 0 made such a node split on down to single rows
+    rng = np.random.default_rng(110 + seed)
+    schema, X, y, task = _tied_data(rng, "regression")
+    few = rng.choice([0.1, 0.3, 1 / 3, 7e-3], size=len(X))
+    for labels in (y, few, np.full(len(X), few[0])):
+        args = X, labels, schema, task
+        for tree in (fit_tree(*args), reference_fit_tree(*args)):
+            for node, idx in _walk_sizes(tree, X):
+                if not _is_leaf(tree, node):
+                    assert labels[idx].min() < labels[idx].max()
+    assert fit_tree(X, np.full(len(X), few[0]), schema, task).leaf_count == 1
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])

@@ -167,6 +167,62 @@ def test_explain_too_deep_tree_exits_1(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["tree_stats"]["depth"] == 1199
 
 
+def _damage(doc, how) -> str:
+    """Give a forest model document one defect; return words of the error."""
+    feat, right = doc["feature"], doc["right"]
+    split = feat.index(max(feat))  # a split node
+    if how == "feature":
+        feat[split] = 99  # routing read another row's value, or raised IndexError
+        return "a feature outside"
+    if how == "right":
+        right[split] = split  # routing would loop or go back
+        return "not after its left child"
+    if how == "shared":  # two splits with one right child: no longer a tree
+        i = next(i for i in range(len(feat) - 1) if min(feat[i], feat[i + 1]) >= 0)
+        right[i] = right[i + 1]
+        return "child of no split or of two"
+    if how == "roots":
+        doc["roots"][1] = 0
+        return "roots must"
+    if how == "value":
+        doc["value"].pop()
+        return "values"
+    if how == "counts":
+        doc["counts"].pop()
+        return "counts for"
+    if how == "type":
+        doc["value"][0] = "0.5"
+        return "'value' is not a list of numbers"
+    if how == "seeds":  # a seed per tree, written back on a save
+        doc["tree_seeds"].pop()
+        return "tree_seeds or feature_subsample do not fit the trees"
+    if how == "prediction":
+        doc["prediction"][0] = 2  # a 2-class forest
+        return "a class index outside"
+    del doc["format"]
+    return "model format 1"
+
+
+@pytest.mark.parametrize("how", ["feature", "right", "shared", "roots", "value", "counts",
+                                 "type", "seeds", "prediction", "format"])
+def test_evaluate_damaged_model_file_exits_1(tmp_path, capsys, how):
+    data = synth_dir(tmp_path, "imbalanced_mixed", 120, 2)
+    assert run(["train", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--trees", 3, "--out", tmp_path / "m"]) == 0
+    path = tmp_path / "m" / "model.json"
+    doc = json.loads(path.read_text())
+    words = _damage(doc, how)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["evaluate", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", f"file:{path}", "--test-frac", 0.1])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and words in err and "Traceback" not in err
+    if how != "format":
+        assert err.startswith(f"error: malformed model file {path}: ")
+
+
 def test_explain_oracle_death_exit_1(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 80, 4)
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",

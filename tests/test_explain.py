@@ -113,6 +113,20 @@ def test_constant_oracle_single_leaf_empty_rule():
     assert b"IF (always) THEN 1" in render_explanation(expl, "text")
 
 
+@pytest.mark.parametrize("value", [0.1, 1 / 3, 0.3, 0.5])
+def test_constant_regression_oracle_single_leaf_empty_rule(value):
+    # the variance of equal floats need not be 0: with 0.3 or 0.1 a node of
+    # equal labels kept splitting, and the rule had conditions
+    base = synth_dataset(SynthSpec("imbalanced_mixed", 600), seed=3)
+    ds = Dataset(Schema(base.schema.features, TargetSpec("t", "regression")), base.X,
+                 np.full(len(base), value))
+    oracle = FixedOracle(ds.schema, lambda r: value, task="regression")
+    expl = explain_instance(ds, ds.X[0], oracle, ExplainConfig(seed=3))
+    assert expl.tree_stats == {"depth": 0, "leaf_count": 1, "node_count": 1}
+    assert expl.rule.conditions == []
+    assert render_explanation(expl, "text").startswith(b"IF (always) THEN ")
+
+
 def test_unique_query_is_faithful_many_seeds():
     ds, oracle = small_classification()
     rng = np.random.default_rng(2)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from araucana import gower, oracle as oracle_mod
+from araucana import cart, gower, oracle as oracle_mod
 from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, predict_batch, tree_to_dict
 from araucana.gower import DistanceMetric, distances_to
 from araucana.oracle import (
@@ -26,10 +26,9 @@ from araucana.oracle import (
 )
 from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
 
-from reference_cart import reference_fit_tree
+from reference_cart import forest_from_dicts, reference_fit_tree
 
 from conftest import (
-    DEEP_JSON_REFUSED,
     chain_dataset,
     make_dataset,
     random_mixed_schema,
@@ -117,12 +116,42 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_model(forest, a)
         doc = json.loads(a.read_text())
-        assert doc["trees"] == [tree_to_dict(t) for t in trees]
-        assert (doc["feature_subsample"], doc["bootstrap"]) == (forest.feature_subsample, True)
+        _same_columns(doc, trees)
+        assert (doc["format"], doc["feature_subsample"]) == (2, forest.feature_subsample)
+        assert "bootstrap" not in doc
         back = load_model(a)
-        np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
+        # the same forest written as nested trees (format 1) and read by the
+        # reference reader
+        nested = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
+        v1 = ForestModel(*forest_from_dicts(nested, schema, data.task), forest.tree_seeds,
+                         forest.feature_subsample)
+        want = forest.predict_batch(probe)
+        for model in (back, v1):
+            np.testing.assert_array_equal(model.predict_batch(probe), want)
         save_model(back, b)
         assert b.read_bytes() == a.read_bytes()
+
+
+def _same_columns(doc, trees):
+    """The columns of a format-2 forest file hold the trees' preorder nodes,
+    one tree after another, with child ids counted over the whole table."""
+    sizes = [len(t.table.feat) for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    assert doc["roots"] == roots.tolist()
+    feat = np.concatenate([t.table.feat for t in trees])
+    right = np.concatenate([np.where(t.table.feat >= 0, t.table.right + r, 0)
+                            for t, r in zip(trees, roots)])
+    leaf = feat < 0
+    pred = np.concatenate([t.table.pred for t in trees])[leaf]
+    stats = np.concatenate([t.leaf_stats for t in trees])[leaf]
+    assert doc["feature"] == feat.tolist()
+    assert doc["value"] == np.concatenate([t.table.val for t in trees]).tolist()
+    assert doc["right"] == right.tolist()
+    if trees[0].task == REGRESSION:
+        assert (doc["prediction"], doc["n"]) == (pred.tolist(), stats.tolist())
+    else:
+        assert doc["prediction"] == pred.astype(np.int64).tolist()
+        assert doc["counts"] == stats.ravel().tolist()
 
 
 def test_knn_examples():
@@ -247,17 +276,31 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_save_model_too_deep_tree(tmp_path):
+    # a 1,199-deep tree: its columns do not nest, so every Python saves it
     ds = chain_dataset(1200)
     tree = fit_tree(ds.X, ds.y, ds.schema)
     model = ForestModel(tree, [0], [0], ds.schema.n_features)
     path = tmp_path / "model.json"
-    if DEEP_JSON_REFUSED:
-        with pytest.raises(ValueError, match="too deep to nest as JSON"):
-            save_model(model, path)
-        assert not path.exists()
-    else:
-        save_model(model, path)
-        np.testing.assert_array_equal(load_model(path).predict_batch(ds.X), ds.y)
+    save_model(model, path)
+    back = load_model(path)
+    assert back.nodes.depth == 1199
+    np.testing.assert_array_equal(back.predict_batch(ds.X), ds.y)
+
+
+def test_format_1_model_is_refused(tmp_path):
+    ds = synth_dataset(SynthSpec("moons2d", 40), seed=2)
+    forest = train_forest(ds, ForestConfig(n_trees=2, seed=1))
+    path = tmp_path / "model.json"
+    save_model(forest, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    trees = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
+    v1 = {k: doc[k] for k in ("type", "task", "schema", "feature_subsample", "tree_seeds")}
+    path.write_text(json.dumps(dict(v1, bootstrap=True, trees=trees)), encoding="utf-8")
+    with pytest.raises(OracleError, match="model format 1, .* retrain it with `araucana train`"):
+        load_model(path)
+    path.write_text(json.dumps(dict(doc, format=3)), encoding="utf-8")
+    with pytest.raises(OracleError, match="model format 3"):
+        load_model(path)
 
 
 def test_load_model_malformed(tmp_path):
@@ -265,6 +308,17 @@ def test_load_model_malformed(tmp_path):
     p.write_text('{"type": "forest", "task": "classification"', encoding="utf-8")
     with pytest.raises(OracleError, match="malformed model file"):
         load_model(p)
+    # a k-NN file whose k is no integer or with a label short ended in a
+    # traceback when the model was used; one with another task than its
+    # schema's labelled rows with the mean of class indices
+    save_model(train_knn(synth_dataset(SynthSpec("moons2d", 20), seed=1), k=3), p)
+    doc = json.loads(p.read_text(encoding="utf-8"))
+    for bad, words in ((dict(doc, k=2.5), "k is not an integer"),
+                       (dict(doc, labels=doc["labels"][:-1]), "19 labels for 20 rows"),
+                       (dict(doc, task="regression"), "does not match the schema")):
+        p.write_text(json.dumps(bad), encoding="utf-8")
+        with pytest.raises(OracleError, match=f"malformed model file .*{words}"):
+            load_model(p)
 
 
 def test_schema_mismatch_on_use():
@@ -362,7 +416,11 @@ def test_subprocess_requests_are_capped_and_each_has_its_own_timeout(monkeypatch
     want = (ds.X.sum(axis=1) > 1.0).astype(np.int64)
     # each request takes 0.3 s: four of them outlast one 0.5 s timeout, not four
     oracle = SubprocessOracle(stub_command("--mode threshold --value 1.0 --delay 0.3"),
-                              ds.schema, "classification", timeout=0.5)
+                              ds.schema, "classification", timeout=30)
+    # the first request's timeout also covers the child's start-up, so the
+    # child starts under a long one before the timed batch
+    np.testing.assert_array_equal(oracle.predict_batch(ds.X[:1]), want[:1])
+    oracle.timeout = 0.5
     sizes = []
     request = oracle._request
     monkeypatch.setattr(oracle, "_request", lambda rows: sizes.append(len(rows)) or request(rows))
