@@ -29,9 +29,14 @@ a NodeTable whose nodes are in preorder (the root is node 0, a split's left
 child follows it) plus one leaf-statistics array beside it. A forest is the
 same table with many roots: each tree's preorder nodes follow the previous
 tree's, and child ids index the whole table. The grower numbers the nodes in
-preorder once growth ends; routing, decision paths, tree_to_dict and a saved
-forest's columns (oracle.save_model) read the arrays, and a loaded forest is
-built from its columns by _explainer_tree.
+preorder once growth ends; decision paths, tree_to_dict and a saved forest's
+columns (oracle.save_model) read the arrays, and a loaded forest is built
+from its columns by _explainer_tree.
+
+Prediction walks a RoutePlan, which route_plan derives from the node table
+alone and which is never saved: each node becomes one `<=` test on a widened
+row, and a leaf is its own child. A forest derives its plan once, when it is
+built (oracle.ForestModel); apply and predict_batch derive one per call.
 """
 
 from __future__ import annotations
@@ -403,39 +408,83 @@ def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
 
 # (row, root) pairs routed at once; bounds the index arrays of one pass
 ROUTE_CHUNK_PAIRS = 1 << 15
+# steps every live pair takes between two drops of the pairs at a leaf
+ROUTE_STEPS = 8
 
 
-def route(table: NodeTable, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+class RoutePlan(NamedTuple):
+    """A node table as one `<=` test per node, for routing (see route_plan).
+
+    Node i sends a widened row to child[2 * i + (wide[col[i]] <= thr[i])].
+    The widened row holds the row's first n_row columns, then one column per
+    (cat_feat[j], cat_val[j]) pair: -1.0 where the row has that category,
+    else 0.0. A leaf tests column 0 against +inf, and both its children are
+    itself.
+    """
+
+    col: np.ndarray
+    thr: np.ndarray
+    child: np.ndarray
+    n_row: int
+    cat_feat: np.ndarray
+    cat_val: np.ndarray
+
+
+def route_plan(table: NodeTable) -> RoutePlan:
+    """The routing plan of a node table; it needs no schema. A numeric split
+    tests its feature's column against its threshold, and a categorical
+    split tests its (feature, category) column against -0.5, so a NaN or a
+    category no split tests goes right, as the table's own tests send it."""
+    feat, ids = table.feat, np.arange(len(table.feat))
+    split = feat >= 0
+    num, cat = split & table.is_le, split & ~table.is_le
+    pairs, pair_of = np.unique(np.stack((feat[cat], table.val[cat])), axis=1,
+                               return_inverse=True)
+    n_row = int(feat[num].max(initial=-1)) + 1
+    col = np.where(num, feat, 0)
+    col[cat] = n_row + pair_of.reshape(-1)
+    thr = np.where(num, table.val, np.inf)
+    thr[cat] = -0.5
+    child = np.stack((np.where(split, table.right, ids), np.where(split, table.left, ids)), 1)
+    return RoutePlan(col, thr, child.ravel(), n_row, pairs[0].astype(np.int64), pairs[1])
+
+
+def _widen(plan: RoutePlan, rows: np.ndarray) -> np.ndarray:
+    """The rows as the plan's widened rows; at least one column, for the
+    leaves to read."""
+    q, m = plan.n_row, len(plan.cat_feat)
+    wide = np.zeros((len(rows), max(1, q + m)))
+    wide[:, :q] = rows[:, :q]
+    wide[:, q:q + m] -= rows[:, plan.cat_feat] == plan.cat_val
+    return wide
+
+
+def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Leaf node ids of every row from every root, shape (len(roots), n_rows).
 
-    All (root, row) pairs descend together: each pass gathers the test of
-    every pair still at an internal node, steps it to a child and drops the
-    pairs that reached a leaf. Rows go in chunks of at most ROUTE_CHUNK_PAIRS
-    pairs.
+    The rows are widened once (see RoutePlan), and all (root, row) pairs
+    descend together, a step being three node gathers and one row gather. A
+    leaf keeps the pairs that reach it, so the live pairs take ROUTE_STEPS
+    steps between drops of those at a leaf. Rows go in chunks of at most
+    ROUTE_CHUNK_PAIRS pairs.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    out = np.empty((len(roots), len(rows)), dtype=np.int64)
+    wide = _widen(plan, np.asarray(rows, dtype=float))
+    (n, width), flat = wide.shape, wide.ravel()
+    col, thr, child = plan.col, plan.thr, plan.child
+    out = np.empty(len(roots) * n, dtype=np.int64)  # tree-major: pair k * n + i is row i at root k
     step = max(1, ROUTE_CHUNK_PAIRS // len(roots))
-    for a in range(0, len(rows), step):
-        out[:, a:a + step] = _route_chunk(table, roots, rows[a:a + step])
-    return out
-
-
-def _route_chunk(t: NodeTable, roots, rows) -> np.ndarray:
-    n, p = rows.shape
-    flat_rows = rows.ravel()
-    node = np.repeat(roots, n)  # tree-major: pair k * n + i is row i at root k
-    pair = np.flatnonzero(t.feat[node] >= 0)
-    cur = node[pair]
-    base = (pair % n) * p  # offset of each pair's row in flat_rows
-    while len(pair):
-        v = flat_rows[base + t.feat[cur]]
-        thr = t.val[cur]
-        nxt = np.where(np.where(t.is_le[cur], v <= thr, v == thr), t.left[cur], t.right[cur])
-        inner = t.feat[nxt] >= 0
-        node[pair] = nxt
-        pair, cur, base = pair[inner], nxt[inner], base[inner]
-    return node.reshape(len(roots), n)
+    for a in range(0, n, step):
+        i = np.arange(a, min(a + step, n))
+        pair = (np.arange(len(roots))[:, None] * n + i).ravel()
+        base, node = np.tile(i * width, len(roots)), np.repeat(roots, len(i))
+        while len(pair):
+            for _ in range(ROUTE_STEPS):
+                last = node
+                node = child.take(2 * node + (flat.take(base + col.take(node)) <= thr.take(node)))
+            done = node == last  # a split's children differ from it
+            out[pair[done]] = node[done]
+            pair, base, node = pair[~done], base[~done], node[~done]
+    return out.reshape(len(roots), n)
 
 
 def apply(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
@@ -443,7 +492,7 @@ def apply(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
-    return route(tree.table, np.zeros(1, dtype=np.int64), rows)[0]
+    return route(route_plan(tree.table), np.zeros(1, dtype=np.int64), rows)[0]
 
 
 def predict_batch(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:

@@ -123,6 +123,8 @@ class Explanation:
     config: dict
     seed: int
     explainer_set: ExplainerSet | None = None  # kept for inspection, not serialized
+    # SMOTE-NC's notes on the neighborhood (smote.smote_nc); not serialized
+    smote_notes: list[str] = field(default_factory=list)
 
 
 class TrainLabels:
@@ -220,10 +222,14 @@ def match_epsilon(task: str, label) -> float:
 
 def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
                      cfg: ExplainConfig = ExplainConfig()) -> Explanation:
-    """Run the full pipeline for one query instance."""
+    """Run the full pipeline for one query instance; SMOTE-NC's notes come
+    as warnings that name the query."""
     x = np.asarray(x, dtype=float)
     nbh = select_neighborhood(train, x, oracle, cfg)
-    return explain_neighborhood(nbh, x, oracle, cfg, train.schema)
+    expl = explain_neighborhood(nbh, x, oracle, cfg, train.schema)
+    for note in expl.smote_notes:
+        warnings.warn(f"SMOTE-NC for query {train.schema.decode_row(x)}: {note}", stacklevel=2)
+    return expl
 
 
 def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOracle,
@@ -245,22 +251,24 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
 
     SMOTE-NC runs per query; one oracle request labels every query's
     synthetic rows, in query order (none when there are none), and one
-    cart.grow_trees call grows every explainer tree. A query whose SMOTE or
-    rule step raises gets that exception in its place and the others go on;
-    an exception from the oracle request or the growth propagates.
+    cart.grow_trees call grows every explainer tree. Each explanation keeps
+    its query's SMOTE-NC notes, for the caller to report. A query whose SMOTE
+    or rule step raises gets that exception in its place and the others go
+    on; an exception from the oracle request or the growth propagates.
     """
     X = np.asarray(X, dtype=float)
     task = oracle.task
     out: list = [None] * len(nbhs)
-    synthetic = []
+    synthetic, notes = [], []
     for q, (nbh, cfg) in enumerate(zip(nbhs, cfgs)):
-        syn = np.empty((0, schema.n_features))
+        syn, noted = np.empty((0, schema.n_features)), []
         if cfg.smote is not None and task == CLASSIFICATION:
             try:
-                syn = smote_nc(nbh.rows, nbh.relabels, schema, cfg.smote)[0]
+                syn, _, noted = smote_nc(nbh.rows, nbh.relabels, schema, cfg.smote)
             except Exception as exc:  # noqa: BLE001 - fails this query alone
                 out[q] = exc
         synthetic.append(syn)
+        notes.append(noted)
     ends = np.cumsum([len(syn) for syn in synthetic])
     if any(len(syn) for syn in synthetic):
         syn_y = oracle.predict_batch(np.vstack(synthetic))  # oracle labels replace seed labels
@@ -287,7 +295,7 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
         eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance[t])
         try:
             out[q] = _explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[t],
-                                  task, schema)
+                                  task, schema, notes[q])
         except Exception as exc:  # noqa: BLE001 - fails this query alone
             out[q] = exc
     return out
@@ -295,7 +303,7 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
 
 def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: ExplainerSet,
                  tree: cart.ExplainerTree, leaves: np.ndarray, task: str,
-                 schema: Schema) -> Explanation:
+                 schema: Schema, smote_notes: list[str]) -> Explanation:
     """Step 5: the rule of x off its grown tree; leaves holds the leaf each
     explainer-set row reached."""
     q = len(nbh.rows)  # the query row follows the neighborhood rows
@@ -362,6 +370,7 @@ def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: Exp
         config=config_echo,
         seed=cfg.seed,
         explainer_set=eset,
+        smote_notes=smote_notes,
     )
 
 

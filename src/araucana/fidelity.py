@@ -133,7 +133,8 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     denominator (with a warning); oracle errors abort the run, and so does a
     test row the shared neighborhood selection rejects (SchemaError when it
     does not conform to the training schema). Test row i is explained under
-    seed cfg.seed + i, in the SMOTE config as well.
+    seed cfg.seed + i, in the SMOTE config as well, and SMOTE-NC's notes on
+    its neighborhood come as warnings that name the row.
     """
     for name in explainers:
         if name not in EXPLAINERS:
@@ -159,6 +160,8 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                         expl = expls[j]
                         if isinstance(expl, Exception):
                             raise expl
+                        for note in expl.smote_notes:
+                            warnings.warn(f"SMOTE-NC on test row {i}: {note}", stacklevel=2)
                         prediction = expl.rule.prediction
                         agree = expl.faithful
                     else:

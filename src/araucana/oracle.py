@@ -85,8 +85,10 @@ class ForestModel:
     cart.ExplainerTree with many roots). Tree k is the preorder run of nodes
     from roots[k] up to the next root, and child ids index the whole table,
     so training, loading, saving and routing need no per-tree copies.
-    Prediction routes every tree at once; the leaf ids come back tree-major,
-    one row per tree, and their predictions are the votes.
+    Prediction routes every tree at once through `plan`, which is derived
+    from the table once, when the model is built (trained or loaded), and is
+    never saved; the leaf ids come back tree-major, one row per tree, and
+    their predictions are the votes.
     """
 
     def __init__(self, nodes: cart.ExplainerTree, roots, tree_seeds, feature_subsample):
@@ -96,12 +98,13 @@ class ForestModel:
         self.n_trees = len(self.roots)
         self.tree_seeds = list(tree_seeds)
         self.feature_subsample = feature_subsample
+        self.plan = cart.route_plan(nodes.table)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        votes = self.nodes.table.pred[cart.route(self.nodes.table, self.roots, rows)]
+        votes = self.nodes.table.pred[cart.route(self.plan, self.roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
         n_classes = len(self.schema.target.classes)

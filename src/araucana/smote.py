@@ -13,7 +13,6 @@ features. With no numeric features the per-mismatch term is 1.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,9 +74,11 @@ def _class_neighbor_order(X: np.ndarray, schema: Schema, members: np.ndarray,
 
 
 def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
-             cfg: SmoteConfig) -> tuple[np.ndarray, np.ndarray]:
+             cfg: SmoteConfig) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Generate synthetic minority samples; returns (rows, labels) of the
-    synthetic points only. Deterministic for a fixed cfg.seed.
+    synthetic points only, and notes on the classes it skipped (fewer than
+    two rows) or drew from fewer than k_neighbors neighbors. Deterministic
+    for a fixed cfg.seed.
     """
     if schema.target is not None and schema.target.kind != CLASSIFICATION:
         raise ValueError("smote_nc is defined for classification labels only")
@@ -93,6 +94,7 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
 
     out_rows: list[np.ndarray] = []
     out_labels: list[int] = []
+    notes: list[str] = []
     num_mask = schema.numeric_mask()
     for cls, count in zip(classes, counts):
         target = majority if cfg.target_policy == BALANCE else int(cfg.fixed_total)
@@ -100,18 +102,12 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
         if need <= 0:
             continue
         if count < 2:
-            warnings.warn(
-                f"class {int(cls)} has {int(count)} row(s); skipping oversampling",
-                stacklevel=2,
-            )
+            notes.append(f"class {int(cls)} has {int(count)} row(s); skipping oversampling")
             continue
         k = cfg.k_neighbors
         if k >= count:
             k = int(count) - 1
-            warnings.warn(
-                f"class {int(cls)}: k_neighbors reduced to {k} (class size {int(count)})",
-                stacklevel=2,
-            )
+            notes.append(f"class {int(cls)}: k_neighbors reduced to {k} (class size {int(count)})")
         members = np.flatnonzero(labels == cls)
         order = _class_neighbor_order(rows, schema, members, k)
         for _ in range(need):
@@ -130,5 +126,5 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
             out_labels.append(int(cls))
 
     if not out_rows:
-        return np.empty((0, schema.n_features)), np.empty(0, dtype=np.int64)
-    return np.array(out_rows), np.array(out_labels, dtype=np.int64)
+        return np.empty((0, schema.n_features)), np.empty(0, dtype=np.int64), notes
+    return np.array(out_rows), np.array(out_labels, dtype=np.int64), notes

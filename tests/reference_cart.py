@@ -1,6 +1,6 @@
 """The per-node CART grower that the frontier grower in araucana.cart
-replaced, and the nested (format 1) tree reader that model.json format 2
-replaced.
+replaced, the nested (format 1) tree reader that model.json format 2
+replaced, and a per-row walk that cart.route is checked against.
 
 The grower searches one node at a time, in preorder, with its own numpy calls
 per candidate feature. It exists only as the reference that the frontier
@@ -100,6 +100,24 @@ def forest_from_dicts(trees, schema: Schema, task: str) -> tuple[ExplainerTree, 
     nodes = _Preorder(schema, task)
     roots = np.array([nodes.read(d) for d in trees])
     return nodes.tree(), roots
+
+
+def reference_route(table, roots, rows) -> np.ndarray:
+    """Leaf ids of every row from every root, shape (len(roots), len(rows)):
+    one Python walk per (root, row) over the table's own tests, `<=` or `==`
+    as is_le says, to left on a test that holds and to right otherwise."""
+    feat, is_le, val = table.feat.tolist(), table.is_le.tolist(), table.val.tolist()
+    left, right = table.left.tolist(), table.right.tolist()
+    rows = np.asarray(rows, dtype=float).tolist()
+    out = np.empty((len(roots), len(rows)), dtype=np.int64)
+    for k, root in enumerate(roots):
+        for i, row in enumerate(rows):
+            node = int(root)
+            while feat[node] >= 0:
+                v, t = row[feat[node]], val[node]
+                node = left[node] if (v <= t if is_le[node] else v == t) else right[node]
+            out[k, i] = node
+    return out
 
 
 class _Grower:

@@ -198,7 +198,7 @@ def test_criterion_6_smote_property_suite():
         if (counts == 1).any() or (counts == 0).any():
             continue
         cfg = SmoteConfig(k_neighbors=int(rng.integers(1, 7)), seed=int(rng.integers(1e9)))
-        syn, syn_y = smote_nc(rows, labels, schema, cfg)
+        syn, syn_y, notes = smote_nc(rows, labels, schema, cfg)
         num = schema.numeric_mask()
         for cls in np.unique(labels):
             cls_rows = rows[labels == cls]
@@ -215,8 +215,8 @@ def test_criterion_6_smote_property_suite():
         after = counts + np.bincount(syn_y, minlength=len(counts))
         assert (after == counts.max()).all()
         # determinism
-        syn2, syn_y2 = smote_nc(rows, labels, schema, cfg)
-        assert np.array_equal(syn, syn2) and np.array_equal(syn_y, syn_y2)
+        syn2, syn_y2, notes2 = smote_nc(rows, labels, schema, cfg)
+        assert np.array_equal(syn, syn2) and np.array_equal(syn_y, syn_y2) and notes == notes2
         configs += 1
     report_passed(6, f"convexity/closure/purity/balance/determinism over {configs} configs")
 

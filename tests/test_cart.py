@@ -1,4 +1,6 @@
 import json
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from araucana.cart import (
 from araucana.tabular import REGRESSION, FeatureSpec, Schema, TargetSpec
 
 from conftest import DEEP_JSON_REFUSED, chain_dataset, random_mixed_schema, random_rows
-from reference_cart import reference_fit_tree, reference_grow, tree_from_dict
+from reference_cart import reference_fit_tree, reference_grow, reference_route, tree_from_dict
 
 
 def and_dataset(two_cat_schema):
@@ -363,13 +365,64 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     np.testing.assert_array_equal(roots, ref_roots)
     np.testing.assert_array_equal(leaves, ref_leaves)
     starts = np.cumsum([0] + [len(rows) for rows in samples])
+    plan = cart.route_plan(together.table)
     for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
         alone, _, alone_leaves = cart.grow_trees(X, y, schema, task, [rows], [draw])
         assert tree_to_dict(cut) == tree_to_dict(alone)
         _same_trees(cut, alone)  # its own ids, depth and leaf count
         part = leaves[starts[t]:starts[t + 1]]
-        np.testing.assert_array_equal(part, cart.route(together.table, roots[t:t + 1], X[rows])[0])
+        np.testing.assert_array_equal(part, cart.route(plan, roots[t:t + 1], X[rows])[0])
         np.testing.assert_array_equal(part - roots[t], alone_leaves)
     for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
         _same_trees(cart.grow_trees(X, y, schema, task, samples, draws)[0], together)
+
+
+@pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
+def test_route_equals_reference_walk(monkeypatch, target):
+    rng = np.random.default_rng(130)
+    schema, X, y, task = _tied_data(rng, target)
+    p, num = schema.n_features, schema.numeric_mask()
+    samples = [rng.integers(0, len(X), size=len(X)) for _ in range(5)]
+    draws = [(t, 1 + t % p) if t % 2 else None for t in range(len(samples))]
+    forest, roots, _ = cart.grow_trees(X, y, schema, task, samples, draws)
+    constant, constant_roots, _ = cart.grow_trees(X, np.zeros_like(y), schema, task, samples, draws)
+    assert (constant.table.feat < 0).all()
+    # NaN numerics, and category codes outside the schema, which no split tests
+    rows = np.vstack([X, random_rows(rng, schema, 30)])
+    rows[(rng.random(rows.shape) < 0.2) & num] = np.nan
+    odd = (rng.random(rows.shape) < 0.2) & ~num
+    rows[odd] = rng.choice([-1.0, 7.0], size=odd.sum())
+    chain = chain_dataset(1200)  # 1,199 levels: many times ROUTE_STEPS
+    deep = fit_tree(chain.X, chain.y, chain.schema)
+    deep_rows = np.vstack([chain.X, [[-3.0], [599.5], [np.nan], [1e9]]])
+    cases = [(forest.table, roots, rows), (constant.table, constant_roots, rows),
+             (deep.table, np.zeros(1, dtype=np.int64), deep_rows)]
+    for table, tops, batch in cases:
+        want = reference_route(table, tops, batch)
+        plan = cart.route_plan(table)
+        with _deadline(60):
+            np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
+            np.testing.assert_array_equal(cart.route(plan, tops, batch[:0]), want[:, :0])
+            # drops after every step or every few, and the batch in 3 or 7 chunks
+            for steps, chunks in ((1, 3), (3, 7)):
+                monkeypatch.setattr(cart, "ROUTE_STEPS", steps)
+                monkeypatch.setattr(cart, "ROUTE_CHUNK_PAIRS",
+                                    len(tops) * (len(batch) // chunks + 1))
+                np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
+        monkeypatch.undo()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when routing does not stop: a pair stops only
+    at a node that is its own child."""
+    def stop(*_):
+        raise AssertionError(f"routing took more than {seconds} s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -336,3 +337,23 @@ def test_smote_failure_fails_only_its_row(monkeypatch):
     assert report.failures == {"araucana": 1, "linear": 0}
     assert report.per_instance == [r for r in clean.per_instance
                                    if (r["explainer"], r["index"]) != ("araucana", 2)]
+
+
+def test_smote_notes_warn_with_their_test_row():
+    train, test, oracle = _mixed_task(1, "classification", 90, 8)
+    cfg = ExplainConfig(n_neighbors=25, seed=7)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+    want = []
+    for i, x in enumerate(test.X):
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            expl = explain_instance(train, x, oracle, fidelity._row_config(cfg, i))
+        query = train.schema.decode_row(x)
+        assert [str(w.message) for w in alone] == [f"SMOTE-NC for query {query}: {note}"
+                                                   for note in expl.smote_notes]
+        want += [f"SMOTE-NC on test row {i}: {note}" for note in expl.smote_notes]
+    # some rows have notes and some have none, so the index is what tells them apart
+    assert 0 < len({w.split(":")[0] for w in want}) < len(test)
+    assert [str(w.message) for w in caught] == want

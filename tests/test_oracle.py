@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from araucana import cart, gower, oracle as oracle_mod
-from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, predict_batch, tree_to_dict
+from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, tree_to_dict
 from araucana.gower import DistanceMetric, distances_to
 from araucana.oracle import (
     BuiltinOracle,
@@ -26,7 +26,7 @@ from araucana.oracle import (
 )
 from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
 
-from reference_cart import forest_from_dicts, reference_fit_tree
+from reference_cart import forest_from_dicts, reference_fit_tree, reference_route
 
 from conftest import (
     chain_dataset,
@@ -81,8 +81,9 @@ def _reference_trees(ds, cfg):
 
 
 def _per_tree_vote(trees, ds, rows):
-    """Reference forest prediction: route each tree on its own, then vote."""
-    votes = np.stack([predict_batch(t, rows) for t in trees])
+    """Reference forest prediction: walk each row down each tree on its own
+    (reference_route), then vote."""
+    votes = np.stack([t.table.pred[reference_route(t.table, [0], rows)[0]] for t in trees])
     if ds.task == REGRESSION:
         return votes.mean(axis=0)
     n_classes = len(ds.schema.target.classes)
@@ -109,9 +110,9 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
         if data is constant:  # one leaf per tree
             np.testing.assert_array_equal(forest.roots, np.arange(n_trees))
             assert (forest.nodes.table.feat < 0).all()
-        for rows in (probe[:1], probe[0], probe[:30], probe):
-            np.testing.assert_array_equal(forest.predict_batch(rows),
-                                          _per_tree_vote(trees, data, np.atleast_2d(rows)))
+        want = _per_tree_vote(trees, data, probe)
+        for rows, n in ((probe[:1], 1), (probe[0], 1), (probe[:30], 30), (probe, len(probe))):
+            np.testing.assert_array_equal(forest.predict_batch(rows), want[:n])
 
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_model(forest, a)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,8 @@ def test_two_member_minority_segment_and_unanimous_category():
     schema = mixed_schema()
     rows = np.array([[2.0, 0.0], [4.0, 0.0], [1.0, 1.0], [5.0, 1.0], [7.0, 1.0], [9.0, 1.0]])
     labels = np.array([0, 0, 1, 1, 1, 1])
-    syn, syn_y = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=1, seed=4))
+    syn, syn_y, notes = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=1, seed=4))
+    assert notes == []
     assert len(syn) == 2  # 4 - 2
     assert (syn_y == 0).all()
     assert ((syn[:, 0] >= 2.0) & (syn[:, 0] <= 4.0)).all()
@@ -38,8 +41,8 @@ def test_balanced_classes_yield_nothing():
     schema = mixed_schema()
     rows = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [4.0, 1.0]])
     labels = np.array([0, 0, 1, 1])
-    syn, syn_y = smote_nc(rows, labels, schema, SmoteConfig(seed=1))
-    assert len(syn) == 0 and len(syn_y) == 0
+    syn, syn_y, notes = smote_nc(rows, labels, schema, SmoteConfig(seed=1))
+    assert len(syn) == 0 and len(syn_y) == 0 and notes == []
 
 
 def test_minority_of_three_numeric_brute_force():
@@ -54,8 +57,10 @@ def test_minority_of_three_numeric_brute_force():
     segments = [
         (min(a, b), max(a, b)) for i, a in enumerate(minority) for b in minority[i + 1:]
     ]
-    with pytest.warns(UserWarning, match="k_neighbors reduced"):
-        syn, _ = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=5, seed=9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the note is returned, not warned
+        syn, _, notes = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=5, seed=9))
+    assert notes == ["class 0: k_neighbors reduced to 2 (class size 3)"]
     assert len(syn) == 6
     for v in syn[:, 0]:
         assert any(lo <= v <= hi for lo, hi in segments)
@@ -109,12 +114,11 @@ def test_categorical_value_closure_under_neighbors():
         [[1.0, 0.0], [1.1, 0.0], [0.9, 1.0], [9.0, 2.0]] + [[5.0 + i, 0.0] for i in range(8)]
     )
     labels = np.array([0, 0, 0, 0] + [1] * 8)
-    syn, _ = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=2, seed=2))
+    syn, _, _ = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=2, seed=2))
     # k=2 neighborhoods of the clustered seeds never include the C outlier
     assert set(np.unique(syn[:, 1])) <= {0.0, 1.0}
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_label_purity_and_exact_balance_random():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -129,22 +133,26 @@ def test_label_purity_and_exact_balance_random():
         counts = np.bincount(labels, minlength=len(schema.target.classes))
         if (counts == 1).any():
             continue
-        syn, syn_y = smote_nc(rows, labels, schema, cfg)
+        syn, syn_y, notes = smote_nc(rows, labels, schema, cfg)
+        # a class that is oversampled with fewer rows than k + 1 draws from all the others
+        assert notes == [f"class {c}: k_neighbors reduced to {n - 1} (class size {n})"
+                         for c, n in enumerate(counts.tolist())
+                         if 0 < n < counts.max() and n <= cfg.k_neighbors]
         after = counts + np.bincount(syn_y, minlength=len(counts))
         present = counts > 0
         assert (after[present] == counts.max()).all()
         # determinism
-        syn2, syn_y2 = smote_nc(rows, labels, schema, cfg)
+        syn2, syn_y2, _ = smote_nc(rows, labels, schema, cfg)
         np.testing.assert_array_equal(syn, syn2)
         np.testing.assert_array_equal(syn_y, syn_y2)
 
 
-def test_singleton_class_skipped_with_warning():
+def test_singleton_class_skipped_with_note():
     schema = mixed_schema()
     rows = np.array([[1.0, 0.0], [5.0, 1.0], [6.0, 1.0], [7.0, 1.0]])
     labels = np.array([0, 1, 1, 1])
-    with pytest.warns(UserWarning, match="skipping"):
-        syn, syn_y = smote_nc(rows, labels, schema, SmoteConfig(seed=0))
+    syn, syn_y, notes = smote_nc(rows, labels, schema, SmoteConfig(seed=0))
+    assert notes == ["class 0 has 1 row(s); skipping oversampling"]
     assert len(syn) == 0
 
 
@@ -153,7 +161,7 @@ def test_fixed_total_policy():
     rows = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [4.0, 1.0], [5.0, 1.0]])
     labels = np.array([0, 0, 1, 1, 1])
     cfg = SmoteConfig(k_neighbors=1, target_policy="fixed", fixed_total=6, seed=3)
-    syn, syn_y = smote_nc(rows, labels, schema, cfg)
+    syn, syn_y, _ = smote_nc(rows, labels, schema, cfg)
     after = np.bincount(labels, minlength=2) + np.bincount(syn_y, minlength=2)
     assert after.tolist() == [6, 6]
 
@@ -175,7 +183,7 @@ def test_all_categorical_penalty_is_defined():
     )
     rows = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 0, 1, 1, 1, 1])
-    syn, syn_y = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=1, seed=1))
+    syn, syn_y, _ = smote_nc(rows, labels, schema, SmoteConfig(k_neighbors=1, seed=1))
     assert len(syn) == 2
     for v in syn.ravel():
         assert v in (0.0, 1.0)
