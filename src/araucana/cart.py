@@ -25,18 +25,20 @@ growth ends each leaf's rows are a slice of the grower's row buffer, so it
 also reports the leaf every sample row reached, with no second routing.
 
 A tree has one form, the struct-of-arrays layout of scikit-learn's `tree_`:
-a NodeTable whose nodes are in preorder (the root is node 0, a split's left
-child follows it) plus one leaf-statistics array beside it. A forest is the
-same table with many roots: each tree's preorder nodes follow the previous
-tree's, and child ids index the whole table. The grower numbers the nodes in
-preorder once growth ends; decision paths, tree_to_dict and a saved forest's
-columns (oracle.save_model) read the arrays, and a loaded forest is built
+a NodeTable, whose columns are the ones a saved forest stores, plus one
+leaf-statistics array beside it. The table keeps nothing another value
+decides: its nodes are in preorder, so a split's left child is the node
+after it (the root is node 0), and the schema's feature kind gives a split's
+test. A forest is the same table with many roots: each tree's preorder nodes
+follow the previous tree's, and child ids index the whole table. The grower
+numbers the nodes in preorder once growth ends, and a loaded forest is built
 from its columns by _explainer_tree.
 
-Prediction walks a RoutePlan, which route_plan derives from the node table
-alone and which is never saved: each node becomes one `<=` test on a widened
-row, and a leaf is its own child. A forest derives its plan once, when it is
-built (oracle.ForestModel); apply and predict_batch derive one per call.
+Prediction walks a RoutePlan, which route_plan derives from the table and
+the schema and which is never saved: each node becomes one `<=` test on a
+widened row, and a leaf is its own child. A forest derives its plan once,
+when it is built (oracle.ForestModel); apply and predict_batch derive one per
+call.
 """
 
 from __future__ import annotations
@@ -57,19 +59,19 @@ CATEGORY_EQ = "category_eq"
 
 
 class NodeTable(NamedTuple):
-    """Struct-of-arrays node table for one tree or a forest of them.
+    """Struct-of-arrays node table for one tree or a forest of them: the
+    columns of a saved forest (see oracle._forest_table).
 
     Node i is a leaf when feat[i] < 0, and then pred[i] is its prediction.
-    Otherwise it tests row[feat[i]] <= val[i] (is_le[i]) or row[feat[i]] ==
-    val[i] and sends the row to left[i] when the test holds, else right[i].
-    Each tree's nodes are in preorder: its root comes first and a split's
-    left child is the node right after it.
+    Otherwise it tests row[feat[i]] against val[i], `<=` when the schema's
+    feature feat[i] is numeric and `==` when it is categorical, and sends the
+    row to node i + 1 when the test holds, else to right[i]. Each tree's
+    nodes are in preorder: its root comes first and a split's left child is
+    the node right after it.
     """
 
     feat: np.ndarray
-    is_le: np.ndarray
     val: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     pred: np.ndarray
 
@@ -93,12 +95,10 @@ class ExplainerTree:
     leaf_count: int
 
 
-def _explainer_tree(schema, task, feat, is_le, val, right, pred, stats, depth) -> ExplainerTree:
+def _explainer_tree(schema, task, feat, val, right, pred, stats, depth) -> ExplainerTree:
     """A tree from its preorder node columns; a split's left child follows it."""
-    split = feat >= 0
-    left = np.where(split, np.arange(len(feat)) + 1, 0)
-    return ExplainerTree(NodeTable(feat, is_le, val, left, right, pred), stats, schema, task,
-                         depth, int(len(feat) - split.sum()))
+    return ExplainerTree(NodeTable(feat, val, right, pred), stats, schema, task,
+                         depth, int((feat < 0).sum()))
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -319,8 +319,7 @@ class _Frontier:
         feat, val, pred = cols[0, at].astype(np.int64), cols[1, at], cols[2, at]
         stats = cols[4:, at].T.astype(np.int64, order="C")
         del cols, at  # a forest's columns are large: free them before the table is built
-        is_le = np.append(self.numeric, False)[feat]  # a leaf's -1 reads the False
-        tree = _explainer_tree(self.schema, self.task, feat, is_le, val,
+        tree = _explainer_tree(self.schema, self.task, feat, val,
                                np.where(feat >= 0, right, 0), pred,
                                stats if self.task == CLASSIFICATION else stats[:, 0], self.depth)
         leaf = (feat < 0).nonzero()[0]
@@ -387,7 +386,7 @@ def node_depths(table: NodeTable, roots) -> np.ndarray:
     while len(level):
         depth[level] = d
         inner = level[table.feat[level] >= 0]
-        level, d = np.concatenate((table.left[inner], table.right[inner])), d + 1
+        level, d = np.concatenate((inner + 1, table.right[inner])), d + 1
     return depth
 
 
@@ -400,7 +399,7 @@ def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
     out = []
     for a, b in zip(bounds, bounds[1:]):
         feat = t.feat[a:b]
-        out.append(_explainer_tree(tree.schema, tree.task, feat, t.is_le[a:b], t.val[a:b],
+        out.append(_explainer_tree(tree.schema, tree.task, feat, t.val[a:b],
                                    np.where(feat >= 0, t.right[a:b] - a, 0), t.pred[a:b],
                                    tree.leaf_stats[a:b], int(depth[a:b].max())))
     return out
@@ -430,14 +429,17 @@ class RoutePlan(NamedTuple):
     cat_val: np.ndarray
 
 
-def route_plan(table: NodeTable) -> RoutePlan:
-    """The routing plan of a node table; it needs no schema. A numeric split
-    tests its feature's column against its threshold, and a categorical
-    split tests its (feature, category) column against -0.5, so a NaN or a
-    category no split tests goes right, as the table's own tests send it."""
+def route_plan(tree: ExplainerTree) -> RoutePlan:
+    """The routing plan of a tree's node table, a split's kind read from the
+    schema. A numeric split tests its feature's column against its
+    threshold, and a categorical split tests its (feature, category) column
+    against -0.5, so a NaN or a category no split tests goes right, as the
+    table's own tests send it."""
+    table = tree.table
     feat, ids = table.feat, np.arange(len(table.feat))
     split = feat >= 0
-    num, cat = split & table.is_le, split & ~table.is_le
+    num = np.append(tree.schema.numeric_mask(), False)[feat]  # a leaf's -1 reads the False
+    cat = split & ~num
     pairs, pair_of = np.unique(np.stack((feat[cat], table.val[cat])), axis=1,
                                return_inverse=True)
     n_row = int(feat[num].max(initial=-1)) + 1
@@ -445,7 +447,7 @@ def route_plan(table: NodeTable) -> RoutePlan:
     col[cat] = n_row + pair_of.reshape(-1)
     thr = np.where(num, table.val, np.inf)
     thr[cat] = -0.5
-    child = np.stack((np.where(split, table.right, ids), np.where(split, table.left, ids)), 1)
+    child = np.stack((np.where(split, table.right, ids), np.where(split, ids + 1, ids)), 1)
     return RoutePlan(col, thr, child.ravel(), n_row, pairs[0].astype(np.int64), pairs[1])
 
 
@@ -492,7 +494,7 @@ def apply(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
-    return route(route_plan(tree.table), np.zeros(1, dtype=np.int64), rows)[0]
+    return route(route_plan(tree), np.zeros(1, dtype=np.int64), rows)[0]
 
 
 def predict_batch(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
@@ -512,15 +514,15 @@ def decision_path(tree: ExplainerTree, inst: np.ndarray) -> list[tuple[int, str,
     """Root-to-leaf tests for inst as (feature, kind, value, branch_taken_true)."""
     inst = np.asarray(inst, dtype=float)
     validate_instance(tree.schema, inst)
-    t = tree.table
+    t, numeric = tree.table, tree.schema.numeric_mask()
     path = []
     node = 0
     while t.feat[node] >= 0:
         feature, value = int(t.feat[node]), float(t.val[node])
         v = inst[feature]
-        taken = bool(v <= value if t.is_le[node] else v == value)
-        path.append((feature, NUMERIC_LE if t.is_le[node] else CATEGORY_EQ, value, taken))
-        node = t.left[node] if taken else t.right[node]
+        taken = bool(v <= value if numeric[feature] else v == value)
+        path.append((feature, NUMERIC_LE if numeric[feature] else CATEGORY_EQ, value, taken))
+        node = node + 1 if taken else t.right[node]
     return path
 
 
@@ -535,19 +537,18 @@ def tree_stats(tree: ExplainerTree) -> dict:
 def tree_to_dict(tree: ExplainerTree) -> dict:
     """Nested JSON form of a one-root tree (split_trees gives a forest's trees
     one by one): each split holds its left and right subtrees."""
-    t = tree.table
-    feat, is_le, val = t.feat.tolist(), t.is_le.tolist(), t.val.tolist()
-    left, right = t.left.tolist(), t.right.tolist()
+    t, numeric = tree.table, tree.schema.numeric_mask().tolist()
+    feat, val, right = t.feat.tolist(), t.val.tolist(), t.right.tolist()
     pred, stats = t.pred.tolist(), tree.leaf_stats.tolist()
     docs: list = [None] * len(feat)
     for i in range(len(feat) - 1, -1, -1):  # children come after their parent
         if feat[i] >= 0:
-            if is_le[i]:
+            if numeric[feat[i]]:
                 test = {"kind": NUMERIC_LE, "threshold": val[i]}
             else:
                 test = {"kind": CATEGORY_EQ, "category": int(val[i])}
             docs[i] = {"feature": feat[i], "test": test,
-                       "left": docs[left[i]], "right": docs[right[i]]}
+                       "left": docs[i + 1], "right": docs[right[i]]}
         elif tree.task == CLASSIFICATION:
             docs[i] = {"leaf": {"prediction": tree.schema.decode_label(pred[i]),
                                 "counts": stats[i]}}

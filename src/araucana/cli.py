@@ -224,8 +224,8 @@ def _explain_config(args) -> ExplainConfig:
     elif policy == "balance":
         smote = SmoteConfig(k_neighbors=args.smote_k, seed=args.seed)
     else:
-        smote = SmoteConfig(k_neighbors=args.smote_k, target_policy="fixed",
-                            fixed_total=int(policy.split(":", 1)[1]), seed=args.seed)
+        smote = SmoteConfig(k_neighbors=args.smote_k, fixed_total=int(policy.split(":", 1)[1]),
+                            seed=args.seed)
     return ExplainConfig(
         n_neighbors=args.n_neighbors,
         distance=args.distance,

@@ -37,7 +37,7 @@ from . import cart
 from .gower import DistanceMetric, nearest_rows
 from .oracle import PredictionOracle
 from .smote import SmoteConfig, smote_nc
-from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, validate_instance
+from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, validate_instance, value_text
 
 ORIGINAL = "original"
 QUERY = "query"
@@ -338,7 +338,7 @@ def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: Exp
         smote_echo = "off (regression task)"
     else:
         smote_echo = {
-            "policy": smote.target_policy,
+            "policy": "balance" if smote.fixed_total is None else "fixed",
             "k_neighbors": smote.k_neighbors,
             **({"fixed_total": smote.fixed_total} if smote.fixed_total is not None else {}),
         }
@@ -374,10 +374,6 @@ def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: Exp
     )
 
 
-def _format_value(v) -> str:
-    return repr(float(v)) if isinstance(v, float) else str(v)
-
-
 def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
     """Stable text or JSON rendering of an explanation."""
     schema = expl.tree.schema
@@ -405,7 +401,7 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
         raise ValueError(f"unknown render format {format!r}")
     if expl.rule.conditions:
         cond = " AND ".join(
-            f"{c.feature} {c.op} {_format_value(c.value)}" for c in expl.rule.conditions
+            f"{c.feature} {c.op} {value_text(c.value)}" for c in expl.rule.conditions
         )
     else:
         cond = "(always)"

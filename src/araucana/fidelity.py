@@ -30,7 +30,7 @@ from .explain import (
     select_neighborhoods,
 )
 from .oracle import OracleError, PredictionOracle
-from .tabular import CLASSIFICATION, Dataset, Schema
+from .tabular import CLASSIFICATION, Dataset, Schema, value_text
 
 ARAUCANA = "araucana"
 LINEAR = "linear"
@@ -141,8 +141,6 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
             raise ValueError(f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})")
     schema = train.schema
     per_instance = []
-    agreements = {name: 0 for name in explainers}
-    totals = {name: 0 for name in explainers}
     failures = {name: 0 for name in explainers}
 
     labels = TrainLabels(len(train))
@@ -176,8 +174,6 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                     failures[name] += 1
                     warnings.warn(f"{name} failed on test row {i}: {exc}", stacklevel=2)
                     continue
-                totals[name] += 1
-                agreements[name] += int(agree)
                 per_instance.append(
                     {
                         "explainer": name,
@@ -190,15 +186,10 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
 
     summaries = []
     for name in explainers:
-        total = totals[name]
-        summaries.append(
-            {
-                "explainer": name,
-                "agreements": agreements[name],
-                "total": total,
-                "fidelity": agreements[name] / total if total else float("nan"),
-            }
-        )
+        agrees = [r["agree"] for r in per_instance if r["explainer"] == name]
+        agreements, total = sum(agrees), len(agrees)
+        summaries.append({"explainer": name, "agreements": agreements, "total": total,
+                          "fidelity": agreements / total if total else float("nan")})
     return FidelityReport(summaries, per_instance, failures)
 
 
@@ -223,11 +214,8 @@ def report_to_csv(report: FidelityReport) -> tuple[bytes, bytes]:
     writer.writerow(["explainer", "index", "oracle_label", "prediction", "agree"])
     for r in report.per_instance:
         writer.writerow(
-            [r["explainer"], r["index"], _csv_cell(r["oracle_label"]),
-             _csv_cell(r["prediction"]), str(r["agree"]).lower()]
+            [r["explainer"], r["index"], value_text(r["oracle_label"]),
+             value_text(r["prediction"]), str(r["agree"]).lower()]
         )
     return summary, out.getvalue().encode("utf-8")
 
-
-def _csv_cell(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)

@@ -95,10 +95,9 @@ class ForestModel:
         self.nodes = nodes
         self.roots = np.asarray(roots, dtype=np.int64)
         self.schema, self.task = nodes.schema, nodes.task
-        self.n_trees = len(self.roots)
         self.tree_seeds = list(tree_seeds)
         self.feature_subsample = feature_subsample
-        self.plan = cart.route_plan(nodes.table)
+        self.plan = cart.route_plan(nodes)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
@@ -441,13 +440,15 @@ def _column(doc, key, kinds="iu") -> np.ndarray:
 
 
 def _forest_table(doc, schema: Schema, task: str):
-    """The node table and root ids of a forest file's columns. Node i is a
-    leaf when feature[i] is -1; otherwise it tests feature[i] against value[i]
-    (<= on a numeric feature, == on a categorical one) and sends a row to
-    i + 1 when the test holds, else to right[i]. Per leaf, in node order,
+    """The node table and root ids of a forest file's columns, which are the
+    table's own columns (cart.NodeTable). Node i is a leaf when feature[i] is
+    -1; otherwise it tests feature[i] against value[i], <= when the schema
+    says the feature is numeric and == when it is categorical, and sends a row
+    to i + 1 when the test holds, else to right[i]. Per leaf, in node order,
     come its prediction (the class index, or the regression value) and its
     class counts (K per leaf) or row count n. The columns are checked before
-    the table is built: every split's children lie after it in its tree, and
+    the table is built: a categorical split's value is one of its feature's
+    category indices, every split's children lie after it in its tree, and
     every node but a root is the child of one split, so the nodes form trees
     and routing moves forward and stops."""
     K = len(schema.target.classes) if task == CLASSIFICATION else 0
@@ -466,6 +467,10 @@ def _forest_table(doc, schema: Schema, task: str):
         raise ValueError(f"a feature outside -1..{schema.n_features - 1}")
     if K and ((pred < 0) | (pred >= K)).any():
         raise ValueError(f"a class index outside 0..{K - 1}")
+    n_cats = np.array([0 if f.is_numeric else len(f.categories) for f in schema.features])
+    cats, v = n_cats[feat[split]], val[split]
+    if ((cats > 0) & ((v != np.floor(v)) | (v < 0) | (v >= cats))).any():
+        raise ValueError("a categorical split's value is not a category index of its feature")
     end = np.append(roots[1:], N)[np.searchsorted(roots, split, side="right") - 1]
     if ((right[split] <= split + 1) | (right[split] >= end)).any():
         raise ValueError("a split's right child is not after its left child in its tree")
@@ -475,7 +480,6 @@ def _forest_table(doc, schema: Schema, task: str):
     leaf = feat < 0
     preds, stats = np.zeros(N), np.zeros((N, K) if K else N, np.int64)
     preds[leaf], stats[leaf] = pred, counts.reshape(n_leaves, K) if K else counts
-    is_le = np.append(schema.numeric_mask(), False)[feat]  # a leaf's -1 reads the False
-    nodes = cart._explainer_tree(schema, task, feat, is_le, val, right, preds, stats, 0)
+    nodes = cart._explainer_tree(schema, task, feat, val, right, preds, stats, 0)
     nodes.depth = int(cart.node_depths(nodes.table, roots).max())
     return nodes, roots

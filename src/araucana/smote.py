@@ -20,24 +20,23 @@ import numpy as np
 from .gower import nearest
 from .tabular import CLASSIFICATION, Schema
 
-BALANCE = "balance"
-FIXED = "fixed"
-
 
 @dataclass(frozen=True)
 class SmoteConfig:
+    """Oversampling of each class up to a total: the majority class's size
+    when fixed_total is None (the "balance" policy), else fixed_total rows
+    per class (the "fixed" policy). A class at or above its total gets no
+    synthetics."""
+
     k_neighbors: int = 5
-    target_policy: str = BALANCE
-    fixed_total: int | None = None  # per-class total under the 'fixed' policy
+    fixed_total: int | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise ValueError("k_neighbors must be >= 1")
-        if self.target_policy not in (BALANCE, FIXED):
-            raise ValueError(f"unknown target policy {self.target_policy!r}")
-        if self.target_policy == FIXED and (self.fixed_total is None or self.fixed_total < 0):
-            raise ValueError("'fixed' policy requires a non-negative fixed_total")
+        if self.fixed_total is not None and self.fixed_total < 0:
+            raise ValueError("fixed_total must be >= 0")
 
 
 def _normalized_numeric(X: np.ndarray, schema: Schema) -> np.ndarray:
@@ -90,14 +89,13 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
         raise ValueError("rows and labels length mismatch")
     rng = np.random.default_rng(cfg.seed)
     classes, counts = np.unique(labels, return_counts=True)
-    majority = int(counts.max()) if len(counts) else 0
+    target = int(counts.max(initial=0) if cfg.fixed_total is None else cfg.fixed_total)
 
     out_rows: list[np.ndarray] = []
     out_labels: list[int] = []
     notes: list[str] = []
     num_mask = schema.numeric_mask()
     for cls, count in zip(classes, counts):
-        target = majority if cfg.target_policy == BALANCE else int(cfg.fixed_total)
         need = target - int(count)
         if need <= 0:
             continue

@@ -442,16 +442,18 @@ def save_dataset(ds: Dataset, csv_path, schema_path=None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in range(len(ds)):
-            row = [_cell(v) for v in ds.schema.decode_row(ds.X[r])]
+            row = [value_text(v) for v in ds.schema.decode_row(ds.X[r])]
             if ds.schema.target is not None and ds.y is not None:
-                row.append(_cell(ds.schema.decode_label(ds.y[r])))
+                row.append(value_text(ds.schema.decode_label(ds.y[r])))
             writer.writerow(row)
     if schema_path is not None:
         ds.schema.save(schema_path)
 
 
-def _cell(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+def value_text(v) -> str:
+    """A value as CSV and rule text write it: a float as its shortest
+    round-trip repr, anything else (an int, a category or class name) as str."""
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 @dataclass(frozen=True)

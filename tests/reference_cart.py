@@ -7,7 +7,9 @@ per candidate feature. It exists only as the reference that the frontier
 grower's tests compare against: same splits, same thresholds, same node ids,
 same leaf statistics, same rng draws. The reader appends the nested JSON of
 cart.tree_to_dict to the same preorder columns, so a forest saved as columns
-can be checked against the same trees read through their nested form.
+can be checked against the same trees read through their nested form; a
+node's test kind is not stored, as the schema decides it, and a nested test
+whose kind disagrees with the schema is refused.
 """
 
 from array import array
@@ -30,12 +32,12 @@ class _Preorder:
             n_classes = len(schema.target.classes) if has_classes else 0
         self.n_classes = n_classes
         self.feat, self.right, self.stats = array("q"), array("q"), array("q")
-        self.is_le, self.val, self.pred = array("b"), array("d"), array("d")
+        self.val, self.pred = array("d"), array("d")
         self.no_stats = [0] * n_classes if task == CLASSIFICATION else [0]
         self.depth = 0
 
-    def add(self, depth: int, right_of: int, feature: int = -1, kind: str = CATEGORY_EQ,
-            value: float = 0.0, pred: float = 0.0, stats=None) -> int:
+    def add(self, depth: int, right_of: int, feature: int = -1, value: float = 0.0,
+            pred: float = 0.0, stats=None) -> int:
         """Append one node and return its id; right_of is the split whose
         right child it is, or -1. A node without a feature is a leaf."""
         node = len(self.feat)
@@ -43,7 +45,6 @@ class _Preorder:
             self.right[right_of] = node
         self.depth = max(self.depth, depth)
         self.feat.append(feature)
-        self.is_le.append(kind == NUMERIC_LE)
         self.val.append(value)
         self.right.append(0)
         self.pred.append(pred)
@@ -68,9 +69,11 @@ class _Preorder:
                         stats=leaf["counts"])
                 continue
             test = sub["test"]
-            kind = test["kind"]
+            kind, feature = test["kind"], int(sub["feature"])
+            if (kind == NUMERIC_LE) != self.schema.features[feature].is_numeric:
+                raise ValueError(f"a {kind} test on feature {feature} disagrees with the schema")
             value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
-            node = add(depth, right_of, int(sub["feature"]), kind, value)
+            node = add(depth, right_of, feature, value)
             stack.append((sub["right"], depth + 1, node))
             stack.append((sub["left"], depth + 1, -1))
         return root
@@ -82,8 +85,7 @@ class _Preorder:
         if self.task == CLASSIFICATION:
             stats = stats.reshape(len(self.feat), self.n_classes)
         return _explainer_tree(self.schema, self.task, np.frombuffer(self.feat, dtype=np.int64),
-                               np.frombuffer(self.is_le, dtype=bool), np.frombuffer(self.val),
-                               np.frombuffer(self.right, dtype=np.int64),
+                               np.frombuffer(self.val), np.frombuffer(self.right, dtype=np.int64),
                                np.frombuffer(self.pred), stats, self.depth)
 
 
@@ -102,12 +104,15 @@ def forest_from_dicts(trees, schema: Schema, task: str) -> tuple[ExplainerTree, 
     return nodes.tree(), roots
 
 
-def reference_route(table, roots, rows) -> np.ndarray:
-    """Leaf ids of every row from every root, shape (len(roots), len(rows)):
-    one Python walk per (root, row) over the table's own tests, `<=` or `==`
-    as is_le says, to left on a test that holds and to right otherwise."""
-    feat, is_le, val = table.feat.tolist(), table.is_le.tolist(), table.val.tolist()
-    left, right = table.left.tolist(), table.right.tolist()
+def reference_route(tree, roots, rows) -> np.ndarray:
+    """Leaf ids of every row from every root of a tree's table, shape
+    (len(roots), len(rows)): one Python walk per (root, row) over the table's
+    own tests, `<=` on a feature the schema calls numeric and `==` on a
+    categorical one, to the next node on a test that holds and to the right
+    child otherwise."""
+    numeric = tree.schema.numeric_mask().tolist()
+    table = tree.table
+    feat, val, right = table.feat.tolist(), table.val.tolist(), table.right.tolist()
     rows = np.asarray(rows, dtype=float).tolist()
     out = np.empty((len(roots), len(rows)), dtype=np.int64)
     for k, root in enumerate(roots):
@@ -115,7 +120,7 @@ def reference_route(table, roots, rows) -> np.ndarray:
             node = int(root)
             while feat[node] >= 0:
                 v, t = row[feat[node]], val[node]
-                node = left[node] if (v <= t if is_le[node] else v == t) else right[node]
+                node = node + 1 if (v <= t if numeric[feat[node]] else v == t) else right[node]
             out[k, i] = node
     return out
 
@@ -254,7 +259,7 @@ class _Grower:
                 continue
 
             _, f, kind, value = split
-            node = nodes.add(depth, right_of, int(f), kind, float(value))
+            node = nodes.add(depth, right_of, int(f), float(value))
             col = self.X[idx, f]
             mask = col <= value if kind == NUMERIC_LE else col == value
             stack.append((at[~mask], depth + 1, node))

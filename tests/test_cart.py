@@ -189,7 +189,7 @@ def _is_leaf(tree, node):
 def _goes_left(tree, node, rows):
     t = tree.table
     col = rows[:, t.feat[node]]
-    return col <= t.val[node] if t.is_le[node] else col == t.val[node]
+    return col <= t.val[node] if tree.schema.numeric_mask()[t.feat[node]] else col == t.val[node]
 
 
 def _walk_sizes(tree, X):
@@ -202,7 +202,7 @@ def _walk_sizes(tree, X):
         if not _is_leaf(tree, node):
             mask = _goes_left(tree, node, X[idx])
             stack.append((tree.table.right[node], idx[~mask]))
-            stack.append((tree.table.left[node], idx[mask]))
+            stack.append((node + 1, idx[mask]))
     return out
 
 
@@ -234,6 +234,13 @@ def test_json_roundtrip_classification_and_regression():
         for a, b in zip(loaded.table, original.table):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded.leaf_stats, original.leaf_stats)
+
+    # the schema decides a test's kind: a nested test of the other kind is refused
+    numeric = schema.features[doc["feature"]].is_numeric
+    doc["test"] = ({"kind": cart.CATEGORY_EQ, "category": 0} if numeric
+                   else {"kind": cart.NUMERIC_LE, "threshold": 0.5})
+    with pytest.raises(ValueError, match="disagrees with the schema"):
+        tree_from_dict(doc, schema, "classification")
 
 
 def test_deep_tree_walks_without_recursion():
@@ -365,7 +372,7 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     np.testing.assert_array_equal(roots, ref_roots)
     np.testing.assert_array_equal(leaves, ref_leaves)
     starts = np.cumsum([0] + [len(rows) for rows in samples])
-    plan = cart.route_plan(together.table)
+    plan = cart.route_plan(together)
     for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
         alone, _, alone_leaves = cart.grow_trees(X, y, schema, task, [rows], [draw])
         assert tree_to_dict(cut) == tree_to_dict(alone)
@@ -396,11 +403,11 @@ def test_route_equals_reference_walk(monkeypatch, target):
     chain = chain_dataset(1200)  # 1,199 levels: many times ROUTE_STEPS
     deep = fit_tree(chain.X, chain.y, chain.schema)
     deep_rows = np.vstack([chain.X, [[-3.0], [599.5], [np.nan], [1e9]]])
-    cases = [(forest.table, roots, rows), (constant.table, constant_roots, rows),
-             (deep.table, np.zeros(1, dtype=np.int64), deep_rows)]
-    for table, tops, batch in cases:
-        want = reference_route(table, tops, batch)
-        plan = cart.route_plan(table)
+    cases = [(forest, roots, rows), (constant, constant_roots, rows),
+             (deep, np.zeros(1, dtype=np.int64), deep_rows)]
+    for tree, tops, batch in cases:
+        want = reference_route(tree, tops, batch)
+        plan = cart.route_plan(tree)
         with _deadline(60):
             np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
             np.testing.assert_array_equal(cart.route(plan, tops, batch[:0]), want[:, :0])

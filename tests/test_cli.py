@@ -109,6 +109,29 @@ def test_explain_defaults_and_json_schema(tmp_path, capsys):
     assert on_disk == doc
 
 
+def test_explain_fixed_policy_echo(tmp_path, capsys):
+    data = synth_dir(tmp_path, "imbalanced_mixed", 200, 5)
+    rows = []
+    for total in (40, 0):
+        capsys.readouterr()
+        code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                    "--oracle", "builtin:forest", "--trees", 10, "--index", 3,
+                    "--smote-policy", f"fixed:{total}", "--format", "json", "--seed", 5])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["config"]["smote"].items()) == [
+            ("policy", "fixed"), ("k_neighbors", 5), ("fixed_total", total)]
+        n, stack = 0, [doc["tree"]]  # the explainer tree's rows
+        while stack:
+            node = stack.pop()
+            if "leaf" in node:
+                n += sum(node["leaf"]["counts"])
+            else:
+                stack += [node["left"], node["right"]]
+        rows.append(n)
+    assert rows[0] > rows[1] == 101  # 100 neighbors and the query, no synthetics at 0
+
+
 def test_explain_constant_oracle_always_rule(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 60, 3)
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
@@ -199,12 +222,16 @@ def _damage(doc, how) -> str:
     if how == "prediction":
         doc["prediction"][0] = 2  # a 2-class forest
         return "a class index outside"
+    if how.startswith("category"):  # a split on cat0 (2 categories) or cat1 (3)
+        doc["value"][next(i for i, f in enumerate(feat) if f >= 4)] = float(how[8:])
+        return "not a category index"  # every row went right
     del doc["format"]
     return "model format 1"
 
 
 @pytest.mark.parametrize("how", ["feature", "right", "shared", "roots", "value", "counts",
-                                 "type", "seeds", "prediction", "format"])
+                                 "type", "seeds", "prediction", "category9", "category0.5",
+                                 "category-1", "format"])
 def test_evaluate_damaged_model_file_exits_1(tmp_path, capsys, how):
     data = synth_dir(tmp_path, "imbalanced_mixed", 120, 2)
     assert run(["train", "--data", data / "data.csv", "--schema", data / "schema.json",

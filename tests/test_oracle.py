@@ -83,7 +83,7 @@ def _reference_trees(ds, cfg):
 def _per_tree_vote(trees, ds, rows):
     """Reference forest prediction: walk each row down each tree on its own
     (reference_route), then vote."""
-    votes = np.stack([t.table.pred[reference_route(t.table, [0], rows)[0]] for t in trees])
+    votes = np.stack([t.table.pred[reference_route(t, [0], rows)[0]] for t in trees])
     if ds.task == REGRESSION:
         return votes.mean(axis=0)
     n_classes = len(ds.schema.target.classes)

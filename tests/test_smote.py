@@ -160,7 +160,7 @@ def test_fixed_total_policy():
     schema = mixed_schema()
     rows = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 1.0], [4.0, 1.0], [5.0, 1.0]])
     labels = np.array([0, 0, 1, 1, 1])
-    cfg = SmoteConfig(k_neighbors=1, target_policy="fixed", fixed_total=6, seed=3)
+    cfg = SmoteConfig(k_neighbors=1, fixed_total=6, seed=3)
     syn, syn_y, _ = smote_nc(rows, labels, schema, cfg)
     after = np.bincount(labels, minlength=2) + np.bincount(syn_y, minlength=2)
     assert after.tolist() == [6, 6]
@@ -193,6 +193,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SmoteConfig(k_neighbors=0)
     with pytest.raises(ValueError):
-        SmoteConfig(target_policy="bogus")
-    with pytest.raises(ValueError):
-        SmoteConfig(target_policy="fixed")
+        SmoteConfig(fixed_total=-1)
