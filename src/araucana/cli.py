@@ -129,9 +129,8 @@ def _explainer_list(value: str) -> list[str]:
 
 
 def _smote_policy(value: str) -> str:
-    if value in ("balance", "off") or (
-        value.startswith("fixed:") and value.split(":", 1)[1].isdigit()
-    ):
+    total = value.removeprefix("fixed:")  # ASCII digits: int() refuses some isdigit() text
+    if value in ("balance", "off") or (total != value and total.isascii() and total.isdigit()):
         return value
     raise argparse.ArgumentTypeError(
         f"{value!r}: expected balance, fixed:<N>, or off"

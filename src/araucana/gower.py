@@ -30,8 +30,8 @@ EUCLIDEAN = "euclidean"
 # number of queries or rows
 DISTANCE_CHUNK_CELLS = 2**16
 
-# distances in one block of nearest_rows (2 MB of float64), which bounds its
-# memory for any number of queries. Four times DISTANCE_CHUNK_CELLS, so a block
+# distances in one block of nearest_rows and of SMOTE-NC's neighbor order (2 MB
+# of float64), which bounds their memory. Four times DISTANCE_CHUNK_CELLS, so a block
 # outweighs the chunk and partition temporaries inside it: at equal sizes the
 # allocator gave back and re-faulted about 4 MB of heap on every 101-row k-NN
 # call (1,000 minor faults, +2.5 ms).

@@ -3,12 +3,18 @@
 Synthetic samples interpolate a seed row with one of its k nearest same-class
 neighbors: numeric features move a uniform fraction lambda along the segment,
 categorical features take the majority value among the seed's k nearest
-same-class neighbors (ties to the lowest category index).
+same-class neighbors (ties to the lowest category index). The majority depends
+only on the seed, so it is computed once per class member.
 
 Neighbor search uses Euclidean distance over range-normalized numerics; each
 mismatched categorical pair adds (m/2)^2 to the squared distance, where m is
 the median of the per-class standard deviations of the normalized numeric
 features. With no numeric features the per-mismatch term is 1.
+
+Draw contract, on which the byte-identical outputs rest: one
+`default_rng(seed)` serves the classes in ascending order, and each synthetic
+row takes three scalar draws, in this order: seed member, neighbor slot,
+lambda. The rest is array passes per class.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gower import nearest
+from . import gower
 from .tabular import CLASSIFICATION, Schema
 
 
@@ -44,14 +50,15 @@ def _normalized_numeric(X: np.ndarray, schema: Schema) -> np.ndarray:
     lo, hi = schema.numeric_bounds()
     lo, hi = lo[mask], hi[mask]
     span = np.where(hi > lo, hi - lo, 1.0)
-    return (np.clip(X[:, mask], lo, hi) - lo) / span
+    return (X[:, mask].clip(lo, hi) - lo) / span
 
 
 def _mismatch_penalty(norm_num: np.ndarray) -> float:
     """Squared distance added per mismatched categorical pair."""
     if norm_num.shape[1] == 0:
         return 1.0
-    med = float(np.median(norm_num.std(axis=0)))
+    std = np.sort(norm_num.std(axis=0))
+    med = float(std[(len(std) - 1) // 2] + std[len(std) // 2]) / 2  # np.median's value, faster
     return (med / 2.0) ** 2
 
 
@@ -61,15 +68,21 @@ def _class_neighbor_order(X: np.ndarray, schema: Schema, members: np.ndarray,
     distance, nearest first, as an (m, k) array of positions into `members`;
     k < m. Ties break toward the lower original row index (members are in
     ascending index order), so a duplicate may precede a row at distance 0.
+    Distances come in blocks of about gower.NEAREST_BLOCK_DISTANCES, at
+    least one member each, each reduced to its nearest before the next.
     """
     sub = X[members]
     norm = _normalized_numeric(sub, schema)
-    penalty = _mismatch_penalty(norm)
+    penalty = _mismatch_penalty(norm)  # over the whole class, not per block
     cat = sub[:, ~schema.numeric_mask()]
-    d2 = ((norm[:, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
-    d2 += penalty * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)  # a row is not its own neighbor
-    return nearest(d2, k)
+    order = np.empty((len(sub), k), dtype=np.intp)
+    step = max(1, gower.NEAREST_BLOCK_DISTANCES // len(sub))
+    for a in range(0, len(sub), step):
+        d2 = ((norm[a:a + step, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
+        d2 += penalty * (cat[a:a + step, None, :] != cat[None, :, :]).sum(axis=2)
+        np.fill_diagonal(d2[:, a:], np.inf)  # a row is not its own neighbor
+        order[a:a + step] = gower.nearest(d2, k)
+    return order
 
 
 def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
@@ -77,7 +90,9 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
     """Generate synthetic minority samples; returns (rows, labels) of the
     synthetic points only, and notes on the classes it skipped (fewer than
     two rows) or drew from fewer than k_neighbors neighbors. Deterministic
-    for a fixed cfg.seed.
+    for a fixed cfg.seed: classes ascending, rows in draw order, and three
+    draws per row (seed member, neighbor slot, lambda). Each member's
+    categorical majority is computed once, however many rows it seeds.
     """
     if schema.target is not None and schema.target.kind != CLASSIFICATION:
         raise ValueError("smote_nc is defined for classification labels only")
@@ -91,38 +106,37 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
     classes, counts = np.unique(labels, return_counts=True)
     target = int(counts.max(initial=0) if cfg.fixed_total is None else cfg.fixed_total)
 
-    out_rows: list[np.ndarray] = []
-    out_labels: list[int] = []
+    out_rows = [np.empty((0, schema.n_features))]
+    out_labels = [np.empty(0, dtype=np.int64)]
     notes: list[str] = []
-    num_mask = schema.numeric_mask()
-    for cls, count in zip(classes, counts):
-        need = target - int(count)
+    num = schema.numeric_mask()
+    for cls, count in zip(classes.tolist(), counts.tolist()):
+        need = target - count
         if need <= 0:
             continue
         if count < 2:
-            notes.append(f"class {int(cls)} has {int(count)} row(s); skipping oversampling")
+            notes.append(f"class {cls} has {count} row(s); skipping oversampling")
             continue
         k = cfg.k_neighbors
         if k >= count:
-            k = int(count) - 1
-            notes.append(f"class {int(cls)}: k_neighbors reduced to {k} (class size {int(count)})")
+            k = count - 1
+            notes.append(f"class {cls}: k_neighbors reduced to {k} (class size {count})")
         members = np.flatnonzero(labels == cls)
         order = _class_neighbor_order(rows, schema, members, k)
-        for _ in range(need):
-            si = int(rng.integers(len(members)))
-            neigh = order[si]
-            nj = int(neigh[rng.integers(len(neigh))])
-            seed_row = rows[members[si]]
-            nbr_row = rows[members[nj]]
-            lam = rng.random()
-            new = seed_row.copy()
-            new[num_mask] = seed_row[num_mask] + lam * (nbr_row[num_mask] - seed_row[num_mask])
-            for j in np.flatnonzero(~num_mask):
-                vals = rows[members[neigh], j].astype(np.int64)
-                new[j] = np.argmax(np.bincount(vals))  # first max = lowest category index
-            out_rows.append(new)
-            out_labels.append(int(cls))
+        # the stream's order: seed member, neighbor slot, lambda (all exact in float64)
+        si, slot, lam = np.array([(rng.integers(count), rng.integers(k), rng.random())
+                                  for _ in range(need)]).T
+        si, slot = si.astype(np.intp), slot.astype(np.intp)
+        sub = rows[members]
+        new = sub[si]
+        new[:, num] += lam[:, None] * (sub[order[si, slot]][:, num] - new[:, num])
+        for j in np.flatnonzero(~num):
+            codes = sub[order, j].astype(np.int64)  # (count, k) neighbor categories
+            width = int(codes.max()) + 1
+            tally = np.bincount((np.arange(count)[:, None] * width + codes).ravel(),
+                                minlength=count * width)
+            new[:, j] = tally.reshape(count, width).argmax(1)[si]  # first max: lowest category
+        out_rows.append(new)
+        out_labels.append(np.full(need, cls, dtype=np.int64))
 
-    if not out_rows:
-        return np.empty((0, schema.n_features)), np.empty(0, dtype=np.int64), notes
-    return np.array(out_rows), np.array(out_labels, dtype=np.int64), notes
+    return np.concatenate(out_rows), np.concatenate(out_labels), notes

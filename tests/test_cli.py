@@ -132,6 +132,17 @@ def test_explain_fixed_policy_echo(tmp_path, capsys):
     assert rows[0] > rows[1] == 101  # 100 neighbors and the query, no synthetics at 0
 
 
+def test_smote_policy_total_must_be_ascii_digits(tmp_path, capsys):
+    # '²' and '٣' pass str.isdigit(); the first is no int() literal at all
+    data = synth_dir(tmp_path, "xor_mixed", 200, 1)
+    for policy in ("fixed:²", "fixed:٣", "fixed:", "fixed:-1", "fixed:+3", "fixed: 3", "Fixed:3"):
+        with pytest.raises(SystemExit) as exc:
+            run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                 "--oracle", "builtin:knn", "--index", 0, "--smote-policy", policy])
+        assert exc.value.code == 2
+        assert "expected balance, fixed:<N>, or off" in capsys.readouterr().err
+
+
 def test_explain_constant_oracle_always_rule(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 60, 3)
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",

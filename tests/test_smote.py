@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from araucana import gower
 from araucana.smote import (
     SmoteConfig,
     _class_neighbor_order,
@@ -13,6 +14,7 @@ from araucana.smote import (
 from araucana.tabular import FeatureSpec, Schema, TargetSpec
 
 from conftest import random_mixed_schema, random_rows
+from reference_smote import mismatch_penalty, neighbor_order, smote_nc as reference_smote_nc
 
 
 def mixed_schema():
@@ -67,19 +69,6 @@ def test_minority_of_three_numeric_brute_force():
         assert min(minority) <= v <= max(minority)
 
 
-def _argsort_without_self(rows, schema, members):
-    """The per-row SMOTE-NC neighbor order: a full stable argsort of the
-    class's distances with each row itself dropped."""
-    sub = rows[members]
-    norm = _normalized_numeric(sub, schema)
-    cat = sub[:, ~schema.numeric_mask()]
-    d2 = ((norm[:, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
-    d2 += _mismatch_penalty(norm) * (cat[:, None, :] != cat[None, :, :]).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    m = len(members)
-    return order[order != np.arange(m)[:, None]].reshape(m, m - 1)
-
-
 def test_class_neighbors_are_stable_argsort_prefix_without_self():
     # duplicates at distance 0 with a lower index come before the row itself
     schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 10.0)),),
@@ -94,10 +83,70 @@ def test_class_neighbors_are_stable_argsort_prefix_without_self():
         few = rng.random(n) < 0.5  # duplicated rows: distance ties
         rows[few] = rows[rng.integers(0, min(3, n), size=few.sum())]
         members = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        want = _argsort_without_self(rows, schema, members)
+        want = neighbor_order(rows, schema, members)
         for k in range(1, len(members)):
             np.testing.assert_array_equal(_class_neighbor_order(rows, schema, members, k),
                                           want[:, :k])
+
+
+def test_class_neighbors_in_blocks_of_one_and_three_rows(monkeypatch):
+    # a block holds gower.NEAREST_BLOCK_DISTANCES // m member rows, at least one
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        n_num = 10 if trial % 3 == 0 else None  # ten numerics: numpy's pairwise sums
+        schema = random_mixed_schema(rng, n_num=n_num)
+        n = int(rng.integers(2, 30))
+        rows = random_rows(rng, schema, n)
+        rows[rng.random(n) < 0.3] = rows[0]
+        members = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        norm = _normalized_numeric(rows[members], schema)
+        assert _mismatch_penalty(norm) == mismatch_penalty(norm)
+        want = neighbor_order(rows, schema, members)
+        k = int(rng.integers(1, len(members)))
+        for block_rows in (1, 3):
+            monkeypatch.setattr(gower, "NEAREST_BLOCK_DISTANCES", block_rows * len(members))
+            np.testing.assert_array_equal(_class_neighbor_order(rows, schema, members, k),
+                                          want[:, :k])
+
+
+def _assert_as_reference(rows, labels, schema, cfg):
+    got = smote_nc(rows, labels, schema, cfg)
+    want = reference_smote_nc(rows, labels, schema, cfg.k_neighbors, cfg.fixed_total, cfg.seed)
+    assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    return got
+
+
+def test_array_passes_equal_the_per_row_loop():
+    rng = np.random.default_rng(31)
+    seen = {"skip": 0, "reduced": 0, "synthetic": 0}
+    for trial in range(240):
+        kind = trial % 4  # mixed, no numeric, no categorical, and ten numerics
+        schema = random_mixed_schema(rng, n_num=(None, 0, None, 10)[kind],
+                                     n_cat=(None, None, 0, None)[kind],
+                                     n_classes=int(rng.integers(2, 4)))
+        n = int(rng.integers(1, 40))
+        rows = random_rows(rng, schema, n)
+        dup = rng.random(n) < 0.3  # duplicated rows: distance ties
+        rows[dup] = rows[rng.integers(0, min(3, n), size=dup.sum())]
+        for j, f in enumerate(schema.features):
+            if not f.is_numeric and trial % 2:  # codes that skip values: only 0 and the last
+                rows[:, j] = np.where(rows[:, j] > 0, len(f.categories) - 1, 0)
+        labels = rng.choice(len(schema.target.classes), size=n,
+                            p=rng.dirichlet(np.ones(len(schema.target.classes))))
+        sizes = np.bincount(labels)
+        # no total, 0, past the majority, and one class's size: that class is at its total
+        total = (None, 0, int(sizes.max() + rng.integers(1, 20)),
+                 int(rng.choice(sizes[sizes > 0])))[trial % 4]
+        cfg = SmoteConfig(k_neighbors=int(rng.integers(1, 7)), fixed_total=total,
+                          seed=int(rng.integers(1e6)))
+        _, syn_y, notes = _assert_as_reference(rows, labels, schema, cfg)
+        seen["skip"] += any("skipping" in note for note in notes)
+        seen["reduced"] += any("reduced" in note for note in notes)
+        seen["synthetic"] += len(syn_y) > 0
+    assert min(seen.values()) >= 10, seen  # every branch ran
 
 
 def test_categorical_value_closure_under_neighbors():
