@@ -32,7 +32,8 @@ after it (the root is node 0), and the schema's feature kind gives a split's
 test. A forest is the same table with many roots: each tree's preorder nodes
 follow the previous tree's, and child ids index the whole table. The grower
 numbers the nodes in preorder once growth ends, and a loaded forest is built
-from its columns by _explainer_tree.
+from its columns. A tree stores nothing its table decides: tree_stats derives
+its depth and leaf count where they are read.
 
 Prediction walks a RoutePlan, which route_plan derives from the table and
 the schema and which is never saved: each node becomes one `<=` test on a
@@ -84,21 +85,13 @@ class ExplainerTree:
     class counts for classification (shape (nodes, n_classes)) or the row
     count for regression (shape (nodes,)). It is zero at internal nodes and
     sits beside the table. A forest is one such tree with many roots (see
-    oracle.ForestModel), its depth and leaf_count taken over all its trees.
+    oracle.ForestModel).
     """
 
     table: NodeTable
     leaf_stats: np.ndarray
     schema: Schema
     task: str
-    depth: int
-    leaf_count: int
-
-
-def _explainer_tree(schema, task, feat, val, right, pred, stats, depth) -> ExplainerTree:
-    """A tree from its preorder node columns; a split's left child follows it."""
-    return ExplainerTree(NodeTable(feat, val, right, pred), stats, schema, task,
-                         depth, int((feat < 0).sum()))
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -157,13 +150,13 @@ class _Frontier:
         self.ids = np.concatenate(samples)  # the row of X at each sample position
         self.rows = np.arange(len(self.ids))
         ends = np.cumsum([len(rows) for rows in samples]).tolist()
-        self.stacks = [[(t, t, ends[t] - len(rows), ends[t], 0)]  # (tree, id, lo, hi, depth)
+        self.stacks = [[(t, t, ends[t] - len(rows), ends[t])]  # (tree, id, lo, hi)
                        for t, rows in enumerate(samples)]
         # one column per node id: feature, value, prediction, parent, then the
         # leaf stats; ints are exact in float64, and the ids a step allocates
         # (its splits' children) start at blocks[step]
         self.cols = np.zeros((4 + (self.K or 1), 4 * len(samples)))
-        self.n_ids, self.blocks, self.depth = len(samples), [len(samples)], 0
+        self.n_ids, self.blocks = len(samples), [len(samples)]
         while True:
             batch = []
             for t, stack in enumerate(self.stacks):
@@ -178,7 +171,7 @@ class _Frontier:
             # sums pad every node's rows to that length, and count it so
             batch.sort(key=lambda node: node[2] - node[3])  # changes no result
             start, pairs = 0, 0
-            for i, (t, _, lo, hi, _) in enumerate(batch):
+            for i, (t, _, lo, hi) in enumerate(batch):
                 padded = batch[start][3] - batch[start][2] if self.task == REGRESSION else hi - lo
                 pairs += padded * width[t]
                 if pairs > GROW_CHUNK_PAIRS and i > start:
@@ -187,7 +180,7 @@ class _Frontier:
             self._step(batch[start:])
 
     def _step(self, batch) -> None:
-        tree, ids, lo, hi, depth = np.array(batch).T
+        tree, ids, lo, hi = np.array(batch).T
         m, K, y = len(batch), self.K, self.y
         sizes = hi - lo
         starts = sizes.cumsum() - sizes
@@ -222,7 +215,6 @@ class _Frontier:
             stats = (sizes * leaf)[:, None]
         cols = self.cols
         cols[0, ids], cols[1, ids], cols[2, ids], cols[4:, ids] = feat, val, pred * leaf, stats.T
-        self.depth = max(self.depth, int(depth.max()))
         if not len(split):
             return
         first, self.n_ids = self.n_ids, self.n_ids + 2 * len(split)
@@ -238,8 +230,8 @@ class _Frontier:
         self.rows[at[moving]] = P[moving[order]]  # left rows, then right rows
         mid = lo[split] + n_left
         for i, (j, s) in enumerate(zip(split.tolist(), mid.tolist())):
-            t, c, d = int(tree[j]), first + 2 * i, int(depth[j]) + 1
-            self.stacks[t] += [(t, c + 1, s, int(hi[j]), d), (t, c, int(lo[j]), s, d)]
+            t, c = int(tree[j]), first + 2 * i
+            self.stacks[t] += [(t, c + 1, s, int(hi[j])), (t, c, int(lo[j]), s)]
 
     def _search(self, search, tree, R, sizes, starts, imp, counts, sums):
         """Best split of each node in search: (batch positions of the nodes
@@ -319,9 +311,9 @@ class _Frontier:
         feat, val, pred = cols[0, at].astype(np.int64), cols[1, at], cols[2, at]
         stats = cols[4:, at].T.astype(np.int64, order="C")
         del cols, at  # a forest's columns are large: free them before the table is built
-        tree = _explainer_tree(self.schema, self.task, feat, val,
-                               np.where(feat >= 0, right, 0), pred,
-                               stats if self.task == CLASSIFICATION else stats[:, 0], self.depth)
+        tree = ExplainerTree(NodeTable(feat, val, np.where(feat >= 0, right, 0), pred),
+                             stats if self.task == CLASSIFICATION else stats[:, 0],
+                             self.schema, self.task)
         leaf = (feat < 0).nonzero()[0]
         leaves = np.empty_like(self.rows)
         leaves[self.rows] = leaf.repeat(stats[leaf].sum(axis=1))
@@ -379,29 +371,17 @@ def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema,
     return grow_trees(rows, y, schema, task, [np.arange(len(y))], [None])[0]
 
 
-def node_depths(table: NodeTable, roots) -> np.ndarray:
-    """The depth of every node of a table with many roots, walked one level
-    of every tree at a time."""
-    depth, level, d = np.zeros(len(table.feat), np.int64), np.asarray(roots), 0
-    while len(level):
-        depth[level] = d
-        inner = level[table.feat[level] >= 0]
-        level, d = np.concatenate((inner + 1, table.right[inner])), d + 1
-    return depth
-
-
 def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
     """Each tree of a table with many roots (as grow_trees returns it) as an
-    ExplainerTree of its own: its node range, ids counted from its root, and
-    its own depth and leaf count. The arrays view the table's."""
+    ExplainerTree of its own: its node range, ids counted from its root. The
+    arrays view the table's."""
     t, bounds = tree.table, list(roots) + [len(tree.table.feat)]
-    depth = node_depths(t, roots)
     out = []
     for a, b in zip(bounds, bounds[1:]):
         feat = t.feat[a:b]
-        out.append(_explainer_tree(tree.schema, tree.task, feat, t.val[a:b],
-                                   np.where(feat >= 0, t.right[a:b] - a, 0), t.pred[a:b],
-                                   tree.leaf_stats[a:b], int(depth[a:b].max())))
+        out.append(ExplainerTree(NodeTable(feat, t.val[a:b],
+                                           np.where(feat >= 0, t.right[a:b] - a, 0), t.pred[a:b]),
+                                 tree.leaf_stats[a:b], tree.schema, tree.task))
     return out
 
 
@@ -527,10 +507,19 @@ def decision_path(tree: ExplainerTree, inst: np.ndarray) -> list[tuple[int, str,
 
 
 def tree_stats(tree: ExplainerTree) -> dict:
+    """Depth, leaf count and node count of a one-root tree, read off its
+    table: the depth is the number of levels below the root, walked one level
+    at a time."""
+    feat, right = tree.table.feat, tree.table.right
+    level, depth = np.zeros(1, np.int64), -1
+    while len(level):
+        inner = level[feat[level] >= 0]
+        level, depth = np.concatenate((inner + 1, right[inner])), depth + 1
+    leaves = int((feat < 0).sum())
     return {
-        "depth": tree.depth,
-        "leaf_count": tree.leaf_count,
-        "node_count": 2 * tree.leaf_count - 1,
+        "depth": depth,
+        "leaf_count": leaves,
+        "node_count": 2 * leaves - 1,
     }
 
 

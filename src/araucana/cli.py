@@ -292,10 +292,14 @@ def _query_instance(args, data: Dataset) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise UsageError(f"--instance is not valid JSON: {exc}") from exc
     if isinstance(doc, dict):
-        missing = [f.name for f in data.schema.features if f.name not in doc]
+        names = data.schema.feature_names
+        missing = [name for name in names if name not in doc]
         if missing:
             raise UsageError(f"--instance is missing features {missing}")
-        doc = [doc[f.name] for f in data.schema.features]
+        unknown = [name for name in doc if name not in names]
+        if unknown:
+            raise UsageError(f"--instance names features {unknown} the schema does not have")
+        doc = [doc[name] for name in names]
     if not isinstance(doc, list):
         raise UsageError("--instance must be a JSON array or object")
     try:

@@ -29,6 +29,7 @@ harness) selects and labels it once.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,18 +114,58 @@ class Rule:
 
 @dataclass
 class Explanation:
+    """The rule of one query, with the tree, neighborhood and config it came
+    from. What a rendering shows beyond the rule (tree_stats, the config
+    echo, the seed and the neighborhood summary) is derived from these when
+    it is read, not stored."""
+
     query: np.ndarray
     oracle_label: object  # encoded label (class index or float)
     rule: Rule
     tree: cart.ExplainerTree
-    tree_stats: dict
     faithful: bool
-    neighborhood: dict
-    config: dict
-    seed: int
+    neighborhood: Neighborhood
+    explain_config: ExplainConfig  # the query's own, as explain_neighborhoods took it
     explainer_set: ExplainerSet | None = None  # kept for inspection, not serialized
     # SMOTE-NC's notes on the neighborhood (smote.smote_nc); not serialized
     smote_notes: list[str] = field(default_factory=list)
+
+    @property
+    def tree_stats(self) -> dict:
+        return cart.tree_stats(self.tree)
+
+    @property
+    def seed(self) -> int:
+        return self.explain_config.seed
+
+    @property
+    def config(self) -> dict:
+        """The settings that made the explanation, as explanation.json echoes them."""
+        task, smote = self.tree.task, self.explain_config.smote
+        if smote is None:
+            smote_echo = "off"
+        elif task == REGRESSION:  # class-based oversampling is undefined for numeric targets
+            smote_echo = "off (regression task)"
+        else:
+            smote_echo = {
+                "policy": "balance" if smote.fixed_total is None else "fixed",
+                "k_neighbors": smote.k_neighbors,
+                **({"fixed_total": smote.fixed_total} if smote.fixed_total is not None else {}),
+            }
+        echo = {
+            "n_neighbors": int(len(self.neighborhood.rows)),
+            "distance": self.explain_config.distance,
+            "smote": smote_echo,
+            "cart": {  # fixed: a node splits down to one row, at any depth
+                "criterion": cart.GINI if task == CLASSIFICATION else cart.MSE,
+                "min_samples_split": 2,
+                "max_depth": None,
+            },
+            "task": task,
+        }
+        if task == REGRESSION:
+            echo["regression_epsilon"] = match_epsilon(task, self.oracle_label)
+        return echo
 
 
 class TrainLabels:
@@ -318,60 +359,7 @@ def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: Exp
     in_leaf = eset.y[leaves == leaves[q]]
     agree = int((np.abs(in_leaf - pred_encoded) <= eps).sum())
     rule = Rule(conditions, schema.decode_label(pred_encoded), len(in_leaf), agree / len(in_leaf))
-
-    if task == CLASSIFICATION:
-        relabel_counts: dict = {}
-        for v in nbh.relabels:
-            key = str(schema.decode_label(v))
-            relabel_counts[key] = relabel_counts.get(key, 0) + 1
-    else:
-        vals = np.asarray(nbh.relabels, dtype=float)
-        relabel_counts = {
-            "min": float(vals.min()),
-            "mean": float(vals.mean()),
-            "max": float(vals.max()),
-        }
-    smote = cfg.smote
-    if smote is None:
-        smote_echo = "off"
-    elif task == REGRESSION:  # class-based oversampling is undefined for numeric targets
-        smote_echo = "off (regression task)"
-    else:
-        smote_echo = {
-            "policy": "balance" if smote.fixed_total is None else "fixed",
-            "k_neighbors": smote.k_neighbors,
-            **({"fixed_total": smote.fixed_total} if smote.fixed_total is not None else {}),
-        }
-    config_echo = {
-        "n_neighbors": int(len(nbh.rows)),
-        "distance": cfg.distance,
-        "smote": smote_echo,
-        "cart": {  # fixed: a node splits down to one row, at any depth
-            "criterion": cart.GINI if task == CLASSIFICATION else cart.MSE,
-            "min_samples_split": 2,
-            "max_depth": None,
-        },
-        "task": task,
-    }
-    if task == REGRESSION:
-        config_echo["regression_epsilon"] = eps
-    return Explanation(
-        query=x,
-        oracle_label=oracle_label,
-        rule=rule,
-        tree=tree,
-        tree_stats=cart.tree_stats(tree),
-        faithful=faithful,
-        neighborhood={
-            "size": int(len(nbh.rows)),
-            "max_distance": float(nbh.distances[-1]) if len(nbh.distances) else 0.0,
-            "relabel_counts": relabel_counts,
-        },
-        config=config_echo,
-        seed=cfg.seed,
-        explainer_set=eset,
-        smote_notes=smote_notes,
-    )
+    return Explanation(x, oracle_label, rule, tree, faithful, nbh, cfg, eset, smote_notes)
 
 
 def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
@@ -405,15 +393,22 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
         )
     else:
         cond = "(always)"
+    nbh, stats = expl.neighborhood, expl.tree_stats
+    max_distance = float(nbh.distances[-1]) if len(nbh.distances) else 0.0
+    if expl.tree.task == CLASSIFICATION:  # each label's count, in order of first appearance
+        relabels = dict(Counter(str(schema.decode_label(v)) for v in nbh.relabels))
+    else:
+        vals = np.asarray(nbh.relabels, dtype=float)
+        relabels = {"min": float(vals.min()), "mean": float(vals.mean()), "max": float(vals.max())}
     lines = [
         f"IF {cond} THEN {expl.rule.prediction} "
         f"(support={expl.rule.support}, purity={expl.rule.purity:.3f}, "
         f"faithful={str(expl.faithful).lower()})",
         f"oracle label: {schema.decode_label(expl.oracle_label)}",
-        f"tree: depth={expl.tree_stats['depth']} leaves={expl.tree_stats['leaf_count']} "
-        f"nodes={expl.tree_stats['node_count']}",
-        f"neighborhood: size={expl.neighborhood['size']} "
-        f"max_distance={expl.neighborhood['max_distance']:.4f} "
-        f"relabels={expl.neighborhood['relabel_counts']}",
+        f"tree: depth={stats['depth']} leaves={stats['leaf_count']} "
+        f"nodes={stats['node_count']}",
+        f"neighborhood: size={len(nbh.rows)} "
+        f"max_distance={max_distance:.4f} "
+        f"relabels={relabels}",
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")

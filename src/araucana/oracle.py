@@ -84,19 +84,18 @@ class ForestModel:
     All trees live in one node table with its leaf statistics (`nodes`, a
     cart.ExplainerTree with many roots). Tree k is the preorder run of nodes
     from roots[k] up to the next root, and child ids index the whole table,
-    so training, loading, saving and routing need no per-tree copies.
-    Prediction routes every tree at once through `plan`, which is derived
-    from the table once, when the model is built (trained or loaded), and is
-    never saved; the leaf ids come back tree-major, one row per tree, and
-    their predictions are the votes.
+    so training, loading, saving and routing need no per-tree copies. The
+    seeds and feature draws that grew the trees are not kept, as prediction
+    reads none of them. Prediction routes every tree at once through `plan`,
+    which is derived from the table once, when the model is built (trained
+    or loaded), and is never saved; the leaf ids come back tree-major, one
+    row per tree, and their predictions are the votes.
     """
 
-    def __init__(self, nodes: cart.ExplainerTree, roots, tree_seeds, feature_subsample):
+    def __init__(self, nodes: cart.ExplainerTree, roots):
         self.nodes = nodes
         self.roots = np.asarray(roots, dtype=np.int64)
         self.schema, self.task = nodes.schema, nodes.task
-        self.tree_seeds = list(tree_seeds)
-        self.feature_subsample = feature_subsample
         self.plan = cart.route_plan(nodes)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -106,9 +105,15 @@ class ForestModel:
         votes = self.nodes.table.pred[cart.route(self.plan, self.roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
-        n_classes = len(self.schema.target.classes)
-        counts = np.stack([(votes == c).sum(axis=0) for c in range(n_classes)])
-        return counts.argmax(axis=0).astype(np.int64)  # vote ties: lowest class index
+        return _majority_vote(votes.T.astype(np.int64), len(self.schema.target.classes))
+
+
+def _majority_vote(votes: np.ndarray, n_classes: int) -> np.ndarray:
+    """The class most of each row's votes name, ties to the lowest class;
+    votes holds class indices, one row per prediction."""
+    cells = np.arange(len(votes))[:, None] * n_classes + votes
+    counts = np.bincount(cells.ravel(), minlength=len(votes) * n_classes)
+    return counts.reshape(len(votes), n_classes).argmax(axis=1)
 
 
 def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
@@ -130,7 +135,7 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
         samples[t] = np.random.default_rng(int(s)).integers(0, n, size=n)
     draws = [(int(s), sub) if sub < p else None for s in seeds[1::2]]
     nodes, roots, _ = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, draws)
-    return ForestModel(nodes, roots, seeds[::2], sub)
+    return ForestModel(nodes, roots)
 
 
 class KnnModel:
@@ -158,10 +163,7 @@ class KnnModel:
         near = gower.nearest_rows(self.metric, rows, self.X, self.k)[0]
         if self.task == REGRESSION:
             return self.y[near].mean(axis=1)
-        n_classes = len(self.schema.target.classes)
-        cells = np.arange(len(rows))[:, None] * n_classes + self.y[near].astype(np.int64)
-        votes = np.bincount(cells.ravel(), minlength=len(rows) * n_classes)
-        return votes.reshape(len(rows), n_classes).argmax(axis=1)  # ties: lower class
+        return _majority_vote(self.y[near].astype(np.int64), len(self.schema.target.classes))
 
 
 def train_knn(data: Dataset, k: int = 5, metric: DistanceMetric | None = None) -> KnnModel:
@@ -368,14 +370,16 @@ class PrecomputedOracle(PredictionOracle):
 # -------------------------------------------------------------- persistence
 
 
-# model.json format: 2 writes a forest's node table as flat columns; format 1
-# (no "format" key) nested every tree and is refused
-MODEL_FORMAT = 2
+# model.json format: 3 writes a forest as its node table's columns alone.
+# Format 2 also wrote the trees' seeds and feature-draw width, and format 1
+# (no "format" key) nested every tree; both are refused
+MODEL_FORMAT = 3
 
 
 def save_model(model, path) -> None:
     """Write a built-in model as one line of JSON: a k-NN model as its rows
-    and labels, a forest as its node table's columns (see _forest_table)."""
+    and labels, a forest as its node table's columns and nothing more (see
+    _forest_table)."""
     if not isinstance(model, (ForestModel, KnnModel)):
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     doc = {"format": MODEL_FORMAT, "type": "forest" if isinstance(model, ForestModel) else "knn",
@@ -384,8 +388,7 @@ def save_model(model, path) -> None:
         t, stats = model.nodes.table, model.nodes.leaf_stats
         leaf = t.feat < 0
         classes = model.task == CLASSIFICATION
-        doc.update(feature_subsample=model.feature_subsample,
-                   tree_seeds=[int(s) for s in model.tree_seeds], roots=model.roots.tolist(),
+        doc.update(roots=model.roots.tolist(),
                    feature=t.feat.tolist(), value=t.val.tolist(), right=t.right.tolist(),
                    prediction=t.pred[leaf].astype(np.int64 if classes else float).tolist())
         doc["counts" if classes else "n"] = stats[leaf].ravel().tolist()
@@ -415,11 +418,7 @@ def load_model(path):
         if schema.target is None or task != schema.target.kind:
             raise ValueError(f"task {task!r} does not match the schema's target")
         if kind == "forest":
-            nodes, roots = _forest_table(doc, schema, task)
-            seeds, sub = _column(doc, "tree_seeds"), doc["feature_subsample"]
-            if len(seeds) != len(roots) or type(sub) is not int or not 0 < sub <= schema.n_features:
-                raise ValueError("tree_seeds or feature_subsample do not fit the trees")
-            return ForestModel(nodes, roots, seeds, sub)
+            return ForestModel(*_forest_table(doc, schema, task))
         if kind == "knn":
             X = np.array([schema.encode_row(r) for r in doc["rows"]])
             y = np.array([schema.encode_label(v) for v in doc["labels"]])
@@ -480,6 +479,4 @@ def _forest_table(doc, schema: Schema, task: str):
     leaf = feat < 0
     preds, stats = np.zeros(N), np.zeros((N, K) if K else N, np.int64)
     preds[leaf], stats[leaf] = pred, counts.reshape(n_leaves, K) if K else counts
-    nodes = cart._explainer_tree(schema, task, feat, val, right, preds, stats, 0)
-    nodes.depth = int(cart.node_depths(nodes.table, roots).max())
-    return nodes, roots
+    return cart.ExplainerTree(cart.NodeTable(feat, val, right, preds), stats, schema, task), roots

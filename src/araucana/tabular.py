@@ -118,7 +118,9 @@ class Schema:
         return lo, hi
 
     def encode_row(self, values) -> np.ndarray:
-        """Convert display values (numbers / category strings) to an instance array."""
+        """Convert display values (numbers / category strings) to an instance
+        array. A numeric value is a finite number, or a string that spells one;
+        a boolean is not a number."""
         if len(values) != self.n_features:
             raise SchemaError(f"expected {self.n_features} values, got {len(values)}")
         out = np.empty(self.n_features)
@@ -126,8 +128,10 @@ class Schema:
             if f.is_numeric:
                 try:
                     out[i] = float(v)
-                except (TypeError, ValueError):
-                    raise SchemaError(f"feature {f.name!r}: {v!r} is not numeric") from None
+                except (TypeError, ValueError, OverflowError):
+                    out[i] = math.nan
+                if isinstance(v, bool) or not math.isfinite(out[i]):
+                    raise SchemaError(f"feature {f.name!r}: {v!r} is not a finite number")
             else:
                 try:
                     out[i] = f.categories.index(str(v))
@@ -224,7 +228,7 @@ def validate_instance(schema: Schema, inst: np.ndarray) -> None:
             f"schema has {schema.n_features} features"
         )
     for i, f in enumerate(schema.features):
-        v = inst[i]
+        v = float(inst[i])
         if not math.isfinite(v):
             raise SchemaError(f"feature {f.name!r} (index {i}): non-finite value {v!r}")
         if not f.is_numeric:
@@ -274,7 +278,8 @@ class Dataset:
                 if not ok.all():
                     r = int(np.flatnonzero(~ok)[0])
                     raise SchemaError(
-                        f"feature {f.name!r}, row {r}: {col[r]!r} is not a valid category index"
+                        f"feature {f.name!r}, row {r}: {float(col[r])!r} is not a valid "
+                        "category index"
                     )
 
     def __len__(self) -> int:

@@ -5,7 +5,8 @@ replaced, and a per-row walk that cart.route is checked against.
 The grower searches one node at a time, in preorder, with its own numpy calls
 per candidate feature. It exists only as the reference that the frontier
 grower's tests compare against: same splits, same thresholds, same node ids,
-same leaf statistics, same rng draws. The reader appends the nested JSON of
+same leaf statistics, same rng draws, and, counted as it grows, the depth
+and leaf count that cart.tree_stats derives from a table. The reader appends the nested JSON of
 cart.tree_to_dict to the same preorder columns, so a forest saved as columns
 can be checked against the same trees read through their nested form; a
 node's test kind is not stored, as the schema decides it, and a nested test
@@ -16,14 +17,15 @@ from array import array
 
 import numpy as np
 
-from araucana.cart import CATEGORY_EQ, NUMERIC_LE, ExplainerTree, _explainer_tree, _gini
+from araucana.cart import CATEGORY_EQ, NUMERIC_LE, ExplainerTree, NodeTable, _gini
 from araucana.tabular import CLASSIFICATION, REGRESSION, Schema
 
 
 class _Preorder:
     """Node columns appended in preorder, one tree after another; a split's
     right child is linked to it when that child is added. A node's stats are
-    its class counts, or (row count,) for regression."""
+    its class counts, or (row count,) for regression. It counts, as nodes are
+    added, the deepest node's depth and the leaves."""
 
     def __init__(self, schema: Schema, task: str, n_classes: int | None = None):
         self.schema, self.task = schema, task
@@ -34,7 +36,7 @@ class _Preorder:
         self.feat, self.right, self.stats = array("q"), array("q"), array("q")
         self.val, self.pred = array("d"), array("d")
         self.no_stats = [0] * n_classes if task == CLASSIFICATION else [0]
-        self.depth = 0
+        self.depth = self.leaves = 0
 
     def add(self, depth: int, right_of: int, feature: int = -1, value: float = 0.0,
             pred: float = 0.0, stats=None) -> int:
@@ -44,6 +46,7 @@ class _Preorder:
         if right_of >= 0:
             self.right[right_of] = node
         self.depth = max(self.depth, depth)
+        self.leaves += feature < 0
         self.feat.append(feature)
         self.val.append(value)
         self.right.append(0)
@@ -84,9 +87,9 @@ class _Preorder:
         stats = np.frombuffer(self.stats, dtype=np.int64)
         if self.task == CLASSIFICATION:
             stats = stats.reshape(len(self.feat), self.n_classes)
-        return _explainer_tree(self.schema, self.task, np.frombuffer(self.feat, dtype=np.int64),
-                               np.frombuffer(self.val), np.frombuffer(self.right, dtype=np.int64),
-                               np.frombuffer(self.pred), stats, self.depth)
+        table = NodeTable(np.frombuffer(self.feat, dtype=np.int64), np.frombuffer(self.val),
+                          np.frombuffer(self.right, dtype=np.int64), np.frombuffer(self.pred))
+        return ExplainerTree(table, stats, self.schema, self.task)
 
 
 def tree_from_dict(d: dict, schema: Schema, task: str) -> ExplainerTree:
@@ -271,6 +274,11 @@ def reference_grow(X, y, schema, task, samples, draws):
     """Each (rows, draw) tree grown on its own by the per-node grower, one
     after another into one table; returns (tree, root ids, the leaf id of
     each entry of the concatenated samples)."""
+    nodes, roots, leaves = _grow_nodes(X, y, schema, task, samples, draws)
+    return nodes.tree(), roots, leaves
+
+
+def _grow_nodes(X, y, schema, task, samples, draws):
     X = np.asarray(X, dtype=float)
     if task == CLASSIFICATION:
         y = np.asarray(y).astype(np.int64)
@@ -285,7 +293,7 @@ def reference_grow(X, y, schema, task, samples, draws):
     for rows, draw in zip(samples, draws):
         roots.append(len(nodes.feat))
         leaves.append(_Grower(X, y, draw, nodes).grow(np.asarray(rows)))
-    return nodes.tree(), np.array(roots), np.concatenate(leaves)
+    return nodes, np.array(roots), np.concatenate(leaves)
 
 
 def reference_fit_tree(rows, labels, schema, task=None, draw=None):
@@ -294,3 +302,10 @@ def reference_fit_tree(rows, labels, schema, task=None, draw=None):
     if task is None:
         task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
     return reference_grow(rows, y, schema, task, [np.arange(len(y))], [draw])[0]
+
+
+def reference_tree_stats(rows, labels, schema, task, draw=None) -> dict:
+    """cart.tree_stats of one tree as the per-node grower counts them while it
+    grows: the depth of its deepest node, its leaves and all its nodes."""
+    nodes = _grow_nodes(rows, labels, schema, task, [np.arange(len(labels))], [draw])[0]
+    return {"depth": nodes.depth, "leaf_count": nodes.leaves, "node_count": len(nodes.feat)}

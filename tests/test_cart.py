@@ -17,7 +17,13 @@ from araucana.cart import (
 from araucana.tabular import REGRESSION, FeatureSpec, Schema, TargetSpec
 
 from conftest import DEEP_JSON_REFUSED, chain_dataset, random_mixed_schema, random_rows
-from reference_cart import reference_fit_tree, reference_grow, reference_route, tree_from_dict
+from reference_cart import (
+    reference_fit_tree,
+    reference_grow,
+    reference_route,
+    reference_tree_stats,
+    tree_from_dict,
+)
 
 
 def and_dataset(two_cat_schema):
@@ -34,7 +40,7 @@ def test_and_dataset_zero_error_small_tree(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
     tree = fit_tree(X, y, two_cat_schema)
     np.testing.assert_array_equal(predict_batch(tree, X), y)
-    assert tree.leaf_count <= 3
+    assert tree_stats(tree)["leaf_count"] <= 3
     assert predict_tree(tree, np.array([1.0, 1.0])) == 1
 
 
@@ -105,7 +111,7 @@ def test_conflicting_duplicates_majority_leaf(two_cat_schema):
     X = np.array([[1.0, 1.0]] * 5)
     y = np.array([0, 1, 1, 0, 0])
     tree = fit_tree(X, y, two_cat_schema)
-    assert tree.leaf_count == 1
+    assert tree_stats(tree)["leaf_count"] == 1
     assert predict_tree(tree, X[0]) == 0  # majority
 
 
@@ -246,7 +252,8 @@ def test_json_roundtrip_classification_and_regression():
 def test_deep_tree_walks_without_recursion():
     ds = chain_dataset(1200)
     tree = fit_tree(ds.X, ds.y, ds.schema)
-    assert tree.depth == 1199
+    assert tree_stats(tree) == reference_tree_stats(ds.X, ds.y, ds.schema, "classification")
+    assert tree_stats(tree)["depth"] == 1199
     np.testing.assert_array_equal(predict_batch(tree, ds.X), ds.y)
     assert len(decision_path(tree, ds.X[-1])) == 1199
     doc = tree_to_dict(tree)
@@ -281,7 +288,7 @@ def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
 def test_no_features_grows_one_leaf():
     schema = Schema((), TargetSpec("label", "classification", classes=("0", "1")))
     tree = fit_tree(np.empty((5, 0)), np.array([0, 1, 1, 0, 1]), schema)
-    assert tree.leaf_count == 1
+    assert tree_stats(tree)["leaf_count"] == 1
     assert tree.leaf_stats.tolist() == [[2, 3]]
 
 
@@ -322,7 +329,6 @@ def _same_trees(a, b):
         np.testing.assert_array_equal(x, z)
     assert a.leaf_stats.dtype == b.leaf_stats.dtype
     np.testing.assert_array_equal(a.leaf_stats, b.leaf_stats)
-    assert (a.depth, a.leaf_count) == (b.depth, b.leaf_count)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -338,6 +344,8 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
         tree, _, leaves = cart.grow_trees(*args)
         reference, _, ref_leaves = reference_grow(*args)
         _same_trees(tree, reference)
+        # the depth and leaf count read off the table are the ones the per-node grower counts
+        assert tree_stats(tree) == reference_tree_stats(X, y, schema, task, draw)
         np.testing.assert_array_equal(leaves, ref_leaves)
         np.testing.assert_array_equal(leaves, cart.apply(tree, X))  # the leaf routing reaches
 
@@ -355,7 +363,7 @@ def test_regression_split_never_has_equal_labels(seed):
             for node, idx in _walk_sizes(tree, X):
                 if not _is_leaf(tree, node):
                     assert labels[idx].min() < labels[idx].max()
-    assert fit_tree(X, np.full(len(X), few[0]), schema, task).leaf_count == 1
+    assert tree_stats(fit_tree(X, np.full(len(X), few[0]), schema, task))["leaf_count"] == 1
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
@@ -376,7 +384,8 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
         alone, _, alone_leaves = cart.grow_trees(X, y, schema, task, [rows], [draw])
         assert tree_to_dict(cut) == tree_to_dict(alone)
-        _same_trees(cut, alone)  # its own ids, depth and leaf count
+        _same_trees(cut, alone)  # its own ids
+        assert tree_stats(cut) == reference_tree_stats(X[rows], y[rows], schema, task, draw)
         part = leaves[starts[t]:starts[t + 1]]
         np.testing.assert_array_equal(part, cart.route(plan, roots[t:t + 1], X[rows])[0])
         np.testing.assert_array_equal(part - roots[t], alone_leaves)

@@ -170,6 +170,27 @@ def test_explain_instance_json_and_bad_instance(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("instance, feature", [
+    ('[NaN, 0.5, "a", "b"]', "num0"),
+    ('[0.5, Infinity, "a", "b"]', "num1"),
+    ('[1e400, 0.5, "a", "b"]', "num0"),
+    (f'[{10 ** 400}, 0.5, "a", "b"]', "num0"),
+    ('[true, 0.5, "a", "b"]', "num0"),
+    ('{"num0": 0.5, "num1": 0.5, "cat0": "a", "cat1": "b", "cat9": "a"}', "cat9"),
+])
+def test_explain_bad_instance_value_exits_2(tmp_path, capsys, instance, feature):
+    # a non-finite or boolean number, or a feature the schema lacks, is a usage
+    # error that names the feature; none of these may be read as some other value
+    data = synth_dir(tmp_path, "xor_mixed", 60, 3)
+    capsys.readouterr()
+    code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", "builtin:knn", "--instance", instance])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: --instance" if instance[0] == "{" else "error: feature ")
+    assert repr(feature) in err and "np." not in err
+
+
 def test_synth_zero_rows_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["synth", "--gen", "moons2d", "--rows", 0, "--out", tmp_path / "x"])
@@ -227,9 +248,6 @@ def _damage(doc, how) -> str:
     if how == "type":
         doc["value"][0] = "0.5"
         return "'value' is not a list of numbers"
-    if how == "seeds":  # a seed per tree, written back on a save
-        doc["tree_seeds"].pop()
-        return "tree_seeds or feature_subsample do not fit the trees"
     if how == "prediction":
         doc["prediction"][0] = 2  # a 2-class forest
         return "a class index outside"
@@ -241,7 +259,7 @@ def _damage(doc, how) -> str:
 
 
 @pytest.mark.parametrize("how", ["feature", "right", "shared", "roots", "value", "counts",
-                                 "type", "seeds", "prediction", "category9", "category0.5",
+                                 "type", "prediction", "category9", "category0.5",
                                  "category-1", "format"])
 def test_evaluate_damaged_model_file_exits_1(tmp_path, capsys, how):
     data = synth_dir(tmp_path, "imbalanced_mixed", 120, 2)

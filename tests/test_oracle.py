@@ -118,14 +118,15 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
         save_model(forest, a)
         doc = json.loads(a.read_text())
         _same_columns(doc, trees)
-        assert (doc["format"], doc["feature_subsample"]) == (2, forest.feature_subsample)
-        assert "bootstrap" not in doc
+        # the node table's columns and nothing more
+        assert list(doc) == ["format", "type", "task", "schema", "roots", "feature", "value",
+                             "right", "prediction", "n" if data.task == REGRESSION else "counts"]
+        assert doc["format"] == 3
         back = load_model(a)
         # the same forest written as nested trees (format 1) and read by the
         # reference reader
         nested = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
-        v1 = ForestModel(*forest_from_dicts(nested, schema, data.task), forest.tree_seeds,
-                         forest.feature_subsample)
+        v1 = ForestModel(*forest_from_dicts(nested, schema, data.task))
         want = forest.predict_batch(probe)
         for model in (back, v1):
             np.testing.assert_array_equal(model.predict_batch(probe), want)
@@ -134,7 +135,7 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
 
 
 def _same_columns(doc, trees):
-    """The columns of a format-2 forest file hold the trees' preorder nodes,
+    """The columns of a forest file hold the trees' preorder nodes,
     one tree after another, with child ids counted over the whole table."""
     sizes = [len(t.table.feat) for t in trees]
     roots = np.cumsum([0] + sizes[:-1])
@@ -280,11 +281,11 @@ def test_save_model_too_deep_tree(tmp_path):
     # a 1,199-deep tree: its columns do not nest, so every Python saves it
     ds = chain_dataset(1200)
     tree = fit_tree(ds.X, ds.y, ds.schema)
-    model = ForestModel(tree, [0], [0], ds.schema.n_features)
+    model = ForestModel(tree, [0])
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
-    assert back.nodes.depth == 1199
+    assert cart.tree_stats(back.nodes)["depth"] == 1199
     np.testing.assert_array_equal(back.predict_batch(ds.X), ds.y)
 
 
@@ -295,12 +296,17 @@ def test_format_1_model_is_refused(tmp_path):
     save_model(forest, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     trees = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
-    v1 = {k: doc[k] for k in ("type", "task", "schema", "feature_subsample", "tree_seeds")}
-    path.write_text(json.dumps(dict(v1, bootstrap=True, trees=trees)), encoding="utf-8")
+    # formats 1 and 2 also stored the trees' seeds and feature-draw width
+    drawn = {"feature_subsample": 1, "tree_seeds": [5, 6]}
+    v1 = {k: doc[k] for k in ("type", "task", "schema")}
+    path.write_text(json.dumps(dict(v1, **drawn, bootstrap=True, trees=trees)), encoding="utf-8")
     with pytest.raises(OracleError, match="model format 1, .* retrain it with `araucana train`"):
         load_model(path)
-    path.write_text(json.dumps(dict(doc, format=3)), encoding="utf-8")
-    with pytest.raises(OracleError, match="model format 3"):
+    path.write_text(json.dumps(dict(doc, **drawn, format=2)), encoding="utf-8")
+    with pytest.raises(OracleError, match="model format 2, .* retrain it with `araucana train`"):
+        load_model(path)
+    path.write_text(json.dumps(dict(doc, format=4)), encoding="utf-8")
+    with pytest.raises(OracleError, match="model format 4"):
         load_model(path)
 
 

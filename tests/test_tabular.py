@@ -81,10 +81,22 @@ def test_validate_instance(age_sex_schema):
     validate_instance(age_sex_schema, np.array([30.0, 1.0]))  # conforming
     with pytest.raises(SchemaError, match="2 features"):
         validate_instance(age_sex_schema, np.array([1.0, 0.0, 2.0]))
-    with pytest.raises(SchemaError, match="category index"):
+    with pytest.raises(SchemaError, match=r"'sex' \(index 1\): 5.0 is not a valid category index"):
         validate_instance(age_sex_schema, np.array([30.0, 5.0]))
+    with pytest.raises(SchemaError, match=r"'age' \(index 0\): non-finite value nan$"):
+        validate_instance(age_sex_schema, np.array([np.nan, 0.0]))
+    with pytest.raises(SchemaError, match=r"'sex', row 1: 2.5 is not a valid category index$"):
+        Dataset(age_sex_schema, np.array([[30.0, 1.0], [30.0, 2.5]]))
     # out-of-range numerics are allowed (stored unclamped)
     validate_instance(age_sex_schema, np.array([1234.0, 0.0]))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400,
+                                   True, False, None, "ten"])
+def test_encode_row_takes_finite_numbers_only(age_sex_schema, value):
+    with pytest.raises(SchemaError, match=r"^feature 'age': .* is not a finite number$"):
+        age_sex_schema.encode_row([value, "M"])
+    assert age_sex_schema.encode_row(["2.5", "F"]).tolist() == [2.5, 1.0]
 
 
 def test_schema_invariants():
