@@ -115,8 +115,10 @@ class _Frontier:
     alone. Class counts come from one cumulative count over all runs and are
     exact. The MSE sums run per pair (numeric) or per run (categorical) along
     the rows of a zero-padded array, in the order of the per-node search
-    they replaced, and node sums and variances come from the node's own rows,
-    so every gain rounds as it did.
+    they replaced, so every gain rounds as it did. Node sums, variances and
+    leaf means take numpy's var and mean reductions once per run of
+    equal-size nodes, on a (nodes, size) block of labels: a sum along each
+    row of a C-contiguous block is pairwise, so each rounds as on its node.
     """
 
     def __init__(self, X, y, schema: Schema, task: str, n_classes: int):
@@ -167,9 +169,9 @@ class _Frontier:
                     batch.append(stack.pop())
             if not batch:
                 return self._preorder(len(samples))
-            # largest first, so a step's first node is its largest; the MSE
-            # sums pad every node's rows to that length, and count it so
-            batch.sort(key=lambda node: node[2] - node[3])  # changes no result
+            # largest first: the MSE sums pad every node's rows to the first's
+            # length, counted so, and _step takes runs of equal sizes, one-row last
+            batch.sort(key=lambda node: node[2] - node[3])
             start, pairs = 0, 0
             for i, (t, _, lo, hi) in enumerate(batch):
                 padded = batch[start][3] - batch[start][2] if self.task == REGRESSION else hi - lo
@@ -198,9 +200,18 @@ class _Frontier:
             # pure when all its labels are equal: equal floats can have a nonzero variance
             counts, y_rows = sizes, y[R]
             pure = np.minimum.reduceat(y_rows, starts) == np.maximum.reduceat(y_rows, starts)
-            for j in alive.nonzero()[0]:  # pairwise sums, as on the node alone
-                y_node = y[R[starts[j]:starts[j] + sizes[j]]]
-                imp[j], sums[:, j] = y_node.var(), (y_node.sum(), (y_node * y_node).sum())
+            mean = y_rows[starts] + 0.0  # a one-row node's, as numpy's sum adds it to +0.0
+            # a batch comes largest first, so each run of equal sizes is one block of y_rows
+            runs = np.flatnonzero(np.diff(sizes, prepend=0, append=0)).tolist()
+            for a, b in zip(runs, runs[1:]):  # one row per node: numpy's var and mean
+                L = int(sizes[a])
+                if L < 2:  # the one-row nodes come last, and no search reads their sums
+                    break
+                Y = y_rows[starts[a]:starts[a] + (b - a) * L].reshape(b - a, L)
+                s1 = Y.sum(axis=1)
+                mean[a:b] = s1 / L
+                dev = Y - mean[a:b, None]
+                imp[a:b], sums[:, a:b] = (dev * dev).sum(axis=1) / L, (s1, (Y * Y).sum(axis=1))
         search = (alive & ~pure).nonzero()[0]
         split, f, v, n_left = self._search(search, tree, R, sizes, starts, imp, counts, sums)
         leaf = np.ones(m, bool)
@@ -209,10 +220,8 @@ class _Frontier:
         feat[split], val[split] = f, v
         if self.task == CLASSIFICATION:
             pred, stats = counts.argmax(axis=1), counts * leaf[:, None]
-        else:
-            pred = np.array([y[R[starts[j]:starts[j] + sizes[j]]].mean() if leaf[j] else 0.0
-                             for j in range(m)])
-            stats = (sizes * leaf)[:, None]
+        else:  # an internal node's pred is +0.0, where mean * leaf could give -0.0
+            pred, stats = np.where(leaf, mean, 0.0), (sizes * leaf)[:, None]
         cols = self.cols
         cols[0, ids], cols[1, ids], cols[2, ids], cols[4:, ids] = feat, val, pred * leaf, stats.T
         if not len(split):

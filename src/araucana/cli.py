@@ -311,8 +311,8 @@ def _query_instance(args, data: Dataset) -> np.ndarray:
 def cmd_explain(args) -> int:
     manifest = _Manifest("explain", args)
     data = _load_data(args, manifest)
+    x = _query_instance(args, data)  # a bad selector exits before any oracle trains
     oracle = _build_oracle(args.oracle, data, args, manifest)
-    x = _query_instance(args, data)
     cfg = _explain_config(args)
     try:
         expl = explain_instance(data, x, oracle, cfg)

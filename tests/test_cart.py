@@ -350,6 +350,32 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
         np.testing.assert_array_equal(leaves, cart.apply(tree, X))  # the leaf routing reaches
 
 
+@pytest.mark.parametrize("seed", range(2))
+def test_regression_runs_of_equal_size_nodes_equal_per_node_reference(monkeypatch, seed):
+    # 320 rows: the top nodes pass numpy's 128-label pairwise block; duplicated
+    # rows and repeated labels, drawn again by bootstrap samples, give a step
+    # many nodes of one size; half the labels are negative, so some internal
+    # node's mean is, and some are -0.0, whose leaf mean numpy's sum makes +0.0
+    rng = np.random.default_rng(150 + seed)
+    schema, X, y, task = _tied_data(rng, "regression", n=320)
+    y[rng.random(len(y)) < 0.5] *= -1.0
+    y[rng.random(len(y)) < 0.05] = -0.0
+    samples = [np.arange(len(X))] + [rng.integers(0, len(X), size=len(X)) for _ in range(3)]
+    draws = [None, None, (seed, 1), (seed + 1, schema.n_features)]
+    reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
+    for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
+        monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
+        tree, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
+        _same_trees(tree, reference)
+        np.testing.assert_array_equal(roots, ref_roots)
+        np.testing.assert_array_equal(leaves, ref_leaves)
+        # assert_array_equal takes -0.0 for 0.0: an internal node stores +0.0
+        assert not np.signbit(tree.table.pred[tree.table.feat >= 0]).any()
+        np.testing.assert_array_equal(np.signbit(tree.table.pred), np.signbit(reference.table.pred))
+    inner = [y[idx].mean() for node, idx in _walk_sizes(tree, X) if not _is_leaf(tree, node)]
+    assert min(inner) < 0.0 and len(X) > 128
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_regression_split_never_has_equal_labels(seed):
     # few distinct labels, 0.1 and 0.3 among them: equal floats whose variance

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from araucana import cli
 from araucana.cli import main
 from araucana.tabular import (
     Dataset,
@@ -189,6 +190,23 @@ def test_explain_bad_instance_value_exits_2(tmp_path, capsys, instance, feature)
     assert code == 2
     assert err.startswith("error: --instance" if instance[0] == "{" else "error: feature ")
     assert repr(feature) in err and "np." not in err
+
+
+@pytest.mark.parametrize("selector", [["--index", 60], ["--instance", '[NaN, 0.5, "a", "b"]']])
+def test_explain_bad_selector_exits_2_before_the_oracle_is_built(tmp_path, capsys, monkeypatch,
+                                                               selector):
+    # a bad --index or --instance is read before the built-in forest trains
+    data = synth_dir(tmp_path, "xor_mixed", 60, 3)
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle was built before the selector was read")
+
+    monkeypatch.setattr(cli, "_build_oracle", no_oracle)
+    capsys.readouterr()
+    code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", "builtin:forest", *selector])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_synth_zero_rows_exits_2(tmp_path):
