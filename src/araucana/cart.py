@@ -366,6 +366,13 @@ def grow_trees(X, y, schema: Schema, task: str, samples,
             n_classes = int(y.max(initial=-1)) + 1  # grow() rejects zero rows
     else:
         y, n_classes = np.asarray(y).astype(float), 0
+        # a node's square sum adds a squared label per row: it stays finite
+        # while |label| <= sqrt(max / rows), past that a gain may be NaN
+        rows = max(map(len, samples), default=1)
+        big = float(y[np.abs(y).argmax()]) if len(y) else 0.0
+        if not abs(big) <= np.sqrt(np.finfo(float).max / max(rows, 1)):
+            raise ValueError(f"regression label {big!r} is too large: its square sums "
+                             f"over {rows} rows overflow")
     return _Frontier(X, y, schema, task, n_classes).grow(samples, draws)
 
 

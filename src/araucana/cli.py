@@ -41,7 +41,7 @@ from .tabular import (
     Dataset,
     SchemaError,
     SynthSpec,
-    encode_labels,
+    encode_column,
     load_dataset,
     read_csv,
     save_dataset,
@@ -137,14 +137,18 @@ def _smote_policy(value: str) -> str:
     )
 
 
-def _positive_int(value: str) -> int:
-    try:
-        v = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {v}")
-    return v
+def _int_from(low: int):
+    """The parser of an integer flag whose values start at low (0 or 1)."""
+    def parse(value: str) -> int:
+        try:
+            v = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+        if v < low:
+            bound = "be positive" if low == 1 else f"be >= {low}"
+            raise argparse.ArgumentTypeError(f"must {bound}, got {v}")
+        return v
+    return parse
 
 
 def _fraction(value: str) -> float:
@@ -154,16 +158,6 @@ def _fraction(value: str) -> float:
         raise argparse.ArgumentTypeError(f"{value!r} is not a number") from None
     if not 0.0 < v < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {v}")
-    return v
-
-
-def _nonneg_int(value: str) -> int:
-    try:
-        v = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {v}")
     return v
 
 
@@ -211,8 +205,7 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
     header, rows = read_csv(args.data)
     if arg not in header:
         raise DataError(f"prediction column {arg!r} not found in {args.data}")
-    c = header.index(arg)
-    preds = encode_labels([row[c] for row in rows], covered.schema.target, args.data, arg)
+    preds = encode_column(covered.schema.target.encode, rows, header.index(arg), args.data, arg)
     return PrecomputedOracle(covered, preds, covered.task)
 
 
@@ -390,13 +383,13 @@ def _add_explain_flags(p: argparse.ArgumentParser):
     p.add_argument("--oracle", type=_oracle_spec, required=True,
                    help="builtin:forest | builtin:knn | cmd:\"...\" | "
                         "precomputed:<column> | file:<model.json>")
-    p.add_argument("--n-neighbors", type=_positive_int, default=100)
+    p.add_argument("--n-neighbors", type=_int_from(1), default=100)
     p.add_argument("--distance", choices=["gower", "euclidean"], default="gower")
     p.add_argument("--smote-policy", type=_smote_policy, default="balance",
                    help="balance | fixed:<N> | off")
-    p.add_argument("--smote-k", type=_positive_int, default=5)
-    p.add_argument("--trees", type=_positive_int, default=100, help="builtin:forest size")
-    p.add_argument("--k", type=_positive_int, default=5, help="builtin:knn neighbor count")
+    p.add_argument("--smote-k", type=_int_from(1), default=5)
+    p.add_argument("--trees", type=_int_from(1), default=100, help="builtin:forest size")
+    p.add_argument("--k", type=_int_from(1), default=5, help="builtin:knn neighbor count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--gen", required=True, choices=["xor_mixed", "moons2d", "imbalanced_mixed"])
-    p.add_argument("--rows", type=_positive_int, required=True)
+    p.add_argument("--rows", type=_int_from(1), required=True)
     p.add_argument("--minority-frac", type=float, default=None)
-    p.add_argument("--num-features", type=_nonneg_int, default=None)
-    p.add_argument("--cat-features", type=_nonneg_int, default=None)
+    p.add_argument("--num-features", type=_int_from(0), default=None)
+    p.add_argument("--cat-features", type=_int_from(0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
@@ -420,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a built-in black box")
     _add_common_data_flags(p)
     p.add_argument("--model", choices=["forest", "knn"], default="forest")
-    p.add_argument("--trees", type=_positive_int, default=100)
-    p.add_argument("--k", type=_positive_int, default=5)
+    p.add_argument("--trees", type=_int_from(1), default=100)
+    p.add_argument("--k", type=_int_from(1), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -38,7 +38,7 @@ from . import cart
 from .gower import DistanceMetric, nearest_rows
 from .oracle import PredictionOracle
 from .smote import SmoteConfig, smote_nc
-from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, validate_instance, value_text
+from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, check_rows, value_text
 
 ORIGINAL = "original"
 QUERY = "query"
@@ -189,8 +189,7 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     followed by the queries themselves; without `labels` every neighbor row
     is sent, so one query sends its N neighbors and then itself."""
     X = np.asarray(X, dtype=float)
-    for x in X:
-        validate_instance(train.schema, x)
+    check_rows(train.schema, X)
     n = cfg.n_neighbors
     if n > len(train):
         warnings.warn(

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import cart, gower
 from .gower import DistanceMetric
-from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema
+from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, first_refused
 
 
 class OracleError(RuntimeError):
@@ -466,9 +466,7 @@ def _forest_table(doc, schema: Schema, task: str):
         raise ValueError(f"a feature outside -1..{schema.n_features - 1}")
     if K and ((pred < 0) | (pred >= K)).any():
         raise ValueError(f"a class index outside 0..{K - 1}")
-    n_cats = np.array([0 if f.is_numeric else len(f.categories) for f in schema.features])
-    cats, v = n_cats[feat[split]], val[split]
-    if ((cats > 0) & ((v != np.floor(v)) | (v < 0) | (v >= cats))).any():
+    if first_refused(val[split], *(b[feat[split]] for b in schema.value_bounds)) is not None:
         raise ValueError("a categorical split's value is not a category index of its feature")
     end = np.append(roots[1:], N)[np.searchsorted(roots, split, side="right") - 1]
     if ((right[split] <= split + 1) | (right[split] >= end)).any():

@@ -7,6 +7,13 @@ Conventions used throughout the package:
   category in the feature's ``categories`` tuple;
 * classification labels are integer indices into ``schema.target.classes``,
   regression targets are floats.
+
+The specs alone decide what a valid value is: ``FeatureSpec.encode`` and
+``TargetSpec.encode`` read one display value (a CSV cell, or a JSON value of
+``--instance`` or a k-NN model file), and ``check_rows`` checks an encoded
+block against the schema's ``value_bounds``: finite numerics (inside the
+training range or not) and regression targets, whole category and class
+indices in range.
 """
 
 from __future__ import annotations
@@ -14,7 +21,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +42,18 @@ class DataError(ValueError):
 
 class SchemaError(ValueError):
     """An instance or dataset does not conform to its schema."""
+
+
+def _finite(value) -> float:
+    """The numeric rule: a finite number, or text that spells one, as a
+    float; a boolean is not a number."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if value is True or value is False or not math.isfinite(v):
+        raise SchemaError(f"{value!r} is not a finite number")
+    return v
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,20 @@ class FeatureSpec:
     def is_numeric(self) -> bool:
         return self.kind == NUMERIC
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {cat: k for k, cat in enumerate(self.categories)}
+
+    def encode(self, value) -> float:
+        """One display value as an instance holds it: a finite number (see
+        _finite) when numeric, else the index of a category name."""
+        if self.kind == NUMERIC:
+            return _finite(value)
+        k = self._index.get(str(value))
+        if k is None:
+            raise SchemaError(f"unknown category {value!r} (known: {list(self.categories)})")
+        return k
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -83,6 +118,25 @@ class TargetSpec:
                 raise SchemaError("regression target takes no class list")
         else:
             raise SchemaError(f"unknown target kind {self.kind!r}")
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {cls: k for k, cls in enumerate(self.classes)}
+
+    def encode(self, value):
+        """One label as a Dataset holds it: a finite number (see _finite) for
+        regression, else the index of the class that value names, by its name
+        or as a whole number (1, 1.0 and "1.0" name the class "1")."""
+        if self.kind == REGRESSION:
+            return _finite(value)
+        k = self._index.get(value) if isinstance(value, str) else None
+        if k is None:
+            with suppress(SchemaError):
+                v = _finite(value)
+                k = self._index.get(str(int(v))) if v.is_integer() else None
+        if k is None:
+            raise SchemaError(f"unknown class {value!r} for target {self.name!r}")
+        return k
 
 
 @dataclass(frozen=True)
@@ -117,29 +171,30 @@ class Schema:
                 lo[i], hi[i] = f.range
         return lo, hi
 
+    @cached_property
+    def value_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lowest and highest valid encoded value of each feature, then
+        of the target, and whether it must be whole: a category or class
+        index, or else any finite float (every one lies within [-max, max]
+        of the float type, and no infinity or NaN does)."""
+        names = [f.categories for f in self.features]
+        if self.target is not None:
+            names.append(self.target.classes)
+        n = np.array([0 if values is None else len(values) for values in names])
+        big = np.finfo(float).max
+        return np.where(n > 0, 0.0, -big), np.where(n > 0, n - 1.0, big), n > 0
+
     def encode_row(self, values) -> np.ndarray:
         """Convert display values (numbers / category strings) to an instance
-        array. A numeric value is a finite number, or a string that spells one;
-        a boolean is not a number."""
+        array, each by its feature's encode."""
         if len(values) != self.n_features:
             raise SchemaError(f"expected {self.n_features} values, got {len(values)}")
         out = np.empty(self.n_features)
         for i, (f, v) in enumerate(zip(self.features, values)):
-            if f.is_numeric:
-                try:
-                    out[i] = float(v)
-                except (TypeError, ValueError, OverflowError):
-                    out[i] = math.nan
-                if isinstance(v, bool) or not math.isfinite(out[i]):
-                    raise SchemaError(f"feature {f.name!r}: {v!r} is not a finite number")
-            else:
-                try:
-                    out[i] = f.categories.index(str(v))
-                except ValueError:
-                    raise SchemaError(
-                        f"feature {f.name!r}: unknown category {v!r} "
-                        f"(known: {list(f.categories)})"
-                    ) from None
+            try:
+                out[i] = f.encode(v)
+            except SchemaError as exc:
+                raise SchemaError(f"feature {f.name!r}: {exc}") from None
         return out
 
     def decode_row(self, inst: np.ndarray) -> list:
@@ -155,14 +210,8 @@ class Schema:
         return float(label)
 
     def encode_label(self, value):
-        if self.target is not None and self.target.kind == CLASSIFICATION:
-            try:
-                return self.target.classes.index(str(value))
-            except ValueError:
-                raise DataError(
-                    f"unknown class {value!r} for target {self.target.name!r}"
-                ) from None
-        return float(value)
+        """Inverse of decode_label: the target's encode."""
+        return self.target.encode(value)
 
     def to_dict(self) -> dict:
         feats = []
@@ -215,33 +264,44 @@ class Schema:
         return cls.from_dict(d)
 
 
-def validate_instance(schema: Schema, inst: np.ndarray) -> None:
-    """Raise SchemaError unless inst is a conforming instance.
+def check_rows(schema: Schema, X: np.ndarray, y: np.ndarray | None = None) -> None:
+    """Raise SchemaError unless every value of the 2-D block X, and every
+    label of y when given, lies within the schema's value_bounds. The error
+    names the first bad value in row order: its row, its feature and the
+    feature's index (or the target), and the value."""
+    if X.ndim != 2 or X.shape[1] != schema.n_features:
+        raise SchemaError(f"a block of shape {X.shape} is not rows of the schema's "
+                          f"{schema.n_features} features")
+    block = X if y is None else np.column_stack((X, y))
+    lo, hi, whole = (b[:block.shape[1]] for b in schema.value_bounds)
+    bad = first_refused(block, lo, hi, whole)
+    if bad is not None:
+        r, i = bad
+        if i < schema.n_features:
+            where, noun = f"feature {schema.features[i].name!r} (index {i})", "category"
+        else:
+            where, noun = f"target {schema.target.name!r}", "class"
+        what = f"a valid {noun} index (0..{int(hi[i])})" if whole[i] else "a finite number"
+        raise SchemaError(f"row {r}, {where}: {float(block[r, i])!r} is not {what}")
 
-    Out-of-range numeric values are legal (query instances may fall outside the
-    training range); non-finite numerics and unknown category indices are not.
-    """
-    inst = np.asarray(inst, dtype=float)
-    if inst.ndim != 1 or len(inst) != schema.n_features:
-        raise SchemaError(
-            f"instance has {inst.shape[0] if inst.ndim == 1 else inst.shape} values, "
-            f"schema has {schema.n_features} features"
-        )
-    for i, f in enumerate(schema.features):
-        v = float(inst[i])
-        if not math.isfinite(v):
-            raise SchemaError(f"feature {f.name!r} (index {i}): non-finite value {v!r}")
-        if not f.is_numeric:
-            if v != int(v) or not (0 <= int(v) < len(f.categories)):
-                raise SchemaError(
-                    f"feature {f.name!r} (index {i}): {v!r} is not a valid category index "
-                    f"(0..{len(f.categories) - 1})"
-                )
+
+def first_refused(values: np.ndarray, lo, hi, whole) -> tuple | None:
+    """The position of the first value in row order that lies outside
+    [lo, hi] (NaN lies outside every bound) or is not whole where whole is
+    set; None when there is none."""
+    ok = np.where(whole, np.floor(values), values).clip(lo, hi) == values
+    return None if ok.all() else tuple(np.argwhere(~ok)[0].tolist())
+
+
+def validate_instance(schema: Schema, inst: np.ndarray) -> None:
+    """Raise SchemaError unless inst is a conforming instance: check_rows of
+    the one-row block."""
+    check_rows(schema, np.asarray(inst, dtype=float)[None])
 
 
 @dataclass
 class Dataset:
-    """Rows conforming to a schema, with optional targets."""
+    """Rows conforming to a schema, with optional targets (see check_rows)."""
 
     schema: Schema
     X: np.ndarray
@@ -249,38 +309,17 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
-        if self.X.ndim != 2 or self.X.shape[1] != self.schema.n_features:
-            raise SchemaError(
-                f"data matrix has shape {self.X.shape}, expected (*, {self.schema.n_features})"
-            )
         if self.y is not None:
             if self.schema.target is None:
                 raise SchemaError("targets supplied but schema declares no target")
-            self.y = np.asarray(self.y)
+            self.y = np.asarray(self.y, dtype=float)
             if len(self.y) != len(self.X):
                 raise SchemaError(
                     f"{len(self.y)} targets for {len(self.X)} rows"
                 )
-            if self.task == CLASSIFICATION:
-                self.y = self.y.astype(np.int64)
-                n_classes = len(self.schema.target.classes)
-                if self.y.size and (self.y.min() < 0 or self.y.max() >= n_classes):
-                    raise SchemaError("class index out of range")
-            else:
-                self.y = self.y.astype(float)
-        # column-wise validation (vectorized counterpart of validate_instance)
-        for i, f in enumerate(self.schema.features):
-            col = self.X[:, i]
-            if not np.isfinite(col).all():
-                raise SchemaError(f"feature {f.name!r}: non-finite value")
-            if not f.is_numeric:
-                ok = (col == np.floor(col)) & (col >= 0) & (col < len(f.categories))
-                if not ok.all():
-                    r = int(np.flatnonzero(~ok)[0])
-                    raise SchemaError(
-                        f"feature {f.name!r}, row {r}: {float(col[r])!r} is not a valid "
-                        "category index"
-                    )
+        check_rows(self.schema, self.X, self.y)
+        if self.task == CLASSIFICATION and self.y is not None:
+            self.y = self.y.astype(np.int64)
 
     def __len__(self) -> int:
         return len(self.X)
@@ -288,14 +327,6 @@ class Dataset:
     @property
     def task(self) -> str | None:
         return None if self.schema.target is None else self.schema.target.kind
-
-
-def _parse_float(cell: str) -> float | None:
-    try:
-        v = float(cell)
-    except ValueError:
-        return None
-    return v if math.isfinite(v) else None
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
@@ -313,19 +344,17 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         for r, row in enumerate(reader):
             if len(row) != len(header):
                 raise DataError(f"{path}: row {r} has {len(row)} cells, header has {len(header)}")
-            for c, cell in enumerate(row):
-                if cell == "":
-                    raise DataError(f"{path}: empty cell at row {r}, column {header[c]!r}")
+            if "" in row:
+                raise DataError(f"{path}: empty cell at row {r}, column {header[row.index('')]!r}")
             rows.append(row)
     return header, rows
 
 
-def _infer_target_spec(name: str, cells: list[str]) -> TargetSpec:
-    vals = [_parse_float(c) for c in cells]
-    if any(v is None for v in vals):
+def _infer_target_spec(name: str, cells: list[str], vals: list[float] | None) -> TargetSpec:
+    if vals is None:
         classes = tuple(sorted(set(cells)))
         return TargetSpec(name, CLASSIFICATION, classes=classes)
-    if all(v == int(v) for v in vals):
+    if all(v.is_integer() for v in vals):
         # integer-coded labels read as classes; explicit schemas override this
         classes = tuple(str(int(v)) for v in sorted(set(vals)))
         return TargetSpec(name, CLASSIFICATION, classes=classes)
@@ -333,16 +362,19 @@ def _infer_target_spec(name: str, cells: list[str]) -> TargetSpec:
 
 
 def infer_schema(header: list[str], rows: list[list[str]], target: str | None = None) -> Schema:
-    """Infer a schema: a column is numeric iff every cell parses as a finite real."""
+    """Infer a schema: a column is numeric iff every cell is a finite number."""
     features = []
     target_spec = None
     for c, name in enumerate(header):
         cells = [row[c] for row in rows]
+        try:
+            vals = [_finite(cell) for cell in cells]
+        except SchemaError:
+            vals = None
         if name == target:
-            target_spec = _infer_target_spec(name, cells)
+            target_spec = _infer_target_spec(name, cells, vals)
             continue
-        vals = [_parse_float(cell) for cell in cells]
-        if cells and all(v is not None for v in vals):
+        if cells and vals is not None:
             features.append(FeatureSpec(name, NUMERIC, range=(min(vals), max(vals))))
         else:
             features.append(FeatureSpec(name, CATEGORICAL, categories=tuple(sorted(set(cells)))))
@@ -380,62 +412,25 @@ def load_dataset(csv_path, schema_path=None, *, schema: Schema | None = None,
     if extra:
         raise DataError(f"{csv_path}: columns {extra} not in schema")
 
-    n = len(rows)
-    X = np.empty((n, schema.n_features))
+    X = np.empty((len(rows), schema.n_features))
     for j, f in enumerate(schema.features):
-        c = col_of[f.name]
-        if f.is_numeric:
-            for r, row in enumerate(rows):
-                v = _parse_float(row[c])
-                if v is None:
-                    raise DataError(
-                        f"{csv_path}: row {r}, column {f.name!r}: {row[c]!r} is not numeric"
-                    )
-                X[r, j] = v
-        else:
-            index = {cat: k for k, cat in enumerate(f.categories)}
-            for r, row in enumerate(rows):
-                try:
-                    X[r, j] = index[row[c]]
-                except KeyError:
-                    raise DataError(
-                        f"{csv_path}: row {r}, column {f.name!r}: "
-                        f"unknown category {row[c]!r}"
-                    ) from None
-
+        X[:, j] = encode_column(f.encode, rows, col_of[f.name], csv_path, f.name)
     y = None
     if schema.target is not None:
-        c = col_of[schema.target.name]
-        y = encode_labels([row[c] for row in rows], schema.target, csv_path,
-                          schema.target.name)
+        name = schema.target.name
+        y = encode_column(schema.target.encode, rows, col_of[name], csv_path, name)
     return Dataset(schema, X, y)
 
 
-def encode_labels(cells: list[str], target: TargetSpec, csv_path, column: str) -> np.ndarray:
-    """Encode the cells of a label column of `csv_path` under `target`: class
-    indices for classification, finite reals for regression."""
-    if target.kind == CLASSIFICATION:
-        index = {cls: k for k, cls in enumerate(target.classes)}
-        y = np.empty(len(cells), dtype=np.int64)
-        for r, cell in enumerate(cells):
-            v = _parse_float(cell)
-            if cell not in index and v is not None and v == int(v):
-                # integer-coded class columns round-trip as "0", "1", ...
-                cell = str(int(v))
-            if cell not in index:
-                raise DataError(
-                    f"{csv_path}: row {r}, column {column!r}: unknown class {cells[r]!r} "
-                    f"for target {target.name!r}"
-                )
-            y[r] = index[cell]
-        return y
-    y = np.empty(len(cells))
-    for r, cell in enumerate(cells):
-        v = _parse_float(cell)
-        if v is None:
-            raise DataError(f"{csv_path}: row {r}, column {column!r}: {cell!r} is not numeric")
-        y[r] = v
-    return y
+def encode_column(encode, rows: list[list[str]], c: int, csv_path, column: str) -> list:
+    """Cell c of each row of `csv_path` through `encode`, a spec's encode. A
+    cell it refuses raises DataError naming the file, the row and `column`."""
+    out: list = []
+    try:
+        out.extend(encode(row[c]) for row in rows)  # on a refusal, out holds the rows before it
+    except SchemaError as exc:
+        raise DataError(f"{csv_path}: row {len(out)}, column {column!r}: {exc}") from None
+    return out
 
 
 def save_dataset(ds: Dataset, csv_path, schema_path=None) -> None:

@@ -300,6 +300,22 @@ def test_errors():
         fit_tree(np.array([[0.1]]), np.array([1, 2]), schema)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_regression_labels_whose_square_sums_overflow_are_refused():
+    # square sums of +-1e200 overflow: every gain was NaN, and the best-split
+    # pick indexed an empty array
+    schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 19.0)),),
+                    TargetSpec("y", REGRESSION))
+    X = np.arange(20.0).reshape(-1, 1)
+    y = np.where(np.arange(20) % 2, 1e200, -3e200)
+    with pytest.raises(ValueError, match=r"^regression label -3e\+200 is too large: its square "
+                                         r"sums over 20 rows overflow$"):
+        fit_tree(X, y, schema)
+    # labels up to sqrt(max / rows) grow without a warning
+    y = y / 3e200 * np.sqrt(np.finfo(float).max / 20)
+    np.testing.assert_array_equal(predict_batch(fit_tree(X, y, schema), X), y)
+
+
 def _tied_data(rng, target, n=70):
     """Random mixed rows with repeated values, duplicated rows, and, for
     regression, labels of mixed magnitude that repeat: ties set the row order

@@ -10,7 +10,9 @@ from araucana import cli
 from araucana.cli import main
 from araucana.tabular import (
     Dataset,
+    Schema,
     SynthSpec,
+    TargetSpec,
     load_dataset,
     read_csv,
     save_dataset,
@@ -207,6 +209,63 @@ def test_explain_bad_selector_exits_2_before_the_oracle_is_built(tmp_path, capsy
                 "--oracle", "builtin:forest", *selector])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rows", "0", "argument --rows: must be positive, got 0"),
+    ("--num-features", "-1", "argument --num-features: must be >= 0, got -1"),
+    ("--cat-features", "two", "argument --cat-features: 'two' is not an integer"),
+])
+def test_integer_flag_out_of_its_range_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    args = {"--rows": "10", "--num-features": "2", "--cat-features": "2", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        run(["synth", "--gen", "xor_mixed", *(a for kv in args.items() for a in kv),
+             "--out", tmp_path / "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(message)
+
+
+def _regression_csv(tmp_path, scale=1.0):
+    """data.csv and schema.json of 150 imbalanced_mixed rows with a
+    regression target y, times scale (past 2**53 every label is whole, and
+    inference would read the column as classes)."""
+    ds = synth_dataset(SynthSpec("imbalanced_mixed", 150), seed=5)
+    ds = Dataset(Schema(ds.schema.features, TargetSpec("y", "regression")), ds.X,
+                 (1.5 + ds.X[:, 0] - ds.X[:, 1]) * scale)
+    save_dataset(ds, tmp_path / "data.csv", tmp_path / "schema.json")
+    return ["--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json"]
+
+
+@pytest.mark.parametrize("damage", ["label NaN", "label true", "label inf", "row NaN"])
+def test_knn_model_file_with_a_bad_value_exits_1(tmp_path, capsys, damage):
+    # a regression k-NN file took a NaN, true or "inf" label and predicted
+    # nan, 1.0 or inf with it
+    data = _regression_csv(tmp_path)
+    assert run(["train", *data, "--model", "knn", "--out", tmp_path / "m"]) == 0
+    path = tmp_path / "m" / "model.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if damage == "row NaN":
+        doc["rows"][2][0] = float("nan")
+    else:
+        doc["labels"][2] = {"label NaN": float("nan"), "label true": True, "label inf": "inf"}[damage]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    code = run(["explain", *data, "--oracle", f"file:{path}", "--index", 0])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: malformed model file {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_labels_whose_square_sums_overflow_exit_1(tmp_path, capsys, command):
+    data = _regression_csv(tmp_path, scale=1e200)
+    more = ["--out", tmp_path / "m"] if command == "train" else \
+        ["--oracle", "builtin:knn", "--index", 0]
+    code = run([command, *data, *more])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: regression label ") and err.count("\n") == 1
+    assert "too large" in err and "Traceback" not in err
 
 
 def test_synth_zero_rows_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,12 +12,16 @@ from araucana.tabular import (
     SchemaError,
     SynthSpec,
     TargetSpec,
+    check_rows,
     infer_schema,
     load_dataset,
+    read_csv,
     save_dataset,
     synth_dataset,
     validate_instance,
 )
+
+from conftest import random_mixed_schema, random_rows
 
 
 def write(tmp_path, name, text):
@@ -81,14 +86,74 @@ def test_validate_instance(age_sex_schema):
     validate_instance(age_sex_schema, np.array([30.0, 1.0]))  # conforming
     with pytest.raises(SchemaError, match="2 features"):
         validate_instance(age_sex_schema, np.array([1.0, 0.0, 2.0]))
-    with pytest.raises(SchemaError, match=r"'sex' \(index 1\): 5.0 is not a valid category index"):
+    with pytest.raises(SchemaError, match=r"^row 0, feature 'sex' \(index 1\): 5.0 is not a "
+                                          r"valid category index \(0..1\)$"):
         validate_instance(age_sex_schema, np.array([30.0, 5.0]))
-    with pytest.raises(SchemaError, match=r"'age' \(index 0\): non-finite value nan$"):
+    with pytest.raises(SchemaError, match=r"^row 0, feature 'age' \(index 0\): nan is not a "
+                                          r"finite number$"):
         validate_instance(age_sex_schema, np.array([np.nan, 0.0]))
-    with pytest.raises(SchemaError, match=r"'sex', row 1: 2.5 is not a valid category index$"):
+    with pytest.raises(SchemaError, match=r"^row 1, feature 'sex' \(index 1\): 2.5 is not a "
+                                          r"valid category index \(0..1\)$"):
         Dataset(age_sex_schema, np.array([[30.0, 1.0], [30.0, 2.5]]))
     # out-of-range numerics are allowed (stored unclamped)
     validate_instance(age_sex_schema, np.array([1234.0, 0.0]))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_check_rows_names_the_one_planted_bad_cell(seed):
+    rng = np.random.default_rng(seed)
+    schema = random_mixed_schema(rng)
+    X = random_rows(rng, schema, int(rng.integers(1, 30)))
+    check_rows(schema, X)  # a clean block passes
+    Dataset(schema, X)
+    r, i = int(rng.integers(len(X))), int(rng.integers(schema.n_features))
+    f = schema.features[i]
+    bad = [math.nan, math.inf, -math.inf]
+    if not f.is_numeric:
+        bad += [2.5, -1.0, float(len(f.categories))]
+    value = bad[int(rng.integers(len(bad)))]
+    X[r, i] = value
+    what = "a finite number" if f.is_numeric else \
+        rf"a valid category index \(0..{len(f.categories) - 1}\)"
+    cell = rf"feature '{f.name}' \(index {i}\): {re.escape(repr(value))} is not {what}$"
+    with pytest.raises(SchemaError, match=rf"^row {r}, {cell}"):
+        check_rows(schema, X)
+    with pytest.raises(SchemaError, match=rf"^row {r}, {cell}"):
+        Dataset(schema, X)
+    with pytest.raises(SchemaError, match=rf"^row 0, {cell}"):
+        validate_instance(schema, X[r])
+
+
+@pytest.mark.parametrize("kind, value", [("regression", math.nan), ("regression", math.inf),
+                                         ("classification", 2.0),
+                                         ("classification", 0.5)])
+def test_dataset_refuses_a_bad_target(age_sex_schema, kind, value):
+    classes = ("0", "1") if kind == "classification" else None
+    schema = Schema(age_sex_schema.features, TargetSpec("label", kind, classes=classes))
+    X = np.array([[30.0, 0.0], [50.0, 1.0], [40.0, 1.0]])
+    what = "a finite number" if classes is None else r"a valid class index \(0..1\)"
+    with pytest.raises(SchemaError, match=rf"^row 1, target 'label': {value!r} is not {what}$"):
+        Dataset(schema, X, np.array([0.0, value, 1.0]))
+
+
+def test_one_label_rule_for_every_source(tmp_path):
+    classes = TargetSpec("label", "classification", classes=("0", "1"))
+    # a whole number names an integer-coded class wherever a label comes from
+    assert [classes.encode(v) for v in ("1", "1.0", 1, 1.0, "0")] == [1, 1, 1, 1, 0]
+    schema = Schema((FeatureSpec("a", "numeric", range=(0.0, 1.0)),), classes)
+    assert schema.encode_label("1.0") == 1
+    for value in ("2", 0.5, True, "nan", None):
+        with pytest.raises(SchemaError, match="unknown class"):
+            schema.encode_label(value)
+    # a regression label is a finite number, never a boolean
+    reg = TargetSpec("t", "regression")
+    assert reg.encode("2.5") == 2.5 and reg.encode(3) == 3.0
+    for value in ("nan", "inf", math.nan, True, False, "x", 10 ** 400):
+        with pytest.raises(SchemaError, match="is not a finite number"):
+            reg.encode(value)
+    p = write(tmp_path, "d.csv", "a,t\n0.5,0.25\n0.7,inf\n")
+    with pytest.raises(DataError, match=r"d.csv: row 1, column 't': 'inf' is not a finite number$"):
+        load_dataset(p, schema=Schema(schema.features, reg))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10 ** 400,
@@ -111,10 +176,19 @@ def test_schema_invariants():
         FeatureSpec("a", "numeric", range=(2.0, 1.0))
 
 
-def test_roundtrip_identical(tmp_path):
+@pytest.mark.parametrize("target", ["classes", "regression", "classes_written_as_1.0"])
+def test_roundtrip_identical(tmp_path, target):
     ds = synth_dataset(SynthSpec("imbalanced_mixed", 60), seed=3)
+    if target == "regression":
+        schema = Schema(ds.schema.features, TargetSpec("label", "regression"))
+        ds = Dataset(schema, ds.X, np.random.default_rng(4).standard_normal(len(ds)) * 1e3)
     csv_p, sch_p = tmp_path / "d.csv", tmp_path / "s.json"
     save_dataset(ds, csv_p, sch_p)
+    if target == "classes_written_as_1.0":
+        # an integer-coded class column as a float writer leaves it: "1.0" is class "1"
+        text = csv_p.read_text(encoding="utf-8")
+        csv_p.write_text(re.sub(r",([01])$", r",\1.0", text, flags=re.M), encoding="utf-8")
+        assert read_csv(csv_p)[1][0][-1] in ("0.0", "1.0")
     back = load_dataset(csv_p, sch_p)
     assert back.schema == ds.schema
     np.testing.assert_array_equal(back.X, ds.X)
