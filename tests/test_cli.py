@@ -225,7 +225,7 @@ def test_integer_flag_out_of_its_range_is_a_usage_error(tmp_path, capsys, flag, 
     assert capsys.readouterr().err.rstrip().endswith(message)
 
 
-def _regression_csv(tmp_path, scale=1.0):
+def _regression_data(tmp_path, scale=1.0):
     """data.csv and schema.json of 150 imbalanced_mixed rows with a
     regression target y, times scale (past 2**53 every label is whole, and
     inference would read the column as classes)."""
@@ -240,7 +240,7 @@ def _regression_csv(tmp_path, scale=1.0):
 def test_knn_model_file_with_a_bad_value_exits_1(tmp_path, capsys, damage):
     # a regression k-NN file took a NaN, true or "inf" label and predicted
     # nan, 1.0 or inf with it
-    data = _regression_csv(tmp_path)
+    data = _regression_data(tmp_path)
     assert run(["train", *data, "--model", "knn", "--out", tmp_path / "m"]) == 0
     path = tmp_path / "m" / "model.json"
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -258,7 +258,7 @@ def test_knn_model_file_with_a_bad_value_exits_1(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("command", ["train", "explain"])
 def test_labels_whose_square_sums_overflow_exit_1(tmp_path, capsys, command):
-    data = _regression_csv(tmp_path, scale=1e200)
+    data = _regression_data(tmp_path, scale=1e200)
     more = ["--out", tmp_path / "m"] if command == "train" else \
         ["--oracle", "builtin:knn", "--index", 0]
     code = run([command, *data, *more])
