@@ -487,9 +487,7 @@ def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def apply(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
     """Leaf node id of each row."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 1:
-        rows = rows.reshape(1, -1)
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return route(route_plan(tree), np.zeros(1, dtype=np.int64), rows)[0]
 
 

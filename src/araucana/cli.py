@@ -39,8 +39,10 @@ from .tabular import (
     CLASSIFICATION,
     DataError,
     Dataset,
+    Schema,
     SchemaError,
     SynthSpec,
+    dataset_from_cells,
     encode_column,
     load_dataset,
     read_csv,
@@ -167,14 +169,18 @@ def _ignored_columns(args) -> tuple[str, ...]:
     return (spec.split(":", 1)[1],) if spec.startswith("precomputed:") else ()
 
 
-def _load_data(args, manifest: _Manifest) -> Dataset:
+def _load_data(args, manifest: _Manifest) -> tuple[Dataset, tuple]:
+    """The --data dataset and the cells (header, rows) it was read from,
+    where a precomputed:<column> oracle finds its predictions."""
+    cells = read_csv(args.data)
     schema_path = getattr(args, "schema", None)
-    ds = load_dataset(args.data, schema_path, target=getattr(args, "target", None),
-                      ignore=_ignored_columns(args))
+    schema = None if schema_path is None else Schema.load(schema_path)
+    ds = dataset_from_cells(*cells, args.data, schema=schema,
+                            target=getattr(args, "target", None), ignore=_ignored_columns(args))
     manifest.add_input(args.data)
     if schema_path:
         manifest.add_input(schema_path)
-    return ds
+    return ds, cells
 
 
 def _train_builtin(kind: str, data: Dataset, args, seed: int):
@@ -184,10 +190,10 @@ def _train_builtin(kind: str, data: Dataset, args, seed: int):
     return train_knn(data, k=args.k)
 
 
-def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
+def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest, cells: tuple,
                   full_data: Dataset | None = None):
-    """data: rows built-in models train on; full_data: every row the
-    precomputed column describes (defaults to data)."""
+    """data: rows built-in models train on; cells: the parsed --data CSV;
+    full_data: every row the precomputed column describes (defaults to data)."""
     kind, arg = spec.split(":", 1)
     if data.task is None:
         raise DataError("the dataset declares no target; an oracle task is undefined")
@@ -202,7 +208,7 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest,
         return SubprocessOracle(arg, data.schema, data.task)
     # precomputed:<column> of the data csv
     covered = data if full_data is None else full_data
-    header, rows = read_csv(args.data)
+    header, rows = cells
     if arg not in header:
         raise DataError(f"prediction column {arg!r} not found in {args.data}")
     preds = encode_column(covered.schema.target.encode, rows, header.index(arg), args.data, arg)
@@ -253,7 +259,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     manifest = _Manifest("train", args)
-    data = _load_data(args, manifest)
+    data, _ = _load_data(args, manifest)
     if data.y is None:
         raise DataError(
             "training requires a target column (got none; pass --schema or --target)"
@@ -264,7 +270,8 @@ def cmd_train(args) -> int:
         score = float((preds == data.y).mean())
         print(f"training accuracy: {score:.4f}")
     else:
-        score = float(np.mean((preds - data.y) ** 2))
+        with np.errstate(over="ignore"):  # an error beyond the float range reads inf
+            score = float(np.mean((preds - data.y) ** 2))
         print(f"training mse: {score:.6g}")
     out = _out_dir(args)
     save_model(model, out / "model.json")
@@ -303,9 +310,9 @@ def _query_instance(args, data: Dataset) -> np.ndarray:
 
 def cmd_explain(args) -> int:
     manifest = _Manifest("explain", args)
-    data = _load_data(args, manifest)
+    data, cells = _load_data(args, manifest)
     x = _query_instance(args, data)  # a bad selector exits before any oracle trains
-    oracle = _build_oracle(args.oracle, data, args, manifest)
+    oracle = _build_oracle(args.oracle, data, args, manifest, cells)
     cfg = _explain_config(args)
     try:
         expl = explain_instance(data, x, oracle, cfg)
@@ -334,7 +341,7 @@ def _split_test_frac(data: Dataset, frac: float, seed: int) -> tuple[Dataset, Da
 
 def cmd_evaluate(args) -> int:
     manifest = _Manifest("evaluate", args)
-    data = _load_data(args, manifest)
+    data, cells = _load_data(args, manifest)
     if args.test is not None:
         train = data
         # under the training schema, so a category index means the same
@@ -344,7 +351,7 @@ def cmd_evaluate(args) -> int:
     else:
         train, test = _split_test_frac(data, args.test_frac, args.seed)
     # a precomputed column covers every row of --data, not just the train split
-    oracle = _build_oracle(args.oracle, train, args, manifest, full_data=data)
+    oracle = _build_oracle(args.oracle, train, args, manifest, cells, full_data=data)
     cfg = _explain_config(args)
     try:
         report = evaluate_fidelity(train, test, oracle, args.explainers, cfg)

@@ -187,9 +187,12 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     One request labels the neighbor rows whose label `labels` does not hold
     yet, in order of first appearance (query by query, nearest first),
     followed by the queries themselves; without `labels` every neighbor row
-    is sent, so one query sends its N neighbors and then itself."""
+    is sent, so one query sends its N neighbors and then itself. An empty
+    training set has no neighborhood and raises ValueError."""
     X = np.asarray(X, dtype=float)
     check_rows(train.schema, X)
+    if len(train) == 0:
+        raise ValueError("the training set is empty: a neighborhood needs at least one row")
     n = cfg.n_neighbors
     if n > len(train):
         warnings.warn(

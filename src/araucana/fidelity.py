@@ -9,7 +9,7 @@ neighborhood and predicts the instance. Fidelity is the fraction of
 instances where that prediction matches the oracle's label. The weighted-linear
 baseline mirrors the usual local-linear recipe: least squares on the encoded
 neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
-dimension), and a ridge term of 1e-3.
+dimension, at least 1), and a ridge term of 1e-3.
 """
 
 from __future__ import annotations
@@ -45,22 +45,18 @@ EXPLAIN_BATCH_QUERIES = 64
 class LinearExplainer:
     """Ridge-regularized weighted linear fit on an encoded neighborhood.
 
-    Encoding: numerics scaled to [0, 1] by the schema range, categoricals
-    one-hot. Classification fits one score column per class (0/1 indicators)
-    and predicts the argmax; a single-label neighborhood degenerates to a
-    constant predictor.
+    Encoding: numerics scaled to [0, 1] by the schema (Schema.scaled_numeric),
+    categoricals one-hot, in feature order. Classification fits one score
+    column per class (0/1 indicators) and predicts the argmax.
     """
 
-    weights: np.ndarray  # (n_outputs, encoded_dim)
+    weights: np.ndarray  # (n_outputs, encoded dimension)
     intercept: np.ndarray  # (n_outputs,)
     kernel_width: float
     task: str
     schema: Schema
-    constant: object = None  # label when the fit degenerated
 
     def predict(self, inst: np.ndarray):
-        if self.constant is not None:
-            return self.constant
         z = _encode(self.schema, np.asarray(inst, dtype=float).reshape(1, -1))[0]
         scores = self.weights @ z + self.intercept
         if self.task == CLASSIFICATION:
@@ -69,37 +65,28 @@ class LinearExplainer:
 
 
 def _encode(schema: Schema, X: np.ndarray) -> np.ndarray:
-    cols = []
-    lo, hi = schema.numeric_bounds()
-    for i, f in enumerate(schema.features):
-        if f.is_numeric:
-            span = hi[i] - lo[i]
-            if span > 0:
-                cols.append(((np.clip(X[:, i], lo[i], hi[i]) - lo[i]) / span)[:, None])
-            else:
-                cols.append(np.zeros((len(X), 1)))
-        else:
-            onehot = np.zeros((len(X), len(f.categories)))
-            onehot[np.arange(len(X)), X[:, i].astype(int)] = 1.0
-            cols.append(onehot)
-    return np.hstack(cols)
-
-
-def encoded_dim(schema: Schema) -> int:
-    return sum(1 if f.is_numeric else len(f.categories) for f in schema.features)
+    """The rows X encoded, one column per numeric feature and one per
+    category of a categorical one, in feature order."""
+    widths = np.array([1 if f.is_numeric else len(f.categories) for f in schema.features],
+                      dtype=np.intp)
+    start = np.cumsum(widths) - widths
+    num = schema.numeric_mask()
+    A = np.zeros((len(X), widths.sum()))
+    A[:, start[num]] = schema.scaled_numeric(X)
+    A[np.arange(len(X))[:, None], start[~num] + X[:, ~num].astype(np.intp)] = 1.0
+    return A
 
 
 def fit_linear_explainer(nbh: Neighborhood, schema: Schema,
                          task: str = CLASSIFICATION) -> LinearExplainer:
-    """Weighted least squares on the relabeled neighborhood."""
-    dim = encoded_dim(schema)
-    kernel_width = 0.75 * np.sqrt(dim)
-    y = np.asarray(nbh.relabels)
-    if task == CLASSIFICATION and len(np.unique(y)) < 2:
-        return LinearExplainer(np.zeros((1, dim)), np.zeros(1), kernel_width, task,
-                               schema, constant=int(y[0]) if len(y) else 0)
-
+    """Weighted least squares on the relabeled neighborhood. On a one-label
+    neighborhood every other class's score column has a zero right-hand side
+    and solves to zeros, and the label's is met by the unpenalized intercept
+    alone, so the fit predicts that label."""
     A = _encode(schema, nbh.rows)
+    dim = A.shape[1]
+    kernel_width = 0.75 * np.sqrt(max(dim, 1))  # without features every distance is 0
+    y = np.asarray(nbh.relabels)
     w = np.exp(-(np.asarray(nbh.distances) ** 2) / kernel_width**2)
     if task == CLASSIFICATION:
         n_classes = int(y.max()) + 1 if schema.target is None else len(schema.target.classes)

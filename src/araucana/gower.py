@@ -46,13 +46,8 @@ class DistanceMetric:
             raise ValueError(f"unknown metric kind {kind!r}")
         self.schema = schema
         self.kind = kind
-        self._numeric = schema.numeric_mask()
-        lo, hi = schema.numeric_bounds()
-        self._lo = lo[self._numeric]
-        self._hi = hi[self._numeric]
-        span = self._hi - self._lo
-        self._span = np.where(span > 0, span, 1.0)  # constant features divide by 1
-        self._live = span > 0  # constant numeric features contribute 0
+        # a constant feature's clamped values are equal, so it contributes 0
+        self._numeric, self._lo, self._hi, self._span = schema.numeric_layout
 
 
 def _clamped_numeric(metric: DistanceMetric, X: np.ndarray) -> np.ndarray:
@@ -90,7 +85,6 @@ def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> n
         diff = rn - xn[a:a + step, None]
         np.abs(diff, out=diff)
         diff /= metric._span
-        diff *= metric._live
         if metric.kind == EUCLIDEAN:
             diff *= diff  # squared terms of the normalized encoding
         d = diff.sum(axis=-1)

@@ -99,9 +99,7 @@ class ForestModel:
         self.plan = cart.route_plan(nodes)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         votes = self.nodes.table.pred[cart.route(self.plan, self.roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
@@ -157,9 +155,7 @@ class KnnModel:
         self.metric = metric
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         near = gower.nearest_rows(self.metric, rows, self.X, self.k)[0]
         if self.task == REGRESSION:
             return self.y[near].mean(axis=1)
@@ -258,9 +254,7 @@ class SubprocessOracle(PredictionOracle):
         return line
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if len(rows) <= SUBPROCESS_REQUEST_ROWS:
             return self._request(rows)
         return np.concatenate([self._request(rows[a:a + SUBPROCESS_REQUEST_ROWS])
@@ -351,9 +345,7 @@ class PrecomputedOracle(PredictionOracle):
         )
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim == 1:
-            rows = rows.reshape(1, -1)
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
         out = []
         for x in rows:
             i = self._index.get(x.tobytes())

@@ -45,14 +45,6 @@ class SmoteConfig:
             raise ValueError("fixed_total must be >= 0")
 
 
-def _normalized_numeric(X: np.ndarray, schema: Schema) -> np.ndarray:
-    mask = schema.numeric_mask()
-    lo, hi = schema.numeric_bounds()
-    lo, hi = lo[mask], hi[mask]
-    span = np.where(hi > lo, hi - lo, 1.0)
-    return (X[:, mask].clip(lo, hi) - lo) / span
-
-
 def _mismatch_penalty(norm_num: np.ndarray) -> float:
     """Squared distance added per mismatched categorical pair."""
     if norm_num.shape[1] == 0:
@@ -72,7 +64,7 @@ def _class_neighbor_order(X: np.ndarray, schema: Schema, members: np.ndarray,
     least one member each, each reduced to its nearest before the next.
     """
     sub = X[members]
-    norm = _normalized_numeric(sub, schema)
+    norm = schema.scaled_numeric(sub)
     penalty = _mismatch_penalty(norm)  # over the whole class, not per block
     cat = sub[:, ~schema.numeric_mask()]
     order = np.empty((len(sub), k), dtype=np.intp)

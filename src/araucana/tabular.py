@@ -159,17 +159,28 @@ class Schema:
     def feature_names(self) -> list[str]:
         return [f.name for f in self.features]
 
-    def numeric_mask(self) -> np.ndarray:
-        return np.array([f.is_numeric for f in self.features], dtype=bool)
+    @cached_property
+    def numeric_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mask, lo, hi, span), read-only: which features are numeric, then
+        per numeric feature its range ends and its span, hi - lo, or 1 for a
+        constant feature."""
+        mask = np.array([f.is_numeric for f in self.features], dtype=bool)
+        lo, hi = np.array([f.range for f in self.features if f.is_numeric],
+                          dtype=float).reshape(-1, 2).T.copy()
+        span = np.where(hi > lo, hi - lo, 1.0)
+        for a in (mask, lo, hi, span):
+            a.flags.writeable = False
+        return mask, lo, hi, span
 
-    def numeric_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-feature (lo, hi) arrays; categorical positions carry (0, 0)."""
-        lo = np.zeros(self.n_features)
-        hi = np.zeros(self.n_features)
-        for i, f in enumerate(self.features):
-            if f.is_numeric:
-                lo[i], hi[i] = f.range
-        return lo, hi
+    def numeric_mask(self) -> np.ndarray:
+        return self.numeric_layout[0]
+
+    def scaled_numeric(self, X: np.ndarray) -> np.ndarray:
+        """The numeric columns of the rows X, each clipped into its range and
+        scaled to [0, 1] as (clip(v, lo, hi) - lo) / span: a constant feature
+        reads 0."""
+        mask, lo, hi, span = self.numeric_layout
+        return (X[..., mask].clip(lo, hi) - lo) / span
 
     @cached_property
     def value_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -395,6 +406,13 @@ def load_dataset(csv_path, schema_path=None, *, schema: Schema | None = None,
     header, rows = read_csv(csv_path)
     if schema_path is not None:
         schema = Schema.load(schema_path)
+    return dataset_from_cells(header, rows, csv_path, schema=schema, target=target, ignore=ignore)
+
+
+def dataset_from_cells(header: list[str], rows: list[list[str]], csv_path, *,
+                       schema: Schema | None = None, target: str | None = None,
+                       ignore: tuple[str, ...] = ()) -> Dataset:
+    """load_dataset of the cells read_csv parsed from `csv_path`."""
     if schema is None:
         keep = [i for i, name in enumerate(header) if name not in ignore]
         header = [header[i] for i in keep]
@@ -461,7 +479,8 @@ class SynthSpec:
     """Configuration for the built-in generators.
 
     minority_frac / n_numeric / n_categorical default per generator when None:
-    xor_mixed (0.5, 2, 2), moons2d (0.5, 2, 0), imbalanced_mixed (0.14, 4, 2).
+    xor_mixed (-, 2, 2), moons2d (0.5, 2, 0), imbalanced_mixed (0.14, 4, 2).
+    xor_mixed takes no minority_frac: its labels are a parity.
     """
 
     generator: str
@@ -477,10 +496,13 @@ class SynthSpec:
             )
         if self.rows <= 0:
             raise DataError(f"row count must be positive, got {self.rows}")
+        if self.generator == "xor_mixed" and self.minority_frac is not None:
+            raise DataError("xor_mixed takes no minority fraction: its labels are a parity "
+                            "of the features")
 
 
 _DEFAULTS = {
-    "xor_mixed": (0.5, 2, 2),
+    "xor_mixed": (0.5, 2, 2),  # the fraction is unused: the labels are a parity
     "moons2d": (0.5, 2, 0),
     "imbalanced_mixed": (0.14, 4, 2),
 }

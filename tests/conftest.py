@@ -69,6 +69,30 @@ def random_rows(rng, schema, n):
     return X
 
 
+def out_of_range(rng, schema, X):
+    """X with about a third of its numeric cells moved outside the schema range."""
+    X = X.copy()
+    for j, f in enumerate(schema.features):
+        if f.is_numeric:
+            lo, hi = f.range
+            far = rng.random(len(X)) < 1 / 3
+            X[far, j] = np.where(rng.random(far.sum()) < 0.5, lo - 1 - 5 * rng.random(far.sum()),
+                                 hi + 1 + 5 * rng.random(far.sum()))
+    return X
+
+
+def random_scaling_case(rng, n_max=40):
+    """A random mixed schema with 0-4 numeric features, each constant (equal
+    range ends) with probability 1/3, and 0 to n_max rows of it with about a
+    third of the numeric cells past either range end."""
+    schema = random_mixed_schema(rng, n_num=int(rng.integers(0, 5)))
+    feats = tuple(FeatureSpec(f.name, "numeric", range=(f.range[0], f.range[0]))
+                  if f.is_numeric and rng.random() < 1 / 3 else f for f in schema.features)
+    schema = Schema(feats, schema.target)
+    X = random_rows(rng, schema, int(rng.integers(0, n_max + 1)))
+    return schema, out_of_range(rng, schema, X)
+
+
 def make_dataset(rng, schema, n):
     X = random_rows(rng, schema, n)
     if schema.target is None or schema.target.kind == REGRESSION:

@@ -15,9 +15,10 @@ from araucana.tabular import Schema
 
 
 def normalized_numeric(X: np.ndarray, schema: Schema) -> np.ndarray:
-    mask = schema.numeric_mask()
-    lo, hi = schema.numeric_bounds()
-    lo, hi = lo[mask], hi[mask]
+    """Numerics scaled by the range each feature spec declares."""
+    mask = np.array([f.is_numeric for f in schema.features], dtype=bool)
+    lo = np.array([f.range[0] for f in schema.features if f.is_numeric])
+    hi = np.array([f.range[1] for f in schema.features if f.is_numeric])
     span = np.where(hi > lo, hi - lo, 1.0)
     return (np.clip(X[:, mask], lo, hi) - lo) / span
 

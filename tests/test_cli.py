@@ -1,12 +1,13 @@
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from araucana import cli
+from araucana import cli, tabular
 from araucana.cli import main
 from araucana.tabular import (
     Dataset,
@@ -256,6 +257,17 @@ def test_knn_model_file_with_a_bad_value_exits_1(tmp_path, capsys, damage):
     assert err.startswith(f"error: malformed model file {path}: ") and err.count("\n") == 1
 
 
+def test_knn_training_mse_past_the_float_range_reads_inf(tmp_path, capsys):
+    # the squared errors of a 1e200-scaled target overflow; numpy's warning
+    # would end the run under -W error::RuntimeWarning
+    data = _regression_data(tmp_path, scale=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["train", *data, "--model", "knn", "--out", tmp_path / "m"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "training mse: inf"
+
+
 @pytest.mark.parametrize("command", ["train", "explain"])
 def test_labels_whose_square_sums_overflow_exit_1(tmp_path, capsys, command):
     data = _regression_data(tmp_path, scale=1e200)
@@ -276,6 +288,11 @@ def test_synth_zero_rows_exits_2(tmp_path):
     code = run(["synth", "--gen", "xor_mixed", "--rows", 10, "--cat-features", 1,
                 "--out", tmp_path / "y"])
     assert code == 2
+    # xor_mixed's labels are a parity, so a minority fraction would do nothing
+    code = run(["synth", "--gen", "xor_mixed", "--rows", 10, "--minority-frac", 0.2,
+                "--out", tmp_path / "z"])
+    assert code == 2
+    assert not (tmp_path / "z").exists()
     # so are zero counts for the built-in black boxes
     data = synth_dir(tmp_path, "moons2d", 30, 1)
     for flag in ("--trees", "--k"):
@@ -516,6 +533,43 @@ def test_precomputed_query_outside_dataset_exits_1_without_smote_advice(tmp_path
     assert code == 1
     assert err.startswith("error: ") and "outside its dataset" in err
     assert "--smote-policy off" not in err  # SMOTE is already off; it cannot help
+
+
+@pytest.mark.parametrize("command", [["explain", "--index", 0],
+                                     ["evaluate", "--test-frac", 0.25, "--n-neighbors", 30]])
+def test_precomputed_oracle_parses_the_data_csv_once(tmp_path, monkeypatch, command):
+    # the prediction column comes from the parse that built the dataset
+    _xor_train_csv(tmp_path)
+    header, rows = read_csv(tmp_path / "train.csv")
+    with (tmp_path / "pred.csv").open("w", newline="") as fh:
+        csv.writer(fh).writerows([header + ["pred"], *(r + [r[-1]] for r in rows)])
+    parsed = []
+
+    def counting_read_csv(path):
+        parsed.append(Path(path))
+        return read_csv(path)
+
+    monkeypatch.setattr(cli, "read_csv", counting_read_csv)
+    monkeypatch.setattr(tabular, "read_csv", counting_read_csv)
+    code = run([command[0], "--data", tmp_path / "pred.csv", "--target", "label",
+                "--oracle", "precomputed:pred", "--smote-policy", "off", *command[1:]])
+    assert code == 0
+    assert parsed == [tmp_path / "pred.csv"]
+
+
+def test_explain_on_an_empty_training_set_exits_1(tmp_path, capsys):
+    # a neighborhood needs a training row; the header-only CSV is read under
+    # the schema, and its empty precomputed column is an oracle for no row
+    ds = _xor_train_csv(tmp_path)
+    header, _ = read_csv(tmp_path / "train.csv")
+    (tmp_path / "empty.csv").write_text(",".join(header + ["pred"]) + "\n", encoding="utf-8")
+    ds.schema.save(tmp_path / "schema.json")
+    code = run(["explain", "--data", tmp_path / "empty.csv", "--schema", tmp_path / "schema.json",
+                "--oracle", "precomputed:pred", "--smote-policy", "off",
+                "--instance", '[0.5, 0.5, "a", "b"]'])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: the training set is empty: "
+                                       "a neighborhood needs at least one row\n")
 
 
 def test_precomputed_non_finite_cell_exits_1(tmp_path, capsys):

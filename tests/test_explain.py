@@ -13,6 +13,7 @@ from araucana.explain import (
     explain_neighborhood,
     render_explanation,
     select_neighborhood,
+    select_neighborhoods,
 )
 from araucana.oracle import BuiltinOracle, ForestConfig, PredictionOracle, train_forest
 from araucana.smote import SmoteConfig
@@ -68,6 +69,13 @@ def test_neighborhood_full_and_clamped():
     assert (np.diff(nbh.distances) >= 0).all()
     # relabels are element-wise oracle predictions
     np.testing.assert_array_equal(nbh.relabels, oracle.predict_batch(nbh.rows))
+
+
+def test_empty_training_set_has_no_neighborhood():
+    ds, oracle = small_classification()
+    empty = Dataset(ds.schema, ds.X[:0], ds.y[:0])
+    with pytest.raises(ValueError, match="training set is empty"):
+        select_neighborhoods(empty, ds.X[:3], oracle, ExplainConfig(seed=0))
 
 
 def test_explainer_set_smote_off():

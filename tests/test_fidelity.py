@@ -23,7 +23,7 @@ from araucana.smote import SmoteConfig
 from araucana.oracle import BuiltinOracle, ForestConfig, PredictionOracle, train_forest
 from araucana.tabular import Dataset, FeatureSpec, Schema, SynthSpec, TargetSpec, synth_dataset
 
-from conftest import make_dataset, random_mixed_schema
+from conftest import make_dataset, random_mixed_schema, random_rows, random_scaling_case
 from test_explain import FixedOracle
 
 
@@ -54,8 +54,64 @@ def test_constant_relabels_constant_predictor():
     rows = rng.random((30, 2))
     nbh = neighborhood_of(rows, np.ones(30, dtype=int), rows[0], schema)
     lin = fit_linear_explainer(nbh, schema)
-    assert lin.constant == 1
     assert all(lin.predict(r) == 1 for r in rows)
+
+
+def _encode_per_feature(schema, X):
+    """The per-feature encoding loop that fidelity._encode replaced: a numeric
+    column clipped into its range and scaled by it (0 when constant), one-hot
+    columns per categorical, in feature order."""
+    cols = []
+    for i, f in enumerate(schema.features):
+        if f.is_numeric:
+            lo, hi = f.range
+            span = hi - lo
+            if span > 0:
+                cols.append(((np.clip(X[:, i], lo, hi) - lo) / span)[:, None])
+            else:
+                cols.append(np.zeros((len(X), 1)))
+        else:
+            onehot = np.zeros((len(X), len(f.categories)))
+            onehot[np.arange(len(X)), X[:, i].astype(int)] = 1.0
+            cols.append(onehot)
+    return np.hstack(cols)
+
+
+def test_encode_equals_the_per_feature_loop():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        schema, X = random_scaling_case(rng)
+        got, want = fidelity._encode(schema, X), _encode_per_feature(schema, X)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_one_label_neighborhood_fit_predicts_its_label():
+    # every other class's score column solves to zeros and the label's to an
+    # intercept of about 1, so no single-label case is needed
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        schema = random_mixed_schema(rng, n_classes=int(rng.integers(2, 5)))
+        n = int(rng.integers(1, 61))
+        rows = random_rows(rng, schema, n)
+        if trial % 4 == 0:
+            rows[:] = rows[0]  # all duplicates
+        label = int(rng.integers(0, len(schema.target.classes)))
+        nbh = neighborhood_of(rows, np.full(n, label), rows[0], schema)
+        lin = fit_linear_explainer(nbh, schema)
+        probes = np.vstack([rows, random_rows(rng, schema, 20)])
+        assert [lin.predict(r) for r in probes] == [label] * len(probes)
+
+
+def test_featureless_neighborhood_fit_predicts_the_majority():
+    # every distance is 0; a kernel width of 0 made every weight 0/0 = nan
+    schema = Schema((), TargetSpec("label", "classification", classes=("a", "b", "c")))
+    rows = np.empty((7, 0))
+    for labels, want in (([2] * 7, 2), ([0, 1, 1, 2, 1, 0, 2], 1)):
+        nbh = Neighborhood(np.arange(7), np.zeros(7), rows, np.array(labels), want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lin = fit_linear_explainer(nbh, schema)
+        assert lin.predict(np.empty(0)) == want
 
 
 def test_linearly_separable_neighborhood_high_agreement():
@@ -98,7 +154,7 @@ def test_araucana_fidelity_one_on_unique_rows():
 
 def test_constant_local_explainer_matches_majority_fraction():
     # the oracle labels every training row 0 but half the test rows 1, so the
-    # linear explainer degenerates to the constant 0 on every neighborhood
+    # linear fit predicts 0 on every (one-label) neighborhood
     train = synth_dataset(SynthSpec("moons2d", 60), seed=5)
     test = synth_dataset(SynthSpec("moons2d", 20), seed=6)
     train_keys = {row.tobytes() for row in train.X}

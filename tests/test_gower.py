@@ -13,7 +13,7 @@ from araucana.gower import (
 )
 from araucana.tabular import FeatureSpec, Schema, SchemaError
 
-from conftest import random_mixed_schema, random_rows
+from conftest import out_of_range, random_mixed_schema, random_rows
 
 
 def test_identity(age_sex_schema):
@@ -127,11 +127,14 @@ def test_unknown_metric_kind(age_sex_schema):
 
 
 def _formula_distances(metric, x, rows):
-    """One query against all rows with out-of-place arithmetic: the unchunked formula."""
-    num = metric._numeric
-    xn = np.clip(x[num], metric._lo, metric._hi)
-    rn = np.clip(rows[:, num], metric._lo, metric._hi)
-    num_diff = np.abs(rn - xn) / metric._span * metric._live
+    """One query against all rows with out-of-place arithmetic: the unchunked
+    formula, with the ranges read off the feature specs and a constant
+    feature's term zeroed explicitly."""
+    num = np.array([f.is_numeric for f in metric.schema.features], dtype=bool)
+    lo, hi = np.array([f.range for f in metric.schema.features if f.is_numeric]).reshape(-1, 2).T
+    xn = np.clip(x[num], lo, hi)
+    rn = np.clip(rows[:, num], lo, hi)
+    num_diff = np.abs(rn - xn) / np.where(hi > lo, hi - lo, 1.0) * (hi > lo)
     cat_diff = rows[:, ~num] != x[~num]
     p = metric.schema.n_features
     if metric.kind == GOWER:
@@ -149,18 +152,6 @@ def _with_constant_features(rng, schema):
     return Schema(tuple(feats), schema.target)
 
 
-def _out_of_range(rng, schema, X):
-    """X with about a third of its numeric cells moved outside the schema range."""
-    X = X.copy()
-    for j, f in enumerate(schema.features):
-        if f.is_numeric:
-            lo, hi = f.range
-            far = rng.random(len(X)) < 1 / 3
-            X[far, j] = np.where(rng.random(far.sum()) < 0.5, lo - 1 - 5 * rng.random(far.sum()),
-                                 hi + 1 + 5 * rng.random(far.sum()))
-    return X
-
-
 @pytest.mark.parametrize("cells", [1, 2**40])
 @pytest.mark.parametrize("kind", [GOWER, EUCLIDEAN])
 def test_distances_many_equals_distances_to(monkeypatch, kind, cells):
@@ -170,8 +161,8 @@ def test_distances_many_equals_distances_to(monkeypatch, kind, cells):
     for _ in range(30):
         schema = _with_constant_features(rng, random_mixed_schema(rng))
         m = DistanceMetric(schema, kind)
-        rows = _out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(1, 40))))
-        X = _out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(0, 12))))
+        rows = out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(1, 40))))
+        X = out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(0, 12))))
         X[: len(X) // 2] = rows[rng.integers(0, len(rows), len(X) // 2)]
         block = distances_many(m, X, rows)
         assert block.shape == (len(X), len(rows))

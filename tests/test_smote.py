@@ -8,7 +8,6 @@ from araucana.smote import (
     SmoteConfig,
     _class_neighbor_order,
     _mismatch_penalty,
-    _normalized_numeric,
     smote_nc,
 )
 from araucana.tabular import FeatureSpec, Schema, TargetSpec
@@ -99,7 +98,7 @@ def test_class_neighbors_in_blocks_of_one_and_three_rows(monkeypatch):
         rows = random_rows(rng, schema, n)
         rows[rng.random(n) < 0.3] = rows[0]
         members = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
-        norm = _normalized_numeric(rows[members], schema)
+        norm = schema.scaled_numeric(rows[members])
         assert _mismatch_penalty(norm) == mismatch_penalty(norm)
         want = neighbor_order(rows, schema, members)
         k = int(rng.integers(1, len(members)))

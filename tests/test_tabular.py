@@ -21,7 +21,7 @@ from araucana.tabular import (
     validate_instance,
 )
 
-from conftest import random_mixed_schema, random_rows
+from conftest import random_mixed_schema, random_rows, random_scaling_case
 
 
 def write(tmp_path, name, text):
@@ -164,6 +164,36 @@ def test_encode_row_takes_finite_numbers_only(age_sex_schema, value):
     assert age_sex_schema.encode_row(["2.5", "F"]).tolist() == [2.5, 1.0]
 
 
+def test_scaled_numeric_is_the_clipped_range_formula_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        schema, X = random_scaling_case(rng)
+        cols = []
+        for j, f in enumerate(schema.features):
+            if f.is_numeric:
+                lo, hi = f.range
+                cols.append((np.clip(X[:, j], lo, hi) - lo) / (hi - lo) if hi > lo
+                            else np.zeros(len(X)))
+        want = np.column_stack(cols) if cols else np.empty((len(X), 0))
+        got = schema.scaled_numeric(X)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_numeric_layout_is_cached_and_read_only():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        schema, _ = random_scaling_case(rng, n_max=0)
+        mask, lo, hi, span = schema.numeric_layout
+        assert schema.numeric_layout[0] is mask and schema.numeric_mask() is mask
+        assert mask.tolist() == [f.is_numeric for f in schema.features]
+        ranges = [f.range for f in schema.features if f.is_numeric]
+        assert list(zip(lo.tolist(), hi.tolist())) == ranges
+        assert span.tolist() == [b - a if b > a else 1.0 for a, b in ranges]
+        for a in (mask, lo, hi, span):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+
 def test_schema_invariants():
     with pytest.raises(SchemaError):
         Schema((FeatureSpec("a", "numeric", range=(0, 1)),
@@ -262,6 +292,9 @@ def test_unknown_generator_and_bad_rows():
         SynthSpec("nope", 10)
     with pytest.raises(DataError, match="positive"):
         SynthSpec("moons2d", 0)
+    # xor_mixed's labels are a parity: a minority fraction would do nothing
+    with pytest.raises(DataError, match="parity"):
+        SynthSpec("xor_mixed", 10, minority_frac=0.2)
     with pytest.raises(DataError, match="minority_frac"):
         synth_dataset(SynthSpec("moons2d", 10, minority_frac=0.9), seed=0)
 
