@@ -125,7 +125,8 @@ class _Frontier:
         self.y, self.schema, self.task, self.K = y, schema, task, n_classes
         self.n, self.p = X.shape
         self.numeric = schema.numeric_mask()
-        keys = X.astype(np.int64)  # a category is its own key
+        keys = np.zeros(X.shape, np.int64)
+        keys[:, ~self.numeric] = X[:, ~self.numeric]  # a category is its own key
         for f in self.numeric.nonzero()[0]:
             keys[:, f] = np.unique(X[:, f], return_inverse=True)[1].reshape(-1)
         self.B = int(keys.max(initial=0)) + 1
@@ -306,8 +307,9 @@ class _Frontier:
         best = hit[np.concatenate(([True], node[hit[1:]] != node[hit[:-1]]))]
         e = gend[best]
         a, b = self.Xf[col[o[e]]], self.Xf[col[o[np.minimum(e + 1, T - 1)]]]
-        mid = (a + b) / 2.0
-        # adjacent floats: fall back to the left value
+        with np.errstate(over="ignore"):  # a sum past the float maximum falls back below
+            mid = (a + b) / 2.0
+        # adjacent floats or an overflowed sum: fall back to the left value
         val = np.where(num[best] & (a <= mid) & (mid < b), mid, a)
         return node[best], pf[gp[best]], val, nl[best]
 

@@ -363,9 +363,6 @@ def cmd_evaluate(args) -> int:
     for s in report.summaries:
         fid = "nan" if s["total"] == 0 else f"{s['fidelity']:.3f}"
         print(f"{s['explainer']:<12}{s['agreements']:>12}{s['total']:>8}{fid:>10}")
-    dropped = {k: v for k, v in report.failures.items() if v}
-    if dropped:
-        print(f"excluded failures: {dropped}")
 
     if args.out:
         out = _out_dir(args)
@@ -382,8 +379,10 @@ def cmd_evaluate(args) -> int:
 
 def _add_common_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--data", required=True, help="training data CSV")
-    p.add_argument("--schema", help="schema JSON (inferred when omitted)")
-    p.add_argument("--target", help="target column name when inferring the schema")
+    # a schema file names its own target, so --target would be ignored beside it
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--schema", help="schema JSON (inferred when omitted)")
+    source.add_argument("--target", help="target column name when inferring the schema")
 
 
 def _add_explain_flags(p: argparse.ArgumentParser):

@@ -279,51 +279,41 @@ def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOra
                          cfg: ExplainConfig, schema: Schema) -> Explanation:
     """Steps 3-5 of the pipeline on the neighborhood `select_neighborhood`
     returned for x under the same cfg: explain_neighborhoods of x alone."""
-    expl = explain_neighborhoods([nbh], np.asarray(x, dtype=float)[None], oracle, [cfg],
+    return explain_neighborhoods([nbh], np.asarray(x, dtype=float)[None], oracle, [cfg],
                                  schema)[0]
-    if isinstance(expl, Exception):
-        raise expl
-    return expl
 
 
 def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: PredictionOracle,
-                          cfgs: list[ExplainConfig], schema: Schema
-                          ) -> list[Explanation | Exception]:
+                          cfgs: list[ExplainConfig], schema: Schema) -> list[Explanation]:
     """Steps 3-5 for every query row X[q], on the neighborhood nbhs[q] that
     select_neighborhoods returned for it, under cfgs[q].
 
     SMOTE-NC runs per query; one oracle request labels every query's
     synthetic rows, in query order (none when there are none), and one
     cart.grow_trees call grows every explainer tree. Each explanation keeps
-    its query's SMOTE-NC notes, for the caller to report. A query whose SMOTE
-    or rule step raises gets that exception in its place and the others go
-    on; an exception from the oracle request or the growth propagates.
+    its query's SMOTE-NC notes, for the caller to report. An exception from
+    any query's step propagates and fails the whole batch; an empty batch
+    gives no explanations.
     """
+    if not nbhs:
+        return []
     X = np.asarray(X, dtype=float)
     task = oracle.task
-    out: list = [None] * len(nbhs)
     synthetic, notes = [], []
-    for q, (nbh, cfg) in enumerate(zip(nbhs, cfgs)):
+    for nbh, cfg in zip(nbhs, cfgs):
         syn, noted = np.empty((0, schema.n_features)), []
         if cfg.smote is not None and task == CLASSIFICATION:
-            try:
-                syn, _, noted = smote_nc(nbh.rows, nbh.relabels, schema, cfg.smote)
-            except Exception as exc:  # noqa: BLE001 - fails this query alone
-                out[q] = exc
+            syn, _, noted = smote_nc(nbh.rows, nbh.relabels, schema, cfg.smote)
         synthetic.append(syn)
         notes.append(noted)
     ends = np.cumsum([len(syn) for syn in synthetic])
     if any(len(syn) for syn in synthetic):
         syn_y = oracle.predict_batch(np.vstack(synthetic))  # oracle labels replace seed labels
 
-    live = [q for q in range(len(nbhs)) if out[q] is None]
-    if not live:
-        return out
-    # every live query's explainer set, one after another: its neighborhood
-    # rows, the query, its synthetics
+    # every query's explainer set, one after another: its neighborhood rows,
+    # the query, its synthetics
     parts_X, parts_y, provenance, bounds = [], [], [], [0]
-    for q in live:
-        nbh, syn = nbhs[q], synthetic[q]
+    for q, (nbh, syn) in enumerate(zip(nbhs, synthetic)):
         parts_X += [nbh.rows, X[q:q + 1], syn]
         parts_y += [np.asarray(nbh.relabels), np.asarray([nbh.query_label])]
         if len(syn):
@@ -333,14 +323,12 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
     X_all, y_all = np.vstack(parts_X), np.concatenate(parts_y)
     spans = list(zip(bounds, bounds[1:]))
     table, roots, leaves = cart.grow_trees(X_all, y_all, schema, task,
-                                           [np.arange(a, b) for a, b in spans], [None] * len(live))
-    for t, (q, tree, (a, b)) in enumerate(zip(live, cart.split_trees(table, roots), spans)):
-        eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance[t])
-        try:
-            out[q] = _explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[t],
-                                  task, schema, notes[q])
-        except Exception as exc:  # noqa: BLE001 - fails this query alone
-            out[q] = exc
+                                           [np.arange(a, b) for a, b in spans], [None] * len(nbhs))
+    out = []
+    for q, (tree, (a, b)) in enumerate(zip(cart.split_trees(table, roots), spans)):
+        eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance[q])
+        out.append(_explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[q],
+                                task, schema, notes[q]))
     return out
 
 

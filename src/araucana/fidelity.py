@@ -29,7 +29,7 @@ from .explain import (
     match_epsilon,
     select_neighborhoods,
 )
-from .oracle import OracleError, PredictionOracle
+from .oracle import PredictionOracle
 from .tabular import CLASSIFICATION, Dataset, Schema, value_text
 
 ARAUCANA = "araucana"
@@ -109,26 +109,26 @@ def fit_linear_explainer(nbh: Neighborhood, schema: Schema,
 class FidelityReport:
     summaries: list[dict]  # per explainer: name, agreements, total, fidelity
     per_instance: list[dict]  # explainer, index, oracle_label, prediction, agree
-    failures: dict[str, int]
 
 
 def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                       explainers: list[str], cfg: ExplainConfig = ExplainConfig()) -> FidelityReport:
     """Per-instance agreement of each explainer with the oracle over a test set.
 
-    Explainer failures other than oracle breakage are excluded from the
-    denominator (with a warning); oracle errors abort the run, and so does a
-    test row the shared neighborhood selection rejects (SchemaError when it
-    does not conform to the training schema). Test row i is explained under
-    seed cfg.seed + i, in the SMOTE config as well, and SMOTE-NC's notes on
-    its neighborhood come as warnings that name the row.
+    Every explainer scores every test row, so each summary's total is
+    len(test), and per_instance holds one record per (test row, explainer),
+    row by row in the order of `explainers`. Any exception aborts the run:
+    an oracle error, a test row the shared neighborhood selection rejects
+    (SchemaError when it does not conform to the training schema), or an
+    explainer's failure on one row. Test row i is explained under seed
+    cfg.seed + i, in the SMOTE config as well, and SMOTE-NC's notes on its
+    neighborhood come as warnings that name the row.
     """
     for name in explainers:
         if name not in EXPLAINERS:
             raise ValueError(f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})")
     schema = train.schema
     per_instance = []
-    failures = {name: 0 for name in explainers}
 
     labels = TrainLabels(len(train))
     for a in range(0, len(test), EXPLAIN_BATCH_QUERIES):
@@ -140,27 +140,18 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
         for j, (x, nbh) in enumerate(zip(X, nbhs)):
             i, oracle_label = a + j, nbh.query_label
             for name in explainers:
-                try:
-                    if name == ARAUCANA:
-                        expl = expls[j]
-                        if isinstance(expl, Exception):
-                            raise expl
-                        for note in expl.smote_notes:
-                            warnings.warn(f"SMOTE-NC on test row {i}: {note}", stacklevel=2)
-                        prediction = expl.rule.prediction
-                        agree = expl.faithful
-                    else:
-                        lin = fit_linear_explainer(nbh, schema, task=oracle.task)
-                        pred = lin.predict(x)
-                        prediction = schema.decode_label(pred)
-                        agree = bool(abs(pred - oracle_label)
-                                     <= match_epsilon(oracle.task, oracle_label))
-                except OracleError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - per-instance isolation
-                    failures[name] += 1
-                    warnings.warn(f"{name} failed on test row {i}: {exc}", stacklevel=2)
-                    continue
+                if name == ARAUCANA:
+                    expl = expls[j]
+                    for note in expl.smote_notes:
+                        warnings.warn(f"SMOTE-NC on test row {i}: {note}", stacklevel=2)
+                    prediction = expl.rule.prediction
+                    agree = expl.faithful
+                else:
+                    lin = fit_linear_explainer(nbh, schema, task=oracle.task)
+                    pred = lin.predict(x)
+                    prediction = schema.decode_label(pred)
+                    agree = bool(abs(pred - oracle_label)
+                                 <= match_epsilon(oracle.task, oracle_label))
                 per_instance.append(
                     {
                         "explainer": name,
@@ -177,7 +168,7 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
         agreements, total = sum(agrees), len(agrees)
         summaries.append({"explainer": name, "agreements": agreements, "total": total,
                           "fidelity": agreements / total if total else float("nan")})
-    return FidelityReport(summaries, per_instance, failures)
+    return FidelityReport(summaries, per_instance)
 
 
 def _row_config(cfg: ExplainConfig, i: int) -> ExplainConfig:

@@ -72,6 +72,9 @@ class FeatureSpec:
             lo, hi = self.range
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
                 raise SchemaError(f"feature {self.name!r}: invalid range {self.range}")
+            if not math.isfinite(float(hi) - float(lo)):  # every scaling divides by the span
+                raise SchemaError(f"feature {self.name!r}: range {self.range} is wider than "
+                                  f"the largest float")
         elif self.kind == CATEGORICAL:
             if self.categories is None or self.range is not None:
                 raise SchemaError(f"categorical feature {self.name!r} requires categories")

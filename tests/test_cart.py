@@ -1,5 +1,6 @@
 import json
 import signal
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -406,6 +407,36 @@ def test_regression_split_never_has_equal_labels(seed):
                 if not _is_leaf(tree, node):
                     assert labels[idx].min() < labels[idx].max()
     assert tree_stats(fit_tree(X, np.full(len(X), few[0]), schema, task))["leaf_count"] == 1
+
+
+@pytest.mark.parametrize("target", ["2 classes", "regression"])
+def test_large_finite_values_grow_the_reference_trees_without_warnings(target):
+    # numeric values past the int64 range are not cast to keys, and the
+    # midpoint of two values past half the float maximum overflows and falls
+    # back to the left value; either would warn under -W error::RuntimeWarning
+    rng = np.random.default_rng(40)
+    schema, X, y, task = _tied_data(rng, target)
+    big = np.finfo(float).max
+    ranges = [(-1e20, 1e20), (1.0e308, 1.6e308), (-1.6e308, -1.0e308), (-big / 2, big / 2)]
+    feats = list(schema.features)
+    for j, f in enumerate(feats):
+        if f.is_numeric:
+            lo, hi = ranges[j % len(ranges)]
+            feats[j] = FeatureSpec(f.name, "numeric", range=(lo, hi))
+            X[:, j] = lo + (X[:, j] - f.range[0]) / (f.range[1] - f.range[0]) * (hi - lo)
+            X[:, j] = X[:, j].clip(lo, hi)
+    schema = Schema(tuple(feats), schema.target)
+    samples = [np.arange(len(X)), rng.integers(0, len(X), size=len(X))]
+    draws = [None, (1, schema.n_features)]
+    with np.errstate(over="ignore"):  # the reference takes the same fallback
+        reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
+    _same_trees(tree, reference)
+    np.testing.assert_array_equal(roots, ref_roots)
+    np.testing.assert_array_equal(leaves, ref_leaves)
+    assert np.isfinite(tree.table.val).all()
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])

@@ -280,6 +280,43 @@ def test_labels_whose_square_sums_overflow_exit_1(tmp_path, capsys, command):
     assert "too large" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [
+    ["explain", "--oracle", "builtin:knn", "--index", 3],
+    ["train", "--model", "knn"],
+    ["evaluate", "--oracle", "builtin:forest", "--trees", 3, "--test-frac", 0.2,
+     "--explainers", "araucana,linear"],
+])
+def test_numeric_range_wider_than_the_float_maximum_exits_1(tmp_path, capsys, command):
+    # the span of column a, inferred from these rows, is past the float
+    # maximum, so every Gower distance on it would be NaN
+    rng = np.random.default_rng(4)
+    a = rng.uniform(-1.0, 1.0, 60) * 1.7e308
+    rows = [f"{float(a[i])!r},{rng.random()!r},{i % 2}" for i in range(60)]
+    (tmp_path / "d.csv").write_text("a,b,y\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = ["--out", tmp_path / "o"] if command[0] == "train" else []
+    code = run([*command, "--data", tmp_path / "d.csv", "--target", "y", *out])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: feature 'a': range ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train"],
+    ["explain", "--oracle", "builtin:knn", "--index", 0],
+    ["evaluate", "--oracle", "builtin:knn", "--test-frac", 0.2],
+])
+def test_target_beside_a_schema_exits_2(tmp_path, capsys, command):
+    # the schema names its own target, so --target num0 would do nothing
+    data = synth_dir(tmp_path, "imbalanced_mixed", 60, 1)
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--data", data / "data.csv", "--schema", data / "schema.json",
+             "--target", "num0", "--out", tmp_path / "o"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_zero_rows_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["synth", "--gen", "moons2d", "--rows", 0, "--out", tmp_path / "x"])
@@ -406,6 +443,28 @@ def test_evaluate_aborts_on_a_garbage_smote_relabel(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "excluded failures" not in captured.out
     assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("explainer", ["araucana", "linear"])
+def test_evaluate_exits_1_when_an_explainer_fails(tmp_path, capsys, monkeypatch, explainer):
+    # every test row is scored or the run fails, with the error's own line
+    from araucana import explain, fidelity
+
+    def broken(*args, **kwargs):
+        raise ValueError(f"{explainer} broke")
+
+    data = synth_dir(tmp_path, "moons2d", 80, 4)
+    capsys.readouterr()
+    monkeypatch.setattr(*((explain, "smote_nc") if explainer == "araucana"
+                          else (fidelity, "fit_linear_explainer")), broken)
+    out = tmp_path / "ev"
+    code = run(["evaluate", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", "builtin:knn", "--test-frac", 0.2, "--n-neighbors", 30,
+                "--explainers", "araucana,linear", "--out", out])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {explainer} broke\n"
+    assert not out.exists()
 
 
 def test_precomputed_oracle_requires_smote_off(tmp_path, capsys):

@@ -181,14 +181,13 @@ def test_tree_beats_linear_on_xor():
     assert fid["araucana"] >= fid["linear"]
 
 
-def test_failures_excluded_with_warning(monkeypatch):
+def test_explainer_failure_propagates(monkeypatch):
+    # no row is left out of a total: the first failure ends the run, without a warning
     train = synth_dataset(SynthSpec("moons2d", 80), seed=7)
     test = synth_dataset(SynthSpec("moons2d", 10), seed=8)
     oracle = BuiltinOracle(train_forest(train, ForestConfig(n_trees=5, seed=2)))
 
-    import araucana.fidelity as fid_mod
-
-    real = fid_mod.fit_linear_explainer
+    real = fidelity.fit_linear_explainer
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -197,14 +196,13 @@ def test_failures_excluded_with_warning(monkeypatch):
             raise RuntimeError("synthetic failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fid_mod, "fit_linear_explainer", flaky)
-    with pytest.warns(UserWarning, match="failed on test row"):
-        report = evaluate_fidelity(train, test, oracle, ["linear"],
-                                   ExplainConfig(n_neighbors=20, smote=None, seed=0))
-    s = report.summaries[0]
-    assert report.failures["linear"] == 1
-    assert s["total"] == 9
-    assert s["total"] + report.failures["linear"] == len(test)
+    monkeypatch.setattr(fidelity, "fit_linear_explainer", flaky)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="^synthetic failure$"):
+            evaluate_fidelity(train, test, oracle, ["linear"],
+                              ExplainConfig(n_neighbors=20, smote=None, seed=0))
+    assert calls["n"] == 3  # no row after the failing one is scored
 
 
 def test_oracle_errors_propagate():
@@ -231,8 +229,7 @@ def test_unknown_explainer_rejected():
 
 def test_report_to_csv_rendering():
     empty = FidelityReport(
-        [{"explainer": "araucana", "agreements": 0, "total": 0, "fidelity": float("nan")}],
-        [], {"araucana": 0},
+        [{"explainer": "araucana", "agreements": 0, "total": 0, "fidelity": float("nan")}], [],
     )
     summary, per_instance = report_to_csv(empty)
     assert summary == b"explainer,agreements,total,fidelity\naraucana,0,0,nan\n"
@@ -242,7 +239,6 @@ def test_report_to_csv_rendering():
         [{"explainer": "araucana", "agreements": 1, "total": 1, "fidelity": 1.0}],
         [{"explainer": "araucana", "index": 0, "oracle_label": "1",
           "prediction": "1", "agree": True}],
-        {"araucana": 0},
     )
     s1, p1 = report_to_csv(one)
     assert b"araucana,1,1,1.000000" in s1
@@ -376,10 +372,13 @@ def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap):
                 assert render_explanation(expl, form) == render_explanation(alone, form)
 
 
-def test_smote_failure_fails_only_its_row(monkeypatch):
+def test_smote_failure_propagates(monkeypatch):
+    # one query's SMOTE error fails its whole batch, and so the evaluation
     train, test, oracle = _mixed_task(5, "classification", 90, 8)
     cfg = ExplainConfig(n_neighbors=25, seed=7)
-    clean = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+    nbhs = explain.select_neighborhoods(train, test.X, oracle, cfg)
+    cfgs = [fidelity._row_config(cfg, i) for i in range(len(test))]
+    clean = explain.explain_neighborhoods(nbhs, test.X, oracle, cfgs, train.schema)
     real = explain.smote_nc
 
     def flaky(rows, labels, schema, smote_cfg):
@@ -388,11 +387,36 @@ def test_smote_failure_fails_only_its_row(monkeypatch):
         return real(rows, labels, schema, smote_cfg)
 
     monkeypatch.setattr(explain, "smote_nc", flaky)
-    with pytest.warns(UserWarning, match="araucana failed on test row 2: smote broke"):
-        report = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
-    assert report.failures == {"araucana": 1, "linear": 0}
-    assert report.per_instance == [r for r in clean.per_instance
-                                   if (r["explainer"], r["index"]) != ("araucana", 2)]
+    with pytest.raises(RuntimeError, match="^smote broke$"):
+        explain.explain_neighborhoods(nbhs, test.X, oracle, cfgs, train.schema)
+    with pytest.raises(RuntimeError, match="^smote broke$"):
+        evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+    # a batch without the failing row explains each of its rows as before
+    rest = [i for i in range(len(test)) if i != 2]
+    again = explain.explain_neighborhoods([nbhs[i] for i in rest], test.X[rest], oracle,
+                                          [cfgs[i] for i in rest], train.schema)
+    for i, expl in zip(rest, again):
+        assert render_explanation(expl, "json") == render_explanation(clean[i], "json")
+    assert explain.explain_neighborhoods([], test.X[:0], oracle, [], train.schema) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_explainer_scores_every_test_row(monkeypatch, seed):
+    """On random mixed schemas, per_instance holds one record per (test row,
+    explainer), row by row in the order of the explainer list, and each
+    summary's total is the test-set size, across stage boundaries."""
+    rng = np.random.default_rng(300 + seed)
+    monkeypatch.setattr(fidelity, "EXPLAIN_BATCH_QUERIES", int(rng.integers(1, 6)))
+    task = ("classification", "regression")[seed % 2]
+    train, test, oracle = _mixed_task(seed, task, int(rng.integers(30, 80)),
+                                      int(rng.integers(2, 12)))
+    cfg = ExplainConfig(n_neighbors=int(rng.integers(5, 30)), seed=seed)
+    for explainers in (["araucana"], ["linear"], ["araucana", "linear"], ["linear", "araucana"]):
+        report = evaluate_fidelity(train, test, oracle, explainers, cfg)
+        assert [(r["index"], r["explainer"]) for r in report.per_instance] == \
+            [(i, name) for i in range(len(test)) for name in explainers]
+        assert [(s["explainer"], s["total"]) for s in report.summaries] == \
+            [(name, len(test)) for name in explainers]
 
 
 def test_smote_notes_warn_with_their_test_row():

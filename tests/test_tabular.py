@@ -316,6 +316,20 @@ def test_schema_json_field_names(age_sex_schema):
     assert Schema.from_dict(d) == age_sex_schema
 
 
+def test_range_wider_than_the_float_maximum_is_refused(age_sex_schema):
+    big = np.finfo(float).max
+    with pytest.raises(SchemaError, match=r"^feature 'a': range .* is wider than the largest "
+                                          r"float$"):
+        FeatureSpec("a", "numeric", range=(-big, big))
+    # the widest finite span, from either end, is a range
+    for lo, hi in ((0.0, big), (-big, 0.0), (-big / 2, big / 2)):
+        assert FeatureSpec("a", "numeric", range=(lo, hi)).range == (lo, hi)
+    d = age_sex_schema.to_dict()
+    d["features"][0]["range"] = [-1.7e308, 1.7e308]
+    with pytest.raises(SchemaError, match=r"^feature 'age': range .* wider than the largest"):
+        Schema.from_dict(d)
+
+
 def test_integer_label_column_inferred_as_classification(tmp_path):
     p = write(tmp_path, "d.csv", "a,label\n0.5,0\n0.7,1\n0.9,0\n")
     ds = load_dataset(p, target="label")
