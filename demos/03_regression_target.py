@@ -20,7 +20,6 @@ from araucana import (
     synth_dataset,
     train_forest,
 )
-from araucana.cart import predict_tree
 
 
 def main():
@@ -35,7 +34,7 @@ def main():
     explanation = explain_instance(train, query, regressor, ExplainConfig(seed=10))
 
     print(render_explanation(explanation, "text").decode())
-    tree_value = predict_tree(explanation.tree, query)
+    tree_value = explanation.rule.prediction
     oracle_value = float(explanation.oracle_label)
     print(f"tree prediction:   {tree_value:.9f}")
     print(f"oracle prediction: {oracle_value:.9f}")

@@ -8,7 +8,7 @@ and a fidelity harness with a weighted-linear baseline.
 
 __version__ = "0.1.0"
 
-from .cart import ExplainerTree, decision_path, fit_tree, predict_tree, tree_stats
+from .cart import ExplainerTree, decision_path, fit_tree, tree_stats
 from .explain import (
     ExplainConfig,
     Explanation,
@@ -16,7 +16,6 @@ from .explain import (
     Rule,
     TrainLabels,
     explain_instance,
-    explain_neighborhood,
     explain_neighborhoods,
     render_explanation,
     select_neighborhood,
@@ -29,7 +28,7 @@ from .fidelity import (
     fit_linear_explainer,
     report_to_csv,
 )
-from .gower import DistanceMetric, distance, distances_to
+from .gower import DistanceMetric, distance
 from .oracle import (
     BuiltinOracle,
     ForestConfig,
@@ -56,5 +55,4 @@ from .tabular import (
     load_dataset,
     save_dataset,
     synth_dataset,
-    validate_instance,
 )

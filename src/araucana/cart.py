@@ -38,8 +38,8 @@ its depth and leaf count where they are read.
 Prediction walks a RoutePlan, which route_plan derives from the table and
 the schema and which is never saved: each node becomes one `<=` test on a
 widened row, and a leaf is its own child. A forest derives its plan once,
-when it is built (oracle.ForestModel); apply and predict_batch derive one per
-call.
+when it is built (oracle.ForestModel). route takes any of a plan's roots: a
+one-tree plan routes from root 0.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tabular import CLASSIFICATION, REGRESSION, Schema, validate_instance
+from .tabular import CLASSIFICATION, REGRESSION, Schema, check_rows
 
 GINI = "gini"
 MSE = "mse"
@@ -487,29 +487,10 @@ def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out.reshape(len(roots), n)
 
 
-def apply(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
-    """Leaf node id of each row."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return route(route_plan(tree), np.zeros(1, dtype=np.int64), rows)[0]
-
-
-def predict_batch(tree: ExplainerTree, rows: np.ndarray) -> np.ndarray:
-    """Predictions for many rows at once (iterative array routing)."""
-    preds = tree.table.pred[apply(tree, rows)]
-    return preds.astype(np.int64) if tree.task == CLASSIFICATION else preds
-
-
-def predict_tree(tree: ExplainerTree, inst: np.ndarray):
-    """Route one conforming instance to its leaf prediction."""
-    validate_instance(tree.schema, np.asarray(inst, dtype=float))
-    out = predict_batch(tree, np.asarray(inst, dtype=float))[0]
-    return int(out) if tree.task == CLASSIFICATION else float(out)
-
-
 def decision_path(tree: ExplainerTree, inst: np.ndarray) -> list[tuple[int, str, float, bool]]:
     """Root-to-leaf tests for inst as (feature, kind, value, branch_taken_true)."""
     inst = np.asarray(inst, dtype=float)
-    validate_instance(tree.schema, inst)
+    check_rows(tree.schema, inst[None])
     t, numeric = tree.table, tree.schema.numeric_mask()
     path = []
     node = 0

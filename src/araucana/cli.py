@@ -379,7 +379,7 @@ def cmd_evaluate(args) -> int:
 
 def _add_common_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--data", required=True, help="training data CSV")
-    # a schema file names its own target, so --target would be ignored beside it
+    # a schema file names its own target, so --target beside it is refused
     source = p.add_mutually_exclusive_group()
     source.add_argument("--schema", help="schema JSON (inferred when omitted)")
     source.add_argument("--target", help="target column name when inferring the schema")

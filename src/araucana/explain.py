@@ -20,10 +20,10 @@ does steps 1-2 for every query with bounded distance blocks and one oracle
 request, which skips the training rows a TrainLabels already holds and ends
 with the queries. `explain_neighborhoods` does steps 3-5 with one request for
 every query's synthetics and one grow_trees call for every explainer tree.
-`select_neighborhood`, `explain_neighborhood` and `explain_instance` are the
-one-query case, whose first request is the N neighbors and then x. A caller
-that needs the neighborhood for more than one explainer (the fidelity
-harness) selects and labels it once.
+`explain_instance` runs both stages on one query, whose first request is the
+N neighbors and then x; `select_neighborhood` is the one-query case of steps
+1-2. A caller that needs the neighborhood for more than one explainer (the
+fidelity harness) selects and labels it once.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Explanation:
     faithful: bool
     neighborhood: Neighborhood
     explain_config: ExplainConfig  # the query's own, as explain_neighborhoods took it
-    explainer_set: ExplainerSet | None = None  # kept for inspection, not serialized
+    explainer_set: ExplainerSet  # kept for inspection, not serialized
     # SMOTE-NC's notes on the neighborhood (smote.smote_nc); not serialized
     smote_notes: list[str] = field(default_factory=list)
 
@@ -269,18 +269,10 @@ def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
     as warnings that name the query."""
     x = np.asarray(x, dtype=float)
     nbh = select_neighborhood(train, x, oracle, cfg)
-    expl = explain_neighborhood(nbh, x, oracle, cfg, train.schema)
+    expl = explain_neighborhoods([nbh], x[None], oracle, [cfg], train.schema)[0]
     for note in expl.smote_notes:
         warnings.warn(f"SMOTE-NC for query {train.schema.decode_row(x)}: {note}", stacklevel=2)
     return expl
-
-
-def explain_neighborhood(nbh: Neighborhood, x: np.ndarray, oracle: PredictionOracle,
-                         cfg: ExplainConfig, schema: Schema) -> Explanation:
-    """Steps 3-5 of the pipeline on the neighborhood `select_neighborhood`
-    returned for x under the same cfg: explain_neighborhoods of x alone."""
-    return explain_neighborhoods([nbh], np.asarray(x, dtype=float)[None], oracle, [cfg],
-                                 schema)[0]
 
 
 def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: PredictionOracle,

@@ -10,17 +10,18 @@ one-hot categoricals, divided by sqrt(feature count). One-hot entries are
 scaled by 1/sqrt(2) so a categorical mismatch adds exactly 1 to the squared
 sum, which keeps the result in [0, 1].
 
-`distances_many` takes many queries at once in fixed-size chunks (`distances_to`
-is its one-query case); `nearest` is the one k-nearest rule, ties to the lower
-row index, of the k-NN oracle, neighborhood selection and SMOTE-NC, and
-`nearest_rows` applies it to many queries in distance blocks of bounded size.
+`distances_many` takes many queries at once in fixed-size chunks (`distance`
+is its case of one query and one row); `nearest` is the one k-nearest rule,
+ties to the lower row index, of the k-NN oracle, neighborhood selection and
+SMOTE-NC, and `nearest_rows` applies it to many queries in distance blocks of
+bounded size.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tabular import Schema, validate_instance
+from .tabular import Schema, check_rows
 
 GOWER = "gower"
 EUCLIDEAN = "euclidean"
@@ -52,18 +53,6 @@ class DistanceMetric:
 
 def _clamped_numeric(metric: DistanceMetric, X: np.ndarray) -> np.ndarray:
     return np.clip(X[..., metric._numeric], metric._lo, metric._hi)
-
-
-def distances_to(metric: DistanceMetric, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from x to every row, order preserved.
-
-    Rows are trusted (dataset-internal); x is validated by callers at pipeline
-    entry points. Vectorized over rows.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if len(rows) == 0:
-        return np.empty(0)
-    return distances_many(metric, np.reshape(x, (1, -1)), np.atleast_2d(rows))[0]
 
 
 def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -130,7 +119,7 @@ def nearest_rows(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray,
 
 def distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:
     """Distance between two conforming instances (validated)."""
-    validate_instance(metric.schema, a)
-    validate_instance(metric.schema, b)
-    return float(distances_to(metric, np.asarray(a, dtype=float),
-                              np.asarray(b, dtype=float).reshape(1, -1))[0])
+    a, b = np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float)[None]
+    check_rows(metric.schema, a)
+    check_rows(metric.schema, b)
+    return float(distances_many(metric, a, b)[0, 0])

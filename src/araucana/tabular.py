@@ -307,12 +307,6 @@ def first_refused(values: np.ndarray, lo, hi, whole) -> tuple | None:
     return None if ok.all() else tuple(np.argwhere(~ok)[0].tolist())
 
 
-def validate_instance(schema: Schema, inst: np.ndarray) -> None:
-    """Raise SchemaError unless inst is a conforming instance: check_rows of
-    the one-row block."""
-    check_rows(schema, np.asarray(inst, dtype=float)[None])
-
-
 @dataclass
 class Dataset:
     """Rows conforming to a schema, with optional targets (see check_rows)."""
@@ -404,7 +398,8 @@ def load_dataset(csv_path, schema_path=None, *, schema: Schema | None = None,
     With a schema, read from `schema_path` or given as `schema`, the CSV header
     must contain every schema column (feature and target names) and no other
     column except those listed in `ignore`, which are dropped. Without a schema
-    the column kinds are inferred and `target` names the label column.
+    the column kinds are inferred and `target` names the label column; a
+    schema names its own target, so `target` beside it raises DataError.
     """
     header, rows = read_csv(csv_path)
     if schema_path is not None:
@@ -416,6 +411,9 @@ def dataset_from_cells(header: list[str], rows: list[list[str]], csv_path, *,
                        schema: Schema | None = None, target: str | None = None,
                        ignore: tuple[str, ...] = ()) -> Dataset:
     """load_dataset of the cells read_csv parsed from `csv_path`."""
+    if schema is not None and target is not None:
+        raise DataError(f"target={target!r} beside schema: the schema names its own "
+                        "target, so pass one of schema and target")
     if schema is None:
         keep = [i for i, name in enumerate(header) if name not in ignore]
         header = [header[i] for i in keep]

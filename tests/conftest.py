@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+from araucana import cart
 from araucana.tabular import (
     CLASSIFICATION,
     REGRESSION,
@@ -114,3 +115,13 @@ def chain_dataset(n=1200):
         TargetSpec("label", CLASSIFICATION, classes=("0", "1")),
     )
     return Dataset(schema, np.arange(n, dtype=float).reshape(-1, 1), np.arange(n) % 2)
+
+
+def tree_leaves(tree, rows):
+    """The leaf each row reaches from the root of a one-tree table."""
+    return cart.route(cart.route_plan(tree), [0], np.atleast_2d(rows))[0]
+
+
+def tree_predictions(tree, rows):
+    """The tree's prediction for each row: its leaf's pred (a class index or a value)."""
+    return tree.table.pred[tree_leaves(tree, rows)]

@@ -28,7 +28,7 @@ from araucana.tabular import (
     synth_dataset,
 )
 
-from conftest import random_mixed_schema, random_rows
+from conftest import random_mixed_schema, random_rows, tree_predictions
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -150,7 +150,7 @@ def test_criterion_4_cart_oracle_equivalence_exhaustive():
                 y = np.array(labeling)
                 best = (tables[:, members] != y).sum(axis=1).min()
                 tree = cart.fit_tree(X, y, schema)
-                err = int((cart.predict_batch(tree, X) != y).sum())
+                err = int((tree_predictions(tree, X) != y).sum())
                 assert best == 0  # consistent labels are always realizable
                 assert err == best, f"p={p} subset={subset_bits} labels={labeling}"
                 total += 1
@@ -239,7 +239,7 @@ def test_criterion_7_regression_mode():
         dup = (expl.explainer_set.X == x).all(axis=1)
         if len(np.unique(expl.explainer_set.y[dup])) > 1:
             continue
-        pred = cart.predict_tree(expl.tree, x)
+        pred = tree_predictions(expl.tree, x)[0]
         want = float(expl.oracle_label)
         eps = 1e-6 * abs(want) + 1e-9
         assert abs(pred - want) <= eps

@@ -10,14 +10,19 @@ from araucana import cart
 from araucana.cart import (
     decision_path,
     fit_tree,
-    predict_batch,
-    predict_tree,
     tree_stats,
     tree_to_dict,
 )
-from araucana.tabular import REGRESSION, FeatureSpec, Schema, TargetSpec
+from araucana.tabular import REGRESSION, FeatureSpec, Schema, SchemaError, TargetSpec
 
-from conftest import DEEP_JSON_REFUSED, chain_dataset, random_mixed_schema, random_rows
+from conftest import (
+    DEEP_JSON_REFUSED,
+    chain_dataset,
+    random_mixed_schema,
+    random_rows,
+    tree_leaves,
+    tree_predictions,
+)
 from reference_cart import (
     reference_fit_tree,
     reference_grow,
@@ -40,9 +45,9 @@ def test_gini_formula():
 def test_and_dataset_zero_error_small_tree(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
     tree = fit_tree(X, y, two_cat_schema)
-    np.testing.assert_array_equal(predict_batch(tree, X), y)
+    np.testing.assert_array_equal(tree_predictions(tree, X), y)
     assert tree_stats(tree)["leaf_count"] <= 3
-    assert predict_tree(tree, np.array([1.0, 1.0])) == 1
+    assert tree_predictions(tree, np.array([1.0, 1.0]))[0] == 1
 
 
 def test_pure_labels_single_leaf(two_cat_schema):
@@ -50,7 +55,7 @@ def test_pure_labels_single_leaf(two_cat_schema):
     tree = fit_tree(X, np.array([1, 1, 1, 1]), two_cat_schema)
     stats = tree_stats(tree)
     assert stats == {"depth": 0, "leaf_count": 1, "node_count": 1}
-    assert predict_tree(tree, np.array([0.0, 1.0])) == 1
+    assert tree_predictions(tree, np.array([0.0, 1.0]))[0] == 1
     assert decision_path(tree, np.array([0.0, 1.0])) == []
 
 
@@ -77,6 +82,19 @@ def test_path_conditions_hold_in_branch_direction():
                 assert (row[feat] == value) == taken
 
 
+def test_decision_path_refuses_a_nonconforming_instance(age_sex_schema):
+    tree = fit_tree(np.array([[20.0, 0.0], [60.0, 1.0]]), np.array([0, 1]), age_sex_schema)
+    with pytest.raises(SchemaError, match=r"^row 0, feature 'sex' \(index 1\): 2.0 is not a "
+                                          r"valid category index \(0..1\)$"):
+        decision_path(tree, np.array([30.0, 2.0]))
+    with pytest.raises(SchemaError, match=r"^row 0, feature 'age' \(index 0\): nan is not a "
+                                          r"finite number$"):
+        decision_path(tree, np.array([np.nan, 0.0]))
+    with pytest.raises(SchemaError, match=r"^a block of shape \(1, 3\) is not rows of the "
+                                          r"schema's 2 features$"):
+        decision_path(tree, np.array([30.0, 0.0, 1.0]))
+
+
 def test_zero_training_error_without_conflicts():
     rng = np.random.default_rng(5)
     for trial in range(8):
@@ -87,7 +105,7 @@ def test_zero_training_error_without_conflicts():
         X = X[np.sort(keep)]
         y = rng.integers(0, 2, size=len(X))
         tree = fit_tree(X, y, schema)
-        np.testing.assert_array_equal(predict_batch(tree, X), y)
+        np.testing.assert_array_equal(tree_predictions(tree, X), y)
 
 
 def test_zero_training_error_regression():
@@ -96,7 +114,7 @@ def test_zero_training_error_regression():
     X = random_rows(rng, schema, 40)
     y = rng.standard_normal(40)
     tree = fit_tree(X, y, schema, task="regression")
-    np.testing.assert_allclose(predict_batch(tree, X), y, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tree_predictions(tree, X), y, rtol=0, atol=1e-12)
 
 
 def test_regression_leaf_mean_and_root_mse():
@@ -104,7 +122,7 @@ def test_regression_leaf_mean_and_root_mse():
     X = np.array([[0.3]] * 4)  # identical rows: no two-sided split
     y = np.array([1.0, 2.0, 3.0, 6.0])
     leaf = fit_tree(X, y, schema, task="regression")
-    assert predict_tree(leaf, np.array([0.5])) == pytest.approx(y.mean())
+    assert tree_predictions(leaf, np.array([0.5]))[0] == pytest.approx(y.mean())
     assert leaf.leaf_stats[0] == 4 and leaf.table.pred[0] == 3.0  # n and mean
 
 
@@ -113,7 +131,7 @@ def test_conflicting_duplicates_majority_leaf(two_cat_schema):
     y = np.array([0, 1, 1, 0, 0])
     tree = fit_tree(X, y, two_cat_schema)
     assert tree_stats(tree)["leaf_count"] == 1
-    assert predict_tree(tree, X[0]) == 0  # majority
+    assert tree_predictions(tree, X[0])[0] == 0  # majority
 
 
 def test_majority_tie_goes_to_lowest_class(two_cat_schema):
@@ -124,7 +142,7 @@ def test_majority_tie_goes_to_lowest_class(two_cat_schema):
         TargetSpec("label", "classification", classes=("a", "b", "c")),
     )
     tree = fit_tree(X, y, schema)
-    assert predict_tree(tree, X[0]) == 1
+    assert tree_predictions(tree, X[0])[0] == 1
 
 
 def test_split_admissibility_and_determinism():
@@ -159,7 +177,7 @@ def test_categorical_xor_reaches_purity(two_cat_schema):
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
     tree = fit_tree(X, y, two_cat_schema)
-    np.testing.assert_array_equal(predict_batch(tree, X), y)
+    np.testing.assert_array_equal(tree_predictions(tree, X), y)
 
 
 def test_tie_break_prefers_first_feature(two_cat_schema):
@@ -226,14 +244,14 @@ def test_json_roundtrip_classification_and_regression():
     doc = tree_to_dict(tree)
     back = tree_from_dict(doc, schema, "classification")
     probe = random_rows(rng, schema, 100)
-    np.testing.assert_array_equal(predict_batch(back, probe), predict_batch(tree, probe))
+    np.testing.assert_array_equal(tree_predictions(back, probe), tree_predictions(tree, probe))
     assert tree_stats(back) == tree_stats(tree)
 
     yr = rng.standard_normal(50)
     rtree = fit_tree(X, yr, schema, task="regression")
     rdoc = tree_to_dict(rtree)
     rback = tree_from_dict(rdoc, schema, "regression")
-    np.testing.assert_allclose(predict_batch(rback, probe), predict_batch(rtree, probe))
+    np.testing.assert_allclose(tree_predictions(rback, probe), tree_predictions(rtree, probe))
 
     # a loaded tree writes back the same bytes and holds the same arrays
     for original, d, loaded in ((tree, doc, back), (rtree, rdoc, rback)):
@@ -255,7 +273,7 @@ def test_deep_tree_walks_without_recursion():
     tree = fit_tree(ds.X, ds.y, ds.schema)
     assert tree_stats(tree) == reference_tree_stats(ds.X, ds.y, ds.schema, "classification")
     assert tree_stats(tree)["depth"] == 1199
-    np.testing.assert_array_equal(predict_batch(tree, ds.X), ds.y)
+    np.testing.assert_array_equal(tree_predictions(tree, ds.X), ds.y)
     assert len(decision_path(tree, ds.X[-1])) == 1199
     doc = tree_to_dict(tree)
     back = tree_from_dict(doc, ds.schema, "classification")
@@ -314,7 +332,7 @@ def test_regression_labels_whose_square_sums_overflow_are_refused():
         fit_tree(X, y, schema)
     # labels up to sqrt(max / rows) grow without a warning
     y = y / 3e200 * np.sqrt(np.finfo(float).max / 20)
-    np.testing.assert_array_equal(predict_batch(fit_tree(X, y, schema), X), y)
+    np.testing.assert_array_equal(tree_predictions(fit_tree(X, y, schema), X), y)
 
 
 def _tied_data(rng, target, n=70):
@@ -364,7 +382,7 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
         # the depth and leaf count read off the table are the ones the per-node grower counts
         assert tree_stats(tree) == reference_tree_stats(X, y, schema, task, draw)
         np.testing.assert_array_equal(leaves, ref_leaves)
-        np.testing.assert_array_equal(leaves, cart.apply(tree, X))  # the leaf routing reaches
+        np.testing.assert_array_equal(leaves, tree_leaves(tree, X))  # the leaf routing reaches
 
 
 @pytest.mark.parametrize("seed", range(2))

@@ -4,13 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from araucana.cart import predict_batch
 from araucana.explain import (
     ExplainConfig,
     Neighborhood,
     _merge_path,
     explain_instance,
-    explain_neighborhood,
+    explain_neighborhoods,
     render_explanation,
     select_neighborhood,
     select_neighborhoods,
@@ -26,9 +25,15 @@ from araucana.tabular import (
     synth_dataset,
 )
 from araucana import cart
-from araucana.gower import DistanceMetric, distances_to
+from araucana.gower import DistanceMetric, distances_many
 
-from conftest import make_dataset, random_mixed_schema, random_rows
+from conftest import (
+    make_dataset,
+    random_mixed_schema,
+    random_rows,
+    tree_leaves,
+    tree_predictions,
+)
 
 
 class FixedOracle(PredictionOracle):
@@ -82,7 +87,7 @@ def test_explainer_set_smote_off():
     ds, oracle = small_classification()
     cfg = ExplainConfig(n_neighbors=30, smote=None, seed=0)
     nbh = select_neighborhood(ds, ds.X[3], oracle, cfg)
-    eset = explain_neighborhood(nbh, ds.X[3], oracle, cfg, ds.schema).explainer_set
+    eset = explain_neighborhoods([nbh], ds.X[3:4], oracle, [cfg], ds.schema)[0].explainer_set
     assert len(eset) == 31
     assert eset.provenance.count("original") == 30
     assert eset.provenance.count("query") == 1
@@ -94,7 +99,7 @@ def test_explainer_set_balanced_relabels_add_nothing(two_cat_schema):
     oracle = FixedOracle(two_cat_schema, lambda r: int(r[0]))  # perfectly balanced
     cfg = ExplainConfig(n_neighbors=12, smote=SmoteConfig(seed=1), seed=1)
     nbh = select_neighborhood(ds, X[0], oracle, cfg)
-    eset = explain_neighborhood(nbh, X[0], oracle, cfg, two_cat_schema).explainer_set
+    eset = explain_neighborhoods([nbh], X[:1], oracle, [cfg], two_cat_schema)[0].explainer_set
     assert eset.provenance.count("synthetic") == 0
 
 
@@ -103,7 +108,7 @@ def test_synthetic_rows_relabeled_by_oracle():
     cfg = ExplainConfig(n_neighbors=40, smote=SmoteConfig(seed=7), seed=7)
     x = ds.X[11]
     nbh = select_neighborhood(ds, x, oracle, cfg)
-    eset = explain_neighborhood(nbh, x, oracle, cfg, ds.schema).explainer_set
+    eset = explain_neighborhoods([nbh], x[None], oracle, [cfg], ds.schema)[0].explainer_set
     syn = [i for i, p in enumerate(eset.provenance) if p == "synthetic"]
     if syn:  # relabels must match a fresh oracle query
         np.testing.assert_array_equal(
@@ -188,8 +193,8 @@ def _check_rule_support(seed, task):
             for drow in map(schema.decode_row, eset.X)
         ])
         # every explainer-set row satisfying the rule lands in x's leaf, and only those
-        leaves = cart.apply(expl.tree, eset.X)
-        np.testing.assert_array_equal(match, leaves == cart.apply(expl.tree, x)[0])
+        leaves = tree_leaves(expl.tree, eset.X)
+        np.testing.assert_array_equal(match, leaves == tree_leaves(expl.tree, x)[0])
         labels = eset.y[match]
         if task == "classification":
             agree = labels == schema.target.classes.index(expl.rule.prediction)
@@ -222,7 +227,7 @@ def test_conflicting_duplicates_of_the_query_share_an_impure_leaf(task):
         query_label, prediction, purity, faithful = 2.0, 15.0 / 7, 0.0, False
     nbh = Neighborhood(np.arange(30), np.zeros(30), rows, relabels, query_label)
     oracle = FixedOracle(schema, lambda r: query_label, task)
-    expl = explain_neighborhood(nbh, x, oracle, ExplainConfig(smote=None), schema)
+    expl = explain_neighborhoods([nbh], x[None], oracle, [ExplainConfig(smote=None)], schema)[0]
     assert expl.rule.support == 7  # five duplicates, row 0 and the query
     assert expl.rule.prediction == prediction  # 15 / 7: the leaf mean, summed exactly
     assert expl.rule.purity == purity
@@ -243,7 +248,7 @@ def test_neighborhood_boundary_monotonicity():
     x = ds.X[5]
     nbh = select_neighborhood(ds, x, oracle, cfg)
     metric = DistanceMetric(ds.schema)
-    all_d = distances_to(metric, x, ds.X)
+    all_d = distances_many(metric, x[None], ds.X)[0]
     outside = np.setdiff1d(np.arange(len(ds)), nbh.indices)
     assert nbh.distances[-1] <= all_d[outside].min() + 1e-15
 
@@ -258,7 +263,7 @@ def test_neighborhood_is_stable_argsort_prefix():
         oracle = FixedOracle(schema, lambda r: 0)
         metric = DistanceMetric(schema)
         for x in ds.X[rng.integers(0, 60, 3)]:
-            d = distances_to(metric, x, ds.X)
+            d = distances_many(metric, x[None], ds.X)[0]
             for n in (1, 7, 30, 60):
                 nbh = select_neighborhood(ds, x, oracle, ExplainConfig(n_neighbors=n, seed=0))
                 order = np.argsort(d, kind="stable")[:n]
@@ -297,7 +302,7 @@ def test_regression_mode_forces_smote_off_and_epsilon_faithful():
     expl = explain_instance(ds, ds.X[13], oracle, ExplainConfig(n_neighbors=40, seed=2))
     assert expl.config["smote"] == "off (regression task)"
     assert expl.faithful
-    pred = cart.predict_tree(expl.tree, ds.X[13])
+    pred = tree_predictions(expl.tree, ds.X[13])[0]
     eps = 1e-6 * abs(float(expl.oracle_label)) + 1e-9
     assert abs(pred - float(expl.oracle_label)) <= eps
 
@@ -348,5 +353,5 @@ def test_smote_off_reduction_is_plain_neighborhood_tree():
     direct = cart.fit_tree(X, y, ds.schema)
     probe = synth_dataset(SynthSpec("imbalanced_mixed", 50, minority_frac=0.3), seed=123).X
     np.testing.assert_array_equal(
-        predict_batch(expl.tree, probe), predict_batch(direct, probe)
+        tree_predictions(expl.tree, probe), tree_predictions(direct, probe)
     )

@@ -39,9 +39,9 @@ def two_num_schema():
 
 def neighborhood_of(rows, labels, x, schema):
     rows = np.asarray(rows, dtype=float)
-    from araucana.gower import DistanceMetric, distances_to
+    from araucana.gower import DistanceMetric, distances_many
 
-    d = distances_to(DistanceMetric(schema), x, rows)
+    d = distances_many(DistanceMetric(schema), x[None], rows)[0]
     order = np.argsort(d, kind="stable")
     labels = np.asarray(labels)[order]
     # x is one of the rows, so the nearest row carries its label

@@ -8,7 +8,6 @@ from araucana.gower import (
     DistanceMetric,
     distance,
     distances_many,
-    distances_to,
     nearest,
 )
 from araucana.tabular import FeatureSpec, Schema, SchemaError
@@ -85,16 +84,16 @@ def test_monotone_in_single_numeric_gap(age_sex_schema):
         last = d
 
 
-def test_distances_to_matches_loop_and_edges(age_sex_schema):
+def test_one_query_distances_match_distance_and_edges(age_sex_schema):
     rng = np.random.default_rng(7)
     m = DistanceMetric(age_sex_schema)
     x = np.array([40.0, 0.0])
     rows = np.column_stack([rng.uniform(0, 100, 20), rng.integers(0, 2, 20).astype(float)])
-    batch = distances_to(m, x, rows)
+    batch = distances_many(m, x[None], rows)[0]
     loop = [distance(m, x, r) for r in rows]
     np.testing.assert_allclose(batch, loop, rtol=0, atol=0)
-    assert distances_to(m, x, np.empty((0, 2))).tolist() == []
-    np.testing.assert_array_equal(distances_to(m, x, x.reshape(1, -1)), [0.0])
+    assert distances_many(m, x[None], np.empty((0, 2))).tolist() == [[]]
+    np.testing.assert_array_equal(distances_many(m, x[None], x[None]), [[0.0]])
 
 
 def test_validation_errors(age_sex_schema):
@@ -117,7 +116,7 @@ def test_euclidean_normalized_range_and_categorical_unit():
     rng = np.random.default_rng(5)
     rows = random_rows(rng, schema, 50)
     x = rows[0]
-    ds = distances_to(m, x, rows)
+    ds = distances_many(m, x[None], rows)[0]
     assert (ds >= -1e-12).all() and (ds <= 1 + 1e-12).all()
 
 
@@ -154,7 +153,7 @@ def _with_constant_features(rng, schema):
 
 @pytest.mark.parametrize("cells", [1, 2**40])
 @pytest.mark.parametrize("kind", [GOWER, EUCLIDEAN])
-def test_distances_many_equals_distances_to(monkeypatch, kind, cells):
+def test_distances_many_rows_equal_one_query_calls(monkeypatch, kind, cells):
     # cells=1: one query per chunk; cells=2**40: the whole batch in one chunk
     monkeypatch.setattr(gower, "DISTANCE_CHUNK_CELLS", cells)
     rng = np.random.default_rng(23)
@@ -167,7 +166,7 @@ def test_distances_many_equals_distances_to(monkeypatch, kind, cells):
         block = distances_many(m, X, rows)
         assert block.shape == (len(X), len(rows))
         for i, x in enumerate(X):
-            assert block[i].tobytes() == distances_to(m, x, rows).tobytes()
+            assert block[i].tobytes() == distances_many(m, x[None], rows)[0].tobytes()
             assert block[i].tobytes() == _formula_distances(m, x, rows).tobytes()
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from araucana import cart, gower, oracle as oracle_mod
 from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, tree_to_dict
-from araucana.gower import DistanceMetric, distances_to
+from araucana.gower import DistanceMetric, distances_many
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
@@ -197,21 +197,22 @@ def test_knn_without_features_votes_over_first_rows():
     # an empty distance array had made every query answer class 0
     schema = Schema((), TargetSpec("y", "classification", classes=("0", "1")))
     ds = Dataset(schema, np.empty((5, 0)), np.array([0, 1, 1, 0, 0]))
-    np.testing.assert_array_equal(distances_to(DistanceMetric(schema), np.empty(0), ds.X),
-                                  np.zeros(5))
+    np.testing.assert_array_equal(distances_many(DistanceMetric(schema), np.empty((1, 0)), ds.X),
+                                  np.zeros((1, 5)))
     np.testing.assert_array_equal(train_knn(ds, k=3).predict_batch(np.empty((2, 0))), [1, 1])
     np.testing.assert_array_equal(train_knn(ds, k=5).predict_batch(np.empty((2, 0))), [0, 0])
 
 
 def _reference_knn(model, rows):
-    """The per-row k-NN: one distances_to pass and a full stable argsort per row."""
+    """The per-row k-NN: one one-query distances_many pass and a full stable
+    argsort per row."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1)
     k = min(model.k, len(model.X))
     preds = []
     for x in rows:
-        near = np.argsort(distances_to(model.metric, x, model.X), kind="stable")[:k]
+        near = np.argsort(distances_many(model.metric, x[None], model.X)[0], kind="stable")[:k]
         if model.task == REGRESSION:
             preds.append(float(model.y[near].mean()))
         else:

@@ -13,12 +13,12 @@ from araucana.tabular import (
     SynthSpec,
     TargetSpec,
     check_rows,
+    dataset_from_cells,
     infer_schema,
     load_dataset,
     read_csv,
     save_dataset,
     synth_dataset,
-    validate_instance,
 )
 
 from conftest import random_mixed_schema, random_rows, random_scaling_case
@@ -72,6 +72,21 @@ def test_schema_header_mismatch(tmp_path, age_sex_schema):
         load_dataset(p, sp)
 
 
+def test_target_beside_a_schema_is_refused(tmp_path, age_sex_schema):
+    # the schema names its own target: a second one was silently ignored
+    sp = tmp_path / "s.json"
+    age_sex_schema.save(sp)
+    p = write(tmp_path, "d.csv", "age,sex,label\n30,M,0\n")
+    refused = r"^target='age' beside schema: the schema names its own target"
+    with pytest.raises(DataError, match=refused):
+        load_dataset(p, sp, target="age")
+    with pytest.raises(DataError, match=refused):
+        load_dataset(p, schema=age_sex_schema, target="age")
+    with pytest.raises(DataError, match=refused):
+        dataset_from_cells(*read_csv(p), p, schema=age_sex_schema, target="age")
+    assert load_dataset(p, sp).schema.target.name == "label"
+
+
 def test_extra_columns_rejected_unless_ignored(tmp_path, age_sex_schema):
     sp = tmp_path / "s.json"
     age_sex_schema.save(sp)
@@ -82,21 +97,21 @@ def test_extra_columns_rejected_unless_ignored(tmp_path, age_sex_schema):
     assert len(ds) == 1
 
 
-def test_validate_instance(age_sex_schema):
-    validate_instance(age_sex_schema, np.array([30.0, 1.0]))  # conforming
+def test_check_rows_of_one_row(age_sex_schema):
+    check_rows(age_sex_schema, np.array([[30.0, 1.0]]))  # conforming
     with pytest.raises(SchemaError, match="2 features"):
-        validate_instance(age_sex_schema, np.array([1.0, 0.0, 2.0]))
+        check_rows(age_sex_schema, np.array([[1.0, 0.0, 2.0]]))
     with pytest.raises(SchemaError, match=r"^row 0, feature 'sex' \(index 1\): 5.0 is not a "
                                           r"valid category index \(0..1\)$"):
-        validate_instance(age_sex_schema, np.array([30.0, 5.0]))
+        check_rows(age_sex_schema, np.array([[30.0, 5.0]]))
     with pytest.raises(SchemaError, match=r"^row 0, feature 'age' \(index 0\): nan is not a "
                                           r"finite number$"):
-        validate_instance(age_sex_schema, np.array([np.nan, 0.0]))
+        check_rows(age_sex_schema, np.array([[np.nan, 0.0]]))
     with pytest.raises(SchemaError, match=r"^row 1, feature 'sex' \(index 1\): 2.5 is not a "
                                           r"valid category index \(0..1\)$"):
         Dataset(age_sex_schema, np.array([[30.0, 1.0], [30.0, 2.5]]))
     # out-of-range numerics are allowed (stored unclamped)
-    validate_instance(age_sex_schema, np.array([1234.0, 0.0]))
+    check_rows(age_sex_schema, np.array([[1234.0, 0.0]]))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -121,7 +136,7 @@ def test_check_rows_names_the_one_planted_bad_cell(seed):
     with pytest.raises(SchemaError, match=rf"^row {r}, {cell}"):
         Dataset(schema, X)
     with pytest.raises(SchemaError, match=rf"^row 0, {cell}"):
-        validate_instance(schema, X[r])
+        check_rows(schema, X[r:r + 1])
 
 
 @pytest.mark.parametrize("kind, value", [("regression", math.nan), ("regression", math.inf),
