@@ -544,13 +544,26 @@ def tree_to_dict(tree: ExplainerTree) -> dict:
     return docs[0]
 
 
-def json_text(doc, indent=None) -> str:
-    """json.dumps of a document that holds trees.
-
-    The encoder nests one level per tree level and stops at the interpreter's
-    recursion limit; a tree too deep for it raises ValueError.
-    """
-    try:
-        return json.dumps(doc, indent=indent)
-    except RecursionError:
-        raise ValueError("tree too deep to nest as JSON") from None
+def json_text(doc) -> str:
+    """json.dumps(doc, indent=2) of a string-keyed document at any depth: an
+    explicit stack of (text before a value, the value, its line break and
+    indent) lays out the dicts and lists, where the encoder recurses once per
+    level. Each key and scalar is json.dumps's own text."""
+    out, stack = [], [("", doc, "\n")]
+    while stack:
+        before, value, nl = stack.pop()
+        out.append(before)
+        if nl is None:  # a closing bracket: its text came before, no value
+            continue
+        if isinstance(value, dict) and value:
+            items, ends = [(json.dumps(k) + ": ", v) for k, v in value.items()], "{}"
+        elif isinstance(value, (list, tuple)) and value:
+            items, ends = [("", v) for v in value], "[]"
+        else:  # a scalar, {} or []
+            out.append(json.dumps(value))
+            continue
+        inner = nl + "  "
+        kids = [("," + inner + key, v, inner) for key, v in items]
+        kids[0] = (ends[0] + inner + items[0][0], items[0][1], inner)  # no comma first
+        stack += [(nl + ends[1], None, None)] + kids[::-1]
+    return "".join(out)

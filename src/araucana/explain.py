@@ -366,7 +366,7 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
             "config": expl.config,
             "seed": expl.seed,
         }
-        return (cart.json_text(doc, indent=2) + "\n").encode("utf-8")
+        return (cart.json_text(doc) + "\n").encode("utf-8")
     if format != TEXT:
         raise ValueError(f"unknown render format {format!r}")
     if expl.rule.conditions:

@@ -55,9 +55,9 @@ class PredictionOracle:
         pass
 
 
-def ensure_same_schema(a: Schema, b: Schema, what: str = "model") -> None:
+def ensure_same_schema(a: Schema, b: Schema) -> None:
     if a.to_dict() != b.to_dict():
-        raise OracleError(f"{what} schema does not match the dataset schema")
+        raise OracleError("model schema does not match the dataset schema")
 
 
 # ---------------------------------------------------------------- built-in
@@ -255,10 +255,8 @@ class SubprocessOracle(PredictionOracle):
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if len(rows) <= SUBPROCESS_REQUEST_ROWS:
-            return self._request(rows)
         return np.concatenate([self._request(rows[a:a + SUBPROCESS_REQUEST_ROWS])
-                               for a in range(0, len(rows), SUBPROCESS_REQUEST_ROWS)])
+                               for a in range(0, max(len(rows), 1), SUBPROCESS_REQUEST_ROWS)])
 
     def _request(self, rows: np.ndarray) -> np.ndarray:
         """Labels of rows from one request and its reply."""

@@ -1,4 +1,5 @@
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -103,11 +104,6 @@ def make_dataset(rng, schema, n):
     return Dataset(schema, X, y)
 
 
-# the JSON encoders of Python 3.11 and older nest only as deep as the
-# recursion limit (1000 by default), so a 1,199-level tree cannot be written
-DEEP_JSON_REFUSED = sys.version_info < (3, 12)
-
-
 def chain_dataset(n=1200):
     """v = 0..n-1 with alternating labels: CART grows a chain n - 1 levels deep."""
     schema = Schema(
@@ -115,6 +111,18 @@ def chain_dataset(n=1200):
         TargetSpec("label", CLASSIFICATION, classes=("0", "1")),
     )
     return Dataset(schema, np.arange(n, dtype=float).reshape(-1, 1), np.arange(n) % 2)
+
+
+@contextmanager
+def recursion_limit(n):
+    """Raise the recursion limit to n inside the block: the json module's
+    encoder and decoder recurse once per level of a nested chain_dataset tree."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(n)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def tree_leaves(tree, rows):

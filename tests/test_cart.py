@@ -16,10 +16,10 @@ from araucana.cart import (
 from araucana.tabular import REGRESSION, FeatureSpec, Schema, SchemaError, TargetSpec
 
 from conftest import (
-    DEEP_JSON_REFUSED,
     chain_dataset,
     random_mixed_schema,
     random_rows,
+    recursion_limit,
     tree_leaves,
     tree_predictions,
 )
@@ -280,9 +280,49 @@ def test_deep_tree_walks_without_recursion():
     assert tree_stats(back) == tree_stats(tree)
     for a, b in zip(back.table, tree.table):
         np.testing.assert_array_equal(a, b)
-    if DEEP_JSON_REFUSED:
-        with pytest.raises(ValueError, match="too deep"):
-            cart.json_text(doc)
+    with recursion_limit(10_000):
+        want = json.dumps(doc, indent=2)
+    assert cart.json_text(doc) == want
+
+
+# values whose json.dumps text is easy to get wrong by hand
+JSON_EDGE_VALUES = [{}, [], [[[]]], -0.0, 5e-324, 1e300, -1.5e-7, 2 ** 70, "x\n\"", "é",
+                    "\u2028", None, True, False, float("nan"), float("-inf"), (1, (2,))]
+
+
+def random_json_doc(rng, depth=0):
+    """A string-keyed nesting of dicts, lists and scalars, edge values among them."""
+    r = rng.random()
+    if depth >= 5 or r < 0.35:
+        scalars = JSON_EDGE_VALUES + [float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9)),
+                                      int(rng.integers(-10 ** 9, 10 ** 9))]
+        return scalars[int(rng.integers(0, len(scalars)))]
+    n = int(rng.integers(0, 4))
+    if r < 0.7:
+        return [random_json_doc(rng, depth + 1) for _ in range(n)]
+    return {"".join(rng.choice(list("ab\"é\n\t "), size=int(rng.integers(0, 4)))):
+            random_json_doc(rng, depth + 1) for _ in range(n)}
+
+
+def test_json_text_equals_indented_json_dumps():
+    for value in JSON_EDGE_VALUES:
+        assert cart.json_text(value) == json.dumps(value, indent=2)
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        doc = random_json_doc(rng)
+        assert cart.json_text(doc) == json.dumps(doc, indent=2)
+    # explanation-shaped documents: a tree beside other fields, both tasks
+    for trial in range(40):
+        schema = random_mixed_schema(rng, n_classes=int(rng.integers(2, 4)))
+        n = int(rng.integers(1, 40))
+        X = random_rows(rng, schema, n)
+        if trial % 2:
+            tree = fit_tree(X, rng.standard_normal(n), schema, task="regression")
+        else:
+            tree = fit_tree(X, rng.integers(0, len(schema.target.classes), size=n), schema)
+        doc = {"query": [1.0, "c"], "tree": tree_to_dict(tree), "tree_stats": tree_stats(tree),
+               "faithful": True, "config": {"k": 3, "none": None}, "seed": trial}
+        assert cart.json_text(doc) == json.dumps(doc, indent=2)
 
 
 def test_json_field_names(two_cat_schema):

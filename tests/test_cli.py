@@ -20,7 +20,7 @@ from araucana.tabular import (
     synth_dataset,
 )
 
-from conftest import DEEP_JSON_REFUSED, chain_dataset
+from conftest import chain_dataset, recursion_limit
 
 STUB = Path(__file__).parent / "stub_oracle.py"
 
@@ -339,17 +339,14 @@ def test_synth_zero_rows_exits_2(tmp_path):
         assert exc.value.code == 2
 
 
-def test_explain_too_deep_tree_exits_1(tmp_path, capsys):
+def test_explain_renders_a_1199_level_tree_as_json(tmp_path, capsys):
     # a 1-NN oracle relabels the chain exactly, so the surrogate is 1,199 levels deep
     save_dataset(chain_dataset(1200), tmp_path / "data.csv", tmp_path / "schema.json")
     code = run(["explain", "--data", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
                 "--oracle", "builtin:knn", "--k", 1, "--n-neighbors", 1200,
                 "--smote-policy", "off", "--index", 0, "--format", "json"])
-    if DEEP_JSON_REFUSED:
-        assert code == 1
-        assert capsys.readouterr().err == "error: tree too deep to nest as JSON\n"
-    else:
-        assert code == 0
+    assert code == 0
+    with recursion_limit(10_000):  # the decoder recurses once per level
         assert json.loads(capsys.readouterr().out)["tree_stats"]["depth"] == 1199
 
 

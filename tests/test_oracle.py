@@ -278,8 +278,8 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(kback.predict_batch(probe), knn.predict_batch(probe))
 
 
-def test_save_model_too_deep_tree(tmp_path):
-    # a 1,199-deep tree: its columns do not nest, so every Python saves it
+def test_save_model_round_trips_a_1199_level_tree(tmp_path):
+    # a 1,199-deep tree: its columns do not nest, so it saves and loads
     ds = chain_dataset(1200)
     tree = fit_tree(ds.X, ds.y, ds.schema)
     model = ForestModel(tree, [0])
@@ -433,8 +433,12 @@ def test_subprocess_requests_are_capped_and_each_has_its_own_timeout(monkeypatch
     request = oracle._request
     monkeypatch.setattr(oracle, "_request", lambda rows: sizes.append(len(rows)) or request(rows))
     try:
-        np.testing.assert_array_equal(oracle.predict_batch(ds.X), want)
-        assert sizes == [3, 3, 3, 1]
+        # a batch of exactly the cap is one request, and a 0-row batch still
+        # sends one empty request
+        for n, requests in ((10, [3, 3, 3, 1]), (3, [3]), (0, [0])):
+            sizes.clear()
+            np.testing.assert_array_equal(oracle.predict_batch(ds.X[:n]), want[:n])
+            assert sizes == requests
     finally:
         oracle.close()
 
