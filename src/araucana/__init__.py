@@ -23,7 +23,6 @@ from .explain import (
 )
 from .fidelity import (
     FidelityReport,
-    LinearExplainer,
     evaluate_fidelity,
     fit_linear_explainer,
     report_to_csv,

@@ -9,7 +9,8 @@ neighborhood and predicts the instance. Fidelity is the fraction of
 instances where that prediction matches the oracle's label. The weighted-linear
 baseline mirrors the usual local-linear recipe: least squares on the encoded
 neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
-dimension, at least 1), and a ridge term of 1e-3.
+dimension, at least 1), and a ridge term of 1e-3. It fits each chunk's
+neighborhoods in one stacked solve.
 """
 
 from __future__ import annotations
@@ -41,68 +42,49 @@ EXPLAINERS = (ARAUCANA, LINEAR)
 EXPLAIN_BATCH_QUERIES = 64
 
 
-@dataclass
-class LinearExplainer:
-    """Ridge-regularized weighted linear fit on an encoded neighborhood.
-
-    Encoding: numerics scaled to [0, 1] by the schema (Schema.scaled_numeric),
-    categoricals one-hot, in feature order. Classification fits one score
-    column per class (0/1 indicators) and predicts the argmax.
-    """
-
-    weights: np.ndarray  # (n_outputs, encoded dimension)
-    intercept: np.ndarray  # (n_outputs,)
-    kernel_width: float
-    task: str
-    schema: Schema
-
-    def predict(self, inst: np.ndarray):
-        z = _encode(self.schema, np.asarray(inst, dtype=float).reshape(1, -1))[0]
-        scores = self.weights @ z + self.intercept
-        if self.task == CLASSIFICATION:
-            return int(np.argmax(scores))  # ties: lowest class index
-        return float(scores[0])
-
-
 def _encode(schema: Schema, X: np.ndarray) -> np.ndarray:
-    """The rows X encoded, one column per numeric feature and one per
-    category of a categorical one, in feature order."""
+    """The rows X encoded along the last axis, one column per numeric feature
+    and one per category of a categorical one, in feature order."""
     widths = np.array([1 if f.is_numeric else len(f.categories) for f in schema.features],
                       dtype=np.intp)
     start = np.cumsum(widths) - widths
     num = schema.numeric_mask()
-    A = np.zeros((len(X), widths.sum()))
-    A[:, start[num]] = schema.scaled_numeric(X)
-    A[np.arange(len(X))[:, None], start[~num] + X[:, ~num].astype(np.intp)] = 1.0
+    A = np.zeros(X.shape[:-1] + (widths.sum(),))
+    A[..., start[num]] = schema.scaled_numeric(X)
+    np.put_along_axis(A, start[~num] + X[..., ~num].astype(np.intp), 1.0, axis=-1)
     return A
 
 
-def fit_linear_explainer(nbh: Neighborhood, schema: Schema,
-                         task: str = CLASSIFICATION) -> LinearExplainer:
-    """Weighted least squares on the relabeled neighborhood. On a one-label
-    neighborhood every other class's score column has a zero right-hand side
-    and solves to zeros, and the label's is met by the unpenalized intercept
-    alone, so the fit predicts that label."""
-    A = _encode(schema, nbh.rows)
-    dim = A.shape[1]
+def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema,
+                         task: str) -> np.ndarray:
+    """The weighted-linear baseline's encoded prediction at each query X[j],
+    fitted to the relabeled nbhs[j]: the argmax of one score column per class
+    (ties to the lowest class), or the regression score. A stage's
+    neighborhoods have one size, so one stacked solve fits them all. A class
+    that a neighborhood lacks solves to a zero score column, and the scores
+    of the classes it holds sum to 1, so that column never wins."""
+    if not nbhs:
+        return np.empty(0)
+    A = _encode(schema, np.stack([nbh.rows for nbh in nbhs]))  # (B, N, d)
+    dim = A.shape[-1]
     kernel_width = 0.75 * np.sqrt(max(dim, 1))  # without features every distance is 0
-    y = np.asarray(nbh.relabels)
-    w = np.exp(-(np.asarray(nbh.distances) ** 2) / kernel_width**2)
+    y = np.stack([nbh.relabels for nbh in nbhs])
+    w = np.exp(-(np.stack([nbh.distances for nbh in nbhs]) ** 2) / kernel_width**2)
     if task == CLASSIFICATION:
         n_classes = int(y.max()) + 1 if schema.target is None else len(schema.target.classes)
-        targets = np.zeros((len(y), n_classes))
-        targets[np.arange(len(y)), y.astype(int)] = 1.0
+        targets = (y.astype(int)[..., None] == np.arange(n_classes)).astype(float)
     else:
-        targets = np.asarray(y, dtype=float)[:, None]
+        targets = y.astype(float)[..., None]
 
     # augmented design with an unpenalized intercept column
-    Aa = np.hstack([A, np.ones((len(A), 1))])
-    WA = Aa * w[:, None]
-    gram = Aa.T @ WA
-    reg = 1e-3 * np.eye(dim + 1)
-    reg[dim, dim] = 0.0
-    beta = np.linalg.solve(gram + reg, WA.T @ targets)  # (dim+1, n_outputs)
-    return LinearExplainer(beta[:-1].T, beta[-1], kernel_width, task, schema)
+    Aa = np.concatenate([A, np.ones(A.shape[:-1] + (1,))], axis=-1)
+    WA = Aa * w[..., None]
+    reg = np.diag([1e-3] * dim + [0.0])
+    gram = Aa.swapaxes(1, 2) @ WA + reg
+    beta = np.linalg.solve(gram, WA.swapaxes(1, 2) @ targets)  # (B, dim+1, n_outputs)
+    z = _encode(schema, X)
+    scores = (beta[:, :-1].swapaxes(1, 2) @ z[..., None])[..., 0] + beta[:, -1]
+    return scores.argmax(axis=1) if task == CLASSIFICATION else scores[:, 0]
 
 
 @dataclass
@@ -137,7 +119,9 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
         if ARAUCANA in explainers:
             cfgs = [_row_config(cfg, i) for i in range(a, a + len(X))]
             expls = explain_neighborhoods(nbhs, X, oracle, cfgs, schema)
-        for j, (x, nbh) in enumerate(zip(X, nbhs)):
+        if LINEAR in explainers:
+            linear = fit_linear_explainer(nbhs, X, schema, oracle.task)
+        for j, nbh in enumerate(nbhs):
             i, oracle_label = a + j, nbh.query_label
             for name in explainers:
                 if name == ARAUCANA:
@@ -147,11 +131,9 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                     prediction = expl.rule.prediction
                     agree = expl.faithful
                 else:
-                    lin = fit_linear_explainer(nbh, schema, task=oracle.task)
-                    pred = lin.predict(x)
+                    pred = linear[j]
                     prediction = schema.decode_label(pred)
-                    agree = bool(abs(pred - oracle_label)
-                                 <= match_epsilon(oracle.task, oracle_label))
+                    agree = abs(pred - oracle_label) <= match_epsilon(oracle.task, oracle_label)
                 per_instance.append(
                     {
                         "explainer": name,

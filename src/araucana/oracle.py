@@ -456,6 +456,8 @@ def _forest_table(doc, schema: Schema, task: str):
         raise ValueError(f"a feature outside -1..{schema.n_features - 1}")
     if K and ((pred < 0) | (pred >= K)).any():
         raise ValueError(f"a class index outside 0..{K - 1}")
+    if (counts < 0).any():
+        raise ValueError(f"a leaf's {'counts' if K else 'n'} is negative")
     if first_refused(val[split], *(b[feat[split]] for b in schema.value_bounds)) is not None:
         raise ValueError("a categorical split's value is not a category index of its feature")
     end = np.append(roots[1:], N)[np.searchsorted(roots, split, side="right") - 1]

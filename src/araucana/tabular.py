@@ -246,23 +246,34 @@ class Schema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schema":
+        """The schema of a document that to_dict wrote; DataError unless names are
+        strings, categories and classes lists of strings, and ranges two numbers."""
+        def need(ok: bool, value, what: str):
+            if not ok:
+                raise DataError(f"malformed schema document: {what}, not {value!r}")
+            return value
+
         try:
             feats = []
             for fd in d["features"]:
+                name = need(type(fd["name"]) is str, fd["name"], "a feature name must be a string")
                 if fd["kind"] == NUMERIC:
-                    feats.append(
-                        FeatureSpec(fd["name"], NUMERIC, range=tuple(float(v) for v in fd["range"]))
-                    )
+                    lo, hi = need(_list_of(fd["range"], int, float) and len(fd["range"]) == 2,
+                                  fd["range"], f"feature {name!r}: range must be two numbers")
+                    feats.append(FeatureSpec(name, NUMERIC, range=(float(lo), float(hi))))
                 else:
-                    feats.append(
-                        FeatureSpec(fd["name"], fd["kind"], categories=tuple(fd["categories"]))
-                    )
-            target = None
-            td = d.get("target")
+                    cats = need(_list_of(fd["categories"], str), fd["categories"],
+                                f"feature {name!r}: categories must be a list of strings")
+                    feats.append(FeatureSpec(name, fd["kind"], categories=tuple(cats)))
+            target, td = None, d.get("target")
             if td is not None:
-                classes = tuple(td["classes"]) if td.get("classes") is not None else None
-                target = TargetSpec(td["name"], td["kind"], classes=classes)
-        except (KeyError, TypeError) as exc:
+                name = need(type(td["name"]) is str, td["name"], "the target name must be a string")
+                classes = td.get("classes")
+                if classes is not None:
+                    classes = tuple(need(_list_of(classes, str), classes,
+                                         f"target {name!r}: classes must be a list of strings"))
+                target = TargetSpec(name, td["kind"], classes=classes)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise DataError(f"malformed schema document: {exc}") from exc
         return cls(tuple(feats), target)
 
@@ -276,6 +287,11 @@ class Schema:
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed schema file {path}: {exc}") from exc
         return cls.from_dict(d)
+
+
+def _list_of(value, *types) -> bool:
+    """Whether value is a JSON list of items of the given types; a bool is not an int."""
+    return isinstance(value, list) and all(type(v) in types for v in value)
 
 
 def check_rows(schema: Schema, X: np.ndarray, y: np.ndarray | None = None) -> None:

@@ -93,6 +93,41 @@ def test_train_missing_target_column_exit_1(tmp_path, capsys):
     assert "label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, words", [
+    ("categories", "ab", "feature 'cat0': categories must be a list of strings, not 'ab'"),
+    ("categories", ["a", 1], "feature 'cat0': categories must be a list of strings"),
+    ("range", "01", "feature 'num0': range must be two numbers, not '01'"),
+    ("range", [0, 1, 2], "feature 'num0': range must be two numbers, not [0, 1, 2]"),
+    ("range", [False, True], "feature 'num0': range must be two numbers"),
+    ("range", ["0", "1"], "feature 'num0': range must be two numbers"),
+    ("range", [0, 10**400], "int too large to convert to float"),
+    ("name", 5, "a feature name must be a string, not 5"),
+    ("classes", [0, 1], "target 'label': classes must be a list of strings, not [0, 1]"),
+    ("target name", 5, "the target name must be a string, not 5"),
+], ids=["categories-text", "categories-number", "range-text", "range-three", "range-booleans",
+        "range-strings", "range-huge-int", "feature-name", "classes-numbers", "target-name"])
+def test_schema_document_of_wrong_json_types_is_refused(tmp_path, capsys, key, value, words):
+    # each was read before: "ab" as the categories a and b, "01" as the range
+    # (0.0, 1.0), and [0, 1] as classes that no CSV label names, so the data
+    # was blamed; [0, 1, 2] raised "too many values to unpack"
+    data = synth_dir(tmp_path, "imbalanced_mixed", 60, 1)
+    doc = json.loads((data / "schema.json").read_text())
+    entry = {"categories": doc["features"][4], "classes": doc["target"],
+             "target name": doc["target"]}.get(key, doc["features"][0])
+    entry[key.split()[-1]] = value
+    with pytest.raises(tabular.DataError, match="^malformed schema document: ") as exc:
+        Schema.from_dict(doc)
+    assert words in str(exc.value)
+    (data / "schema.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = run(["train", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--out", tmp_path / "m"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {exc.value}\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_explain_defaults_and_json_schema(tmp_path, capsys):
     data = synth_dir(tmp_path, "imbalanced_mixed", 200, 5)
     capsys.readouterr()  # drop the synth chatter
@@ -379,6 +414,9 @@ def _damage(doc, how) -> str:
     if how == "prediction":
         doc["prediction"][0] = 2  # a 2-class forest
         return "a class index outside"
+    if how == "negative":  # loaded, a leaf's class counts used to read -25
+        doc["counts"] = [-c for c in doc["counts"]]
+        return "a leaf's counts is negative"
     if how.startswith("category"):  # a split on cat0 (2 categories) or cat1 (3)
         doc["value"][next(i for i, f in enumerate(feat) if f >= 4)] = float(how[8:])
         return "not a category index"  # every row went right
@@ -387,7 +425,7 @@ def _damage(doc, how) -> str:
 
 
 @pytest.mark.parametrize("how", ["feature", "right", "shared", "roots", "value", "counts",
-                                 "type", "prediction", "category9", "category0.5",
+                                 "type", "prediction", "negative", "category9", "category0.5",
                                  "category-1", "format"])
 def test_evaluate_damaged_model_file_exits_1(tmp_path, capsys, how):
     data = synth_dir(tmp_path, "imbalanced_mixed", 120, 2)

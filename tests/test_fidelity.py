@@ -24,6 +24,7 @@ from araucana.oracle import BuiltinOracle, ForestConfig, PredictionOracle, train
 from araucana.tabular import Dataset, FeatureSpec, Schema, SynthSpec, TargetSpec, synth_dataset
 
 from conftest import make_dataset, random_mixed_schema, random_rows, random_scaling_case
+from reference_linear import encode_per_feature, reference_linear_prediction
 from test_explain import FixedOracle
 
 
@@ -53,35 +54,15 @@ def test_constant_relabels_constant_predictor():
     rng = np.random.default_rng(0)
     rows = rng.random((30, 2))
     nbh = neighborhood_of(rows, np.ones(30, dtype=int), rows[0], schema)
-    lin = fit_linear_explainer(nbh, schema)
-    assert all(lin.predict(r) == 1 for r in rows)
-
-
-def _encode_per_feature(schema, X):
-    """The per-feature encoding loop that fidelity._encode replaced: a numeric
-    column clipped into its range and scaled by it (0 when constant), one-hot
-    columns per categorical, in feature order."""
-    cols = []
-    for i, f in enumerate(schema.features):
-        if f.is_numeric:
-            lo, hi = f.range
-            span = hi - lo
-            if span > 0:
-                cols.append(((np.clip(X[:, i], lo, hi) - lo) / span)[:, None])
-            else:
-                cols.append(np.zeros((len(X), 1)))
-        else:
-            onehot = np.zeros((len(X), len(f.categories)))
-            onehot[np.arange(len(X)), X[:, i].astype(int)] = 1.0
-            cols.append(onehot)
-    return np.hstack(cols)
+    pred = fit_linear_explainer([nbh] * len(rows), rows, schema, "classification")
+    assert pred.tolist() == [1] * len(rows)
 
 
 def test_encode_equals_the_per_feature_loop():
     rng = np.random.default_rng(47)
     for _ in range(200):
         schema, X = random_scaling_case(rng)
-        got, want = fidelity._encode(schema, X), _encode_per_feature(schema, X)
+        got, want = fidelity._encode(schema, X), encode_per_feature(schema, X)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -97,9 +78,9 @@ def test_one_label_neighborhood_fit_predicts_its_label():
             rows[:] = rows[0]  # all duplicates
         label = int(rng.integers(0, len(schema.target.classes)))
         nbh = neighborhood_of(rows, np.full(n, label), rows[0], schema)
-        lin = fit_linear_explainer(nbh, schema)
         probes = np.vstack([rows, random_rows(rng, schema, 20)])
-        assert [lin.predict(r) for r in probes] == [label] * len(probes)
+        pred = fit_linear_explainer([nbh] * len(probes), probes, schema, "classification")
+        assert pred.tolist() == [label] * len(probes)
 
 
 def test_featureless_neighborhood_fit_predicts_the_majority():
@@ -110,8 +91,8 @@ def test_featureless_neighborhood_fit_predicts_the_majority():
         nbh = Neighborhood(np.arange(7), np.zeros(7), rows, np.array(labels), want)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            lin = fit_linear_explainer(nbh, schema)
-        assert lin.predict(np.empty(0)) == want
+            pred = fit_linear_explainer([nbh], np.empty((1, 0)), schema, "classification")
+        assert pred.tolist() == [want]
 
 
 def test_linearly_separable_neighborhood_high_agreement():
@@ -123,8 +104,8 @@ def test_linearly_separable_neighborhood_high_agreement():
         labels[0] = 1 - labels[0]
     x = rows[0]
     nbh = neighborhood_of(rows, labels, x, schema)
-    lin = fit_linear_explainer(nbh, schema)
-    agree = np.mean([lin.predict(r) == l for r, l in zip(rows, labels)])
+    pred = fit_linear_explainer([nbh] * len(rows), rows, schema, "classification")
+    agree = np.mean(pred == labels)
     assert agree >= 0.95
 
 
@@ -137,9 +118,51 @@ def test_xor_corners_cap_three_quarters():
     labels = np.repeat(xor, 10)
     x = corners[0]
     nbh = neighborhood_of(rows, labels, x, schema)
-    lin = fit_linear_explainer(nbh, schema)
-    agree = np.mean([lin.predict(c) == l for c, l in zip(corners, xor)])
+    pred = fit_linear_explainer([nbh] * len(corners), corners, schema, "classification")
+    agree = np.mean(pred == xor)
     assert agree <= 0.75 + 1e-12
+
+
+def test_stage_fit_equals_the_per_row_reference():
+    """One stacked solve per stage predicts, bit for bit, what fitting each
+    neighborhood alone predicts at its query: random mixed schemas, both
+    tasks, no features, no target (a class count of one more than the stage's
+    largest relabel, while some neighborhoods lack the top classes), classes
+    a neighborhood lacks, all-duplicate rows, 1 to 40 rows per neighborhood
+    and 1 to 20 queries per stage. The reference's kernel width is
+    0.75 sqrt(max(d, 1)) for an encoded dimension d."""
+    rng = np.random.default_rng(59)
+    for trial in range(400):
+        task = ("classification", "regression")[trial % 2]
+        n_classes = int(rng.integers(2, 5))
+        schema = random_mixed_schema(rng, n_classes=n_classes)
+        target = schema.target
+        if task == "regression":
+            target = TargetSpec("target", "regression")
+        elif trial % 3 == 0:
+            target = None
+        schema = Schema(() if trial % 5 == 0 else schema.features, target)
+        n, size = int(rng.integers(1, 41)), int(rng.integers(1, 21))
+        X = random_rows(rng, schema, size)
+        nbhs = []
+        for x in X:
+            rows = random_rows(rng, schema, n)
+            if rng.random() < 0.2:
+                rows[:] = rows[0]  # all duplicates
+            d = gower.distances_many(gower.DistanceMetric(schema), x[None], rows)[0]
+            order = np.argsort(d, kind="stable")
+            if task == "regression":
+                labels = rng.standard_normal(n)
+            else:  # a random subset of the classes, often one of them
+                held = rng.choice(n_classes, size=int(rng.integers(1, n_classes + 1)),
+                                  replace=False)
+                labels = rng.choice(held, size=n)
+            nbhs.append(Neighborhood(order, d[order], rows[order], labels, labels[0]))
+        got = fit_linear_explainer(nbhs, X, schema, task)
+        want = [reference_linear_prediction(nbh, x, schema, task) for nbh, x in zip(nbhs, X)]
+        assert got.dtype.kind == ("f" if task == "regression" else "i"), trial
+        assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), trial
+        assert fit_linear_explainer([], X[:0], schema, task).shape == (0,)
 
 
 def test_araucana_fidelity_one_on_unique_rows():
@@ -197,6 +220,7 @@ def test_explainer_failure_propagates(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fidelity, "fit_linear_explainer", flaky)
+    monkeypatch.setattr(fidelity, "EXPLAIN_BATCH_QUERIES", 1)  # one call per row
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="^synthetic failure$"):
@@ -247,16 +271,6 @@ def test_report_to_csv_rendering():
     assert (s1, p1) == (s2, p2)
 
 
-def test_kernel_width_default():
-    schema = two_num_schema()
-    rng = np.random.default_rng(3)
-    rows = rng.random((20, 2))
-    labels = rng.integers(0, 2, size=20)
-    nbh = neighborhood_of(rows, labels, rows[0], schema)
-    lin = fit_linear_explainer(nbh, schema)
-    assert lin.kernel_width == pytest.approx(0.75 * np.sqrt(2))
-
-
 class CountingOracle(PredictionOracle):
     """Forwards to another oracle and records the row count of every call."""
 
@@ -283,9 +297,8 @@ def _reference_evaluation(train, test, oracle, cfg):
         icfg = replace(cfg, smote=smote, seed=cfg.seed + i)
         expl = explain_instance(train, x, oracle, icfg)
         synthetics.append(expl.explainer_set.provenance.count("synthetic"))
-        lin = fit_linear_explainer(select_neighborhood(train, x, oracle, icfg), schema,
-                                   task=oracle.task)
-        pred = lin.predict(x)
+        pred = reference_linear_prediction(select_neighborhood(train, x, oracle, icfg), x,
+                                           schema, oracle.task)
         eps = 0.0 if oracle.task == "classification" else 1e-6 * abs(float(label)) + 1e-9
         shown = schema.decode_label(label)
         rows.append({"explainer": "araucana", "index": i, "oracle_label": shown,
