@@ -212,7 +212,7 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest, cells: tu
     if arg not in header:
         raise DataError(f"prediction column {arg!r} not found in {args.data}")
     preds = encode_column(covered.schema.target.encode, rows, header.index(arg), args.data, arg)
-    return PrecomputedOracle(covered, preds, covered.task)
+    return PrecomputedOracle(covered, preds)
 
 
 def _explain_config(args) -> ExplainConfig:
@@ -361,8 +361,7 @@ def cmd_evaluate(args) -> int:
 
     print(f"{'explainer':<12}{'agreements':>12}{'total':>8}{'fidelity':>10}")
     for s in report.summaries:
-        fid = "nan" if s["total"] == 0 else f"{s['fidelity']:.3f}"
-        print(f"{s['explainer']:<12}{s['agreements']:>12}{s['total']:>8}{fid:>10}")
+        print(f"{s['explainer']:<12}{s['agreements']:>12}{s['total']:>8}{s['fidelity']:>10.3f}")
 
     if args.out:
         out = _out_dir(args)

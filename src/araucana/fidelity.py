@@ -165,8 +165,7 @@ def report_to_csv(report: FidelityReport) -> tuple[bytes, bytes]:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["explainer", "agreements", "total", "fidelity"])
     for s in report.summaries:
-        fid = "nan" if s["total"] == 0 else f"{s['fidelity']:.6f}"
-        writer.writerow([s["explainer"], s["agreements"], s["total"], fid])
+        writer.writerow([s["explainer"], s["agreements"], s["total"], f"{s['fidelity']:.6f}"])
     summary = out.getvalue().encode("utf-8")
 
     out = io.StringIO()

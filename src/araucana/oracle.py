@@ -137,20 +137,20 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
 
 
 class KnnModel:
-    """k nearest neighbors under a mixed-type metric; majority vote / mean. A
-    batch is labelled through bounded distance blocks (gower.nearest_rows),
-    not row by row; distance ties go to the lower training row and vote ties
-    to the lower class."""
+    """k nearest neighbors under a mixed-type metric; majority vote / mean. The
+    schema is the metric's, and the task its target's. A batch is labelled
+    through bounded distance blocks (gower.nearest_rows), not row by row;
+    distance ties go to the lower training row and vote ties to the lower
+    class."""
 
-    def __init__(self, X, y, schema: Schema, task: str, k: int, metric: DistanceMetric):
+    def __init__(self, X, y, k: int, metric: DistanceMetric):
         if k < 1:
             raise ValueError("k must be >= 1")
         if len(X) == 0:
             raise ValueError("k-NN needs at least one training row")
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y)
-        self.schema = schema
-        self.task = task
+        self.schema, self.task = metric.schema, metric.schema.target.kind
         self.k = k
         self.metric = metric
 
@@ -167,7 +167,9 @@ def train_knn(data: Dataset, k: int = 5, metric: DistanceMetric | None = None) -
         raise ValueError("training k-NN requires a dataset with targets")
     if metric is None:
         metric = DistanceMetric(data.schema)
-    return KnnModel(data.X, data.y, data.schema, data.task, k, metric)
+    if metric.schema != data.schema:
+        raise ValueError("the metric is bound to another schema than the data's")
+    return KnnModel(data.X, data.y, k, metric)
 
 
 class BuiltinOracle(PredictionOracle):
@@ -192,6 +194,8 @@ class SubprocessOracle(PredictionOracle):
     """Black box behind a command line, speaking line-delimited JSON."""
 
     def __init__(self, command: str, schema: Schema, task: str, timeout: float = 30.0):
+        if task == CLASSIFICATION and (schema.target is None or schema.target.classes is None):
+            raise ValueError("a classification oracle needs the class list of the schema's target")
         super().__init__(schema, task)
         self.command = command
         self.timeout = timeout
@@ -324,23 +328,24 @@ class SubprocessOracle(PredictionOracle):
 
 
 class PrecomputedOracle(PredictionOracle):
-    """Looks up predictions recorded for the original dataset rows.
+    """Looks up predictions recorded for the original dataset rows, under the
+    task of the data's target.
 
     Cannot label anything else: SMOTE-generated points have no recorded
     prediction, so runs using this backend must disable oversampling.
     """
 
-    def __init__(self, data: Dataset, predictions: np.ndarray, task: str):
-        super().__init__(data.schema, task)
+    def __init__(self, data: Dataset, predictions: np.ndarray):
+        if data.task is None:
+            raise ValueError("a precomputed oracle needs data whose schema declares a target")
+        super().__init__(data.schema, data.task)
         predictions = np.asarray(predictions)
         if len(predictions) != len(data):
             raise ValueError(f"{len(predictions)} predictions for {len(data)} rows")
         self._index: dict[bytes, int] = {}
         for i in range(len(data) - 1, -1, -1):  # first occurrence wins
             self._index[data.X[i].tobytes()] = i
-        self.predictions = (
-            predictions.astype(np.int64) if task == CLASSIFICATION else predictions.astype(float)
-        )
+        self.predictions = predictions.astype(np.int64 if self.task == CLASSIFICATION else float)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -411,10 +416,10 @@ def load_model(path):
             return ForestModel(*_forest_table(doc, schema, task))
         if kind == "knn":
             X = np.array([schema.encode_row(r) for r in doc["rows"]])
-            y = np.array([schema.encode_label(v) for v in doc["labels"]])
+            y = np.array([schema.target.encode(v) for v in doc["labels"]])
             if len(y) != len(X) or type(doc["k"]) is not int:
                 raise ValueError(f"{len(y)} labels for {len(X)} rows, or k is not an integer")
-            return KnnModel(X, y, schema, task, doc["k"], DistanceMetric(schema, doc["metric"]))
+            return KnnModel(X, y, doc["k"], DistanceMetric(schema, doc["metric"]))
         raise KeyError(f"unknown model type {kind!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise OracleError(f"malformed model file {path}: {exc}") from exc

@@ -223,10 +223,6 @@ class Schema:
             return self.target.classes[int(label)]
         return float(label)
 
-    def encode_label(self, value):
-        """Inverse of decode_label: the target's encode."""
-        return self.target.encode(value)
-
     def to_dict(self) -> dict:
         feats = []
         for f in self.features:
@@ -407,20 +403,18 @@ def infer_schema(header: list[str], rows: list[list[str]], target: str | None = 
     return Schema(tuple(features), target_spec)
 
 
-def load_dataset(csv_path, schema_path=None, *, schema: Schema | None = None,
-                 target: str | None = None, ignore: tuple[str, ...] = ()) -> Dataset:
+def load_dataset(csv_path, *, schema: Schema | None = None, target: str | None = None,
+                 ignore: tuple[str, ...] = ()) -> Dataset:
     """Load a CSV into a Dataset.
 
-    With a schema, read from `schema_path` or given as `schema`, the CSV header
+    With a `schema` (Schema.load reads one from a file), the CSV header
     must contain every schema column (feature and target names) and no other
     column except those listed in `ignore`, which are dropped. Without a schema
     the column kinds are inferred and `target` names the label column; a
     schema names its own target, so `target` beside it raises DataError.
     """
-    header, rows = read_csv(csv_path)
-    if schema_path is not None:
-        schema = Schema.load(schema_path)
-    return dataset_from_cells(header, rows, csv_path, schema=schema, target=target, ignore=ignore)
+    return dataset_from_cells(*read_csv(csv_path), csv_path, schema=schema, target=target,
+                              ignore=ignore)
 
 
 def dataset_from_cells(header: list[str], rows: list[list[str]], csv_path, *,
@@ -541,17 +535,16 @@ def _resolved(spec: SynthSpec) -> tuple[float, int, int]:
 _CATEGORY_NAMES = "abcdefgh"  # letters, so written CSVs re-infer as categorical
 
 
-def _binary_schema(n_numeric, n_categorical, lo, hi, cat_sizes=None) -> Schema:
-    feats = []
-    for i in range(n_numeric):
-        feats.append(FeatureSpec(f"num{i}", NUMERIC, range=(float(lo[i]), float(hi[i]))))
-    for i in range(n_categorical):
-        size = 2 if cat_sizes is None else cat_sizes[i]
-        feats.append(
-            FeatureSpec(f"cat{i}", CATEGORICAL, categories=tuple(_CATEGORY_NAMES[:size]))
-        )
+def _binary_dataset(X, y, n_numeric: int, cat_sizes) -> Dataset:
+    """The Dataset of a generator's rows X and 0/1 labels y: features num0..
+    are the first n_numeric columns, each ranging over its values in X, and
+    feature cat<i> after them has cat_sizes[i] categories."""
+    feats = [FeatureSpec(f"num{i}", NUMERIC, range=(float(X[:, i].min()), float(X[:, i].max())))
+             for i in range(n_numeric)]
+    feats += [FeatureSpec(f"cat{i}", CATEGORICAL, categories=tuple(_CATEGORY_NAMES[:size]))
+              for i, size in enumerate(cat_sizes)]
     target = TargetSpec("label", CLASSIFICATION, classes=("0", "1"))
-    return Schema(tuple(feats), target)
+    return Dataset(Schema(tuple(feats), target), X, y)
 
 
 def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
@@ -567,13 +560,9 @@ def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
         Xc = rng.integers(0, 2, size=(n, n_cat))
         # parity of quarter-bands for numerics, plus the categorical bits: with
         # no numeric features this is exactly the XOR of the categorical bits
-        bands = (np.floor(Xn * 4).astype(np.int64).clip(0, 3) % 2).sum(axis=1) if n_num else 0
+        bands = (np.floor(Xn * 4).astype(np.int64).clip(0, 3) % 2).sum(axis=1)
         y = (bands + Xc.sum(axis=1)) % 2
-        X = np.hstack([Xn, Xc.astype(float)]) if n_num else Xc.astype(float)
-        lo = Xn.min(axis=0) if n_num else np.empty(0)
-        hi = Xn.max(axis=0) if n_num else np.empty(0)
-        schema = _binary_schema(n_num, n_cat, lo, hi)
-        return Dataset(schema, X, y)
+        return _binary_dataset(np.hstack([Xn, Xc]), y, n_num, [2] * n_cat)
 
     if spec.generator == "moons2d":
         if n_num < 2:
@@ -591,13 +580,10 @@ def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
         y = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
         pts += rng.normal(scale=0.1, size=pts.shape)
         extra = rng.random((n, n_num - 2))
-        Xn = np.hstack([pts, extra])
-        Xc = rng.integers(0, 2, size=(n, n_cat)).astype(float)
+        Xc = rng.integers(0, 2, size=(n, n_cat))
         perm = rng.permutation(n)
-        Xn, Xc, y = Xn[perm], Xc[perm], y[perm]
-        X = np.hstack([Xn, Xc]) if n_cat else Xn
-        schema = _binary_schema(n_num, n_cat, Xn.min(axis=0), Xn.max(axis=0))
-        return Dataset(schema, X, y)
+        X = np.hstack([pts, extra, Xc])[perm]
+        return _binary_dataset(X, y[perm], n_num, [2] * n_cat)
 
     # imbalanced_mixed: feature-dependent minority probability averaging frac,
     # rows independent, so the minority count is binomial-like around frac*n
@@ -605,8 +591,8 @@ def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
     Xn = rng.standard_normal((n, n_num))
     Xc = np.column_stack([rng.integers(0, s, size=n) for s in cat_sizes]) if n_cat else \
         np.empty((n, 0), dtype=np.int64)
-    w = rng.standard_normal(n_num) if n_num else np.empty(0)
-    score = Xn @ w if n_num else np.zeros(n)
+    w = rng.standard_normal(n_num)
+    score = Xn @ w
     var = float(w @ w)
     for j, s in enumerate(cat_sizes):
         effect = np.linspace(-0.5, 0.5, s)
@@ -615,8 +601,4 @@ def synth_dataset(spec: SynthSpec, seed: int) -> Dataset:
     z = score / math.sqrt(var) if var > 0 else score
     p = 2.0 * frac / (1.0 + np.exp(-1.5 * z))
     y = (rng.random(n) < p).astype(np.int64)
-    X = np.hstack([Xn, Xc.astype(float)]) if n_cat else Xn
-    lo = Xn.min(axis=0) if n_num else np.empty(0)
-    hi = Xn.max(axis=0) if n_num else np.empty(0)
-    schema = _binary_schema(n_num, n_cat, lo, hi, cat_sizes=cat_sizes)
-    return Dataset(schema, X, y)
+    return _binary_dataset(np.hstack([Xn, Xc]), y, n_num, cat_sizes)

@@ -68,7 +68,7 @@ class _Preorder:
                 elif len(leaf["counts"]) != self.n_classes:
                     raise ValueError(f"leaf counts {leaf['counts']} for {self.n_classes} classes")
                 else:
-                    add(depth, right_of, pred=self.schema.encode_label(leaf["prediction"]),
+                    add(depth, right_of, pred=self.schema.target.encode(leaf["prediction"]),
                         stats=leaf["counts"])
                 continue
             test = sub["test"]

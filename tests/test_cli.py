@@ -195,15 +195,30 @@ def test_explain_constant_oracle_always_rule(tmp_path, capsys):
 
 def test_explain_instance_json_and_bad_instance(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 60, 3)
-    ds = load_dataset(data / "data.csv", data / "schema.json")
+    ds = load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
     inst = ds.schema.decode_row(ds.X[4])
+    capsys.readouterr()
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
                 "--oracle", "builtin:knn", "--instance", json.dumps(inst), "--seed", 1])
     assert code == 0
+    # an object naming every feature is the same instance as the array
+    array_out = capsys.readouterr().out
+    named = json.dumps(dict(zip(reversed(ds.schema.feature_names), reversed(inst))))
+    code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", "builtin:knn", "--instance", named, "--seed", 1])
+    assert code == 0
+    assert capsys.readouterr().out == array_out
     # invalid instances are usage errors
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
                 "--oracle", "builtin:knn", "--instance", '["what"]', "--seed", 1])
     assert code == 2
+    for instance, words in (('[0.5,', "--instance is not valid JSON: "),
+                            ('0.5', "--instance must be a JSON array or object")):
+        capsys.readouterr()
+        code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                    "--oracle", "builtin:knn", "--instance", instance, "--seed", 1])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {words}")
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
                 "--oracle", "builtin:knn", "--index", 5000, "--seed", 1])
     assert code == 2
@@ -216,6 +231,7 @@ def test_explain_instance_json_and_bad_instance(tmp_path, capsys):
     (f'[{10 ** 400}, 0.5, "a", "b"]', "num0"),
     ('[true, 0.5, "a", "b"]', "num0"),
     ('{"num0": 0.5, "num1": 0.5, "cat0": "a", "cat1": "b", "cat9": "a"}', "cat9"),
+    ('{"num0": 0.5, "num1": 0.5, "cat0": "a"}', "cat1"),
 ])
 def test_explain_bad_instance_value_exits_2(tmp_path, capsys, instance, feature):
     # a non-finite or boolean number, or a feature the schema lacks, is a usage
@@ -504,7 +520,7 @@ def test_evaluate_exits_1_when_an_explainer_fails(tmp_path, capsys, monkeypatch,
 
 def test_precomputed_oracle_requires_smote_off(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 50, 6)
-    ds = load_dataset(data / "data.csv", data / "schema.json")
+    ds = load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
     # add an imbalanced prediction column so SMOTE actually synthesizes rows
     csv_p = tmp_path / "with_pred.csv"
     header = ds.schema.feature_names + [ds.schema.target.name, "pred"]
@@ -572,6 +588,40 @@ def test_evaluate_with_separate_test_file(tmp_path):
                 "--seed", 3, "--out", out])
     assert code == 0
     assert (out / "per_instance.csv").read_text().count("\n") == 21  # header + 20
+
+
+def test_evaluate_header_only_test_file_reads_nan(tmp_path, capsys):
+    # no test row: every summary has total 0 and fidelity nan, in the CSV and the table
+    train_dir = synth_dir(tmp_path, "moons2d", 60, 2)
+    header, _ = read_csv(train_dir / "data.csv")
+    (tmp_path / "test.csv").write_text(",".join(header) + "\n", encoding="utf-8")
+    out = tmp_path / "ev"
+    capsys.readouterr()
+    code = run(["evaluate", "--data", train_dir / "data.csv", "--schema",
+                train_dir / "schema.json", "--test", tmp_path / "test.csv",
+                "--oracle", "builtin:knn", "--explainers", "araucana,linear", "--out", out])
+    assert code == 0
+    assert (out / "summary.csv").read_text().splitlines()[1:] == ["araucana,0,0,nan",
+                                                                  "linear,0,0,nan"]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split() for row in rows] == [["araucana", "0", "0", "nan"],
+                                             ["linear", "0", "0", "nan"]]
+
+
+@pytest.mark.parametrize("flags, words", [
+    (["--oracle", "builtin:knn", "--test-frac", 0.01],
+     "--test-frac 0.01 leaves an empty split for 20 rows"),
+    (["--oracle", "precomputed:pred", "--smote-policy", "off", "--test-frac", 0.5],
+     "prediction column 'pred' not found in "),
+])
+def test_evaluate_empty_split_or_missing_prediction_column_exits_1(tmp_path, capsys, flags,
+                                                                   words):
+    data = synth_dir(tmp_path, "moons2d", 20, 2)
+    capsys.readouterr()
+    code = run(["evaluate", "--data", data / "data.csv", "--schema", data / "schema.json",
+                *flags])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {words}")
 
 
 def _xor_train_csv(tmp_path):
@@ -686,7 +736,7 @@ def test_precomputed_non_finite_cell_exits_1(tmp_path, capsys):
 
 def test_evaluate_precomputed_covers_test_split(tmp_path):
     data = synth_dir(tmp_path, "moons2d", 80, 12)
-    ds = load_dataset(data / "data.csv", data / "schema.json")
+    ds = load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
     csv_p = tmp_path / "with_pred.csv"
     import csv as csv_mod
 

@@ -164,6 +164,11 @@ def test_knn_examples():
     kn = train_knn(ds, k=len(ds))
     majority = np.argmax(np.bincount(ds.y))
     assert (kn.predict_batch(ds.X[:10]) == majority).all()
+    # the model's schema and task are its metric's, so the metric must be the data's
+    assert (k1.schema, k1.task) == (ds.schema, "classification")
+    other = synth_dataset(SynthSpec("moons2d", 60), seed=6).schema
+    with pytest.raises(ValueError, match="metric is bound to another schema"):
+        train_knn(ds, k=1, metric=DistanceMetric(other))
 
 
 def test_knn_distance_tie_lower_row_index():
@@ -340,7 +345,7 @@ def test_schema_mismatch_on_use():
 def test_precomputed_rows_and_synthetic_error():
     ds = synth_dataset(SynthSpec("moons2d", 40), seed=6)
     preds = (np.arange(40) % 2).astype(np.int64)
-    oracle = PrecomputedOracle(ds, preds, "classification")
+    oracle = PrecomputedOracle(ds, preds)
     np.testing.assert_array_equal(oracle.predict_batch(ds.X), preds)
     np.testing.assert_array_equal(oracle.predict_batch(ds.X[7]), [preds[7]])
     alien = ds.X[0].copy()
@@ -480,6 +485,26 @@ def test_subprocess_non_finite_or_boolean_reply_is_oracle_error(task, token):
         oracle.close()
 
 
+@pytest.mark.parametrize("token", ["1", "1.0", '"1"'])
+def test_subprocess_class_index_reply_reads_as_the_class_it_names(token):
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    oracle = SubprocessOracle(stub_command(f"--token={shlex.quote(token)}"), ds.schema,
+                              "classification")
+    try:
+        _same(oracle.predict_batch(ds.X), np.ones(4, dtype=np.int64))
+    finally:
+        oracle.close()
+
+
+def test_subprocess_classification_needs_a_class_list():
+    # the first reply raised AttributeError reading the classes of no target
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    reg = TargetSpec("y", REGRESSION)
+    for schema in (Schema(ds.schema.features), Schema(ds.schema.features, reg)):
+        with pytest.raises(ValueError, match="needs the class list"):
+            SubprocessOracle(stub_command("--mode constant"), schema, "classification")
+
+
 def test_subprocess_unknown_command():
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
     oracle = SubprocessOracle("/no/such/binary-xyz", ds.schema, "classification")
@@ -502,3 +527,5 @@ def test_missing_targets_rejected():
         train_forest(bare)
     with pytest.raises(ValueError, match="targets"):
         train_knn(bare)
+    with pytest.raises(ValueError, match="declares a target"):
+        PrecomputedOracle(Dataset(Schema(ds.schema.features), ds.X), ds.y)

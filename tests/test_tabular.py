@@ -51,6 +51,16 @@ def test_empty_cell_names_row_and_column(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("text, words", [
+    ("", "d.csv: empty file, header row required"),
+    ("a,b\n1,x\n2\n", "d.csv: row 1 has 1 cells, header has 2"),
+])
+def test_read_csv_refuses_an_empty_file_or_a_ragged_row(tmp_path, text, words):
+    p = write(tmp_path, "d.csv", text)
+    with pytest.raises(DataError, match=f"{re.escape(words)}$"):
+        load_dataset(p)
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_dataset("/does/not/exist.csv")
@@ -61,7 +71,7 @@ def test_unknown_category_with_schema_file(tmp_path, age_sex_schema):
     age_sex_schema.save(sp)
     p = write(tmp_path, "d.csv", "age,sex,label\n30,M,0\n40,X,1\n")
     with pytest.raises(DataError, match="unknown category 'X'"):
-        load_dataset(p, sp)
+        load_dataset(p, schema=Schema.load(sp))
 
 
 def test_schema_header_mismatch(tmp_path, age_sex_schema):
@@ -69,7 +79,7 @@ def test_schema_header_mismatch(tmp_path, age_sex_schema):
     age_sex_schema.save(sp)
     p = write(tmp_path, "d.csv", "age,label\n30,0\n")
     with pytest.raises(DataError, match="missing"):
-        load_dataset(p, sp)
+        load_dataset(p, schema=Schema.load(sp))
 
 
 def test_target_beside_a_schema_is_refused(tmp_path, age_sex_schema):
@@ -79,12 +89,12 @@ def test_target_beside_a_schema_is_refused(tmp_path, age_sex_schema):
     p = write(tmp_path, "d.csv", "age,sex,label\n30,M,0\n")
     refused = r"^target='age' beside schema: the schema names its own target"
     with pytest.raises(DataError, match=refused):
-        load_dataset(p, sp, target="age")
+        load_dataset(p, schema=Schema.load(sp), target="age")
     with pytest.raises(DataError, match=refused):
         load_dataset(p, schema=age_sex_schema, target="age")
     with pytest.raises(DataError, match=refused):
         dataset_from_cells(*read_csv(p), p, schema=age_sex_schema, target="age")
-    assert load_dataset(p, sp).schema.target.name == "label"
+    assert load_dataset(p, schema=Schema.load(sp)).schema.target.name == "label"
 
 
 def test_extra_columns_rejected_unless_ignored(tmp_path, age_sex_schema):
@@ -92,8 +102,8 @@ def test_extra_columns_rejected_unless_ignored(tmp_path, age_sex_schema):
     age_sex_schema.save(sp)
     p = write(tmp_path, "d.csv", "age,sex,label,pred\n30,M,0,1\n")
     with pytest.raises(DataError, match="pred"):
-        load_dataset(p, sp)
-    ds = load_dataset(p, sp, ignore=("pred",))
+        load_dataset(p, schema=Schema.load(sp))
+    ds = load_dataset(p, schema=Schema.load(sp), ignore=("pred",))
     assert len(ds) == 1
 
 
@@ -156,10 +166,10 @@ def test_one_label_rule_for_every_source(tmp_path):
     # a whole number names an integer-coded class wherever a label comes from
     assert [classes.encode(v) for v in ("1", "1.0", 1, 1.0, "0")] == [1, 1, 1, 1, 0]
     schema = Schema((FeatureSpec("a", "numeric", range=(0.0, 1.0)),), classes)
-    assert schema.encode_label("1.0") == 1
+    assert schema.target.encode("1.0") == 1
     for value in ("2", 0.5, True, "nan", None):
         with pytest.raises(SchemaError, match="unknown class"):
-            schema.encode_label(value)
+            schema.target.encode(value)
     # a regression label is a finite number, never a boolean
     reg = TargetSpec("t", "regression")
     assert reg.encode("2.5") == 2.5 and reg.encode(3) == 3.0
@@ -234,7 +244,7 @@ def test_roundtrip_identical(tmp_path, target):
         text = csv_p.read_text(encoding="utf-8")
         csv_p.write_text(re.sub(r",([01])$", r",\1.0", text, flags=re.M), encoding="utf-8")
         assert read_csv(csv_p)[1][0][-1] in ("0.0", "1.0")
-    back = load_dataset(csv_p, sch_p)
+    back = load_dataset(csv_p, schema=Schema.load(sch_p))
     assert back.schema == ds.schema
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.y, ds.y)
@@ -353,3 +363,8 @@ def test_integer_label_column_inferred_as_classification(tmp_path):
     p2 = write(tmp_path, "e.csv", "a,t\n0.5,0.25\n0.7,1.5\n")
     ds2 = load_dataset(p2, target="t")
     assert ds2.schema.target.kind == "regression"
+    # a column of names reads as classes in sorted order
+    p3 = write(tmp_path, "f.csv", "a,label\n0.5,yes\n0.7,no\n0.9,maybe\n")
+    ds3 = load_dataset(p3, target="label")
+    assert ds3.schema.target.classes == ("maybe", "no", "yes")
+    assert ds3.y.tolist() == [2, 1, 0]
