@@ -17,7 +17,11 @@ their order in the node, and that order fixes how the MSE sums round.
 
 One grower builds every tree: a frontier of open nodes, from one tree or
 many, searched a step at a time with array calls over all their rows (see
-_Frontier). A tree that draws a feature subset per split (a forest tree)
+_Frontier). A step orders the rows of all its candidate features with one
+sort of packed int keys, and counts classes class-major, one cumulative
+count per class; it adds the classes' Gini terms in the order numpy's row
+sums add them, so every gain, and so every tree, is the one the per-node
+search found. A tree that draws a feature subset per split (a forest tree)
 puts its next preorder node into each step, so its rng draws come in the
 order a one-node-at-a-time grower makes them; a tree that draws none (an
 explainer tree) puts in all its open nodes and grows level by level. When
@@ -95,11 +99,47 @@ class ExplainerTree:
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
-    p = counts / np.maximum(n, 1)
-    return 1.0 - (p * p).sum(axis=-1)
+    """Gini impurity of groups of n >= 1 rows from their class-major counts:
+    counts[k] holds class k's count in each group. The squared shares add in
+    the order numpy's sum adds a row of a C-contiguous (groups, classes)
+    block, as the per-node search summed them: class by class below 8
+    classes; from 8 up numpy's sum is pairwise, so such a block is summed."""
+    p = counts / n
+    sq = p * p
+    if len(sq) >= 8:
+        return 1.0 - np.ascontiguousarray(sq.T).sum(axis=-1)
+    total = sq[0]
+    for share in sq[1:]:
+        total = total + share
+    return 1.0 - total
 
 
-# (row, feature) pairs searched in one grower step; bounds the arrays of a step
+def _check_packable(bound: int, size: int) -> None:
+    """Refuse size int keys below bound whose packed values key * size +
+    position would not fit in int64."""
+    if bound * size >= 2 ** 63:
+        raise ValueError(f"{size} keys below {bound} do not pack into int64 "
+                         f"({bound} * {size} >= 2**63): grow on fewer rows or features")
+
+
+def _packed_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of int keys in [0, bound) and the keys in that order.
+    One sort of the values key * T + position (T = len(keys)) gives both: the
+    values are unique, so the order is the same under any sort algorithm, and
+    ties keep their positions' order."""
+    T = len(keys)
+    _check_packable(bound, T)
+    packed = keys * T
+    packed += np.arange(T)
+    packed.sort()
+    ordered = packed // T
+    packed -= ordered * T  # the positions
+    return packed, ordered
+
+
+# (row, feature) pairs searched in one grower step; bounds the arrays of a
+# step: its packed sort keys, its (classes, pairs) cumulative class counts
+# and its zero-padded MSE sums
 GROW_CHUNK_PAIRS = 1 << 14
 
 
@@ -107,15 +147,18 @@ class _Frontier:
     """Grows CART trees on rows of X, many trees and many nodes per step.
 
     A step searches a batch of open nodes at once. Each (node, candidate
-    feature) pair takes a copy of the node's rows, and one stable argsort of
-    the int keys (pair, value key) orders every pair by value, ties in the
-    node's row order; a numeric value's key is its rank, a category is its
-    own key. Each run of equal keys is a candidate: on a numeric feature the
-    rows up to and including the run go left, on a categorical one the run
-    alone. Class counts come from one cumulative count over all runs and are
-    exact. The MSE sums run per pair (numeric) or per run (categorical) along
-    the rows of a zero-padded array, in the order of the per-node search
-    they replaced, so every gain rounds as it did. Node sums, variances and
+    feature) pair takes a copy of the node's rows, and one sort of the packed
+    int keys (pair, value key, position) orders every pair by value, ties in
+    the node's row order (see _packed_sort); a numeric value's key is its
+    rank, a category is its own key. Each run of equal keys is a candidate:
+    on a numeric feature the rows up to and including the run go left, on a
+    categorical one the run alone. Class counts are class-major: one
+    cumulative count per class along all the step's sorted rows, from which
+    each candidate's left counts are exact differences, and _gini adds the
+    classes' squared shares as the per-node search's row sums did. The MSE
+    sums run per pair (numeric) or per run (categorical) along the rows of a
+    zero-padded array, in the order of the per-node search they replaced,
+    so every gain rounds as it did. Node sums, variances and
     leaf means take numpy's var and mean reductions once per run of
     equal-size nodes, on a (nodes, size) block of labels: a sum along each
     row of a C-contiguous block is pairwise, so each rounds as on its node.
@@ -193,9 +236,9 @@ class _Frontier:
         seg = np.arange(m).repeat(sizes)
         alive = sizes >= 2  # a one-row node is a leaf: no sums, no search
         imp, sums = np.zeros(m), np.zeros((2, m))
-        if self.task == CLASSIFICATION:
-            counts = np.bincount(seg * K + y[R], minlength=m * K).reshape(m, K)
-            imp = _gini(counts, sizes[:, None])
+        if self.task == CLASSIFICATION:  # (classes, nodes)
+            counts = np.bincount(y[R] * m + seg, minlength=K * m).reshape(K, m)
+            imp = _gini(counts, sizes)
             pure = imp <= 0.0
         else:
             # pure when all its labels are equal: equal floats can have a nonzero variance
@@ -220,11 +263,11 @@ class _Frontier:
         feat, val = np.full(m, -1), np.zeros(m)
         feat[split], val[split] = f, v
         if self.task == CLASSIFICATION:
-            pred, stats = counts.argmax(axis=1), counts * leaf[:, None]
+            pred, stats = counts.argmax(axis=0), counts * leaf
         else:  # an internal node's pred is +0.0, where mean * leaf could give -0.0
-            pred, stats = np.where(leaf, mean, 0.0), (sizes * leaf)[:, None]
+            pred, stats = np.where(leaf, mean, 0.0), sizes * leaf
         cols = self.cols
-        cols[0, ids], cols[1, ids], cols[2, ids], cols[4:, ids] = feat, val, pred * leaf, stats.T
+        cols[0, ids], cols[1, ids], cols[2, ids], cols[4:, ids] = feat, val, pred * leaf, stats
         if not len(split):
             return
         first, self.n_ids = self.n_ids, self.n_ids + 2 * len(split)
@@ -236,7 +279,7 @@ class _Frontier:
         x, t = self.Xf[f_row * self.n + R], val[seg]
         go_left = np.where(self.numeric[f_row], x <= t, x == t)
         moving = (~leaf[seg]).nonzero()[0]
-        order = np.argsort(2 * seg[moving] + ~go_left[moving], kind="stable")
+        order = _packed_sort(2 * seg[moving] + ~go_left[moving], 2 * m)[0]
         self.rows[at[moving]] = P[moving[order]]  # left rows, then right rows
         mid = lo[split] + n_left
         for i, (j, s) in enumerate(zip(split.tolist(), mid.tolist())):
@@ -263,8 +306,7 @@ class _Frontier:
         rid = R[np.arange(T) + (starts[pn] - pstart).repeat(psize)]
         col = (pf * n).repeat(psize) + rid
         keys = (np.arange(len(pn)) * B).repeat(psize) + self.Vf[col]
-        o = np.argsort(keys, kind="stable")
-        keys = keys[o]
+        o, keys = _packed_sort(keys, len(pn) * B)
         ys = self.y[rid[o]]
         new_run = keys[1:] != keys[:-1]
         brk = new_run.nonzero()[0]
@@ -280,23 +322,24 @@ class _Frontier:
         gend, base, nl, gp, num = gend[ok], base[ok], nl[ok], gp[ok], num[ok]
         node, nn = pn[gp], psize[gp]
         nr = nn - nl
-        if self.task == CLASSIFICATION:
-            C = np.zeros((T + 1, self.K), np.int64)
-            np.cumsum(ys[:, None] == np.arange(self.K), axis=0, out=C[1:])
-            lc = C[gend + 1] - C[base]
-            gains = imp[node] - (nl * _gini(lc, nl[:, None])
-                                 + nr * _gini(counts[node] - lc, nr[:, None])) / nn
+        if self.task == CLASSIFICATION:  # (classes, candidates)
+            C = np.zeros((self.K, T + 1), np.int64)
+            np.cumsum(ys == np.arange(self.K)[:, None], axis=1, out=C[:, 1:])
+            lc = C.take(gend + 1, axis=1) - C.take(base, axis=1)
+            gains = imp[node] - (nl * _gini(lc, nl)
+                                 + nr * _gini(counts.take(node, axis=1) - lc, nr)) / nn
         else:
             run, pair = np.concatenate(([0], new_run.cumsum())), keys // B
             pos = np.arange(T) - np.where(self.numeric[pf[pair]], pstart[pair], gstart[run])
             sid = np.cumsum(pos == 0) - 1  # each pair (numeric) or run (categorical) a row
-            M = np.zeros((int(sid[-1]) + 1, int(pos.max()) + 1))
-            M[sid, pos] = ys
-            S1, S2 = M.cumsum(axis=1), (M * M).cumsum(axis=1)
-            gs, last = sid[gend], np.where(num, nn - 1, 0)
-            l1, l2 = S1[gs, nl - 1], S2[gs, nl - 1]
-            t1 = np.where(num, S1[gs, last], sums[0, node])
-            t2 = np.where(num, S2[gs, last], sums[1, node])
+            W = int(pos.max()) + 1
+            M = np.zeros((int(sid[-1]) + 1, W))
+            M.ravel()[sid * W + pos] = ys
+            S1, S2 = M.cumsum(axis=1).ravel(), (M * M).cumsum(axis=1).ravel()
+            gs, last = sid[gend] * W, np.where(num, nn - 1, 0)
+            l1, l2 = S1.take(gs + nl - 1), S2.take(gs + nl - 1)
+            t1 = np.where(num, S1.take(gs + last), sums[0, node])
+            t2 = np.where(num, S2.take(gs + last), sums[1, node])
             il = np.maximum(l2 / nl - (l1 / nl) ** 2, 0.0)
             ir = np.maximum((t2 - l2) / nr - ((t1 - l1) / nr) ** 2, 0.0)
             gains = imp[node] - (nl * il + nr * ir) / nn
@@ -366,6 +409,11 @@ def grow_trees(X, y, schema: Schema, task: str, samples,
             n_classes = len(schema.target.classes)
         else:
             n_classes = int(y.max(initial=-1)) + 1  # grow() rejects zero rows
+        # a label outside 0..K-1 would count in no class of the class-major counts
+        if y.min(initial=0) < 0 or y.max(initial=-1) >= n_classes:
+            label = y[(y < 0) | (y >= n_classes)][0]
+            raise ValueError(f"class label {label} is outside 0..{n_classes - 1} "
+                             f"for {n_classes} classes")
     else:
         y, n_classes = np.asarray(y).astype(float), 0
         # a node's square sum adds a squared label per row: it stays finite

@@ -17,7 +17,7 @@ from array import array
 
 import numpy as np
 
-from araucana.cart import CATEGORY_EQ, NUMERIC_LE, ExplainerTree, NodeTable, _gini
+from araucana.cart import CATEGORY_EQ, NUMERIC_LE, ExplainerTree, NodeTable
 from araucana.tabular import CLASSIFICATION, REGRESSION, Schema
 
 
@@ -126,6 +126,14 @@ def reference_route(tree, roots, rows) -> np.ndarray:
                 node = node + 1 if (v <= t if numeric[feat[node]] else v == t) else right[node]
             out[k, i] = node
     return out
+
+
+def _gini(counts, n) -> np.ndarray:
+    """Gini impurity of each row of counts, shape (rows, classes): the
+    squared shares summed by numpy along the last axis of a C-contiguous
+    block, the order the frontier grower's per-class adds follow."""
+    p = counts / np.maximum(n, 1)
+    return 1.0 - (p * p).sum(axis=-1)
 
 
 class _Grower:

@@ -24,6 +24,7 @@ from conftest import (
     tree_predictions,
 )
 from reference_cart import (
+    _gini as reference_gini,
     reference_fit_tree,
     reference_grow,
     reference_route,
@@ -40,6 +41,44 @@ def and_dataset(two_cat_schema):
 
 def test_gini_formula():
     assert cart._gini(np.array([3.0, 1.0]), 4) == pytest.approx(0.375, abs=1e-15)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 1000])
+@pytest.mark.parametrize("near_bound", [False, True])
+def test_packed_sort_is_the_stable_argsort(size, near_bound):
+    # a few distinct keys, so ties are many, at the bottom of the range or
+    # just below the largest bound whose packed values fit in int64
+    rng = np.random.default_rng(size)
+    bound = (2 ** 63 - 1) // max(size, 1) if near_bound else 5
+    keys = rng.integers(bound - 5, bound, size=size) if near_bound else rng.integers(0, 5, size)
+    order, ordered = cart._packed_sort(keys, bound)
+    want = np.argsort(keys, kind="stable")
+    assert order.dtype == ordered.dtype == np.int64
+    np.testing.assert_array_equal(order, want)
+    np.testing.assert_array_equal(ordered, keys[want])
+
+
+def test_packed_sort_refuses_keys_whose_packed_values_pass_int64():
+    cart._check_packable(2 ** 63 // 1000, 1000)  # the largest product below 2**63
+    with pytest.raises(ValueError, match=r"^1000 keys below 9223372036854776 do not pack into "
+                                         r"int64 \(9223372036854776 \* 1000 >= 2\*\*63\)"):
+        cart._check_packable(2 ** 63 // 1000 + 1, 1000)
+    # one node of 3.1e9 (row, feature) pairs whose rank keys reach as high
+    with pytest.raises(ValueError, match="do not pack into int64"):
+        cart._check_packable(3_100_000_000, 3_100_000_000)
+
+
+@pytest.mark.parametrize("n_classes", [1, 2, 3, 7, 8, 9, 12, 16, 17, 130])
+def test_class_major_gini_equals_the_row_sums_bit_for_bit(n_classes):
+    # the frontier's class-major counts against the per-node search's rows of
+    # counts: numpy sums a row in turn below 8 classes, pairwise from 8 up
+    rng = np.random.default_rng(n_classes)
+    counts = rng.integers(0, 40, size=(n_classes, 300)) * (rng.random((n_classes, 300)) < 0.7)
+    counts[rng.integers(0, n_classes, size=300), np.arange(300)] += 1  # no empty group
+    n = counts.sum(axis=0)
+    got = cart._gini(counts, n)
+    want = reference_gini(np.ascontiguousarray(counts.T), n[:, None])
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_and_dataset_zero_error_small_tree(two_cat_schema):
@@ -359,6 +398,16 @@ def test_errors():
         fit_tree(np.array([[0.1]]), np.array([1, 2]), schema)
 
 
+@pytest.mark.parametrize("label", [2, -1])
+def test_class_label_outside_the_classes_is_refused(two_cat_schema, label):
+    X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+    y = np.array([0, 1, 0, label, 1, 0])
+    with pytest.raises(ValueError, match=rf"^class label {label} is outside 0\.\.1 for 2 classes$"):
+        fit_tree(X, y, two_cat_schema)
+    with pytest.raises(ValueError, match=rf"^class label {label} is outside"):
+        cart.grow_trees(X, y, two_cat_schema, "classification", [np.arange(3)], [None])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_regression_labels_whose_square_sums_overflow_are_refused():
     # square sums of +-1e200 overflow: every gain was NaN, and the best-split
@@ -379,8 +428,9 @@ def _tied_data(rng, target, n=70):
     """Random mixed rows with repeated values, duplicated rows, and, for
     regression, labels of mixed magnitude that repeat: ties set the row order
     within a node, and that order sets how the MSE sums round."""
+    n_classes = 2 if target == "regression" else int(target.split()[0])
     schema = random_mixed_schema(rng, n_num=int(rng.integers(1, 4)), n_cat=int(rng.integers(1, 4)),
-                                 n_classes=3 if target == "3 classes" else 2)
+                                 n_classes=n_classes)
     if target == "regression":
         schema = Schema(schema.features, TargetSpec("label", REGRESSION))
     X = random_rows(rng, schema, n)
@@ -407,7 +457,9 @@ def _same_trees(a, b):
 
 
 @pytest.mark.parametrize("seed", range(4))
-@pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
+# from 8 classes up numpy sums a row of squared shares pairwise, not in turn
+@pytest.mark.parametrize("target", ["2 classes", "3 classes", "8 classes", "9 classes",
+                                    "regression"])
 def test_frontier_grower_equals_per_node_reference(target, seed):
     rng = np.random.default_rng(70 + seed)
     schema, X, y, task = _tied_data(rng, target)
@@ -423,6 +475,28 @@ def test_frontier_grower_equals_per_node_reference(target, seed):
         assert tree_stats(tree) == reference_tree_stats(X, y, schema, task, draw)
         np.testing.assert_array_equal(leaves, ref_leaves)
         np.testing.assert_array_equal(leaves, tree_leaves(tree, X))  # the leaf routing reaches
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("n_classes", [8, 9, 12])
+def test_many_class_forest_equals_per_node_reference(n_classes, seed):
+    # a few hundred rows of 8 or more classes give near-tied gains, and which
+    # one wins follows the order the classes' squared shares add in
+    rng = np.random.default_rng(200 + seed)
+    schema = random_mixed_schema(rng, n_num=int(rng.integers(1, 4)), n_cat=int(rng.integers(1, 4)),
+                                 n_classes=n_classes)
+    n, p = 400, schema.n_features
+    X = random_rows(rng, schema, n)
+    y = rng.integers(0, n_classes, size=n)
+    # an explainer tree, then bootstrap samples with feature draws
+    samples = [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(12)]
+    draws = [None] + [(t, 1 + t % p) for t in range(12)]
+    args = X, y, schema, "classification", samples, draws
+    tree, roots, leaves = cart.grow_trees(*args)
+    reference, ref_roots, ref_leaves = reference_grow(*args)
+    _same_trees(tree, reference)
+    np.testing.assert_array_equal(roots, ref_roots)
+    np.testing.assert_array_equal(leaves, ref_leaves)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -497,7 +571,8 @@ def test_large_finite_values_grow_the_reference_trees_without_warnings(target):
     assert np.isfinite(tree.table.val).all()
 
 
-@pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
+@pytest.mark.parametrize("target", ["2 classes", "3 classes", "8 classes", "9 classes",
+                                    "regression"])
 def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     rng = np.random.default_rng(90)
     schema, X, y, task = _tied_data(rng, target)
