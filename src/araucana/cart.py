@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tabular import CLASSIFICATION, REGRESSION, Schema, check_rows
+from .tabular import CLASSIFICATION, REGRESSION, Schema, check_rows, work_step
 
 GINI = "gini"
 MSE = "mse"
@@ -137,12 +137,6 @@ def _packed_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return packed, ordered
 
 
-# (row, feature) pairs searched in one grower step; bounds the arrays of a
-# step: its packed sort keys, its (classes, pairs) cumulative class counts
-# and its zero-padded MSE sums
-GROW_CHUNK_PAIRS = 1 << 14
-
-
 class _Frontier:
     """Grows CART trees on rows of X, many trees and many nodes per step.
 
@@ -216,11 +210,11 @@ class _Frontier:
             # largest first: the MSE sums pad every node's rows to the first's
             # length, counted so, and _step takes runs of equal sizes, one-row last
             batch.sort(key=lambda node: node[2] - node[3])
-            start, pairs = 0, 0
+            start, pairs, cap = 0, 0, work_step(128)  # about 128 B per (row, feature) pair
             for i, (t, _, lo, hi) in enumerate(batch):
                 padded = batch[start][3] - batch[start][2] if self.task == REGRESSION else hi - lo
                 pairs += padded * width[t]
-                if pairs > GROW_CHUNK_PAIRS and i > start:
+                if pairs > cap and i > start:
                     self._step(batch[start:i])
                     start, pairs = i, (hi - lo) * width[t]
             self._step(batch[start:])
@@ -360,6 +354,7 @@ class _Frontier:
         """The recorded nodes in preorder, the trees' root places and the
         leaf place of each sample position. A split puts its left rows before
         its right rows, so the leaves' slices of the buffer come in preorder."""
+        self.ids = self.Xf = self.Vf = None  # growth is over: free its buffers first
         at, right, roots = self._places(n_trees)
         cols, self.cols = self.cols, None
         feat, val, pred = cols[0, at].astype(np.int64), cols[1, at], cols[2, at]
@@ -451,9 +446,7 @@ def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
     return out
 
 
-# (row, root) pairs routed at once; bounds the index arrays of one pass
-ROUTE_CHUNK_PAIRS = 1 << 15
-# steps every live pair takes between two drops of the pairs at a leaf
+# steps between two drops of the pairs at a leaf (a schedule, not a memory size)
 ROUTE_STEPS = 8
 
 
@@ -513,25 +506,22 @@ def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     The rows are widened once (see RoutePlan), and all (root, row) pairs
     descend together, a step being three node gathers and one row gather. A
     leaf keeps the pairs that reach it, so the live pairs take ROUTE_STEPS
-    steps between drops of those at a leaf. Rows go in chunks of at most
-    ROUTE_CHUNK_PAIRS pairs.
+    steps between drops of those at a leaf. All pairs go at once: a caller
+    bounds the memory by the rows it passes (as ForestModel.predict_batch does).
     """
     wide = _widen(plan, np.asarray(rows, dtype=float))
     (n, width), flat = wide.shape, wide.ravel()
     col, thr, child = plan.col, plan.thr, plan.child
     out = np.empty(len(roots) * n, dtype=np.int64)  # tree-major: pair k * n + i is row i at root k
-    step = max(1, ROUTE_CHUNK_PAIRS // len(roots))
-    for a in range(0, n, step):
-        i = np.arange(a, min(a + step, n))
-        pair = (np.arange(len(roots))[:, None] * n + i).ravel()
-        base, node = np.tile(i * width, len(roots)), np.repeat(roots, len(i))
-        while len(pair):
-            for _ in range(ROUTE_STEPS):
-                last = node
-                node = child.take(2 * node + (flat.take(base + col.take(node)) <= thr.take(node)))
-            done = node == last  # a split's children differ from it
-            out[pair[done]] = node[done]
-            pair, base, node = pair[~done], base[~done], node[~done]
+    pair = np.arange(len(out))
+    base, node = np.tile(np.arange(n) * width, len(roots)), np.repeat(roots, n)
+    while len(pair):
+        for _ in range(ROUTE_STEPS):
+            last = node
+            node = child.take(2 * node + (flat.take(base + col.take(node)) <= thr.take(node)))
+        done = node == last  # a split's children differ from it
+        out[pair[done]] = node[done]
+        pair, base, node = pair[~done], base[~done], node[~done]
     return out.reshape(len(roots), n)
 
 

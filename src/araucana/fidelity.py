@@ -9,8 +9,8 @@ neighborhood and predicts the instance. Fidelity is the fraction of
 instances where that prediction matches the oracle's label. The weighted-linear
 baseline mirrors the usual local-linear recipe: least squares on the encoded
 neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
-dimension, at least 1), and a ridge term of 1e-3. It fits each chunk's
-neighborhoods in one stacked solve.
+dimension, at least 1), and a ridge term of 1e-3. It fits a chunk's
+neighborhoods in stacked solves of as many queries as tabular.WORK_BYTES holds.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from .explain import (
     select_neighborhoods,
 )
 from .oracle import PredictionOracle
-from .tabular import CLASSIFICATION, Dataset, Schema, value_text
+from .tabular import CLASSIFICATION, Dataset, Schema, value_text, work_step
 
 ARAUCANA = "araucana"
 LINEAR = "linear"
 EXPLAINERS = (ARAUCANA, LINEAR)
 
-# test rows explained per stage: bounds a stage's neighborhoods, explainer sets
-# and oracle requests whatever the size of the test set
+# test rows explained per stage: the stage width, which sets how many oracle
+# requests a run makes; not a memory size (see tabular.WORK_BYTES)
 EXPLAIN_BATCH_QUERIES = 64
 
 
@@ -60,13 +60,14 @@ def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema
     """The weighted-linear baseline's encoded prediction at each query X[j],
     fitted to the relabeled nbhs[j]: the argmax of one score column per class
     (ties to the lowest class), or the regression score. A stage's
-    neighborhoods have one size, so one stacked solve fits them all. A class
-    that a neighborhood lacks solves to a zero score column, and the scores
-    of the classes it holds sum to 1, so that column never wins."""
+    neighborhoods have one size, so one stacked solve fits as many as
+    tabular.WORK_BYTES holds, each matrix on its own. A class that a
+    neighborhood lacks solves to a zero score column, and the scores of the
+    classes it holds sum to 1, so that column never wins."""
     if not nbhs:
         return np.empty(0)
-    A = _encode(schema, np.stack([nbh.rows for nbh in nbhs]))  # (B, N, d)
-    dim = A.shape[-1]
+    z = _encode(schema, X)[..., None]  # (B, d, 1)
+    dim = z.shape[1]
     kernel_width = 0.75 * np.sqrt(max(dim, 1))  # without features every distance is 0
     y = np.stack([nbh.relabels for nbh in nbhs])
     w = np.exp(-(np.stack([nbh.distances for nbh in nbhs]) ** 2) / kernel_width**2)
@@ -76,14 +77,19 @@ def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema
     else:
         targets = y.astype(float)[..., None]
 
-    # augmented design with an unpenalized intercept column
-    Aa = np.concatenate([A, np.ones(A.shape[:-1] + (1,))], axis=-1)
-    WA = Aa * w[..., None]
-    reg = np.diag([1e-3] * dim + [0.0])
-    gram = Aa.swapaxes(1, 2) @ WA + reg
-    beta = np.linalg.solve(gram, WA.swapaxes(1, 2) @ targets)  # (B, dim+1, n_outputs)
-    z = _encode(schema, X)
-    scores = (beta[:, :-1].swapaxes(1, 2) @ z[..., None])[..., 0] + beta[:, -1]
+    rows = np.stack([nbh.rows for nbh in nbhs])
+    scores = np.empty((len(nbhs), targets.shape[-1]))
+    # a query holds its encoded rows, their weighted copy and two (d+1, d+1) matrices
+    step = work_step(8 * (2 * rows.shape[1] + 2 * (dim + 1)) * (dim + 1))
+    for a in range(0, len(nbhs), step):
+        A = _encode(schema, rows[a:a + step])  # (b, N, d)
+        # augmented design with an unpenalized intercept column
+        Aa = np.concatenate([A, np.ones(A.shape[:-1] + (1,))], axis=-1)
+        WA = Aa * w[a:a + step, :, None]
+        gram = Aa.swapaxes(1, 2) @ WA
+        gram[:, np.arange(dim), np.arange(dim)] += 1e-3  # the ridge term
+        beta = np.linalg.solve(gram, WA.swapaxes(1, 2) @ targets[a:a + step])  # (b, d+1, outputs)
+        scores[a:a + step] = (beta[:, :-1].swapaxes(1, 2) @ z[a:a + step])[..., 0] + beta[:, -1]
     return scores.argmax(axis=1) if task == CLASSIFICATION else scores[:, 0]
 
 

@@ -10,33 +10,25 @@ one-hot categoricals, divided by sqrt(feature count). One-hot entries are
 scaled by 1/sqrt(2) so a categorical mismatch adds exactly 1 to the squared
 sum, which keeps the result in [0, 1].
 
-`distances_many` takes many queries at once in fixed-size chunks (`distance`
-is its case of one query and one row); `nearest` is the one k-nearest rule,
-ties to the lower row index, of the k-NN oracle, neighborhood selection and
-SMOTE-NC, and `nearest_rows` applies it to many queries in distance blocks of
-bounded size.
+`distances_many` takes many queries at once in chunks (`distance` is its case
+of one query and one row); `nearest` is the one k-nearest rule, ties to the
+lower row index, of the k-NN oracle, neighborhood selection and SMOTE-NC, and
+`nearest_rows` applies it to many queries in distance blocks. Every chunk and
+block is sized from the one budget `tabular.WORK_BYTES`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tabular import Schema, check_rows
+from .tabular import Schema, check_rows, work_step
 
 GOWER = "gower"
 EUCLIDEAN = "euclidean"
 
-# (query, row, feature) cells in one chunk of distances_many, and distances in
-# one partition of nearest: about 0.5 MB per float64 temporary, whatever the
-# number of queries or rows
-DISTANCE_CHUNK_CELLS = 2**16
-
-# distances in one block of nearest_rows and of SMOTE-NC's neighbor order (2 MB
-# of float64), which bounds their memory. Four times DISTANCE_CHUNK_CELLS, so a block
-# outweighs the chunk and partition temporaries inside it: at equal sizes the
-# allocator gave back and re-faulted about 4 MB of heap on every 101-row k-NN
-# call (1,000 minor faults, +2.5 ms).
-NEAREST_BLOCK_DISTANCES = 2**18
+# a pass nested in a distance block takes this share of the budget, so the block outweighs it:
+# at equal sizes the allocator re-faulted 4 MB of heap per 101-row k-NN call (+2.5 ms)
+NESTED_SHARE = 4
 
 
 class DistanceMetric:
@@ -58,9 +50,9 @@ def _clamped_numeric(metric: DistanceMetric, X: np.ndarray) -> np.ndarray:
 def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(len(X), len(rows)) distances from each query row of X to each row of rows.
 
-    Queries go in chunks of about DISTANCE_CHUNK_CELLS (query, row, feature)
-    cells, at least one query each, with in-place arithmetic summed over the
-    feature axis, so each distance equals that of a one-query call bit for bit.
+    Queries go in chunks of a nested share of the budget's (query, row,
+    feature) cells, at least one query each, with in-place arithmetic summed
+    over the feature axis, so each distance equals a one-query call's bit for bit.
     """
     X = np.asarray(X, dtype=float)
     rows = np.asarray(rows, dtype=float)
@@ -69,7 +61,7 @@ def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> n
     xn, rn = _clamped_numeric(metric, X), _clamped_numeric(metric, rows)
     xc, rc = X[:, cat], rows[:, cat]
     out = np.empty((len(X), len(rows)))
-    step = max(1, DISTANCE_CHUNK_CELLS // max(1, rows.size))
+    step = work_step(NESTED_SHARE * 8 * rows.size)
     for a in range(0, len(X), step):
         diff = rn - xn[a:a + step, None]
         np.abs(diff, out=diff)
@@ -91,7 +83,7 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
         return np.argsort(d, axis=-1, kind="stable")
     flat = d.reshape(-1, n)
     kth = np.empty((len(flat), 1))
-    step = max(1, DISTANCE_CHUNK_CELLS // n)
+    step = work_step(NESTED_SHARE * 8 * n)
     for a in range(0, len(flat), step):
         kth[a:a + step] = np.partition(flat[a:a + step], k - 1, axis=1)[:, k - 1:k]
     r, c = np.nonzero(flat <= kth)  # row-major: candidates in index order
@@ -103,12 +95,11 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
 def nearest_rows(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k rows nearest each query row of X (`nearest`) and their distances,
-    from blocks of about NEAREST_BLOCK_DISTANCES distances, at least one
-    query each."""
+    from blocks of tabular.WORK_BYTES / 8 distances, at least one query each."""
     X = np.asarray(X, dtype=float)
     near = np.empty((len(X), min(k, len(rows))), dtype=np.intp)
     dist = np.empty(near.shape)
-    step = max(1, NEAREST_BLOCK_DISTANCES // max(1, len(rows)))
+    step = work_step(8 * len(rows))
     for a in range(0, len(X), step):
         d = distances_many(metric, X[a:a + step], rows)
         near[a:a + step] = nearest(d, k)

@@ -16,7 +16,11 @@ requests of at most SUBPROCESS_REQUEST_ROWS instances, one after another, and
 the replies are joined in order; each request has its own timeout (default
 30 seconds), which covers writing it and reading its reply. The child is not
 waited for when it starts, so the first request's timeout also covers the
-child's start-up.
+child's start-up. The child speaks only when asked: output between requests,
+more than one line per reply, or a reply line longer than a generous bound
+from the request's size is an error. The first error stops the child, and
+every later batch raises it again, so no request reads a reply meant for
+another.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from . import cart, gower
 from .gower import DistanceMetric
-from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, first_refused
+from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, first_refused, work_step
 
 
 class OracleError(RuntimeError):
@@ -89,7 +93,7 @@ class ForestModel:
     reads none of them. Prediction routes every tree at once through `plan`,
     which is derived from the table once, when the model is built (trained
     or loaded), and is never saved; the leaf ids come back tree-major, one
-    row per tree, and their predictions are the votes.
+    row per tree, and their predictions are the votes (a chunk of rows at a time).
     """
 
     def __init__(self, nodes: cart.ExplainerTree, roots):
@@ -100,6 +104,11 @@ class ForestModel:
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        step = work_step(64 * len(self.roots))  # about 64 B per (tree, row) pair
+        return np.concatenate([self._vote(rows[a:a + step])
+                               for a in range(0, max(len(rows), 1), step)])
+
+    def _vote(self, rows: np.ndarray) -> np.ndarray:
         votes = self.nodes.table.pred[cart.route(self.plan, self.roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
@@ -184,9 +193,9 @@ class BuiltinOracle(PredictionOracle):
 # ---------------------------------------------------------------- subprocess
 
 
-# instances in one request to a subprocess oracle: bounds the size of a request
-# line and of its reply whatever the batch. Above the 1,010 rows that labelling
-# ten queries' 100-row neighborhoods can take in one request.
+# instances in one request to a subprocess oracle, a protocol limit and not a
+# memory size: bounds a request line and its reply whatever the batch. Above
+# the 1,010 rows that labelling ten queries' 100-row neighborhoods can take.
 SUBPROCESS_REQUEST_ROWS = 4096
 
 
@@ -200,7 +209,10 @@ class SubprocessOracle(PredictionOracle):
         self.command = command
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._buf = b""
+        self._failure: str | None = None  # the first OracleError, after which the child is gone
+        # a JSON string escapes a character in at most 12 bytes (a surrogate pair)
+        self._reply_bytes_per_row = 128 + 12 * (
+            max(map(len, schema.target.classes), default=0) if task == CLASSIFICATION else 0)
 
     def _ensure_child(self):
         if self._proc is not None and self._proc.poll() is None:
@@ -241,34 +253,61 @@ class SubprocessOracle(PredictionOracle):
             if view:
                 self._wait(fd, deadline, write=True)
 
-    def _read_line(self, deadline) -> bytes:
-        """One newline-terminated reply, read before the deadline."""
+    def _closed(self) -> OracleError:
+        code = self._proc.poll()
+        return OracleError("oracle subprocess closed its output mid-run"
+                           + (f" (exit code {code})" if code is not None else ""))
+
+    def _check_quiet(self) -> None:
+        """Refuse output, or an end of output, that no request asked for."""
         fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buf:
+        if select.select([fd], [], [], 0)[0]:
+            extra = os.read(fd, 200)
+            if not extra:
+                raise self._closed()
+            raise OracleError(f"oracle subprocess wrote {extra!r} between requests")
+
+    def _read_line(self, deadline, limit: int) -> bytes:
+        """One newline-terminated reply of at most limit bytes, read before
+        the deadline, with nothing after it. Each chunk is searched once."""
+        fd = self._proc.stdout.fileno()
+        chunks, size = [], 0
+        while True:
             self._wait(fd, deadline)
             chunk = os.read(fd, 65536)
             if not chunk:
-                code = self._proc.poll()
-                raise OracleError(
-                    "oracle subprocess closed its output mid-run"
-                    + (f" (exit code {code})" if code is not None else "")
-                )
-            self._buf += chunk
-        line, self._buf = self._buf.split(b"\n", 1)
-        return line
+                raise self._closed()
+            end = chunk.find(b"\n")
+            size += len(chunk) if end < 0 else end
+            if size > limit:
+                raise OracleError(f"oracle reply line is longer than {limit} bytes")
+            if end >= 0:
+                if end + 1 < len(chunk):
+                    raise OracleError("oracle subprocess wrote more than one line in reply")
+                chunks.append(chunk[:end])
+                return b"".join(chunks)
+            chunks.append(chunk)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
+        if self._failure is not None:
+            raise OracleError(f"oracle subprocess was stopped after an error: {self._failure}")
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return np.concatenate([self._request(rows[a:a + SUBPROCESS_REQUEST_ROWS])
-                               for a in range(0, max(len(rows), 1), SUBPROCESS_REQUEST_ROWS)])
+        try:
+            return np.concatenate([self._request(rows[a:a + SUBPROCESS_REQUEST_ROWS])
+                                  for a in range(0, max(len(rows), 1), SUBPROCESS_REQUEST_ROWS)])
+        except OracleError as exc:  # a reply may still come: no later request may read it
+            self._failure = str(exc)
+            self._kill()
+            raise
 
     def _request(self, rows: np.ndarray) -> np.ndarray:
         """Labels of rows from one request and its reply."""
         self._ensure_child()
         payload = {"instances": [self.schema.decode_row(r) for r in rows]}
         deadline = time.monotonic() + self.timeout  # covers the write and the reply
+        self._check_quiet()
         self._write_all((json.dumps(payload) + "\n").encode("utf-8"), deadline)
-        line = self._read_line(deadline)
+        line = self._read_line(deadline, 65536 + len(rows) * self._reply_bytes_per_row)
         try:
             reply = json.loads(line)
             preds = reply["predictions"]
@@ -320,8 +359,12 @@ class SubprocessOracle(PredictionOracle):
                 self._proc.stdin.close()
                 self._proc.wait(timeout=2)
             except (OSError, subprocess.TimeoutExpired):
-                self._proc.kill()
-                self._proc.wait()
+                self._kill()
+
+    def _kill(self) -> None:
+        if self._proc is not None and self._proc.poll() is None:
+            self._proc.kill()
+            self._proc.wait()
 
 
 # --------------------------------------------------------------- precomputed

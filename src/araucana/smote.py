@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gower
-from .tabular import CLASSIFICATION, Schema
+from .tabular import CLASSIFICATION, Schema, work_step
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,15 @@ def _class_neighbor_order(X: np.ndarray, schema: Schema, members: np.ndarray,
     distance, nearest first, as an (m, k) array of positions into `members`;
     k < m. Ties break toward the lower original row index (members are in
     ascending index order), so a duplicate may precede a row at distance 0.
-    Distances come in blocks of about gower.NEAREST_BLOCK_DISTANCES, at
-    least one member each, each reduced to its nearest before the next.
+    Distances come in blocks of tabular.WORK_BYTES / 8, at least one
+    member each, each reduced to its nearest before the next.
     """
     sub = X[members]
     norm = schema.scaled_numeric(sub)
     penalty = _mismatch_penalty(norm)  # over the whole class, not per block
     cat = sub[:, ~schema.numeric_mask()]
     order = np.empty((len(sub), k), dtype=np.intp)
-    step = max(1, gower.NEAREST_BLOCK_DISTANCES // len(sub))
+    step = work_step(8 * len(sub))
     for a in range(0, len(sub), step):
         d2 = ((norm[a:a + step, None, :] - norm[None, :, :]) ** 2).sum(axis=2)
         d2 += penalty * (cat[a:a + step, None, :] != cat[None, :, :]).sum(axis=2)

@@ -35,6 +35,14 @@ REGRESSION = "regression"
 
 GENERATORS = ("xor_mixed", "moons2d", "imbalanced_mixed")
 
+# the bytes one chunk of an array pass may hold, whatever the size of its input
+WORK_BYTES = 2 << 20
+
+
+def work_step(unit_bytes: int) -> int:
+    """The units of unit_bytes in one chunk: as many as fit in WORK_BYTES, at least one."""
+    return max(1, WORK_BYTES // max(1, unit_bytes))
+
 
 class DataError(ValueError):
     """Malformed input data (CSV cells, schema files, label columns)."""

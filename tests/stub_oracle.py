@@ -13,6 +13,9 @@ Options:
   --no-read       never read stdin: sleep --delay seconds (default 60), then exit
   --token T       reply the raw JSON token T (NaN, Infinity, 1e400, true, ...)
                   for every instance, on batch --token-on only (default: on all)
+  --twice GAP     write the first batch's reply line twice: in one write when
+                  GAP is 0, else GAP seconds apart
+  --flood MB      answer the first batch with MB megabytes and no newline
 """
 
 import argparse
@@ -32,6 +35,8 @@ def main():
     ap.add_argument("--no-read", action="store_true")
     ap.add_argument("--token")
     ap.add_argument("--token-on", type=int, default=0)
+    ap.add_argument("--twice", type=float)
+    ap.add_argument("--flood", type=int, default=0)
     args = ap.parse_args()
     if args.no_read:
         time.sleep(args.delay or 60.0)
@@ -48,6 +53,11 @@ def main():
             sys.stdout.flush()
             continue
         batches += 1
+        if args.flood:
+            for _ in range(args.flood):
+                sys.stdout.buffer.write(b"x" * (1 << 20))
+            sys.stdout.flush()
+            time.sleep(60)
         if args.token is not None and args.token_on in (0, batches):
             sys.stdout.write('{"predictions": [%s]}\n' % ", ".join([args.token] * len(instances)))
             sys.stdout.flush()
@@ -61,7 +71,13 @@ def main():
                 preds.append("1" if numeric_sum > float(args.value) else "0")
             else:
                 preds.append(numeric_sum)
-        sys.stdout.write(json.dumps({"predictions": preds}) + "\n")
+        reply = json.dumps({"predictions": preds}) + "\n"
+        sys.stdout.write(reply)
+        if args.twice is not None and batches == 1:
+            if args.twice:
+                sys.stdout.flush()
+                time.sleep(args.twice)
+            sys.stdout.write(reply)
         sys.stdout.flush()
         if args.die_after and batches >= args.die_after:
             sys.exit(3)

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from araucana import cart
+from araucana import cart, tabular
 from araucana.cart import (
     decision_path,
     fit_tree,
@@ -512,8 +512,8 @@ def test_regression_runs_of_equal_size_nodes_equal_per_node_reference(monkeypatc
     samples = [np.arange(len(X))] + [rng.integers(0, len(X), size=len(X)) for _ in range(3)]
     draws = [None, None, (seed, 1), (seed + 1, schema.n_features)]
     reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
-    for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
-        monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
+    for budget in (1, 1 << 50):  # one node per step, and a whole frontier per step
+        monkeypatch.setattr(tabular, "WORK_BYTES", budget)
         tree, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
         _same_trees(tree, reference)
         np.testing.assert_array_equal(roots, ref_roots)
@@ -595,8 +595,8 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
         part = leaves[starts[t]:starts[t + 1]]
         np.testing.assert_array_equal(part, cart.route(plan, roots[t:t + 1], X[rows])[0])
         np.testing.assert_array_equal(part - roots[t], alone_leaves)
-    for cap in (1, 1 << 40):  # one node per step, and a whole frontier per step
-        monkeypatch.setattr(cart, "GROW_CHUNK_PAIRS", cap)
+    for budget in (1, 1 << 50):  # one node per step, and a whole frontier per step
+        monkeypatch.setattr(tabular, "WORK_BYTES", budget)
         _same_trees(cart.grow_trees(X, y, schema, task, samples, draws)[0], together)
 
 
@@ -626,11 +626,8 @@ def test_route_equals_reference_walk(monkeypatch, target):
         with _deadline(60):
             np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
             np.testing.assert_array_equal(cart.route(plan, tops, batch[:0]), want[:, :0])
-            # drops after every step or every few, and the batch in 3 or 7 chunks
-            for steps, chunks in ((1, 3), (3, 7)):
+            for steps in (1, 3):  # drops after every step or every few
                 monkeypatch.setattr(cart, "ROUTE_STEPS", steps)
-                monkeypatch.setattr(cart, "ROUTE_CHUNK_PAIRS",
-                                    len(tops) * (len(batch) // chunks + 1))
                 np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
         monkeypatch.undo()
 

@@ -1,11 +1,12 @@
 import itertools
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from araucana import explain, fidelity, gower
+from araucana import explain, fidelity, gower, tabular
 from araucana.explain import (
     ExplainConfig,
     Neighborhood,
@@ -123,9 +124,10 @@ def test_xor_corners_cap_three_quarters():
     assert agree <= 0.75 + 1e-12
 
 
-def test_stage_fit_equals_the_per_row_reference():
-    """One stacked solve per stage predicts, bit for bit, what fitting each
-    neighborhood alone predicts at its query: random mixed schemas, both
+def test_stage_fit_equals_the_per_row_reference(monkeypatch):
+    """Stacked solves predict, bit for bit, what fitting each neighborhood
+    alone predicts at its query, with the stage in one solve or one query
+    per solve (the smallest budget): random mixed schemas, both
     tasks, no features, no target (a class count of one more than the stage's
     largest relabel, while some neighborhoods lack the top classes), classes
     a neighborhood lacks, all-duplicate rows, 1 to 40 rows per neighborhood
@@ -162,7 +164,52 @@ def test_stage_fit_equals_the_per_row_reference():
         want = [reference_linear_prediction(nbh, x, schema, task) for nbh, x in zip(nbhs, X)]
         assert got.dtype.kind == ("f" if task == "regression" else "i"), trial
         assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), trial
+        with monkeypatch.context() as mp:
+            mp.setattr(tabular, "WORK_BYTES", 1)
+            assert fit_linear_explainer(nbhs, X, schema, task).tobytes() == got.tobytes(), trial
         assert fit_linear_explainer([], X[:0], schema, task).shape == (0,)
+
+
+def _one_category_stage(rng, n_categories, task, queries=64, n=100):
+    """A stage of neighborhoods on one numeric and one categorical feature
+    of n_categories categories, with random rows, distances and labels."""
+    cats = tuple(f"c{i}" for i in range(n_categories))
+    target = (TargetSpec("y", "classification", classes=("a", "b", "c"))
+              if task == "classification" else TargetSpec("y", "regression"))
+    schema = Schema((FeatureSpec("u", "numeric", range=(0.0, 1.0)),
+                     FeatureSpec("k", "categorical", categories=cats)), target)
+
+    def rows(m):
+        return np.column_stack([rng.random(m), rng.integers(0, n_categories, m)])
+
+    nbhs = []
+    for _ in range(queries):
+        labels = rng.integers(0, 3, n) if task == "classification" else rng.standard_normal(n)
+        nbhs.append(Neighborhood(np.arange(n), np.sort(rng.random(n)), rows(n), labels,
+                                 labels[0]))
+    return nbhs, rows(queries), schema
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_linear_stage_memory_is_bounded_by_the_budget(monkeypatch, task):
+    """A 64-query stage on a 300-category feature peaks under 8 MB, where
+    one solve of all 64 Gram matrices at once peaked at 134 MB. At 10
+    categories the default budget fits the stage in one solve, and the
+    smallest budget, one query per solve, gives the same bits."""
+    rng = np.random.default_rng(71)
+    for n_categories in (10, 300):
+        nbhs, X, schema = _one_category_stage(rng, n_categories, task)
+        tracemalloc.start()
+        try:
+            got = fit_linear_explainer(nbhs, X, schema, task)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if n_categories == 300:
+            assert peak < 8e6, peak
+        with monkeypatch.context() as mp:
+            mp.setattr(tabular, "WORK_BYTES", 1)
+            assert fit_linear_explainer(nbhs, X, schema, task).tobytes() == got.tobytes()
 
 
 def test_araucana_fidelity_one_on_unique_rows():
@@ -352,12 +399,17 @@ def _mixed_task(seed, task, n_train, n_test):
     return train, test, oracle
 
 
-@pytest.mark.parametrize("cap", [1, 3, 2**20])
-def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap):
-    """Stages of any size give the rows and explanations of explaining each
-    query alone, and a run labels each training row once."""
+@pytest.mark.parametrize("cap, budget", [
+    pytest.param(1, 1, id="1"),  # one unit per chunk in every pass
+    pytest.param(3, 8 * 200, id="3"),  # two queries per distance block
+    pytest.param(2**20, tabular.WORK_BYTES, id="1048576"),
+])
+def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap, budget):
+    """Stages of any size, and passes in chunks of any size, give the rows
+    and explanations of explaining each query alone, and a run labels each
+    training row once."""
     monkeypatch.setattr(fidelity, "EXPLAIN_BATCH_QUERIES", cap)
-    monkeypatch.setattr(gower, "NEAREST_BLOCK_DISTANCES", 200)  # two queries per block
+    monkeypatch.setattr(tabular, "WORK_BYTES", budget)
     staged = []
     real = fidelity.explain_neighborhoods
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from araucana import gower
+from araucana import tabular
 from araucana.gower import (
     EUCLIDEAN,
     GOWER,
@@ -151,11 +151,11 @@ def _with_constant_features(rng, schema):
     return Schema(tuple(feats), schema.target)
 
 
-@pytest.mark.parametrize("cells", [1, 2**40])
+@pytest.mark.parametrize("budget", [1, 2**40])
 @pytest.mark.parametrize("kind", [GOWER, EUCLIDEAN])
-def test_distances_many_rows_equal_one_query_calls(monkeypatch, kind, cells):
-    # cells=1: one query per chunk; cells=2**40: the whole batch in one chunk
-    monkeypatch.setattr(gower, "DISTANCE_CHUNK_CELLS", cells)
+def test_distances_many_rows_equal_one_query_calls(monkeypatch, kind, budget):
+    # budget=1: one query per chunk; budget=2**40: the whole batch in one chunk
+    monkeypatch.setattr(tabular, "WORK_BYTES", budget)
     rng = np.random.default_rng(23)
     for _ in range(30):
         schema = _with_constant_features(rng, random_mixed_schema(rng))

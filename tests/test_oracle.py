@@ -3,13 +3,14 @@ import math
 import shlex
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from araucana import cart, gower, oracle as oracle_mod
-from araucana.cart import ROUTE_CHUNK_PAIRS, fit_tree, tree_to_dict
+from araucana import cart, oracle as oracle_mod, tabular
+from araucana.cart import fit_tree, tree_to_dict
 from araucana.gower import DistanceMetric, distances_many
 from araucana.oracle import (
     BuiltinOracle,
@@ -93,7 +94,7 @@ def _per_tree_vote(trees, ds, rows):
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
-def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
+def test_packed_forest_routing_equals_per_tree_vote(tmp_path, monkeypatch, target, seed):
     rng = np.random.default_rng(40 + seed)
     schema = random_mixed_schema(rng, n_classes=3 if target == "3 classes" else 2)
     if target == "regression":
@@ -101,8 +102,7 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
     ds = make_dataset(rng, schema, 60)
     constant = Dataset(schema, ds.X, np.zeros_like(ds.y))
     n_trees = 7
-    # more rows than one routing chunk holds for a 7-tree forest
-    probe = random_rows(rng, schema, ROUTE_CHUNK_PAIRS // n_trees + 5)
+    probe = random_rows(rng, schema, 400)
     cfg = ForestConfig(n_trees=n_trees, seed=seed)
     for data in (ds, constant):
         forest = train_forest(data, cfg)
@@ -111,8 +111,12 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
             np.testing.assert_array_equal(forest.roots, np.arange(n_trees))
             assert (forest.nodes.table.feat < 0).all()
         want = _per_tree_vote(trees, data, probe)
-        for rows, n in ((probe[:1], 1), (probe[0], 1), (probe[:30], 30), (probe, len(probe))):
-            np.testing.assert_array_equal(forest.predict_batch(rows), want[:n])
+        # one row per chunk, 2 and 13 chunks of the probe, and one chunk
+        for budget in (1, 24 * n_trees * 200, 24 * n_trees * 31, 2**40):
+            monkeypatch.setattr(tabular, "WORK_BYTES", budget)
+            for rows, n in ((probe[:1], 1), (probe[0], 1), (probe[:30], 30), (probe, len(probe))):
+                np.testing.assert_array_equal(forest.predict_batch(rows), want[:n])
+        monkeypatch.undo()
 
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         save_model(forest, a)
@@ -132,6 +136,25 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, target, seed):
             np.testing.assert_array_equal(model.predict_batch(probe), want)
         save_model(back, b)
         assert b.read_bytes() == a.read_bytes()
+
+
+def test_forest_prediction_memory_is_flat_in_the_rows():
+    # a chunk of rows is routed and voted at a time: with every (tree, row)
+    # pair at once, a 20-tree forest's peak grew 2.5 times from 2,000 rows
+    # to 8,000
+    ds = synth_dataset(SynthSpec("imbalanced_mixed", 300), seed=1)
+    forest = train_forest(ds, ForestConfig(n_trees=20, seed=1))
+    rows = ds.X[np.random.default_rng(5).integers(0, len(ds), 8000)]
+    peaks = []
+    for n in (2000, 8000):
+        tracemalloc.start()
+        try:
+            forest.predict_batch(rows[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+    assert peaks[1] < 1.5 * tabular.WORK_BYTES, peaks
 
 
 def _same_columns(doc, trees):
@@ -255,12 +278,12 @@ def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target, kin
             _same(model.predict_batch(queries), want)
             _same(model.predict_batch(queries[3]), want[3:4])
             _same(model.predict_batch(queries[:0]), want[:0])
-            # 3 queries per distance chunk and partition, or per block of the
-            # oracle (the batch of 20 spans 7 of them), or 1 query for all three
-            for cells, block in ((3 * X.size, 2**18), (2**40, 3 * n), (1, 1)):
+            # 1 query per block, chunk and partition; 3 queries per block of
+            # the oracle (the batch of 20 spans 7 of them); 3 per distance
+            # chunk; the whole batch at once
+            for budget in (1, 8 * 3 * n, 4 * 8 * 3 * X.size, 2**40):
                 with monkeypatch.context() as mp:
-                    mp.setattr(gower, "DISTANCE_CHUNK_CELLS", cells)
-                    mp.setattr(gower, "NEAREST_BLOCK_DISTANCES", block)
+                    mp.setattr(tabular, "WORK_BYTES", budget)
                     _same(model.predict_batch(queries), want)
         path = tmp_path / f"knn{trial}.json"
         save_model(model, path)
@@ -405,6 +428,69 @@ def test_subprocess_timeout():
     try:
         with pytest.raises(OracleError, match="timed out"):
             oracle.predict_batch(ds.X)
+    finally:
+        oracle.close()
+
+
+def _refuses_every_later_batch(oracle, rows, first):
+    """After an OracleError the child is gone, and each later batch raises
+    the first error again instead of reading a reply."""
+    assert oracle._proc.poll() is not None
+    for _ in range(2):
+        with pytest.raises(OracleError, match=f"stopped after an error: .*{first}"):
+            oracle.predict_batch(rows)
+
+
+def test_subprocess_late_reply_is_never_read():
+    # the reply to the first request comes after its timeout: the next
+    # request read it as its own
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    late = stub_command("--mode threshold --value 1.0 --delay 1.5 --delay-on 1")
+    oracle = SubprocessOracle(late, ds.schema, "classification", timeout=0.5)
+    try:
+        start = time.monotonic()
+        with pytest.raises(OracleError, match="timed out"):
+            oracle.predict_batch(ds.X[:2])
+        assert time.monotonic() - start < 1.5
+        time.sleep(1.2)  # the late reply would be in the pipe by now
+        _refuses_every_later_batch(oracle, ds.X[2:], "timed out")
+    finally:
+        oracle.close()
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.3])
+def test_subprocess_second_reply_line_is_oracle_error(gap):
+    # the child writes its first reply line twice, in one write or 0.3 s
+    # apart: the next request read the extra line as its own
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    want = (ds.X.sum(axis=1) > 1.0).astype(np.int64)
+    oracle = SubprocessOracle(stub_command(f"--mode threshold --value 1.0 --twice {gap}"),
+                              ds.schema, "classification", timeout=5.0)
+    try:
+        if gap:
+            np.testing.assert_array_equal(oracle.predict_batch(ds.X[:2]), want[:2])
+            time.sleep(1.0)  # the extra line is in the pipe by now
+        start = time.monotonic()
+        with pytest.raises(OracleError, match="between requests" if gap else "more than one line"):
+            oracle.predict_batch(ds.X[2:] if gap else ds.X[:2])
+        assert time.monotonic() - start < 5.0
+        _refuses_every_later_batch(oracle, ds.X, "between requests" if gap else "more than one")
+    finally:
+        oracle.close()
+
+
+def test_subprocess_reply_flood_fails_fast():
+    # 200 MB with no newline: the reader rescanned its whole buffer per
+    # chunk and had read 25.6 MB when a 4 s timeout ended it
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    oracle = SubprocessOracle(stub_command("--flood 200"), ds.schema, "classification",
+                              timeout=4.0)
+    try:
+        start = time.monotonic()
+        with pytest.raises(OracleError, match="longer than"):
+            oracle.predict_batch(ds.X[:2])
+        assert time.monotonic() - start < 2.0
+        _refuses_every_later_batch(oracle, ds.X, "longer than")
     finally:
         oracle.close()
 

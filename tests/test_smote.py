@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from araucana import gower
+from araucana import tabular
 from araucana.smote import (
     SmoteConfig,
     _class_neighbor_order,
@@ -89,7 +89,7 @@ def test_class_neighbors_are_stable_argsort_prefix_without_self():
 
 
 def test_class_neighbors_in_blocks_of_one_and_three_rows(monkeypatch):
-    # a block holds gower.NEAREST_BLOCK_DISTANCES // m member rows, at least one
+    # a block holds tabular.WORK_BYTES // (8 m) member rows, at least one
     rng = np.random.default_rng(29)
     for trial in range(60):
         n_num = 10 if trial % 3 == 0 else None  # ten numerics: numpy's pairwise sums
@@ -103,7 +103,7 @@ def test_class_neighbors_in_blocks_of_one_and_three_rows(monkeypatch):
         want = neighbor_order(rows, schema, members)
         k = int(rng.integers(1, len(members)))
         for block_rows in (1, 3):
-            monkeypatch.setattr(gower, "NEAREST_BLOCK_DISTANCES", block_rows * len(members))
+            monkeypatch.setattr(tabular, "WORK_BYTES", 8 * block_rows * len(members))
             np.testing.assert_array_equal(_class_neighbor_order(rows, schema, members, k),
                                           want[:, :k])
 
