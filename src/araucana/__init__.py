@@ -8,7 +8,7 @@ and a fidelity harness with a weighted-linear baseline.
 
 __version__ = "0.1.0"
 
-from .cart import ExplainerTree, decision_path, fit_tree, tree_stats
+from .cart import ExplainerTree, decision_path, tree_stats
 from .explain import (
     ExplainConfig,
     Explanation,
@@ -18,7 +18,6 @@ from .explain import (
     explain_instance,
     explain_neighborhoods,
     render_explanation,
-    select_neighborhood,
     select_neighborhoods,
 )
 from .fidelity import (

@@ -10,7 +10,8 @@ two-sided split (all its rows are identical). Zero-gain splits are accepted
 so a tree reaches zero training error whenever no two rows share a feature
 vector with different labels.
 
-The task decides the criterion: Gini impurity for classes, MSE for regression.
+The schema's target states the criterion: Gini impurity over its K classes
+(labels 0..K-1), or MSE for regression; a schema without a target is refused.
 Tie-breaking is deterministic: best gain wins; ties go to the lowest feature
 index, then the lowest threshold / category index. Rows with equal values keep
 their order in the node, and that order fixes how the MSE sums round.
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tabular import CLASSIFICATION, REGRESSION, Schema, check_rows, work_step
+from .tabular import CLASSIFICATION, REGRESSION, Schema, SchemaError, check_rows, work_step
 
 GINI = "gini"
 MSE = "mse"
@@ -94,8 +95,11 @@ class ExplainerTree:
 
     table: NodeTable
     leaf_stats: np.ndarray
-    schema: Schema
-    task: str
+    schema: Schema  # with a target: grow_trees refuses a schema without one
+
+    @property
+    def task(self) -> str:
+        return self.schema.target.kind
 
 
 def _gini(counts: np.ndarray, n) -> np.ndarray:
@@ -158,8 +162,8 @@ class _Frontier:
     row of a C-contiguous block is pairwise, so each rounds as on its node.
     """
 
-    def __init__(self, X, y, schema: Schema, task: str, n_classes: int):
-        self.y, self.schema, self.task, self.K = y, schema, task, n_classes
+    def __init__(self, X, y, schema: Schema, n_classes: int):
+        self.y, self.schema, self.task, self.K = y, schema, schema.target.kind, n_classes
         self.n, self.p = X.shape
         self.numeric = schema.numeric_mask()
         keys = np.zeros(X.shape, np.int64)
@@ -361,8 +365,7 @@ class _Frontier:
         stats = cols[4:, at].T.astype(np.int64, order="C")
         del cols, at  # a forest's columns are large: free them before the table is built
         tree = ExplainerTree(NodeTable(feat, val, np.where(feat >= 0, right, 0), pred),
-                             stats if self.task == CLASSIFICATION else stats[:, 0],
-                             self.schema, self.task)
+                             stats if self.task == CLASSIFICATION else stats[:, 0], self.schema)
         leaf = (feat < 0).nonzero()[0]
         leaves = np.empty_like(self.rows)
         leaves[self.rows] = leaf.repeat(stats[leaf].sum(axis=1))
@@ -390,20 +393,21 @@ class _Frontier:
         return at, after + size[at[after]], pos[:n_trees].copy()
 
 
-def grow_trees(X, y, schema: Schema, task: str, samples,
+def grow_trees(X, y, schema: Schema, samples,
                draws) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
     """Grow tree t on rows samples[t] of X (row indices) with feature draws
     draws[t] -- None for an explainer tree, (seed, width) for a forest tree --
     all in one frontier (see _Frontier.grow); returns the table, the root ids
     and, for each entry of np.concatenate(samples), the id of the leaf that
-    row reached in its tree."""
+    row reached in its tree. The schema's target states the task and the
+    classes: a schema without one raises SchemaError."""
+    if schema.target is None:
+        raise SchemaError("growing a tree needs a schema whose target states the task")
     X = np.asarray(X, dtype=float)
-    if task == CLASSIFICATION:
-        y = np.asarray(y).astype(np.int64)
-        if schema.target is not None and schema.target.classes is not None:
-            n_classes = len(schema.target.classes)
-        else:
-            n_classes = int(y.max(initial=-1)) + 1  # grow() rejects zero rows
+    if len(X) != len(y):
+        raise ValueError(f"{len(X)} rows but {len(y)} labels")
+    if schema.target.kind == CLASSIFICATION:
+        y, n_classes = np.asarray(y).astype(np.int64), len(schema.target.classes)
         # a label outside 0..K-1 would count in no class of the class-major counts
         if y.min(initial=0) < 0 or y.max(initial=-1) >= n_classes:
             label = y[(y < 0) | (y >= n_classes)][0]
@@ -418,18 +422,7 @@ def grow_trees(X, y, schema: Schema, task: str, samples,
         if not abs(big) <= np.sqrt(np.finfo(float).max / max(rows, 1)):
             raise ValueError(f"regression label {big!r} is too large: its square sums "
                              f"over {rows} rows overflow")
-    return _Frontier(X, y, schema, task, n_classes).grow(samples, draws)
-
-
-def fit_tree(rows: np.ndarray, labels: np.ndarray, schema: Schema,
-             task: str | None = None) -> ExplainerTree:
-    """Grow a CART tree; task defaults to the label dtype (ints = classification)."""
-    y = np.asarray(labels)
-    if len(rows) != len(y):
-        raise ValueError(f"{len(rows)} rows but {len(y)} labels")
-    if task is None:
-        task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
-    return grow_trees(rows, y, schema, task, [np.arange(len(y))], [None])[0]
+    return _Frontier(X, y, schema, n_classes).grow(samples, draws)
 
 
 def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
@@ -442,7 +435,7 @@ def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
         feat = t.feat[a:b]
         out.append(ExplainerTree(NodeTable(feat, t.val[a:b],
                                            np.where(feat >= 0, t.right[a:b] - a, 0), t.pred[a:b]),
-                                 tree.leaf_stats[a:b], tree.schema, tree.task))
+                                 tree.leaf_stats[a:b], tree.schema))
     return out
 
 

@@ -3,7 +3,8 @@
 Given a training set, a query instance x, and a black-box oracle:
 
 1. rank training rows by distance to x and keep the N nearest,
-2. relabel them with the oracle's predictions (original targets are ignored);
+2. relabel them with the oracle's predictions (original targets are ignored,
+   and may be absent: the oracle's schema states the task and the classes);
    x rides in the same oracle call as the last row, so one request labels the
    whole neighborhood and the query,
 3. oversample the relabeled neighborhood with SMOTE-NC and relabel the
@@ -16,14 +17,15 @@ reproduces the oracle's label for x exactly whenever no other row of the
 explainer set carries x's exact feature vector with a different label.
 
 The pipeline runs on a batch of queries in stages. `select_neighborhoods`
-does steps 1-2 for every query with bounded distance blocks and one oracle
-request, which skips the training rows a TrainLabels already holds and ends
-with the queries. `explain_neighborhoods` does steps 3-5 with one request for
-every query's synthetics and one grow_trees call for every explainer tree.
-`explain_instance` runs both stages on one query, whose first request is the
-N neighbors and then x; `select_neighborhood` is the one-query case of steps
-1-2. A caller that needs the neighborhood for more than one explainer (the
-fidelity harness) selects and labels it once.
+checks the oracle's schema against the training set's, then does steps 1-2
+for every query with bounded distance blocks and one oracle request, which
+skips the training rows a TrainLabels already holds and ends with the
+queries. `explain_neighborhoods` does steps 3-5, under the oracle's schema,
+with one request for every query's synthetics and one grow_trees call for
+every explainer tree. `explain_instance` runs both stages on one query, whose
+first request is the N neighbors and then x. A caller that needs the
+neighborhood for more than one explainer (the fidelity harness) selects and
+labels it once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from . import cart
 from .gower import DistanceMetric, nearest_rows
 from .oracle import PredictionOracle
 from .smote import SmoteConfig, smote_nc
-from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, check_rows, value_text
+from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, SchemaError, check_rows, value_text
 
 ORIGINAL = "original"
 QUERY = "query"
@@ -188,7 +190,13 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     yet, in order of first appearance (query by query, nearest first),
     followed by the queries themselves; without `labels` every neighbor row
     is sent, so one query sends its N neighbors and then itself. An empty
-    training set has no neighborhood and raises ValueError."""
+    training set has no neighborhood and raises ValueError, and an oracle whose
+    schema lacks the training set's features or a target of the oracle's task
+    raises SchemaError, before any request."""
+    if oracle.schema.features != train.schema.features:
+        raise SchemaError("the oracle's schema has other features than the training set's")
+    if oracle.schema.target is None or oracle.schema.target.kind != oracle.task:
+        raise SchemaError(f"the oracle's schema states no {oracle.task} target")
     X = np.asarray(X, dtype=float)
     check_rows(train.schema, X)
     if len(train) == 0:
@@ -214,12 +222,6 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     query_labels = got[len(new):]
     return [Neighborhood(near, dist[q], train.X[near], labels.values[near], query_labels[q])
             for q, near in enumerate(order)]
-
-
-def select_neighborhood(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
-                        cfg: ExplainConfig) -> Neighborhood:
-    """The neighborhood of one query x: select_neighborhoods of x alone."""
-    return select_neighborhoods(train, np.asarray(x, dtype=float)[None], oracle, cfg)[0]
 
 
 def _merge_path(path, schema: Schema) -> list[Condition]:
@@ -268,17 +270,18 @@ def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
     """Run the full pipeline for one query instance; SMOTE-NC's notes come
     as warnings that name the query."""
     x = np.asarray(x, dtype=float)
-    nbh = select_neighborhood(train, x, oracle, cfg)
-    expl = explain_neighborhoods([nbh], x[None], oracle, [cfg], train.schema)[0]
+    nbh = select_neighborhoods(train, x[None], oracle, cfg)[0]
+    expl = explain_neighborhoods([nbh], x[None], oracle, [cfg])[0]
     for note in expl.smote_notes:
         warnings.warn(f"SMOTE-NC for query {train.schema.decode_row(x)}: {note}", stacklevel=2)
     return expl
 
 
 def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: PredictionOracle,
-                          cfgs: list[ExplainConfig], schema: Schema) -> list[Explanation]:
+                          cfgs: list[ExplainConfig]) -> list[Explanation]:
     """Steps 3-5 for every query row X[q], on the neighborhood nbhs[q] that
-    select_neighborhoods returned for it, under cfgs[q].
+    select_neighborhoods returned for it from this oracle, under cfgs[q]
+    and the oracle's schema.
 
     SMOTE-NC runs per query; one oracle request labels every query's
     synthetic rows, in query order (none when there are none), and one
@@ -290,11 +293,11 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
     if not nbhs:
         return []
     X = np.asarray(X, dtype=float)
-    task = oracle.task
+    schema = oracle.schema
     synthetic, notes = [], []
     for nbh, cfg in zip(nbhs, cfgs):
         syn, noted = np.empty((0, schema.n_features)), []
-        if cfg.smote is not None and task == CLASSIFICATION:
+        if cfg.smote is not None and schema.target.kind == CLASSIFICATION:
             syn, _, noted = smote_nc(nbh.rows, nbh.relabels, schema, cfg.smote)
         synthetic.append(syn)
         notes.append(noted)
@@ -314,29 +317,29 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
         bounds.append(bounds[-1] + len(provenance[-1]))
     X_all, y_all = np.vstack(parts_X), np.concatenate(parts_y)
     spans = list(zip(bounds, bounds[1:]))
-    table, roots, leaves = cart.grow_trees(X_all, y_all, schema, task,
+    table, roots, leaves = cart.grow_trees(X_all, y_all, schema,
                                            [np.arange(a, b) for a, b in spans], [None] * len(nbhs))
     out = []
     for q, (tree, (a, b)) in enumerate(zip(cart.split_trees(table, roots), spans)):
         eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance[q])
         out.append(_explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[q],
-                                task, schema, notes[q]))
+                                notes[q]))
     return out
 
 
 def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: ExplainerSet,
-                 tree: cart.ExplainerTree, leaves: np.ndarray, task: str,
-                 schema: Schema, smote_notes: list[str]) -> Explanation:
+                 tree: cart.ExplainerTree, leaves: np.ndarray,
+                 smote_notes: list[str]) -> Explanation:
     """Step 5: the rule of x off its grown tree; leaves holds the leaf each
     explainer-set row reached."""
     q = len(nbh.rows)  # the query row follows the neighborhood rows
     oracle_label = nbh.query_label
-    path = cart.decision_path(tree, x)
-    conditions = _merge_path(path, schema)
+    schema = tree.schema
+    conditions = _merge_path(cart.decision_path(tree, x), schema)
 
     # the rows meeting every condition are exactly the rows routed to x's leaf
     pred_encoded = tree.table.pred[leaves[q]]
-    eps = match_epsilon(task, oracle_label)
+    eps = match_epsilon(tree.task, oracle_label)
     faithful = bool(abs(pred_encoded - oracle_label) <= eps)
     in_leaf = eset.y[leaves == leaves[q]]
     agree = int((np.abs(in_leaf - pred_encoded) <= eps).sum())

@@ -1,7 +1,8 @@
 """Fidelity evaluation of local explainers against the black box.
 
 The test rows go through the staged explain pipeline in chunks of at most
-EXPLAIN_BATCH_QUERIES. Per chunk, one oracle request labels the neighbor rows
+EXPLAIN_BATCH_QUERIES, under the oracle's schema (the training and test sets
+may have no target). Per chunk, one oracle request labels the neighbor rows
 not labelled before in the run, then the chunk's instances (a TrainLabels
 keeps each training row's label for the whole run), and one more labels every
 SMOTE synthetic of the chunk. Every explainer is fitted to an instance's one
@@ -55,15 +56,15 @@ def _encode(schema: Schema, X: np.ndarray) -> np.ndarray:
     return A
 
 
-def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema,
-                         task: str) -> np.ndarray:
+def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema) -> np.ndarray:
     """The weighted-linear baseline's encoded prediction at each query X[j],
-    fitted to the relabeled nbhs[j]: the argmax of one score column per class
-    (ties to the lowest class), or the regression score. A stage's
-    neighborhoods have one size, so one stacked solve fits as many as
-    tabular.WORK_BYTES holds, each matrix on its own. A class that a
-    neighborhood lacks solves to a zero score column, and the scores of the
-    classes it holds sum to 1, so that column never wins."""
+    fitted to the relabeled nbhs[j] under the schema's target: the argmax of
+    one score column per class of that target (ties to the lowest class), or
+    the regression score. A stage's neighborhoods have one size, so one
+    stacked solve fits as many as tabular.WORK_BYTES holds, each matrix on
+    its own. A class that a neighborhood lacks solves to a zero score
+    column, and the scores of the classes it holds sum to 1, so that column
+    never wins."""
     if not nbhs:
         return np.empty(0)
     z = _encode(schema, X)[..., None]  # (B, d, 1)
@@ -71,9 +72,9 @@ def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema
     kernel_width = 0.75 * np.sqrt(max(dim, 1))  # without features every distance is 0
     y = np.stack([nbh.relabels for nbh in nbhs])
     w = np.exp(-(np.stack([nbh.distances for nbh in nbhs]) ** 2) / kernel_width**2)
-    if task == CLASSIFICATION:
-        n_classes = int(y.max()) + 1 if schema.target is None else len(schema.target.classes)
-        targets = (y.astype(int)[..., None] == np.arange(n_classes)).astype(float)
+    classes = schema.target.kind == CLASSIFICATION
+    if classes:
+        targets = (y.astype(int)[..., None] == np.arange(len(schema.target.classes))).astype(float)
     else:
         targets = y.astype(float)[..., None]
 
@@ -90,7 +91,7 @@ def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema
         gram[:, np.arange(dim), np.arange(dim)] += 1e-3  # the ridge term
         beta = np.linalg.solve(gram, WA.swapaxes(1, 2) @ targets[a:a + step])  # (b, d+1, outputs)
         scores[a:a + step] = (beta[:, :-1].swapaxes(1, 2) @ z[a:a + step])[..., 0] + beta[:, -1]
-    return scores.argmax(axis=1) if task == CLASSIFICATION else scores[:, 0]
+    return scores.argmax(axis=1) if classes else scores[:, 0]
 
 
 @dataclass
@@ -106,8 +107,9 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     Every explainer scores every test row, so each summary's total is
     len(test), and per_instance holds one record per (test row, explainer),
     row by row in the order of `explainers`. Any exception aborts the run:
-    an oracle error, a test row the shared neighborhood selection rejects
-    (SchemaError when it does not conform to the training schema), or an
+    an oracle error, a test row or an oracle the shared neighborhood
+    selection rejects (SchemaError when the row does not conform to the
+    training schema, or the oracle's schema does not match it), or an
     explainer's failure on one row. Test row i is explained under seed
     cfg.seed + i, in the SMOTE config as well, and SMOTE-NC's notes on its
     neighborhood come as warnings that name the row.
@@ -115,7 +117,7 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     for name in explainers:
         if name not in EXPLAINERS:
             raise ValueError(f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})")
-    schema = train.schema
+    schema = oracle.schema  # select_neighborhoods checks it against train's before a request
     per_instance = []
 
     labels = TrainLabels(len(train))
@@ -124,9 +126,9 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
         nbhs = select_neighborhoods(train, X, oracle, cfg, labels)
         if ARAUCANA in explainers:
             cfgs = [_row_config(cfg, i) for i in range(a, a + len(X))]
-            expls = explain_neighborhoods(nbhs, X, oracle, cfgs, schema)
+            expls = explain_neighborhoods(nbhs, X, oracle, cfgs)
         if LINEAR in explainers:
-            linear = fit_linear_explainer(nbhs, X, schema, oracle.task)
+            linear = fit_linear_explainer(nbhs, X, schema)
         for j, nbh in enumerate(nbhs):
             i, oracle_label = a + j, nbh.query_label
             for name in explainers:
@@ -139,7 +141,8 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
                 else:
                     pred = linear[j]
                     prediction = schema.decode_label(pred)
-                    agree = abs(pred - oracle_label) <= match_epsilon(oracle.task, oracle_label)
+                    agree = abs(pred - oracle_label) <= match_epsilon(schema.target.kind,
+                                                                      oracle_label)
                 per_instance.append(
                     {
                         "explainer": name,

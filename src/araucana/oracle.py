@@ -141,7 +141,7 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
     for t, s in enumerate(seeds[::2]):
         samples[t] = np.random.default_rng(int(s)).integers(0, n, size=n)
     draws = [(int(s), sub) if sub < p else None for s in seeds[1::2]]
-    nodes, roots, _ = cart.grow_trees(data.X, data.y, data.schema, data.task, samples, draws)
+    nodes, roots, _ = cart.grow_trees(data.X, data.y, data.schema, samples, draws)
     return ForestModel(nodes, roots)
 
 
@@ -456,7 +456,7 @@ def load_model(path):
         if schema.target is None or task != schema.target.kind:
             raise ValueError(f"task {task!r} does not match the schema's target")
         if kind == "forest":
-            return ForestModel(*_forest_table(doc, schema, task))
+            return ForestModel(*_forest_table(doc, schema))
         if kind == "knn":
             X = np.array([schema.encode_row(r) for r in doc["rows"]])
             y = np.array([schema.target.encode(v) for v in doc["labels"]])
@@ -476,9 +476,10 @@ def _column(doc, key, kinds="iu") -> np.ndarray:
     return col.astype(float if "f" in kinds else np.int64)
 
 
-def _forest_table(doc, schema: Schema, task: str):
+def _forest_table(doc, schema: Schema):
     """The node table and root ids of a forest file's columns, which are the
-    table's own columns (cart.NodeTable). Node i is a leaf when feature[i] is
+    table's own columns (cart.NodeTable), under a schema whose target states
+    the task and the K classes. Node i is a leaf when feature[i] is
     -1; otherwise it tests feature[i] against value[i], <= when the schema
     says the feature is numeric and == when it is categorical, and sends a row
     to i + 1 when the test holds, else to right[i]. Per leaf, in node order,
@@ -488,7 +489,7 @@ def _forest_table(doc, schema: Schema, task: str):
     category indices, every split's children lie after it in its tree, and
     every node but a root is the child of one split, so the nodes form trees
     and routing moves forward and stops."""
-    K = len(schema.target.classes) if task == CLASSIFICATION else 0
+    K = len(schema.target.classes) if schema.target.kind == CLASSIFICATION else 0
     roots, feat, right = _column(doc, "roots"), _column(doc, "feature"), _column(doc, "right")
     val, pred = _column(doc, "value", "iuf"), _column(doc, "prediction", "iu" if K else "iuf")
     counts = _column(doc, "counts" if K else "n")
@@ -517,4 +518,4 @@ def _forest_table(doc, schema: Schema, task: str):
     leaf = feat < 0
     preds, stats = np.zeros(N), np.zeros((N, K) if K else N, np.int64)
     preds[leaf], stats[leaf] = pred, counts.reshape(n_leaves, K) if K else counts
-    return cart.ExplainerTree(cart.NodeTable(feat, val, right, preds), stats, schema, task), roots
+    return cart.ExplainerTree(cart.NodeTable(feat, val, right, preds), stats, schema), roots

@@ -1,0 +1,104 @@
+"""Write the byte-stable artifact corpus into a directory and list its digests.
+
+    python tests/artifact_corpus.py OUT_DIR
+
+The corpus is 13 CLI runs on small synthetic data plus the four demos:
+2 `synth`, 2 `train` (a 20-tree forest and a k-NN model), 6 `explain
+--format json` and 3 `evaluate` (one on a regression target). Each run's
+byte-stable files (data.csv, schema.json, model.json, explanation.json,
+summary.csv, per_instance.csv) and each demo's stdout are hashed;
+manifest.json records a duration and is left out. One `sha256  name` line
+is printed per file, sorted by name, so two listings can be compared with
+diff: two runs of one checkout, or a checkout and its parent, where every
+change that keeps the artifacts' bytes must list the same digests.
+
+The digests depend on the numpy version, so none is committed. The program
+and the demos are run from the checkout this file sits in, with its src/
+first on PYTHONPATH. Pytest does not collect this file.
+"""
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (run name, CLI arguments, the files it writes that are hashed); {data} and
+# {xor} are the two synth runs' --data and --schema flags, {forest} and {knn}
+# the two train runs' model files
+CSV, MODEL, EXPLANATION = ["data.csv", "schema.json"], ["model.json"], ["explanation.json"]
+REPORTS = ["summary.csv", "per_instance.csv"]
+RUNS = [
+    ("synth-imbalanced", "synth --gen imbalanced_mixed --rows 300 --seed 1", CSV),
+    ("synth-xor", "synth --gen xor_mixed --rows 300 --seed 2", CSV),
+    ("train-forest", "train {data} --trees 20 --seed 2", MODEL),
+    ("train-knn", "train {data} --model knn --k 5 --seed 2", MODEL),
+    ("explain-forest", "explain {data} --oracle file:{forest} --index 5 --seed 3 --format json",
+     EXPLANATION),
+    ("explain-forest-smote-off", "explain {data} --oracle file:{forest} --index 17 --seed 4 "
+     "--smote-policy off --format json", EXPLANATION),
+    ("explain-knn-fixed", "explain {data} --oracle file:{knn} --index 9 --seed 3 "
+     "--smote-policy fixed:60 --n-neighbors 40 --format json", EXPLANATION),
+    ("explain-xor-instance", "explain {xor} --oracle builtin:forest --trees 20 --seed 5 "
+     "--instance '{{\"num0\": 0.3, \"num1\": 0.8, \"cat0\": \"a\", \"cat1\": \"b\"}}' "
+     "--format json", EXPLANATION),
+    ("explain-xor-euclidean", "explain {xor} --oracle builtin:knn --index 11 --seed 6 "
+     "--distance euclidean --format json", EXPLANATION),
+    ("explain-regression", "explain --data {data_csv} --target num0 --oracle builtin:knn "
+     "--index 7 --seed 3 --format json", EXPLANATION),
+    ("evaluate-forest", "evaluate {data} --oracle file:{forest} --test-frac 0.1 "
+     "--explainers araucana,linear --seed 3", REPORTS),
+    ("evaluate-xor", "evaluate {xor} --oracle builtin:forest --trees 20 --test-frac 0.1 "
+     "--explainers araucana,linear --seed 4", REPORTS),
+    ("evaluate-regression", "evaluate --data {data_csv} --target num0 --oracle builtin:knn "
+     "--test-frac 0.1 --explainers araucana,linear --seed 3", REPORTS),
+]
+
+
+def _run(argv, env) -> bytes:
+    """The stdout of argv; a failed run exits with its stderr."""
+    done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
+    if done.returncode != 0:
+        sys.exit(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr.decode()}")
+    return done.stdout
+
+
+def write_corpus(out: Path) -> dict[str, str]:
+    """Write every run's files and every demo's stdout under out; return
+    each hashed file's sha256 by its name relative to out."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    data, xor = out / "synth-imbalanced", out / "synth-xor"
+    names = {  # paths hold no spaces or quotes: shlex splits the arguments
+        "data": f"--data {data / 'data.csv'} --schema {data / 'schema.json'}",
+        "xor": f"--data {xor / 'data.csv'} --schema {xor / 'schema.json'}",
+        "data_csv": str(data / "data.csv"),
+        "forest": str(out / "train-forest" / "model.json"),
+        "knn": str(out / "train-knn" / "model.json"),
+    }
+    files = []
+    for name, args, written in RUNS:
+        argv = [sys.executable, "-m", "araucana"] + shlex.split(args.format(**names))
+        _run(argv + ["--out", str(out / name)], env)
+        files += [f"{name}/{f}" for f in written]
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        (out / f"demo-{demo.stem}.out").write_bytes(_run([sys.executable, str(demo)], env))
+        files.append(f"demo-{demo.stem}.out")
+    return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in sorted(files)}
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        sys.exit(f"usage: python {Path(__file__).name} OUT_DIR")
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    for name, digest in write_corpus(out).items():
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -125,6 +125,12 @@ def recursion_limit(n):
         sys.setrecursionlimit(old)
 
 
+def grow_tree(X, y, schema):
+    """One explainer tree grown on every row of X by cart.grow_trees, under
+    the task and classes of the schema's target."""
+    return cart.grow_trees(X, y, schema, [np.arange(len(y))], [None])[0]
+
+
 def tree_leaves(tree, rows):
     """The leaf each row reaches from the root of a one-tree table."""
     return cart.route(cart.route_plan(tree), [0], np.atleast_2d(rows))[0]

@@ -18,7 +18,7 @@ from array import array
 import numpy as np
 
 from araucana.cart import CATEGORY_EQ, NUMERIC_LE, ExplainerTree, NodeTable
-from araucana.tabular import CLASSIFICATION, REGRESSION, Schema
+from araucana.tabular import CLASSIFICATION, Schema
 
 
 class _Preorder:
@@ -27,15 +27,12 @@ class _Preorder:
     its class counts, or (row count,) for regression. It counts, as nodes are
     added, the deepest node's depth and the leaves."""
 
-    def __init__(self, schema: Schema, task: str, n_classes: int | None = None):
-        self.schema, self.task = schema, task
-        if n_classes is None:  # the schema's class count
-            has_classes = task == CLASSIFICATION and schema.target is not None
-            n_classes = len(schema.target.classes) if has_classes else 0
-        self.n_classes = n_classes
+    def __init__(self, schema: Schema):
+        self.schema, self.task = schema, schema.target.kind
+        self.n_classes = len(schema.target.classes) if self.task == CLASSIFICATION else 0
         self.feat, self.right, self.stats = array("q"), array("q"), array("q")
         self.val, self.pred = array("d"), array("d")
-        self.no_stats = [0] * n_classes if task == CLASSIFICATION else [0]
+        self.no_stats = [0] * self.n_classes if self.task == CLASSIFICATION else [0]
         self.depth = self.leaves = 0
 
     def add(self, depth: int, right_of: int, feature: int = -1, value: float = 0.0,
@@ -89,20 +86,20 @@ class _Preorder:
             stats = stats.reshape(len(self.feat), self.n_classes)
         table = NodeTable(np.frombuffer(self.feat, dtype=np.int64), np.frombuffer(self.val),
                           np.frombuffer(self.right, dtype=np.int64), np.frombuffer(self.pred))
-        return ExplainerTree(table, stats, self.schema, self.task)
+        return ExplainerTree(table, stats, self.schema)
 
 
-def tree_from_dict(d: dict, schema: Schema, task: str) -> ExplainerTree:
+def tree_from_dict(d: dict, schema: Schema) -> ExplainerTree:
     """One nested JSON tree (cart.tree_to_dict) as an ExplainerTree."""
-    nodes = _Preorder(schema, task)
+    nodes = _Preorder(schema)
     nodes.read(d)
     return nodes.tree()
 
 
-def forest_from_dicts(trees, schema: Schema, task: str) -> tuple[ExplainerTree, np.ndarray]:
+def forest_from_dicts(trees, schema: Schema) -> tuple[ExplainerTree, np.ndarray]:
     """The "trees" list of a format-1 model.json as one node table and its
     root ids, as the format-1 load_model read it."""
-    nodes = _Preorder(schema, task)
+    nodes = _Preorder(schema)
     roots = np.array([nodes.read(d) for d in trees])
     return nodes.tree(), roots
 
@@ -278,25 +275,19 @@ class _Grower:
         return leaves
 
 
-def reference_grow(X, y, schema, task, samples, draws):
+def reference_grow(X, y, schema, samples, draws):
     """Each (rows, draw) tree grown on its own by the per-node grower, one
-    after another into one table; returns (tree, root ids, the leaf id of
-    each entry of the concatenated samples)."""
-    nodes, roots, leaves = _grow_nodes(X, y, schema, task, samples, draws)
+    after another into one table, under the task and classes of the schema's
+    target; returns (tree, root ids, the leaf id of each entry of the
+    concatenated samples)."""
+    nodes, roots, leaves = _grow_nodes(X, y, schema, samples, draws)
     return nodes.tree(), roots, leaves
 
 
-def _grow_nodes(X, y, schema, task, samples, draws):
+def _grow_nodes(X, y, schema, samples, draws):
     X = np.asarray(X, dtype=float)
-    if task == CLASSIFICATION:
-        y = np.asarray(y).astype(np.int64)
-        if schema.target is not None and schema.target.classes is not None:
-            n_classes = len(schema.target.classes)
-        else:
-            n_classes = int(y.max(initial=-1)) + 1
-    else:
-        y, n_classes = np.asarray(y).astype(float), 0
-    nodes = _Preorder(schema, task, n_classes)
+    nodes = _Preorder(schema)
+    y = np.asarray(y).astype(np.int64 if nodes.task == CLASSIFICATION else float)
     roots, leaves = [], []
     for rows, draw in zip(samples, draws):
         roots.append(len(nodes.feat))
@@ -304,16 +295,14 @@ def _grow_nodes(X, y, schema, task, samples, draws):
     return nodes, np.array(roots), np.concatenate(leaves)
 
 
-def reference_fit_tree(rows, labels, schema, task=None, draw=None):
-    """cart.fit_tree on the per-node grower; draw as in cart.grow_trees."""
-    y = np.asarray(labels)
-    if task is None:
-        task = CLASSIFICATION if np.issubdtype(y.dtype, np.integer) else REGRESSION
-    return reference_grow(rows, y, schema, task, [np.arange(len(y))], [draw])[0]
+def reference_grow_tree(rows, labels, schema, draw=None):
+    """One tree on every row, grown by the per-node grower; draw as in
+    cart.grow_trees."""
+    return reference_grow(rows, labels, schema, [np.arange(len(labels))], [draw])[0]
 
 
-def reference_tree_stats(rows, labels, schema, task, draw=None) -> dict:
+def reference_tree_stats(rows, labels, schema, draw=None) -> dict:
     """cart.tree_stats of one tree as the per-node grower counts them while it
     grows: the depth of its deepest node, its leaves and all its nodes."""
-    nodes = _grow_nodes(rows, labels, schema, task, [np.arange(len(labels))], [draw])[0]
+    nodes = _grow_nodes(rows, labels, schema, [np.arange(len(labels))], [draw])[0]
     return {"depth": nodes.depth, "leaf_count": nodes.leaves, "node_count": len(nodes.feat)}

@@ -3,9 +3,8 @@ stacked stage solve replaced, kept as the reference that its tests compare
 against.
 
 Everything is computed for one neighborhood at a time: a per-feature
-encoding loop, the neighborhood's own class count when the schema has no
-target (one more than its largest relabel), one (d+1, d+1) Gram matrix and
-one solve, then the fitted scores at the one query.
+encoding loop, one (d+1, d+1) Gram matrix and one solve, then the fitted
+scores at the one query.
 """
 
 import numpy as np
@@ -34,20 +33,20 @@ def encode_per_feature(schema: Schema, X: np.ndarray) -> np.ndarray:
     return np.hstack(cols)
 
 
-def reference_linear_prediction(nbh: Neighborhood, x: np.ndarray, schema: Schema, task: str):
+def reference_linear_prediction(nbh: Neighborhood, x: np.ndarray, schema: Schema):
     """The baseline fitted to nbh alone and evaluated at x: ridge 1e-3 on
     every encoded column but an unpenalized intercept, proximity weights
     exp(-d^2 / w^2) with w = 0.75 sqrt(max(d, 1)), and one 0/1 score column
-    per class whose argmax (ties to the lowest class) is the prediction; the
-    one score for regression."""
+    per class of the schema's target whose argmax (ties to the lowest class)
+    is the prediction; the one score for a regression target."""
     A = encode_per_feature(schema, nbh.rows)
     dim = A.shape[1]
     kernel_width = 0.75 * np.sqrt(max(dim, 1))
     y = np.asarray(nbh.relabels)
     w = np.exp(-(np.asarray(nbh.distances) ** 2) / kernel_width**2)
+    task = schema.target.kind
     if task == CLASSIFICATION:
-        n_classes = int(y.max()) + 1 if schema.target is None else len(schema.target.classes)
-        targets = np.zeros((len(y), n_classes))
+        targets = np.zeros((len(y), len(schema.target.classes)))
         targets[np.arange(len(y)), y.astype(int)] = 1.0
     else:
         targets = np.asarray(y, dtype=float)[:, None]

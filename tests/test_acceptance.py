@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from araucana import cart
 from araucana.cli import main
 from araucana.explain import ExplainConfig, explain_instance
 from araucana.gower import DistanceMetric, distance
@@ -28,7 +27,7 @@ from araucana.tabular import (
     synth_dataset,
 )
 
-from conftest import random_mixed_schema, random_rows, tree_predictions
+from conftest import grow_tree, random_mixed_schema, random_rows, tree_predictions
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
 
@@ -149,7 +148,7 @@ def test_criterion_4_cart_oracle_equivalence_exhaustive():
             for labeling in itertools.product((0, 1), repeat=len(members)):
                 y = np.array(labeling)
                 best = (tables[:, members] != y).sum(axis=1).min()
-                tree = cart.fit_tree(X, y, schema)
+                tree = grow_tree(X, y, schema)
                 err = int((tree_predictions(tree, X) != y).sum())
                 assert best == 0  # consistent labels are always realizable
                 assert err == best, f"p={p} subset={subset_bits} labels={labeling}"

@@ -9,7 +9,6 @@ import pytest
 from araucana import cart, tabular
 from araucana.cart import (
     decision_path,
-    fit_tree,
     tree_stats,
     tree_to_dict,
 )
@@ -17,6 +16,7 @@ from araucana.tabular import REGRESSION, FeatureSpec, Schema, SchemaError, Targe
 
 from conftest import (
     chain_dataset,
+    grow_tree,
     random_mixed_schema,
     random_rows,
     recursion_limit,
@@ -25,7 +25,7 @@ from conftest import (
 )
 from reference_cart import (
     _gini as reference_gini,
-    reference_fit_tree,
+    reference_grow_tree,
     reference_grow,
     reference_route,
     reference_tree_stats,
@@ -83,7 +83,7 @@ def test_class_major_gini_equals_the_row_sums_bit_for_bit(n_classes):
 
 def test_and_dataset_zero_error_small_tree(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
-    tree = fit_tree(X, y, two_cat_schema)
+    tree = grow_tree(X, y, two_cat_schema)
     np.testing.assert_array_equal(tree_predictions(tree, X), y)
     assert tree_stats(tree)["leaf_count"] <= 3
     assert tree_predictions(tree, np.array([1.0, 1.0]))[0] == 1
@@ -91,7 +91,7 @@ def test_and_dataset_zero_error_small_tree(two_cat_schema):
 
 def test_pure_labels_single_leaf(two_cat_schema):
     X, _ = and_dataset(two_cat_schema)
-    tree = fit_tree(X, np.array([1, 1, 1, 1]), two_cat_schema)
+    tree = grow_tree(X, np.array([1, 1, 1, 1]), two_cat_schema)
     stats = tree_stats(tree)
     assert stats == {"depth": 0, "leaf_count": 1, "node_count": 1}
     assert tree_predictions(tree, np.array([0.0, 1.0]))[0] == 1
@@ -101,7 +101,7 @@ def test_pure_labels_single_leaf(two_cat_schema):
 def test_depth_one_tree_single_condition(two_cat_schema):
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])  # label = a
-    tree = fit_tree(X, y, two_cat_schema)
+    tree = grow_tree(X, y, two_cat_schema)
     assert tree_stats(tree) == {"depth": 1, "leaf_count": 2, "node_count": 3}
     path = decision_path(tree, X[3])
     assert len(path) == 1
@@ -112,7 +112,7 @@ def test_path_conditions_hold_in_branch_direction():
     schema = random_mixed_schema(rng, n_num=2, n_cat=2)
     X = random_rows(rng, schema, 60)
     y = rng.integers(0, 2, size=60)
-    tree = fit_tree(X, y, schema)
+    tree = grow_tree(X, y, schema)
     for row in X[:20]:
         for feat, kind, value, taken in decision_path(tree, row):
             if kind == cart.NUMERIC_LE:
@@ -122,7 +122,7 @@ def test_path_conditions_hold_in_branch_direction():
 
 
 def test_decision_path_refuses_a_nonconforming_instance(age_sex_schema):
-    tree = fit_tree(np.array([[20.0, 0.0], [60.0, 1.0]]), np.array([0, 1]), age_sex_schema)
+    tree = grow_tree(np.array([[20.0, 0.0], [60.0, 1.0]]), np.array([0, 1]), age_sex_schema)
     with pytest.raises(SchemaError, match=r"^row 0, feature 'sex' \(index 1\): 2.0 is not a "
                                           r"valid category index \(0..1\)$"):
         decision_path(tree, np.array([30.0, 2.0]))
@@ -143,24 +143,25 @@ def test_zero_training_error_without_conflicts():
         _, keep = np.unique(X, axis=0, return_index=True)
         X = X[np.sort(keep)]
         y = rng.integers(0, 2, size=len(X))
-        tree = fit_tree(X, y, schema)
+        tree = grow_tree(X, y, schema)
         np.testing.assert_array_equal(tree_predictions(tree, X), y)
 
 
 def test_zero_training_error_regression():
     rng = np.random.default_rng(6)
     schema = random_mixed_schema(rng, n_num=2, n_cat=1)
+    schema = Schema(schema.features, TargetSpec("y", REGRESSION))
     X = random_rows(rng, schema, 40)
     y = rng.standard_normal(40)
-    tree = fit_tree(X, y, schema, task="regression")
+    tree = grow_tree(X, y, schema)
     np.testing.assert_allclose(tree_predictions(tree, X), y, rtol=0, atol=1e-12)
 
 
 def test_regression_leaf_mean_and_root_mse():
-    schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 1.0)),))
+    schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 1.0)),), TargetSpec("y", REGRESSION))
     X = np.array([[0.3]] * 4)  # identical rows: no two-sided split
     y = np.array([1.0, 2.0, 3.0, 6.0])
-    leaf = fit_tree(X, y, schema, task="regression")
+    leaf = grow_tree(X, y, schema)
     assert tree_predictions(leaf, np.array([0.5]))[0] == pytest.approx(y.mean())
     assert leaf.leaf_stats[0] == 4 and leaf.table.pred[0] == 3.0  # n and mean
 
@@ -168,7 +169,7 @@ def test_regression_leaf_mean_and_root_mse():
 def test_conflicting_duplicates_majority_leaf(two_cat_schema):
     X = np.array([[1.0, 1.0]] * 5)
     y = np.array([0, 1, 1, 0, 0])
-    tree = fit_tree(X, y, two_cat_schema)
+    tree = grow_tree(X, y, two_cat_schema)
     assert tree_stats(tree)["leaf_count"] == 1
     assert tree_predictions(tree, X[0])[0] == 0  # majority
 
@@ -180,7 +181,7 @@ def test_majority_tie_goes_to_lowest_class(two_cat_schema):
         two_cat_schema.features,
         TargetSpec("label", "classification", classes=("a", "b", "c")),
     )
-    tree = fit_tree(X, y, schema)
+    tree = grow_tree(X, y, schema)
     assert tree_predictions(tree, X[0])[0] == 1
 
 
@@ -191,8 +192,8 @@ def test_split_admissibility_and_determinism():
     y = rng.integers(0, 3, size=80)
     sch = Schema(schema.features, TargetSpec("label", "classification",
                                              classes=("0", "1", "2")))
-    t1 = fit_tree(X, y, sch)
-    t2 = fit_tree(X, y, sch)
+    t1 = grow_tree(X, y, sch)
+    t2 = grow_tree(X, y, sch)
     assert tree_to_dict(t1) == tree_to_dict(t2)
 
     # chosen splits never increase weighted impurity and never strand a side
@@ -215,7 +216,7 @@ def test_categorical_xor_reaches_purity(two_cat_schema):
     # every one-vs-rest split has zero gain here, yet the tree must grow through
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 1, 0])
-    tree = fit_tree(X, y, two_cat_schema)
+    tree = grow_tree(X, y, two_cat_schema)
     np.testing.assert_array_equal(tree_predictions(tree, X), y)
 
 
@@ -223,7 +224,7 @@ def test_tie_break_prefers_first_feature(two_cat_schema):
     # both features separate the labels equally well
     X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, two_cat_schema)
+    tree = grow_tree(X, y, two_cat_schema)
     assert tree.table.feat[0] == 0
     # and the lowest category index for equal-gain categories on one feature
     schema = Schema(
@@ -231,7 +232,7 @@ def test_tie_break_prefers_first_feature(two_cat_schema):
         TargetSpec("label", "classification", classes=("0", "1")),
     )
     X2 = np.array([[0.0], [1.0]])
-    tree2 = fit_tree(X2, np.array([0, 1]), schema)
+    tree2 = grow_tree(X2, np.array([0, 1]), schema)
     assert tree2.table.val[0] == 0.0
 
 
@@ -242,7 +243,7 @@ def test_numeric_threshold_is_midpoint():
     )
     X = np.array([[1.0], [3.0], [7.0], [9.0]])
     y = np.array([0, 0, 1, 1])
-    tree = fit_tree(X, y, schema)
+    tree = grow_tree(X, y, schema)
     assert tree.table.val[0] == 5.0
 
 
@@ -279,17 +280,18 @@ def test_json_roundtrip_classification_and_regression():
     schema = random_mixed_schema(rng, n_num=2, n_cat=2)
     X = random_rows(rng, schema, 50)
     y = rng.integers(0, 2, size=50)
-    tree = fit_tree(X, y, schema)
+    tree = grow_tree(X, y, schema)
     doc = tree_to_dict(tree)
-    back = tree_from_dict(doc, schema, "classification")
+    back = tree_from_dict(doc, schema)
     probe = random_rows(rng, schema, 100)
     np.testing.assert_array_equal(tree_predictions(back, probe), tree_predictions(tree, probe))
     assert tree_stats(back) == tree_stats(tree)
 
     yr = rng.standard_normal(50)
-    rtree = fit_tree(X, yr, schema, task="regression")
+    rschema = Schema(schema.features, TargetSpec("y", REGRESSION))
+    rtree = grow_tree(X, yr, rschema)
     rdoc = tree_to_dict(rtree)
-    rback = tree_from_dict(rdoc, schema, "regression")
+    rback = tree_from_dict(rdoc, rschema)
     np.testing.assert_allclose(tree_predictions(rback, probe), tree_predictions(rtree, probe))
 
     # a loaded tree writes back the same bytes and holds the same arrays
@@ -304,18 +306,18 @@ def test_json_roundtrip_classification_and_regression():
     doc["test"] = ({"kind": cart.CATEGORY_EQ, "category": 0} if numeric
                    else {"kind": cart.NUMERIC_LE, "threshold": 0.5})
     with pytest.raises(ValueError, match="disagrees with the schema"):
-        tree_from_dict(doc, schema, "classification")
+        tree_from_dict(doc, schema)
 
 
 def test_deep_tree_walks_without_recursion():
     ds = chain_dataset(1200)
-    tree = fit_tree(ds.X, ds.y, ds.schema)
-    assert tree_stats(tree) == reference_tree_stats(ds.X, ds.y, ds.schema, "classification")
+    tree = grow_tree(ds.X, ds.y, ds.schema)
+    assert tree_stats(tree) == reference_tree_stats(ds.X, ds.y, ds.schema)
     assert tree_stats(tree)["depth"] == 1199
     np.testing.assert_array_equal(tree_predictions(tree, ds.X), ds.y)
     assert len(decision_path(tree, ds.X[-1])) == 1199
     doc = tree_to_dict(tree)
-    back = tree_from_dict(doc, ds.schema, "classification")
+    back = tree_from_dict(doc, ds.schema)
     assert tree_stats(back) == tree_stats(tree)
     for a, b in zip(back.table, tree.table):
         np.testing.assert_array_equal(a, b)
@@ -356,9 +358,10 @@ def test_json_text_equals_indented_json_dumps():
         n = int(rng.integers(1, 40))
         X = random_rows(rng, schema, n)
         if trial % 2:
-            tree = fit_tree(X, rng.standard_normal(n), schema, task="regression")
+            tree = grow_tree(X, rng.standard_normal(n),
+                             Schema(schema.features, TargetSpec("y", REGRESSION)))
         else:
-            tree = fit_tree(X, rng.integers(0, len(schema.target.classes), size=n), schema)
+            tree = grow_tree(X, rng.integers(0, len(schema.target.classes), size=n), schema)
         doc = {"query": [1.0, "c"], "tree": tree_to_dict(tree), "tree_stats": tree_stats(tree),
                "faithful": True, "config": {"k": 3, "none": None}, "seed": trial}
         assert cart.json_text(doc) == json.dumps(doc, indent=2)
@@ -366,17 +369,17 @@ def test_json_text_equals_indented_json_dumps():
 
 def test_json_field_names(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
-    doc = tree_to_dict(fit_tree(X, y, two_cat_schema))
+    doc = tree_to_dict(grow_tree(X, y, two_cat_schema))
     assert set(doc) == {"feature", "test", "left", "right"}
     assert doc["test"]["kind"] in ("numeric_le", "category_eq")
-    leafy = tree_to_dict(fit_tree(X, np.array([0, 0, 0, 0]), two_cat_schema))
+    leafy = tree_to_dict(grow_tree(X, np.array([0, 0, 0, 0]), two_cat_schema))
     assert set(leafy) == {"leaf"}
     assert set(leafy["leaf"]) == {"prediction", "counts"}
 
 
 def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
     X, y = and_dataset(two_cat_schema)
-    tree = fit_tree(X, y, two_cat_schema)
+    tree = grow_tree(X, y, two_cat_schema)
     sizes = _leaf_sizes(tree, X)
 
     leaf_totals = [int(tree.leaf_stats[node].sum()) for node in np.flatnonzero(tree.table.feat < 0)]
@@ -385,17 +388,21 @@ def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
 
 def test_no_features_grows_one_leaf():
     schema = Schema((), TargetSpec("label", "classification", classes=("0", "1")))
-    tree = fit_tree(np.empty((5, 0)), np.array([0, 1, 1, 0, 1]), schema)
+    tree = grow_tree(np.empty((5, 0)), np.array([0, 1, 1, 0, 1]), schema)
     assert tree_stats(tree)["leaf_count"] == 1
     assert tree.leaf_stats.tolist() == [[2, 3]]
 
 
 def test_errors():
-    schema = Schema((FeatureSpec("v", "numeric", range=(0.0, 1.0)),))
+    features = (FeatureSpec("v", "numeric", range=(0.0, 1.0)),)
+    schema = Schema(features, TargetSpec("label", "classification", classes=("0", "1", "2")))
     with pytest.raises(ValueError, match="zero rows"):
-        fit_tree(np.empty((0, 1)), np.empty(0, dtype=int), schema)
-    with pytest.raises(ValueError, match="labels"):
-        fit_tree(np.array([[0.1]]), np.array([1, 2]), schema)
+        grow_tree(np.empty((0, 1)), np.empty(0, dtype=int), schema)
+    with pytest.raises(ValueError, match="^1 rows but 2 labels$"):
+        grow_tree(np.array([[0.1]]), np.array([1, 2]), schema)
+    # the schema's target states the task: a schema without one grows nothing
+    with pytest.raises(SchemaError, match="^growing a tree needs a schema whose target"):
+        grow_tree(np.array([[0.1], [0.2]]), np.array([0, 1]), Schema(features))
 
 
 @pytest.mark.parametrize("label", [2, -1])
@@ -403,9 +410,9 @@ def test_class_label_outside_the_classes_is_refused(two_cat_schema, label):
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
     y = np.array([0, 1, 0, label, 1, 0])
     with pytest.raises(ValueError, match=rf"^class label {label} is outside 0\.\.1 for 2 classes$"):
-        fit_tree(X, y, two_cat_schema)
+        grow_tree(X, y, two_cat_schema)
     with pytest.raises(ValueError, match=rf"^class label {label} is outside"):
-        cart.grow_trees(X, y, two_cat_schema, "classification", [np.arange(3)], [None])
+        cart.grow_trees(X, y, two_cat_schema, [np.arange(3)], [None])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -418,10 +425,10 @@ def test_regression_labels_whose_square_sums_overflow_are_refused():
     y = np.where(np.arange(20) % 2, 1e200, -3e200)
     with pytest.raises(ValueError, match=r"^regression label -3e\+200 is too large: its square "
                                          r"sums over 20 rows overflow$"):
-        fit_tree(X, y, schema)
+        grow_tree(X, y, schema)
     # labels up to sqrt(max / rows) grow without a warning
     y = y / 3e200 * np.sqrt(np.finfo(float).max / 20)
-    np.testing.assert_array_equal(tree_predictions(fit_tree(X, y, schema), X), y)
+    np.testing.assert_array_equal(tree_predictions(grow_tree(X, y, schema), X), y)
 
 
 def _tied_data(rng, target, n=70):
@@ -444,8 +451,7 @@ def _tied_data(rng, target, n=70):
         y[: n // 5] = 0.1
     else:
         y = rng.integers(0, len(schema.target.classes), size=n)
-    task = "regression" if target == "regression" else "classification"
-    return schema, X, y, task
+    return schema, X, y
 
 
 def _same_trees(a, b):
@@ -462,17 +468,17 @@ def _same_trees(a, b):
                                     "regression"])
 def test_frontier_grower_equals_per_node_reference(target, seed):
     rng = np.random.default_rng(70 + seed)
-    schema, X, y, task = _tied_data(rng, target)
+    schema, X, y = _tied_data(rng, target)
     p = schema.n_features
-    _same_trees(fit_tree(X, y, schema, task=task), reference_fit_tree(X, y, schema, task=task))
+    _same_trees(grow_tree(X, y, schema), reference_grow_tree(X, y, schema))
     # an explainer tree, then a forest tree's feature draws
     for draw in [None] + [(seed, width) for width in sorted({1, p - 1})]:
-        args = X, y, schema, task, [np.arange(len(X))], [draw]
+        args = X, y, schema, [np.arange(len(X))], [draw]
         tree, _, leaves = cart.grow_trees(*args)
         reference, _, ref_leaves = reference_grow(*args)
         _same_trees(tree, reference)
         # the depth and leaf count read off the table are the ones the per-node grower counts
-        assert tree_stats(tree) == reference_tree_stats(X, y, schema, task, draw)
+        assert tree_stats(tree) == reference_tree_stats(X, y, schema, draw)
         np.testing.assert_array_equal(leaves, ref_leaves)
         np.testing.assert_array_equal(leaves, tree_leaves(tree, X))  # the leaf routing reaches
 
@@ -491,7 +497,7 @@ def test_many_class_forest_equals_per_node_reference(n_classes, seed):
     # an explainer tree, then bootstrap samples with feature draws
     samples = [np.arange(n)] + [rng.integers(0, n, size=n) for _ in range(12)]
     draws = [None] + [(t, 1 + t % p) for t in range(12)]
-    args = X, y, schema, "classification", samples, draws
+    args = X, y, schema, samples, draws
     tree, roots, leaves = cart.grow_trees(*args)
     reference, ref_roots, ref_leaves = reference_grow(*args)
     _same_trees(tree, reference)
@@ -506,15 +512,15 @@ def test_regression_runs_of_equal_size_nodes_equal_per_node_reference(monkeypatc
     # many nodes of one size; half the labels are negative, so some internal
     # node's mean is, and some are -0.0, whose leaf mean numpy's sum makes +0.0
     rng = np.random.default_rng(150 + seed)
-    schema, X, y, task = _tied_data(rng, "regression", n=320)
+    schema, X, y = _tied_data(rng, "regression", n=320)
     y[rng.random(len(y)) < 0.5] *= -1.0
     y[rng.random(len(y)) < 0.05] = -0.0
     samples = [np.arange(len(X))] + [rng.integers(0, len(X), size=len(X)) for _ in range(3)]
     draws = [None, None, (seed, 1), (seed + 1, schema.n_features)]
-    reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
+    reference, ref_roots, ref_leaves = reference_grow(X, y, schema, samples, draws)
     for budget in (1, 1 << 50):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(tabular, "WORK_BYTES", budget)
-        tree, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
+        tree, roots, leaves = cart.grow_trees(X, y, schema, samples, draws)
         _same_trees(tree, reference)
         np.testing.assert_array_equal(roots, ref_roots)
         np.testing.assert_array_equal(leaves, ref_leaves)
@@ -530,15 +536,15 @@ def test_regression_split_never_has_equal_labels(seed):
     # few distinct labels, 0.1 and 0.3 among them: equal floats whose variance
     # is not 0 made such a node split on down to single rows
     rng = np.random.default_rng(110 + seed)
-    schema, X, y, task = _tied_data(rng, "regression")
+    schema, X, y = _tied_data(rng, "regression")
     few = rng.choice([0.1, 0.3, 1 / 3, 7e-3], size=len(X))
     for labels in (y, few, np.full(len(X), few[0])):
-        args = X, labels, schema, task
-        for tree in (fit_tree(*args), reference_fit_tree(*args)):
+        args = X, labels, schema
+        for tree in (grow_tree(*args), reference_grow_tree(*args)):
             for node, idx in _walk_sizes(tree, X):
                 if not _is_leaf(tree, node):
                     assert labels[idx].min() < labels[idx].max()
-    assert tree_stats(fit_tree(X, np.full(len(X), few[0]), schema, task))["leaf_count"] == 1
+    assert tree_stats(grow_tree(X, np.full(len(X), few[0]), schema))["leaf_count"] == 1
 
 
 @pytest.mark.parametrize("target", ["2 classes", "regression"])
@@ -547,7 +553,7 @@ def test_large_finite_values_grow_the_reference_trees_without_warnings(target):
     # midpoint of two values past half the float maximum overflows and falls
     # back to the left value; either would warn under -W error::RuntimeWarning
     rng = np.random.default_rng(40)
-    schema, X, y, task = _tied_data(rng, target)
+    schema, X, y = _tied_data(rng, target)
     big = np.finfo(float).max
     ranges = [(-1e20, 1e20), (1.0e308, 1.6e308), (-1.6e308, -1.0e308), (-big / 2, big / 2)]
     feats = list(schema.features)
@@ -561,10 +567,10 @@ def test_large_finite_values_grow_the_reference_trees_without_warnings(target):
     samples = [np.arange(len(X)), rng.integers(0, len(X), size=len(X))]
     draws = [None, (1, schema.n_features)]
     with np.errstate(over="ignore"):  # the reference takes the same fallback
-        reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
+        reference, ref_roots, ref_leaves = reference_grow(X, y, schema, samples, draws)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tree, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
+        tree, roots, leaves = cart.grow_trees(X, y, schema, samples, draws)
     _same_trees(tree, reference)
     np.testing.assert_array_equal(roots, ref_roots)
     np.testing.assert_array_equal(leaves, ref_leaves)
@@ -575,40 +581,40 @@ def test_large_finite_values_grow_the_reference_trees_without_warnings(target):
                                     "regression"])
 def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     rng = np.random.default_rng(90)
-    schema, X, y, task = _tied_data(rng, target)
+    schema, X, y = _tied_data(rng, target)
     p = schema.n_features
     samples = [rng.integers(0, len(X), size=int(rng.integers(1, len(X)))) for _ in range(6)]
     # lockstep trees (drawing features) and level-by-level trees in one call
     draws = [(t, 1 + t % p) if t % 2 else None for t in range(len(samples))]
-    together, roots, leaves = cart.grow_trees(X, y, schema, task, samples, draws)
-    reference, ref_roots, ref_leaves = reference_grow(X, y, schema, task, samples, draws)
+    together, roots, leaves = cart.grow_trees(X, y, schema, samples, draws)
+    reference, ref_roots, ref_leaves = reference_grow(X, y, schema, samples, draws)
     _same_trees(together, reference)
     np.testing.assert_array_equal(roots, ref_roots)
     np.testing.assert_array_equal(leaves, ref_leaves)
     starts = np.cumsum([0] + [len(rows) for rows in samples])
     plan = cart.route_plan(together)
     for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
-        alone, _, alone_leaves = cart.grow_trees(X, y, schema, task, [rows], [draw])
+        alone, _, alone_leaves = cart.grow_trees(X, y, schema, [rows], [draw])
         assert tree_to_dict(cut) == tree_to_dict(alone)
         _same_trees(cut, alone)  # its own ids
-        assert tree_stats(cut) == reference_tree_stats(X[rows], y[rows], schema, task, draw)
+        assert tree_stats(cut) == reference_tree_stats(X[rows], y[rows], schema, draw)
         part = leaves[starts[t]:starts[t + 1]]
         np.testing.assert_array_equal(part, cart.route(plan, roots[t:t + 1], X[rows])[0])
         np.testing.assert_array_equal(part - roots[t], alone_leaves)
     for budget in (1, 1 << 50):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(tabular, "WORK_BYTES", budget)
-        _same_trees(cart.grow_trees(X, y, schema, task, samples, draws)[0], together)
+        _same_trees(cart.grow_trees(X, y, schema, samples, draws)[0], together)
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
 def test_route_equals_reference_walk(monkeypatch, target):
     rng = np.random.default_rng(130)
-    schema, X, y, task = _tied_data(rng, target)
+    schema, X, y = _tied_data(rng, target)
     p, num = schema.n_features, schema.numeric_mask()
     samples = [rng.integers(0, len(X), size=len(X)) for _ in range(5)]
     draws = [(t, 1 + t % p) if t % 2 else None for t in range(len(samples))]
-    forest, roots, _ = cart.grow_trees(X, y, schema, task, samples, draws)
-    constant, constant_roots, _ = cart.grow_trees(X, np.zeros_like(y), schema, task, samples, draws)
+    forest, roots, _ = cart.grow_trees(X, y, schema, samples, draws)
+    constant, constant_roots, _ = cart.grow_trees(X, np.zeros_like(y), schema, samples, draws)
     assert (constant.table.feat < 0).all()
     # NaN numerics, and category codes outside the schema, which no split tests
     rows = np.vstack([X, random_rows(rng, schema, 30)])
@@ -616,7 +622,7 @@ def test_route_equals_reference_walk(monkeypatch, target):
     odd = (rng.random(rows.shape) < 0.2) & ~num
     rows[odd] = rng.choice([-1.0, 7.0], size=odd.sum())
     chain = chain_dataset(1200)  # 1,199 levels: many times ROUTE_STEPS
-    deep = fit_tree(chain.X, chain.y, chain.schema)
+    deep = grow_tree(chain.X, chain.y, chain.schema)
     deep_rows = np.vstack([chain.X, [[-3.0], [599.5], [np.nan], [1e9]]])
     cases = [(forest, roots, rows), (constant, constant_roots, rows),
              (deep, np.zeros(1, dtype=np.int64), deep_rows)]

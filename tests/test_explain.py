@@ -11,15 +11,22 @@ from araucana.explain import (
     explain_instance,
     explain_neighborhoods,
     render_explanation,
-    select_neighborhood,
     select_neighborhoods,
 )
-from araucana.oracle import BuiltinOracle, ForestConfig, PredictionOracle, train_forest
+from araucana.fidelity import evaluate_fidelity
+from araucana.oracle import (
+    BuiltinOracle,
+    ForestConfig,
+    PredictionOracle,
+    train_forest,
+    train_knn,
+)
 from araucana.smote import SmoteConfig
 from araucana.tabular import (
     Dataset,
     FeatureSpec,
     Schema,
+    SchemaError,
     SynthSpec,
     TargetSpec,
     synth_dataset,
@@ -28,6 +35,7 @@ from araucana import cart
 from araucana.gower import DistanceMetric, distances_many
 
 from conftest import (
+    grow_tree,
     make_dataset,
     random_mixed_schema,
     random_rows,
@@ -51,6 +59,19 @@ class FixedOracle(PredictionOracle):
         return np.asarray(out, dtype=np.int64 if self.task == "classification" else float)
 
 
+class CountingOracle(PredictionOracle):
+    """Forwards to another oracle and records the row count of every call."""
+
+    def __init__(self, inner):
+        super().__init__(inner.schema, inner.task)
+        self.inner = inner
+        self.calls = []
+
+    def predict_batch(self, rows):
+        self.calls.append(len(rows))
+        return self.inner.predict_batch(rows)
+
+
 def small_classification():
     ds = synth_dataset(SynthSpec("imbalanced_mixed", 120, minority_frac=0.3), seed=5)
     oracle = BuiltinOracle(train_forest(ds, ForestConfig(n_trees=10, seed=1)))
@@ -60,7 +81,7 @@ def small_classification():
 def test_neighborhood_of_training_row_contains_itself():
     ds, oracle = small_classification()
     cfg = ExplainConfig(n_neighbors=1, seed=0)
-    nbh = select_neighborhood(ds, ds.X[17], oracle, cfg)
+    nbh = select_neighborhoods(ds, ds.X[17:18], oracle, cfg)[0]
     assert nbh.indices[0] == 17
     assert nbh.distances[0] == 0.0
 
@@ -68,8 +89,8 @@ def test_neighborhood_of_training_row_contains_itself():
 def test_neighborhood_full_and_clamped():
     ds, oracle = small_classification()
     with pytest.warns(UserWarning, match="clamping"):
-        nbh = select_neighborhood(ds, ds.X[0], oracle,
-                                  ExplainConfig(n_neighbors=10_000, seed=0))
+        nbh = select_neighborhoods(ds, ds.X[:1], oracle,
+                                   ExplainConfig(n_neighbors=10_000, seed=0))[0]
     assert len(nbh.indices) == len(ds)
     assert (np.diff(nbh.distances) >= 0).all()
     # relabels are element-wise oracle predictions
@@ -86,8 +107,8 @@ def test_empty_training_set_has_no_neighborhood():
 def test_explainer_set_smote_off():
     ds, oracle = small_classification()
     cfg = ExplainConfig(n_neighbors=30, smote=None, seed=0)
-    nbh = select_neighborhood(ds, ds.X[3], oracle, cfg)
-    eset = explain_neighborhoods([nbh], ds.X[3:4], oracle, [cfg], ds.schema)[0].explainer_set
+    nbh = select_neighborhoods(ds, ds.X[3:4], oracle, cfg)[0]
+    eset = explain_neighborhoods([nbh], ds.X[3:4], oracle, [cfg])[0].explainer_set
     assert len(eset) == 31
     assert eset.provenance.count("original") == 30
     assert eset.provenance.count("query") == 1
@@ -98,8 +119,8 @@ def test_explainer_set_balanced_relabels_add_nothing(two_cat_schema):
     ds = Dataset(two_cat_schema, X, np.zeros(12, dtype=int))
     oracle = FixedOracle(two_cat_schema, lambda r: int(r[0]))  # perfectly balanced
     cfg = ExplainConfig(n_neighbors=12, smote=SmoteConfig(seed=1), seed=1)
-    nbh = select_neighborhood(ds, X[0], oracle, cfg)
-    eset = explain_neighborhoods([nbh], X[:1], oracle, [cfg], two_cat_schema)[0].explainer_set
+    nbh = select_neighborhoods(ds, X[:1], oracle, cfg)[0]
+    eset = explain_neighborhoods([nbh], X[:1], oracle, [cfg])[0].explainer_set
     assert eset.provenance.count("synthetic") == 0
 
 
@@ -107,8 +128,8 @@ def test_synthetic_rows_relabeled_by_oracle():
     ds, oracle = small_classification()
     cfg = ExplainConfig(n_neighbors=40, smote=SmoteConfig(seed=7), seed=7)
     x = ds.X[11]
-    nbh = select_neighborhood(ds, x, oracle, cfg)
-    eset = explain_neighborhoods([nbh], x[None], oracle, [cfg], ds.schema)[0].explainer_set
+    nbh = select_neighborhoods(ds, x[None], oracle, cfg)[0]
+    eset = explain_neighborhoods([nbh], x[None], oracle, [cfg])[0].explainer_set
     syn = [i for i, p in enumerate(eset.provenance) if p == "synthetic"]
     if syn:  # relabels must match a fresh oracle query
         np.testing.assert_array_equal(
@@ -227,7 +248,7 @@ def test_conflicting_duplicates_of_the_query_share_an_impure_leaf(task):
         query_label, prediction, purity, faithful = 2.0, 15.0 / 7, 0.0, False
     nbh = Neighborhood(np.arange(30), np.zeros(30), rows, relabels, query_label)
     oracle = FixedOracle(schema, lambda r: query_label, task)
-    expl = explain_neighborhoods([nbh], x[None], oracle, [ExplainConfig(smote=None)], schema)[0]
+    expl = explain_neighborhoods([nbh], x[None], oracle, [ExplainConfig(smote=None)])[0]
     assert expl.rule.support == 7  # five duplicates, row 0 and the query
     assert expl.rule.prediction == prediction  # 15 / 7: the leaf mean, summed exactly
     assert expl.rule.purity == purity
@@ -246,7 +267,7 @@ def test_neighborhood_boundary_monotonicity():
     ds, oracle = small_classification()
     cfg = ExplainConfig(n_neighbors=20, seed=0)
     x = ds.X[5]
-    nbh = select_neighborhood(ds, x, oracle, cfg)
+    nbh = select_neighborhoods(ds, x[None], oracle, cfg)[0]
     metric = DistanceMetric(ds.schema)
     all_d = distances_many(metric, x[None], ds.X)[0]
     outside = np.setdiff1d(np.arange(len(ds)), nbh.indices)
@@ -265,7 +286,8 @@ def test_neighborhood_is_stable_argsort_prefix():
         for x in ds.X[rng.integers(0, 60, 3)]:
             d = distances_many(metric, x[None], ds.X)[0]
             for n in (1, 7, 30, 60):
-                nbh = select_neighborhood(ds, x, oracle, ExplainConfig(n_neighbors=n, seed=0))
+                nbh = select_neighborhoods(ds, x[None], oracle,
+                                           ExplainConfig(n_neighbors=n, seed=0))[0]
                 order = np.argsort(d, kind="stable")[:n]
                 np.testing.assert_array_equal(nbh.indices, order)
                 np.testing.assert_array_equal(nbh.distances, d[order])
@@ -347,11 +369,70 @@ def test_smote_off_reduction_is_plain_neighborhood_tree():
     x = ds.X[8]
     cfg = ExplainConfig(n_neighbors=25, smote=None, seed=6)
     expl = explain_instance(ds, x, oracle, cfg)
-    nbh = select_neighborhood(ds, x, oracle, cfg)
+    nbh = select_neighborhoods(ds, x[None], oracle, cfg)[0]
     X = np.vstack([nbh.rows, x.reshape(1, -1)])
     y = np.concatenate([nbh.relabels, oracle.predict_batch(x.reshape(1, -1))])
-    direct = cart.fit_tree(X, y, ds.schema)
+    direct = grow_tree(X, y, ds.schema)
     probe = synth_dataset(SynthSpec("imbalanced_mixed", 50, minority_frac=0.3), seed=123).X
     np.testing.assert_array_equal(
         tree_predictions(expl.tree, probe), tree_predictions(direct, probe)
     )
+
+
+def _regression_knn():
+    base = synth_dataset(SynthSpec("imbalanced_mixed", 150), seed=21)
+    schema = Schema(base.schema.features, TargetSpec("target", "regression"))
+    ds = Dataset(schema, base.X, base.X[:, 0] * np.sin(base.X[:, 1]) + base.X[:, 2])
+    return ds, BuiltinOracle(train_knn(ds, k=5))
+
+
+def test_unlabelled_training_set_explains_as_the_labelled_one():
+    """The oracle's schema states the task and the classes, so a training set
+    without a target explains every query byte for byte as the labelled set
+    does: a forest's classes by name, not as the floats 1.0 and 0.0, and a
+    k-NN regression."""
+    for ds, oracle in (small_classification(), _regression_knn()):
+        bare = Dataset(Schema(ds.schema.features), ds.X)
+        for i in (3, 40, 77):
+            cfg = ExplainConfig(n_neighbors=30, seed=i)
+            labelled = explain_instance(ds, ds.X[i], oracle, cfg)
+            unlabelled = explain_instance(bare, ds.X[i], oracle, cfg)
+            for form in ("text", "json"):
+                assert render_explanation(unlabelled, form) == render_explanation(labelled, form)
+
+
+def _refusing_oracles(ds):
+    """Oracles that do not match the training set ds (moons2d with one
+    categorical feature), each with the message of its refusal: more
+    features, the same width under other ranges or another category list,
+    and a target missing or of another kind than the oracle's task."""
+    xor = synth_dataset(SynthSpec("xor_mixed", 80), seed=2)
+    other_ranges = synth_dataset(SynthSpec("moons2d", 80, n_categorical=1), seed=9).schema
+    other_categories = Schema(ds.schema.features[:2] + (
+        FeatureSpec("cat0", "categorical", categories=("a", "b", "c")),), ds.schema.target)
+    features = "^the oracle's schema has other features than the training set's$"
+    no_target = "^the oracle's schema states no classification target$"
+    return [
+        (BuiltinOracle(train_forest(xor, ForestConfig(n_trees=3, seed=1))), features),
+        (FixedOracle(other_ranges, lambda r: 0), features),
+        (FixedOracle(other_categories, lambda r: 0), features),
+        (FixedOracle(Schema(ds.schema.features), lambda r: 0), no_target),
+        (FixedOracle(Schema(ds.schema.features, TargetSpec("t", "regression")), lambda r: 0),
+         no_target),
+        (FixedOracle(ds.schema, lambda r: 0.0, task="regression"),
+         "^the oracle's schema states no regression target$"),
+    ]
+
+
+def test_an_oracle_over_another_schema_is_refused_before_any_call():
+    # a 4-feature forest on these 3-feature rows raised IndexError deep in
+    # routing, and an oracle of equal width under other ranges answered
+    ds = synth_dataset(SynthSpec("moons2d", 60, n_categorical=1), seed=5)
+    cfg = ExplainConfig(n_neighbors=20, seed=0)
+    for inner, message in _refusing_oracles(ds):
+        oracle = CountingOracle(inner)
+        with pytest.raises(SchemaError, match=message):
+            explain_instance(ds, ds.X[0], oracle, cfg)
+        with pytest.raises(SchemaError, match=message):
+            evaluate_fidelity(ds, ds, oracle, ["araucana", "linear"], cfg)
+        assert oracle.calls == []

@@ -12,7 +12,7 @@ from araucana.explain import (
     Neighborhood,
     explain_instance,
     render_explanation,
-    select_neighborhood,
+    select_neighborhoods,
 )
 from araucana.fidelity import (
     FidelityReport,
@@ -26,7 +26,7 @@ from araucana.tabular import Dataset, FeatureSpec, Schema, SynthSpec, TargetSpec
 
 from conftest import make_dataset, random_mixed_schema, random_rows, random_scaling_case
 from reference_linear import encode_per_feature, reference_linear_prediction
-from test_explain import FixedOracle
+from test_explain import CountingOracle, FixedOracle
 
 
 def two_num_schema():
@@ -55,7 +55,7 @@ def test_constant_relabels_constant_predictor():
     rng = np.random.default_rng(0)
     rows = rng.random((30, 2))
     nbh = neighborhood_of(rows, np.ones(30, dtype=int), rows[0], schema)
-    pred = fit_linear_explainer([nbh] * len(rows), rows, schema, "classification")
+    pred = fit_linear_explainer([nbh] * len(rows), rows, schema)
     assert pred.tolist() == [1] * len(rows)
 
 
@@ -80,7 +80,7 @@ def test_one_label_neighborhood_fit_predicts_its_label():
         label = int(rng.integers(0, len(schema.target.classes)))
         nbh = neighborhood_of(rows, np.full(n, label), rows[0], schema)
         probes = np.vstack([rows, random_rows(rng, schema, 20)])
-        pred = fit_linear_explainer([nbh] * len(probes), probes, schema, "classification")
+        pred = fit_linear_explainer([nbh] * len(probes), probes, schema)
         assert pred.tolist() == [label] * len(probes)
 
 
@@ -92,7 +92,7 @@ def test_featureless_neighborhood_fit_predicts_the_majority():
         nbh = Neighborhood(np.arange(7), np.zeros(7), rows, np.array(labels), want)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            pred = fit_linear_explainer([nbh], np.empty((1, 0)), schema, "classification")
+            pred = fit_linear_explainer([nbh], np.empty((1, 0)), schema)
         assert pred.tolist() == [want]
 
 
@@ -105,7 +105,7 @@ def test_linearly_separable_neighborhood_high_agreement():
         labels[0] = 1 - labels[0]
     x = rows[0]
     nbh = neighborhood_of(rows, labels, x, schema)
-    pred = fit_linear_explainer([nbh] * len(rows), rows, schema, "classification")
+    pred = fit_linear_explainer([nbh] * len(rows), rows, schema)
     agree = np.mean(pred == labels)
     assert agree >= 0.95
 
@@ -119,7 +119,7 @@ def test_xor_corners_cap_three_quarters():
     labels = np.repeat(xor, 10)
     x = corners[0]
     nbh = neighborhood_of(rows, labels, x, schema)
-    pred = fit_linear_explainer([nbh] * len(corners), corners, schema, "classification")
+    pred = fit_linear_explainer([nbh] * len(corners), corners, schema)
     agree = np.mean(pred == xor)
     assert agree <= 0.75 + 1e-12
 
@@ -127,12 +127,11 @@ def test_xor_corners_cap_three_quarters():
 def test_stage_fit_equals_the_per_row_reference(monkeypatch):
     """Stacked solves predict, bit for bit, what fitting each neighborhood
     alone predicts at its query, with the stage in one solve or one query
-    per solve (the smallest budget): random mixed schemas, both
-    tasks, no features, no target (a class count of one more than the stage's
-    largest relabel, while some neighborhoods lack the top classes), classes
-    a neighborhood lacks, all-duplicate rows, 1 to 40 rows per neighborhood
-    and 1 to 20 queries per stage. The reference's kernel width is
-    0.75 sqrt(max(d, 1)) for an encoded dimension d."""
+    per solve (the smallest budget): random mixed schemas, both tasks, no
+    features, classes a neighborhood lacks (often the top ones), all-duplicate
+    rows, 1 to 40 rows per neighborhood and 1 to 20 queries per stage. The
+    reference's kernel width is 0.75 sqrt(max(d, 1)) for an encoded dimension
+    d."""
     rng = np.random.default_rng(59)
     for trial in range(400):
         task = ("classification", "regression")[trial % 2]
@@ -141,8 +140,6 @@ def test_stage_fit_equals_the_per_row_reference(monkeypatch):
         target = schema.target
         if task == "regression":
             target = TargetSpec("target", "regression")
-        elif trial % 3 == 0:
-            target = None
         schema = Schema(() if trial % 5 == 0 else schema.features, target)
         n, size = int(rng.integers(1, 41)), int(rng.integers(1, 21))
         X = random_rows(rng, schema, size)
@@ -160,14 +157,14 @@ def test_stage_fit_equals_the_per_row_reference(monkeypatch):
                                   replace=False)
                 labels = rng.choice(held, size=n)
             nbhs.append(Neighborhood(order, d[order], rows[order], labels, labels[0]))
-        got = fit_linear_explainer(nbhs, X, schema, task)
-        want = [reference_linear_prediction(nbh, x, schema, task) for nbh, x in zip(nbhs, X)]
+        got = fit_linear_explainer(nbhs, X, schema)
+        want = [reference_linear_prediction(nbh, x, schema) for nbh, x in zip(nbhs, X)]
         assert got.dtype.kind == ("f" if task == "regression" else "i"), trial
         assert got.tobytes() == np.array(want, dtype=got.dtype).tobytes(), trial
         with monkeypatch.context() as mp:
             mp.setattr(tabular, "WORK_BYTES", 1)
-            assert fit_linear_explainer(nbhs, X, schema, task).tobytes() == got.tobytes(), trial
-        assert fit_linear_explainer([], X[:0], schema, task).shape == (0,)
+            assert fit_linear_explainer(nbhs, X, schema).tobytes() == got.tobytes(), trial
+        assert fit_linear_explainer([], X[:0], schema).shape == (0,)
 
 
 def _one_category_stage(rng, n_categories, task, queries=64, n=100):
@@ -201,7 +198,7 @@ def test_linear_stage_memory_is_bounded_by_the_budget(monkeypatch, task):
         nbhs, X, schema = _one_category_stage(rng, n_categories, task)
         tracemalloc.start()
         try:
-            got = fit_linear_explainer(nbhs, X, schema, task)
+            got = fit_linear_explainer(nbhs, X, schema)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -209,7 +206,7 @@ def test_linear_stage_memory_is_bounded_by_the_budget(monkeypatch, task):
             assert peak < 8e6, peak
         with monkeypatch.context() as mp:
             mp.setattr(tabular, "WORK_BYTES", 1)
-            assert fit_linear_explainer(nbhs, X, schema, task).tobytes() == got.tobytes()
+            assert fit_linear_explainer(nbhs, X, schema).tobytes() == got.tobytes()
 
 
 def test_araucana_fidelity_one_on_unique_rows():
@@ -318,19 +315,6 @@ def test_report_to_csv_rendering():
     assert (s1, p1) == (s2, p2)
 
 
-class CountingOracle(PredictionOracle):
-    """Forwards to another oracle and records the row count of every call."""
-
-    def __init__(self, inner):
-        super().__init__(inner.schema, inner.task)
-        self.inner = inner
-        self.calls = []
-
-    def predict_batch(self, rows):
-        self.calls.append(len(rows))
-        return self.inner.predict_batch(rows)
-
-
 def _reference_evaluation(train, test, oracle, cfg):
     """per_instance rows with nothing shared between the explainers: x labelled
     in a call of its own, explain_instance under the per-row config, and the
@@ -344,8 +328,8 @@ def _reference_evaluation(train, test, oracle, cfg):
         icfg = replace(cfg, smote=smote, seed=cfg.seed + i)
         expl = explain_instance(train, x, oracle, icfg)
         synthetics.append(expl.explainer_set.provenance.count("synthetic"))
-        pred = reference_linear_prediction(select_neighborhood(train, x, oracle, icfg), x,
-                                           schema, oracle.task)
+        nbh = select_neighborhoods(train, x[None], oracle, icfg)[0]
+        pred = reference_linear_prediction(nbh, x, schema)
         eps = 0.0 if oracle.task == "classification" else 1e-6 * abs(float(label)) + 1e-9
         shown = schema.decode_label(label)
         rows.append({"explainer": "araucana", "index": i, "oracle_label": shown,
@@ -375,7 +359,8 @@ def test_shared_neighborhood_equals_reference_and_labels_x_once():
         assert report.per_instance == rows, (seed, task)
         # one call of every distinct neighbor row and then the six rows, and
         # one of all the synthetics when SMOTE made any
-        near = [select_neighborhood(train, x, oracle.inner, cfg).indices for x in test.X]
+        near = [select_neighborhoods(train, x[None], oracle.inner, cfg)[0].indices
+                for x in test.X]
         expected = [len(np.unique(np.concatenate(near))) + len(test)]
         if sum(synthetics):
             expected.append(sum(synthetics))
@@ -428,7 +413,8 @@ def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap, budget):
         sent, oracle.calls = sum(oracle.calls), []
         rows, synthetics = _reference_evaluation(train, test, forest, cfg)
         assert report.per_instance == rows, (seed, task, smote)
-        near = np.concatenate([select_neighborhood(train, x, forest, cfg).indices for x in test.X])
+        near = np.concatenate([select_neighborhoods(train, x[None], forest, cfg)[0].indices
+                               for x in test.X])
         assert sent == len(np.unique(near)) + len(test) + sum(synthetics)
         assert len(staged) == len(test)
         for i, expl in enumerate(staged):
@@ -443,7 +429,7 @@ def test_smote_failure_propagates(monkeypatch):
     cfg = ExplainConfig(n_neighbors=25, seed=7)
     nbhs = explain.select_neighborhoods(train, test.X, oracle, cfg)
     cfgs = [fidelity._row_config(cfg, i) for i in range(len(test))]
-    clean = explain.explain_neighborhoods(nbhs, test.X, oracle, cfgs, train.schema)
+    clean = explain.explain_neighborhoods(nbhs, test.X, oracle, cfgs)
     real = explain.smote_nc
 
     def flaky(rows, labels, schema, smote_cfg):
@@ -453,16 +439,16 @@ def test_smote_failure_propagates(monkeypatch):
 
     monkeypatch.setattr(explain, "smote_nc", flaky)
     with pytest.raises(RuntimeError, match="^smote broke$"):
-        explain.explain_neighborhoods(nbhs, test.X, oracle, cfgs, train.schema)
+        explain.explain_neighborhoods(nbhs, test.X, oracle, cfgs)
     with pytest.raises(RuntimeError, match="^smote broke$"):
         evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
     # a batch without the failing row explains each of its rows as before
     rest = [i for i in range(len(test)) if i != 2]
     again = explain.explain_neighborhoods([nbhs[i] for i in rest], test.X[rest], oracle,
-                                          [cfgs[i] for i in rest], train.schema)
+                                          [cfgs[i] for i in rest])
     for i, expl in zip(rest, again):
         assert render_explanation(expl, "json") == render_explanation(clean[i], "json")
-    assert explain.explain_neighborhoods([], test.X[:0], oracle, [], train.schema) == []
+    assert explain.explain_neighborhoods([], test.X[:0], oracle, []) == []
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -502,3 +488,16 @@ def test_smote_notes_warn_with_their_test_row():
     # some rows have notes and some have none, so the index is what tells them apart
     assert 0 < len({w.split(":")[0] for w in want}) < len(test)
     assert [str(w.message) for w in caught] == want
+
+
+def test_unlabelled_sets_evaluate_as_the_labelled_ones():
+    """The oracle's schema states the task and the classes, so training and
+    test sets without a target give the reports of the labelled sets, byte
+    for byte: class names, not the floats 1.0 and 0.0, on both tasks."""
+    for task in ("classification", "regression"):
+        train, test, oracle = _mixed_task(3, task, 90, 8)
+        cfg = ExplainConfig(n_neighbors=25, seed=3)
+        bare = [Dataset(Schema(ds.schema.features), ds.X) for ds in (train, test)]
+        want = report_to_csv(evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg))
+        got = report_to_csv(evaluate_fidelity(*bare, oracle, ["araucana", "linear"], cfg))
+        assert got == want, task

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from araucana import cart, oracle as oracle_mod, tabular
-from araucana.cart import fit_tree, tree_to_dict
+from araucana.cart import tree_to_dict
 from araucana.gower import DistanceMetric, distances_many
 from araucana.oracle import (
     BuiltinOracle,
@@ -27,10 +27,11 @@ from araucana.oracle import (
 )
 from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
 
-from reference_cart import forest_from_dicts, reference_fit_tree, reference_route
+from reference_cart import forest_from_dicts, reference_grow_tree, reference_route
 
 from conftest import (
     chain_dataset,
+    grow_tree,
     make_dataset,
     random_mixed_schema,
     random_rows,
@@ -77,7 +78,7 @@ def _reference_trees(ds, cfg):
     for t in range(cfg.n_trees):
         idx = np.random.default_rng(int(seeds[2 * t])).integers(0, len(ds), size=len(ds))
         draw = (int(seeds[2 * t + 1]), sub) if sub < p else None
-        trees.append(reference_fit_tree(ds.X[idx], ds.y[idx], ds.schema, ds.task, draw))
+        trees.append(reference_grow_tree(ds.X[idx], ds.y[idx], ds.schema, draw))
     return trees
 
 
@@ -130,7 +131,7 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, monkeypatch, targe
         # the same forest written as nested trees (format 1) and read by the
         # reference reader
         nested = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
-        v1 = ForestModel(*forest_from_dicts(nested, schema, data.task))
+        v1 = ForestModel(*forest_from_dicts(nested, schema))
         want = forest.predict_batch(probe)
         for model in (back, v1):
             np.testing.assert_array_equal(model.predict_batch(probe), want)
@@ -309,7 +310,7 @@ def test_save_load_roundtrip(tmp_path):
 def test_save_model_round_trips_a_1199_level_tree(tmp_path):
     # a 1,199-deep tree: its columns do not nest, so it saves and loads
     ds = chain_dataset(1200)
-    tree = fit_tree(ds.X, ds.y, ds.schema)
+    tree = grow_tree(ds.X, ds.y, ds.schema)
     model = ForestModel(tree, [0])
     path = tmp_path / "model.json"
     save_model(model, path)
