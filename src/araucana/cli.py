@@ -28,8 +28,8 @@ from .oracle import (
     OracleError,
     PrecomputedOracle,
     SubprocessOracle,
-    ensure_same_schema,
     load_model,
+    oracle_target,
     save_model,
     train_forest,
     train_knn,
@@ -195,14 +195,11 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest, cells: tu
     """data: rows built-in models train on; cells: the parsed --data CSV;
     full_data: every row the precomputed column describes (defaults to data)."""
     kind, arg = spec.split(":", 1)
-    if data.task is None:
-        raise DataError("the dataset declares no target; an oracle task is undefined")
     if kind == "builtin":
         return BuiltinOracle(_train_builtin(arg, data, args, args.seed + SEED_ORACLE_OFFSET))
     if kind == "file":
         model = load_model(arg)
         manifest.add_input(arg)
-        ensure_same_schema(model.schema, data.schema)
         return BuiltinOracle(model)
     if kind == "cmd":
         return SubprocessOracle(arg, data.schema, data.task)
@@ -211,7 +208,8 @@ def _build_oracle(spec: str, data: Dataset, args, manifest: _Manifest, cells: tu
     header, rows = cells
     if arg not in header:
         raise DataError(f"prediction column {arg!r} not found in {args.data}")
-    preds = encode_column(covered.schema.target.encode, rows, header.index(arg), args.data, arg)
+    target = oracle_target(covered.schema)
+    preds = encode_column(target.encode, rows, header.index(arg), args.data, arg)
     return PrecomputedOracle(covered, preds)
 
 
@@ -260,10 +258,6 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     manifest = _Manifest("train", args)
     data, _ = _load_data(args, manifest)
-    if data.y is None:
-        raise DataError(
-            "training requires a target column (got none; pass --schema or --target)"
-        )
     model = _train_builtin(args.model, data, args, args.seed)
     preds = model.predict_batch(data.X)
     if data.task == CLASSIFICATION:

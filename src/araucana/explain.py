@@ -17,15 +17,15 @@ reproduces the oracle's label for x exactly whenever no other row of the
 explainer set carries x's exact feature vector with a different label.
 
 The pipeline runs on a batch of queries in stages. `select_neighborhoods`
-checks the oracle's schema against the training set's, then does steps 1-2
-for every query with bounded distance blocks and one oracle request, which
-skips the training rows a TrainLabels already holds and ends with the
-queries. `explain_neighborhoods` does steps 3-5, under the oracle's schema,
-with one request for every query's synthetics and one grow_trees call for
-every explainer tree. `explain_instance` runs both stages on one query, whose
-first request is the N neighbors and then x. A caller that needs the
-neighborhood for more than one explainer (the fidelity harness) selects and
-labels it once.
+checks that the oracle fits the training set (`check_oracle`), then does
+steps 1-2 for every query with bounded distance blocks and one oracle
+request, which skips the training rows a TrainLabels already holds and ends
+with the queries. `explain_neighborhoods` does steps 3-5, under the oracle's
+schema, with one request for every query's synthetics and one grow_trees
+call for every explainer tree. `explain_instance` runs both stages on one
+query, whose first request is the N neighbors and then x. A caller that
+needs the neighborhood for more than one explainer (the fidelity harness)
+selects and labels it once.
 """
 
 from __future__ import annotations
@@ -180,6 +180,13 @@ class TrainLabels:
         self.values: np.ndarray | None = None
 
 
+def check_oracle(train: Dataset, oracle: PredictionOracle) -> None:
+    """Raise SchemaError unless the oracle's schema has the training set's
+    features (names, kinds, ranges and category lists); train may lack a target."""
+    if oracle.schema.features != train.schema.features:
+        raise SchemaError("the oracle's schema has other features than the training set's")
+
+
 def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle,
                          cfg: ExplainConfig, labels: TrainLabels | None = None
                          ) -> list[Neighborhood]:
@@ -190,13 +197,9 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     yet, in order of first appearance (query by query, nearest first),
     followed by the queries themselves; without `labels` every neighbor row
     is sent, so one query sends its N neighbors and then itself. An empty
-    training set has no neighborhood and raises ValueError, and an oracle whose
-    schema lacks the training set's features or a target of the oracle's task
-    raises SchemaError, before any request."""
-    if oracle.schema.features != train.schema.features:
-        raise SchemaError("the oracle's schema has other features than the training set's")
-    if oracle.schema.target is None or oracle.schema.target.kind != oracle.task:
-        raise SchemaError(f"the oracle's schema states no {oracle.task} target")
+    training set has no neighborhood and raises ValueError, and an oracle that
+    does not fit it (check_oracle) raises SchemaError, before any request."""
+    check_oracle(train, oracle)
     X = np.asarray(X, dtype=float)
     check_rows(train.schema, X)
     if len(train) == 0:

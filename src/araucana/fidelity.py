@@ -27,6 +27,7 @@ from .explain import (
     ExplainConfig,
     Neighborhood,
     TrainLabels,
+    check_oracle,
     explain_neighborhoods,
     match_epsilon,
     select_neighborhoods,
@@ -106,18 +107,18 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
 
     Every explainer scores every test row, so each summary's total is
     len(test), and per_instance holds one record per (test row, explainer),
-    row by row in the order of `explainers`. Any exception aborts the run:
-    an oracle error, a test row or an oracle the shared neighborhood
-    selection rejects (SchemaError when the row does not conform to the
-    training schema, or the oracle's schema does not match it), or an
-    explainer's failure on one row. Test row i is explained under seed
-    cfg.seed + i, in the SMOTE config as well, and SMOTE-NC's notes on its
-    neighborhood come as warnings that name the row.
+    row by row in the order of `explainers`. An oracle that does not fit
+    train (check_oracle) raises SchemaError before any row, and any exception
+    aborts the run: an oracle error, a test row the neighborhood selection
+    rejects (SchemaError), or an explainer's failure on one row. Test row i is
+    explained under seed cfg.seed + i, in the SMOTE config as well, and
+    SMOTE-NC's notes on its neighborhood come as warnings that name the row.
     """
     for name in explainers:
         if name not in EXPLAINERS:
             raise ValueError(f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})")
-    schema = oracle.schema  # select_neighborhoods checks it against train's before a request
+    check_oracle(train, oracle)
+    schema = oracle.schema
     per_instance = []
 
     labels = TrainLabels(len(train))

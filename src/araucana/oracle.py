@@ -1,7 +1,8 @@
 """The black-box prediction contract and its backends.
 
-An oracle is a deterministic batch map from instances to labels. Three
-backends: built-in reference models (random forest, k-NN), an external
+An oracle is a deterministic batch map from instances to labels. Its schema's
+target, which no oracle is built without, alone states its task and classes.
+Three backends: built-in reference models (random forest, k-NN), an external
 subprocess speaking line-delimited JSON, and a precomputed prediction column
 (original dataset rows only).
 
@@ -38,30 +39,38 @@ import numpy as np
 
 from . import cart, gower
 from .gower import DistanceMetric
-from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, first_refused, work_step
+from .tabular import (CLASSIFICATION, REGRESSION, Dataset, Schema, SchemaError, TargetSpec,
+                      first_refused, work_step)
 
 
 class OracleError(RuntimeError):
     """The black box failed: process death, protocol violation, bad labels."""
 
 
-class PredictionOracle:
-    """Base interface: schema, task, and a deterministic predict_batch."""
+def oracle_target(schema: Schema) -> TargetSpec:
+    """The target of an oracle's schema, which states the oracle's task and
+    classes; a schema without one raises SchemaError."""
+    if schema.target is None:
+        raise SchemaError("an oracle needs a schema whose target states the task")
+    return schema.target
 
-    def __init__(self, schema: Schema, task: str):
+
+class PredictionOracle:
+    """Base interface: a schema with a target, and a deterministic predict_batch."""
+
+    def __init__(self, schema: Schema):
+        oracle_target(schema)
         self.schema = schema
-        self.task = task
+
+    @property
+    def task(self) -> str:
+        return self.schema.target.kind
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def close(self) -> None:
         pass
-
-
-def ensure_same_schema(a: Schema, b: Schema) -> None:
-    if a.to_dict() != b.to_dict():
-        raise OracleError("model schema does not match the dataset schema")
 
 
 # ---------------------------------------------------------------- built-in
@@ -183,7 +192,7 @@ def train_knn(data: Dataset, k: int = 5, metric: DistanceMetric | None = None) -
 
 class BuiltinOracle(PredictionOracle):
     def __init__(self, model):
-        super().__init__(model.schema, model.task)
+        super().__init__(model.schema)
         self.model = model
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
@@ -203,16 +212,16 @@ class SubprocessOracle(PredictionOracle):
     """Black box behind a command line, speaking line-delimited JSON."""
 
     def __init__(self, command: str, schema: Schema, task: str, timeout: float = 30.0):
-        if task == CLASSIFICATION and (schema.target is None or schema.target.classes is None):
-            raise ValueError("a classification oracle needs the class list of the schema's target")
-        super().__init__(schema, task)
+        super().__init__(schema)
+        if task != self.task:
+            raise ValueError(f"task {task!r} contradicts the schema's {self.task} target")
         self.command = command
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
         self._failure: str | None = None  # the first OracleError, after which the child is gone
         # a JSON string escapes a character in at most 12 bytes (a surrogate pair)
         self._reply_bytes_per_row = 128 + 12 * (
-            max(map(len, schema.target.classes), default=0) if task == CLASSIFICATION else 0)
+            max(map(len, schema.target.classes)) if task == CLASSIFICATION else 0)
 
     def _ensure_child(self):
         if self._proc is not None and self._proc.poll() is None:
@@ -379,30 +388,23 @@ class PrecomputedOracle(PredictionOracle):
     """
 
     def __init__(self, data: Dataset, predictions: np.ndarray):
-        if data.task is None:
-            raise ValueError("a precomputed oracle needs data whose schema declares a target")
-        super().__init__(data.schema, data.task)
+        super().__init__(data.schema)
         predictions = np.asarray(predictions)
         if len(predictions) != len(data):
             raise ValueError(f"{len(predictions)} predictions for {len(data)} rows")
-        self._index: dict[bytes, int] = {}
-        for i in range(len(data) - 1, -1, -1):  # first occurrence wins
-            self._index[data.X[i].tobytes()] = i
+        # a row's first occurrence wins
+        self._index = {data.X[i].tobytes(): i for i in range(len(data) - 1, -1, -1)}
         self.predictions = predictions.astype(np.int64 if self.task == CLASSIFICATION else float)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        out = []
-        for x in rows:
-            i = self._index.get(x.tobytes())
-            if i is None:
-                raise OracleError(
-                    "precomputed oracle cannot label synthetic instances "
-                    "or any other row outside its dataset"
-                )
-            out.append(self.predictions[i])
-        dtype = np.int64 if self.task == CLASSIFICATION else float
-        return np.asarray(out, dtype=dtype)
+        found = [self._index.get(x.tobytes()) for x in rows]
+        if None in found:
+            raise OracleError(
+                "precomputed oracle cannot label synthetic instances "
+                "or any other row outside its dataset"
+            )
+        return self.predictions[np.array(found, dtype=np.intp)]
 
 
 # -------------------------------------------------------------- persistence

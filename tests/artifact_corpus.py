@@ -1,6 +1,7 @@
 """Write the byte-stable artifact corpus into a directory and list its digests.
 
     python tests/artifact_corpus.py OUT_DIR
+    python tests/artifact_corpus.py --record OUT_DIR
 
 The corpus is 13 CLI runs on small synthetic data plus the four demos:
 2 `synth`, 2 `train` (a 20-tree forest and a k-NN model), 6 `explain
@@ -12,9 +13,14 @@ is printed per file, sorted by name, so two listings can be compared with
 diff: two runs of one checkout, or a checkout and its parent, where every
 change that keeps the artifacts' bytes must list the same digests.
 
-The digests depend on the numpy version, so none is committed. The program
-and the demos are run from the checkout this file sits in, with its src/
-first on PYTHONPATH. Pytest does not collect this file.
+The digests depend on the numpy version (forest bootstraps and feature draws
+use Generator.choice), so DIGESTS holds the listing under a first line that
+names the numpy and Python versions it was made on; --record rewrites it.
+test_artifacts.py compares a fresh corpus with it when the running versions
+are the recorded ones. A change that moves an artifact's bytes on purpose
+records the digests again and says why. The program and the demos are run
+from the checkout this file sits in, with its src/ first on PYTHONPATH.
+Pytest does not collect this file.
 """
 
 import hashlib
@@ -24,7 +30,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "artifact_digests.txt"
 
 # (run name, CLI arguments, the files it writes that are hashed); {data} and
 # {xor} are the two synth runs' --data and --schema flags, {forest} and {knn}
@@ -90,13 +99,28 @@ def write_corpus(out: Path) -> dict[str, str]:
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in sorted(files)}
 
 
+def versions() -> str:
+    """The versions the digests depend on, as DIGESTS's first line names them."""
+    return f"numpy {np.__version__}, Python {sys.version_info[0]}.{sys.version_info[1]}"
+
+
+def read_digests() -> tuple[str, dict[str, str]]:
+    """The versions DIGESTS was recorded on, and its sha256 by file name."""
+    head, *lines = DIGESTS.read_text(encoding="utf-8").splitlines()
+    pairs = (line.split("  ", 1) for line in lines)
+    return head.removeprefix("# "), {name: digest for digest, name in pairs}
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
-        sys.exit(f"usage: python {Path(__file__).name} OUT_DIR")
-    out = Path(argv[0]).resolve()
+    record = argv[:1] == ["--record"]
+    if len(argv) != 1 + record:
+        sys.exit(f"usage: python {Path(__file__).name} [--record] OUT_DIR")
+    out = Path(argv[-1]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    for name, digest in write_corpus(out).items():
-        print(f"{digest}  {name}")
+    listing = "".join(f"{digest}  {name}\n" for name, digest in write_corpus(out).items())
+    if record:
+        DIGESTS.write_text(f"# {versions()}\n{listing}", encoding="utf-8")
+    sys.stdout.write(listing)
     return 0
 
 

@@ -1,0 +1,16 @@
+import pytest
+
+from artifact_corpus import read_digests, versions, write_corpus
+
+
+def test_every_artifact_keeps_its_recorded_digest(tmp_path):
+    # the 13 CLI runs and four demos of artifact_corpus.py; a change that
+    # moves an artifact's bytes on purpose records the digests again
+    # (python tests/artifact_corpus.py --record OUT_DIR) and says why
+    recorded, digests = read_digests()
+    if versions() != recorded:
+        pytest.skip(f"the digests were recorded on {recorded}, and this run has {versions()}")
+    got = write_corpus(tmp_path)
+    moved = [name for name in sorted(digests.keys() | got.keys())
+             if digests.get(name) != got.get(name)]
+    assert moved == [], f"artifacts whose digest moved: {moved}"

@@ -768,6 +768,87 @@ def test_oracle_file_roundtrip_via_cli(tmp_path, capsys):
     assert "IF" in capsys.readouterr().out
 
 
+def _data_flags(data):
+    return ["--data", data / "data.csv", "--schema", data / "schema.json"]
+
+
+def _unlabelled_copy(data, out):
+    """The synth run in data without its label column and its schema's target."""
+    ds = load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
+    out.mkdir()
+    save_dataset(Dataset(Schema(ds.schema.features), ds.X), out / "data.csv", out / "schema.json")
+    return out
+
+
+@pytest.mark.parametrize("model", ["forest", "knn"])
+def test_a_model_file_explains_and_evaluates_unlabelled_data_as_labelled(tmp_path, capsys,
+                                                                         model):
+    # the model's schema states the task: the CLI refused a --data without a
+    # target for every oracle
+    data = synth_dir(tmp_path, "imbalanced_mixed", 150, 8)
+    bare = _unlabelled_copy(data, tmp_path / "bare")
+    assert run(["train", *_data_flags(data), "--model", model, "--trees", 8, "--seed", 2,
+                "--out", tmp_path / "model"]) == 0
+    oracle = ["--oracle", f"file:{tmp_path / 'model' / 'model.json'}", "--seed", 3]
+    outputs = []
+    for d in (data, bare):
+        capsys.readouterr()
+        assert run(["explain", *_data_flags(d), *oracle, "--index", 5, "--format", "json"]) == 0
+        explanation = capsys.readouterr().out
+        out = tmp_path / f"evaluate-{d.name}"
+        assert run(["evaluate", *_data_flags(d), *oracle, "--test-frac", 0.1,
+                    "--explainers", "araucana,linear", "--out", out]) == 0
+        outputs.append([explanation, (out / "summary.csv").read_bytes(),
+                        (out / "per_instance.csv").read_bytes()])
+    assert outputs[0] == outputs[1]
+
+
+NO_TARGET = "an oracle needs a schema whose target states the task"
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("oracle, message", [
+    (f"cmd:{sys.executable} {STUB} --mode constant", NO_TARGET),
+    # the label column read as a prediction column: raised AttributeError
+    ("precomputed:label", NO_TARGET),
+    ("builtin:forest", "training a forest requires a dataset with targets"),
+    ("builtin:knn", "training k-NN requires a dataset with targets"),
+], ids=["cmd", "precomputed", "forest", "knn"])
+def test_an_oracle_without_a_model_file_refuses_unlabelled_data(tmp_path, capsys, command,
+                                                                oracle, message):
+    data = synth_dir(tmp_path, "moons2d", 40, 1)
+    bare = _unlabelled_copy(data, tmp_path / "bare")
+    rows = ["--index", 0] if command == "explain" else ["--test-frac", 0.25]
+    flags = _data_flags(bare)
+    if oracle.startswith("precomputed:"):
+        flags = ["--data", data / "data.csv", "--schema", bare / "schema.json",
+                 "--smote-policy", "off"]
+    assert run([command, *flags, "--oracle", oracle, *rows]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("model, message", [("forest", "training a forest"),
+                                            ("knn", "training k-NN")])
+def test_train_on_unlabelled_data_exits_1(tmp_path, capsys, model, message):
+    bare = _unlabelled_copy(synth_dir(tmp_path, "moons2d", 40, 1), tmp_path / "bare")
+    assert run(["train", *_data_flags(bare), "--model", model, "--out", tmp_path / "m"]) == 1
+    assert capsys.readouterr().err == f"error: {message} requires a dataset with targets\n"
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_model_file_over_other_features_exits_1(tmp_path, capsys):
+    moons = synth_dir(tmp_path, "moons2d", 40, 1)
+    other = synth_dir(tmp_path, "imbalanced_mixed", 40, 1)
+    assert run(["train", *_data_flags(moons), "--trees", 2, "--out", tmp_path / "m"]) == 0
+    capsys.readouterr()
+    for command, rows in (("explain", ["--index", 0]), ("evaluate", ["--test-frac", 0.25])):
+        code = run([command, *_data_flags(other),
+                    "--oracle", f"file:{tmp_path / 'm' / 'model.json'}", *rows])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: the oracle's schema has other features than the training set's\n")
+
+
 def test_bad_oracle_spec_exits_2(tmp_path):
     data = synth_dir(tmp_path, "moons2d", 30, 1)
     with pytest.raises(SystemExit) as exc:

@@ -45,10 +45,11 @@ from conftest import (
 
 
 class FixedOracle(PredictionOracle):
-    """Deterministic test oracle computed from a function of the row."""
+    """Deterministic test oracle computed from a function of the row, under
+    the task of its schema's target."""
 
-    def __init__(self, schema, fn, task="classification"):
-        super().__init__(schema, task)
+    def __init__(self, schema, fn):
+        super().__init__(schema)
         self.fn = fn
 
     def predict_batch(self, rows):
@@ -63,7 +64,7 @@ class CountingOracle(PredictionOracle):
     """Forwards to another oracle and records the row count of every call."""
 
     def __init__(self, inner):
-        super().__init__(inner.schema, inner.task)
+        super().__init__(inner.schema)
         self.inner = inner
         self.calls = []
 
@@ -154,7 +155,7 @@ def test_constant_regression_oracle_single_leaf_empty_rule(value):
     base = synth_dataset(SynthSpec("imbalanced_mixed", 600), seed=3)
     ds = Dataset(Schema(base.schema.features, TargetSpec("t", "regression")), base.X,
                  np.full(len(base), value))
-    oracle = FixedOracle(ds.schema, lambda r: value, task="regression")
+    oracle = FixedOracle(ds.schema, lambda r: value)
     expl = explain_instance(ds, ds.X[0], oracle, ExplainConfig(seed=3))
     assert expl.tree_stats == {"depth": 0, "leaf_count": 1, "node_count": 1}
     assert expl.rule.conditions == []
@@ -247,7 +248,7 @@ def test_conflicting_duplicates_of_the_query_share_an_impure_leaf(task):
         relabels[[0, 3, 8, 12, 20, 27]] = [1.0, 2.0, 2.0, 5.0, 2.0, 1.0]
         query_label, prediction, purity, faithful = 2.0, 15.0 / 7, 0.0, False
     nbh = Neighborhood(np.arange(30), np.zeros(30), rows, relabels, query_label)
-    oracle = FixedOracle(schema, lambda r: query_label, task)
+    oracle = FixedOracle(schema, lambda r: query_label)
     expl = explain_neighborhoods([nbh], x[None], oracle, [ExplainConfig(smote=None)])[0]
     assert expl.rule.support == 7  # five duplicates, row 0 and the query
     assert expl.rule.prediction == prediction  # 15 / 7: the leaf mean, summed exactly
@@ -402,37 +403,34 @@ def test_unlabelled_training_set_explains_as_the_labelled_one():
 
 
 def _refusing_oracles(ds):
-    """Oracles that do not match the training set ds (moons2d with one
-    categorical feature), each with the message of its refusal: more
-    features, the same width under other ranges or another category list,
-    and a target missing or of another kind than the oracle's task."""
+    """Oracles that do not fit the training set ds (moons2d with one
+    categorical feature): more features, or the same width under other
+    ranges or another category list. An oracle without a target, or with a
+    task its target contradicts, is not built (see test_oracle.py)."""
     xor = synth_dataset(SynthSpec("xor_mixed", 80), seed=2)
     other_ranges = synth_dataset(SynthSpec("moons2d", 80, n_categorical=1), seed=9).schema
     other_categories = Schema(ds.schema.features[:2] + (
         FeatureSpec("cat0", "categorical", categories=("a", "b", "c")),), ds.schema.target)
-    features = "^the oracle's schema has other features than the training set's$"
-    no_target = "^the oracle's schema states no classification target$"
     return [
-        (BuiltinOracle(train_forest(xor, ForestConfig(n_trees=3, seed=1))), features),
-        (FixedOracle(other_ranges, lambda r: 0), features),
-        (FixedOracle(other_categories, lambda r: 0), features),
-        (FixedOracle(Schema(ds.schema.features), lambda r: 0), no_target),
-        (FixedOracle(Schema(ds.schema.features, TargetSpec("t", "regression")), lambda r: 0),
-         no_target),
-        (FixedOracle(ds.schema, lambda r: 0.0, task="regression"),
-         "^the oracle's schema states no regression target$"),
+        BuiltinOracle(train_forest(xor, ForestConfig(n_trees=3, seed=1))),
+        FixedOracle(other_ranges, lambda r: 0),
+        FixedOracle(other_categories, lambda r: 0),
     ]
 
 
 def test_an_oracle_over_another_schema_is_refused_before_any_call():
     # a 4-feature forest on these 3-feature rows raised IndexError deep in
-    # routing, and an oracle of equal width under other ranges answered
+    # routing, and an oracle of equal width under other ranges answered; an
+    # empty test set, which selects no neighborhood, went unchecked
     ds = synth_dataset(SynthSpec("moons2d", 60, n_categorical=1), seed=5)
+    empty = Dataset(ds.schema, ds.X[:0], ds.y[:0])
     cfg = ExplainConfig(n_neighbors=20, seed=0)
-    for inner, message in _refusing_oracles(ds):
+    message = "^the oracle's schema has other features than the training set's$"
+    for inner in _refusing_oracles(ds):
         oracle = CountingOracle(inner)
         with pytest.raises(SchemaError, match=message):
             explain_instance(ds, ds.X[0], oracle, cfg)
-        with pytest.raises(SchemaError, match=message):
-            evaluate_fidelity(ds, ds, oracle, ["araucana", "linear"], cfg)
+        for test in (ds, empty):
+            with pytest.raises(SchemaError, match=message):
+                evaluate_fidelity(ds, test, oracle, ["araucana", "linear"], cfg)
         assert oracle.calls == []

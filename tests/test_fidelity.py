@@ -284,7 +284,7 @@ def test_oracle_errors_propagate():
             raise OracleError("boom")
 
     with pytest.raises(OracleError, match="boom"):
-        evaluate_fidelity(train, test, Dying(train.schema, "classification"),
+        evaluate_fidelity(train, test, Dying(train.schema),
                           ["araucana"], ExplainConfig(n_neighbors=10, seed=0))
 
 

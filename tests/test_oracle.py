@@ -18,14 +18,22 @@ from araucana.oracle import (
     ForestModel,
     OracleError,
     PrecomputedOracle,
+    PredictionOracle,
     SubprocessOracle,
-    ensure_same_schema,
     load_model,
     save_model,
     train_forest,
     train_knn,
 )
-from araucana.tabular import REGRESSION, Dataset, Schema, SynthSpec, TargetSpec, synth_dataset
+from araucana.tabular import (
+    REGRESSION,
+    Dataset,
+    Schema,
+    SchemaError,
+    SynthSpec,
+    TargetSpec,
+    synth_dataset,
+)
 
 from reference_cart import forest_from_dicts, reference_grow_tree, reference_route
 
@@ -42,6 +50,11 @@ STUB = Path(__file__).parent / "stub_oracle.py"
 
 def stub_command(extra=""):
     return f"{sys.executable} {STUB} {extra}".strip()
+
+
+def _regression(schema):
+    """schema's features under a regression target."""
+    return Schema(schema.features, TargetSpec("y", REGRESSION))
 
 
 def test_forest_needs_a_tree():
@@ -358,14 +371,6 @@ def test_load_model_malformed(tmp_path):
             load_model(p)
 
 
-def test_schema_mismatch_on_use():
-    a = synth_dataset(SynthSpec("moons2d", 30), seed=1)
-    b = synth_dataset(SynthSpec("imbalanced_mixed", 30), seed=1)
-    model = train_forest(a, ForestConfig(n_trees=2, seed=0))
-    with pytest.raises(OracleError, match="schema"):
-        ensure_same_schema(model.schema, b.schema)
-
-
 def test_precomputed_rows_and_synthetic_error():
     ds = synth_dataset(SynthSpec("moons2d", 40), seed=6)
     preds = (np.arange(40) % 2).astype(np.int64)
@@ -403,7 +408,7 @@ def test_subprocess_threshold_and_regress():
     finally:
         oracle.close()
 
-    reg = SubprocessOracle(stub_command("--mode regress"), ds.schema, "regression")
+    reg = SubprocessOracle(stub_command("--mode regress"), _regression(ds.schema), "regression")
     try:
         np.testing.assert_allclose(reg.predict_batch(ds.X), ds.X.sum(axis=1), atol=1e-9)
     finally:
@@ -564,7 +569,8 @@ def test_subprocess_non_finite_or_boolean_reply_is_oracle_error(task, token):
     # is no regression label, and an integer past the float range is none
     # either
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
-    oracle = SubprocessOracle(stub_command(f"--token={shlex.quote(token)}"), ds.schema, task)
+    schema = ds.schema if task == "classification" else _regression(ds.schema)
+    oracle = SubprocessOracle(stub_command(f"--token={shlex.quote(token)}"), schema, task)
     try:
         with pytest.raises(OracleError):
             oracle.predict_batch(ds.X)
@@ -586,10 +592,42 @@ def test_subprocess_class_index_reply_reads_as_the_class_it_names(token):
 def test_subprocess_classification_needs_a_class_list():
     # the first reply raised AttributeError reading the classes of no target
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
-    reg = TargetSpec("y", REGRESSION)
-    for schema in (Schema(ds.schema.features), Schema(ds.schema.features, reg)):
-        with pytest.raises(ValueError, match="needs the class list"):
-            SubprocessOracle(stub_command("--mode constant"), schema, "classification")
+    with pytest.raises(SchemaError, match="target states the task"):
+        SubprocessOracle(stub_command("--mode constant"), Schema(ds.schema.features),
+                         "classification")
+    with pytest.raises(ValueError, match="contradicts the schema's regression target"):
+        SubprocessOracle(stub_command("--mode constant"), _regression(ds.schema),
+                         "classification")
+
+
+def test_subprocess_task_other_than_its_schemas_is_refused():
+    # a regression oracle over a classification schema was built, and failed
+    # only at its first neighborhood selection
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    with pytest.raises(ValueError, match="^task 'regression' contradicts the schema's "
+                                         "classification target$"):
+        SubprocessOracle(stub_command("--mode regress"), ds.schema, "regression")
+
+
+def test_an_oracle_needs_a_schema_with_a_target():
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    bare = Schema(ds.schema.features)
+    for build in (lambda: PredictionOracle(bare),
+                  lambda: PrecomputedOracle(Dataset(bare, ds.X), ds.y),
+                  lambda: SubprocessOracle(stub_command(), bare, "classification")):
+        with pytest.raises(SchemaError, match="^an oracle needs a schema whose target "
+                                              "states the task$"):
+            build()
+
+
+def test_an_oracles_task_is_its_schemas_target_kind_and_read_only():
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    for schema in (ds.schema, _regression(ds.schema)):
+        oracle = PredictionOracle(schema)
+        assert oracle.task == schema.target.kind
+        with pytest.raises(AttributeError):
+            oracle.task = "regression"
+        assert oracle.task == schema.target.kind
 
 
 def test_subprocess_unknown_command():
@@ -614,5 +652,5 @@ def test_missing_targets_rejected():
         train_forest(bare)
     with pytest.raises(ValueError, match="targets"):
         train_knn(bare)
-    with pytest.raises(ValueError, match="declares a target"):
+    with pytest.raises(SchemaError, match="target states the task"):
         PrecomputedOracle(Dataset(Schema(ds.schema.features), ds.X), ds.y)
