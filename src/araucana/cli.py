@@ -6,6 +6,7 @@ Every command that writes artifacts also writes a manifest.json with the
 resolved flags, the seed, content digests of the inputs and artifacts, and the
 wall-clock duration. All randomness stems from the single --seed flag; derived
 components use the fixed offsets below so they stay individually reproducible.
+After a run that succeeds, `explain` and `evaluate` print its notes on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .explain import ExplainConfig, explain_instance, render_explanation
-from .fidelity import EXPLAINERS, evaluate_fidelity, report_to_csv
+from .fidelity import check_explainers, evaluate_fidelity, report_to_csv
 from .oracle import (
     BuiltinOracle,
     ForestConfig,
@@ -120,13 +121,10 @@ def _oracle_spec(value: str) -> str:
 
 def _explainer_list(value: str) -> list[str]:
     names = [v.strip() for v in value.split(",") if v.strip()]
-    for name in names:
-        if name not in EXPLAINERS:
-            raise argparse.ArgumentTypeError(
-                f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})"
-            )
-    if not names:
-        raise argparse.ArgumentTypeError("empty explainer list")
+    try:
+        check_explainers(names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return names
 
 
@@ -230,6 +228,15 @@ def _explain_config(args) -> ExplainConfig:
     )
 
 
+def _print_notes(args, train: Dataset, notes: list[str]) -> None:
+    """Print a run's notes on stderr, after that of a clamped neighborhood."""
+    m = len(train)
+    if args.n_neighbors > m:
+        notes = [f"n_neighbors={args.n_neighbors} exceeds the training size {m}; using {m}"] + notes
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
+
+
 # ------------------------------------------------------------------ commands
 
 
@@ -312,6 +319,7 @@ def cmd_explain(args) -> int:
         expl = explain_instance(data, x, oracle, cfg)
     finally:
         oracle.close()
+    _print_notes(args, data, [f"SMOTE-NC: {note}" for note in expl.smote_notes])
     sys.stdout.write(render_explanation(expl, args.format).decode("utf-8"))
     if args.out:
         out = _out_dir(args)
@@ -351,6 +359,7 @@ def cmd_evaluate(args) -> int:
         report = evaluate_fidelity(train, test, oracle, args.explainers, cfg)
     finally:
         oracle.close()
+    _print_notes(args, train, [f"SMOTE-NC on test row {i}: {note}" for i, note in report.notes])
     summary_csv, per_instance_csv = report_to_csv(report)
 
     print(f"{'explainer':<12}{'agreements':>12}{'total':>8}{'fidelity':>10}")
@@ -405,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minority-frac", type=float, default=None)
     p.add_argument("--num-features", type=_int_from(0), default=None)
     p.add_argument("--cat-features", type=_int_from(0), default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -414,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["forest", "knn"], default="forest")
     p.add_argument("--trees", type=_int_from(1), default=100)
     p.add_argument("--k", type=_int_from(1), default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -425,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--index", type=int, help="row of --data to explain")
     sel.add_argument("--instance", help="JSON array or object with the instance values")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", help="directory for explanation.json + manifest")
     p.set_defaults(func=cmd_explain)
 
@@ -437,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--test-frac", type=_fraction, help="seeded shuffle prefix split")
     p.add_argument("--explainers", type=_explainer_list, default=["araucana"],
                    help="comma list: araucana,linear")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--out", help="directory for summary.csv, per_instance.csv + manifest")
     p.set_defaults(func=cmd_evaluate)
     return parser

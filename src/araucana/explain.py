@@ -26,11 +26,13 @@ call for every explainer tree. `explain_instance` runs both stages on one
 query, whose first request is the N neighbors and then x. A caller that
 needs the neighborhood for more than one explainer (the fidelity harness)
 selects and labels it once.
+
+Nothing here warns: SMOTE-NC's notes stay in `Explanation.smote_notes`, and
+a training set smaller than n_neighbors gives a neighborhood of its size.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -204,13 +206,7 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     check_rows(train.schema, X)
     if len(train) == 0:
         raise ValueError("the training set is empty: a neighborhood needs at least one row")
-    n = cfg.n_neighbors
-    if n > len(train):
-        warnings.warn(
-            f"n_neighbors={n} exceeds the training size {len(train)}; clamping",
-            stacklevel=2,
-        )
-        n = len(train)
+    n = min(cfg.n_neighbors, len(train))
     if labels is None:
         labels = TrainLabels(len(train))
     order, dist = nearest_rows(DistanceMetric(train.schema, cfg.distance), X, train.X, n)
@@ -271,13 +267,10 @@ def match_epsilon(task: str, label) -> float:
 def explain_instance(train: Dataset, x: np.ndarray, oracle: PredictionOracle,
                      cfg: ExplainConfig = ExplainConfig()) -> Explanation:
     """Run the full pipeline for one query instance; SMOTE-NC's notes come
-    as warnings that name the query."""
+    back in the explanation's smote_notes."""
     x = np.asarray(x, dtype=float)
     nbh = select_neighborhoods(train, x[None], oracle, cfg)[0]
-    expl = explain_neighborhoods([nbh], x[None], oracle, [cfg])[0]
-    for note in expl.smote_notes:
-        warnings.warn(f"SMOTE-NC for query {train.schema.decode_row(x)}: {note}", stacklevel=2)
-    return expl
+    return explain_neighborhoods([nbh], x[None], oracle, [cfg])[0]
 
 
 def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: PredictionOracle,

@@ -12,13 +12,13 @@ baseline mirrors the usual local-linear recipe: least squares on the encoded
 neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
 dimension, at least 1), and a ridge term of 1e-3. It fits a chunk's
 neighborhoods in stacked solves of as many queries as tabular.WORK_BYTES holds.
+Nothing here warns: the report keeps each row's SMOTE-NC notes.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,10 +95,23 @@ def fit_linear_explainer(nbhs: list[Neighborhood], X: np.ndarray, schema: Schema
     return scores.argmax(axis=1) if classes else scores[:, 0]
 
 
+def check_explainers(names: list[str]) -> None:
+    """Raise ValueError unless names lists known explainers, each once, and
+    at least one."""
+    for k, name in enumerate(names):
+        if name not in EXPLAINERS:
+            raise ValueError(f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})")
+        if name in names[:k]:
+            raise ValueError(f"explainer {name!r} is listed twice")
+    if not names:
+        raise ValueError("empty explainer list")
+
+
 @dataclass
 class FidelityReport:
     summaries: list[dict]  # per explainer: name, agreements, total, fidelity
     per_instance: list[dict]  # explainer, index, oracle_label, prediction, agree
+    notes: list[tuple[int, str]]  # (test row, SMOTE-NC note), in row order
 
 
 def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
@@ -107,19 +120,18 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
 
     Every explainer scores every test row, so each summary's total is
     len(test), and per_instance holds one record per (test row, explainer),
-    row by row in the order of `explainers`. An oracle that does not fit
-    train (check_oracle) raises SchemaError before any row, and any exception
+    row by row in the order of `explainers`. A list that check_explainers
+    refuses raises ValueError, and an oracle that does not fit train
+    (check_oracle) SchemaError, before any oracle request; any exception
     aborts the run: an oracle error, a test row the neighborhood selection
     rejects (SchemaError), or an explainer's failure on one row. Test row i is
     explained under seed cfg.seed + i, in the SMOTE config as well, and
-    SMOTE-NC's notes on its neighborhood come as warnings that name the row.
+    araucana's SMOTE-NC notes on its neighborhood come back paired with i.
     """
-    for name in explainers:
-        if name not in EXPLAINERS:
-            raise ValueError(f"unknown explainer {name!r} (valid: {', '.join(EXPLAINERS)})")
+    check_explainers(explainers)
     check_oracle(train, oracle)
     schema = oracle.schema
-    per_instance = []
+    per_instance, notes = [], []
 
     labels = TrainLabels(len(train))
     for a in range(0, len(test), EXPLAIN_BATCH_QUERIES):
@@ -135,8 +147,7 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
             for name in explainers:
                 if name == ARAUCANA:
                     expl = expls[j]
-                    for note in expl.smote_notes:
-                        warnings.warn(f"SMOTE-NC on test row {i}: {note}", stacklevel=2)
+                    notes += [(i, note) for note in expl.smote_notes]
                     prediction = expl.rule.prediction
                     agree = expl.faithful
                 else:
@@ -160,7 +171,7 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
         agreements, total = sum(agrees), len(agrees)
         summaries.append({"explainer": name, "agreements": agreements, "total": total,
                           "fidelity": agreements / total if total else float("nan")})
-    return FidelityReport(summaries, per_instance)
+    return FidelityReport(summaries, per_instance, notes)
 
 
 def _row_config(cfg: ExplainConfig, i: int) -> ExplainConfig:

@@ -29,8 +29,6 @@ from araucana.tabular import (
 
 from conftest import grow_tree, random_mixed_schema, random_rows, tree_predictions
 
-pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
-
 STUB = Path(__file__).parent / "stub_oracle.py"
 
 

@@ -9,6 +9,10 @@ import pytest
 
 from araucana import cli, tabular
 from araucana.cli import main
+from araucana.explain import ExplainConfig, explain_instance
+from araucana.fidelity import evaluate_fidelity
+from araucana.oracle import BuiltinOracle, load_model
+from araucana.smote import SmoteConfig
 from araucana.tabular import (
     Dataset,
     Schema,
@@ -574,6 +578,85 @@ def test_evaluate_unknown_explainer_exits_2(tmp_path, capsys):
              "--explainers", "araucana,shapley"])
     assert exc.value.code == 2
     assert "araucana" in capsys.readouterr().err  # lists the valid names
+
+
+def test_evaluate_repeated_explainer_exits_2(tmp_path, capsys):
+    # one name twice would score every test row twice under that name
+    data = synth_dir(tmp_path, "moons2d", 50, 1)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--data", data / "data.csv", "--schema", data / "schema.json",
+             "--oracle", "builtin:knn", "--test-frac", 0.2,
+             "--explainers", "araucana,araucana,linear"])
+    assert exc.value.code == 2
+    assert "explainer 'araucana' is listed twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "explain", "evaluate"])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command):
+    data = synth_dir(tmp_path, "moons2d", 40, 1)
+    files = ["--data", data / "data.csv", "--schema", data / "schema.json"]
+    # SMOTE off: no draw would ever reject the seed
+    explain = [*files, "--oracle", "builtin:knn", "--smote-policy", "off"]
+    flags = {"synth": ["--gen", "moons2d", "--rows", 10, "--out", tmp_path / "s"],
+             "train": [*files, "--out", tmp_path / "t"],
+             "explain": [*explain, "--index", 0],
+             "evaluate": [*explain, "--test-frac", 0.5]}[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, *flags, "--seed", -3])
+    assert exc.value.code == 2
+    assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_evaluate_prints_each_smote_note_as_one_line(tmp_path, capsys):
+    # the notes evaluate_fidelity returns, one plain line each, and nothing else
+    data = synth_dir(tmp_path, "imbalanced_mixed", 300, 1)
+    files = ["--data", data / "data.csv", "--schema", data / "schema.json"]
+    assert run(["train", *files, "--trees", 5, "--seed", 2, "--out", tmp_path / "m"]) == 0
+    model = tmp_path / "m" / "model.json"
+    capsys.readouterr()
+    assert run(["evaluate", *files, "--oracle", f"file:{model}", "--n-neighbors", 30,
+                "--test-frac", 0.3, "--seed", 9]) == 0
+    err = capsys.readouterr().err
+
+    ds = tabular.load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
+    train, test = cli._split_test_frac(ds, 0.3, 9)
+    cfg = ExplainConfig(n_neighbors=30, smote=SmoteConfig(seed=9), seed=9)
+    notes = evaluate_fidelity(train, test, BuiltinOracle(load_model(model)), ["araucana"],
+                              cfg).notes
+    assert notes
+    assert err == "".join(f"note: SMOTE-NC on test row {i}: {note}\n" for i, note in notes)
+
+
+def test_explain_prints_its_smote_notes(tmp_path, capsys):
+    data = synth_dir(tmp_path, "imbalanced_mixed", 300, 1)
+    files = ["--data", data / "data.csv", "--schema", data / "schema.json"]
+    ds = tabular.load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
+    assert run(["train", *files, "--trees", 5, "--seed", 2, "--out", tmp_path / "m"]) == 0
+    model = tmp_path / "m" / "model.json"
+    oracle = BuiltinOracle(load_model(model))
+    cfg = ExplainConfig(n_neighbors=20, smote=SmoteConfig(seed=4), seed=4)
+    # the first row whose neighborhood SMOTE-NC has a note on
+    notes, index = [], -1
+    while not notes:
+        index += 1
+        notes = explain_instance(ds, ds.X[index], oracle, cfg).smote_notes
+    capsys.readouterr()
+    assert run(["explain", *files, "--oracle", f"file:{model}", "--n-neighbors", 20,
+                "--index", index, "--seed", 4]) == 0
+    assert capsys.readouterr().err == "".join(f"note: SMOTE-NC: {note}\n" for note in notes)
+
+
+def test_explain_notes_a_clamped_neighborhood(tmp_path, capsys):
+    data = synth_dir(tmp_path, "moons2d", 60, 1)
+    capsys.readouterr()
+    assert run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", "builtin:knn", "--n-neighbors", 10_000, "--smote-policy", "off",
+                "--index", 3, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "note: n_neighbors=10000 exceeds the training size 60; using 60\n"
+    assert json.loads(captured.out)["config"]["n_neighbors"] == 60
 
 
 def test_evaluate_with_separate_test_file(tmp_path):

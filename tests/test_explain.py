@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,7 +90,8 @@ def test_neighborhood_of_training_row_contains_itself():
 
 def test_neighborhood_full_and_clamped():
     ds, oracle = small_classification()
-    with pytest.warns(UserWarning, match="clamping"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the neighborhood's size states the clamp
         nbh = select_neighborhoods(ds, ds.X[:1], oracle,
                                    ExplainConfig(n_neighbors=10_000, seed=0))[0]
     assert len(nbh.indices) == len(ds)

@@ -295,9 +295,24 @@ def test_unknown_explainer_rejected():
                           ["shap"], ExplainConfig(n_neighbors=10, seed=0))
 
 
+@pytest.mark.parametrize("explainers, words", [
+    (["araucana", "linear", "araucana"], "explainer 'araucana' is listed twice"),
+    ([], "empty explainer list"),
+])
+def test_repeated_or_empty_explainer_list_rejected_before_any_oracle_call(explainers, words):
+    # a repeated name would score every row twice under one name, and an
+    # empty list would still select and label every neighborhood
+    train = synth_dataset(SynthSpec("moons2d", 30), seed=1)
+    oracle = CountingOracle(FixedOracle(train.schema, lambda r: 0))
+    with pytest.raises(ValueError, match=f"^{words}$"):
+        evaluate_fidelity(train, train, oracle, explainers, ExplainConfig(n_neighbors=10, seed=0))
+    assert oracle.calls == []
+
+
 def test_report_to_csv_rendering():
     empty = FidelityReport(
-        [{"explainer": "araucana", "agreements": 0, "total": 0, "fidelity": float("nan")}], [],
+        [{"explainer": "araucana", "agreements": 0, "total": 0, "fidelity": float("nan")}],
+        [], [],
     )
     summary, per_instance = report_to_csv(empty)
     assert summary == b"explainer,agreements,total,fidelity\naraucana,0,0,nan\n"
@@ -307,6 +322,7 @@ def test_report_to_csv_rendering():
         [{"explainer": "araucana", "agreements": 1, "total": 1, "fidelity": 1.0}],
         [{"explainer": "araucana", "index": 0, "oracle_label": "1",
           "prediction": "1", "agree": True}],
+        [],
     )
     s1, p1 = report_to_csv(one)
     assert b"araucana,1,1,1.000000" in s1
@@ -470,24 +486,17 @@ def test_every_explainer_scores_every_test_row(monkeypatch, seed):
             [(name, len(test)) for name in explainers]
 
 
-def test_smote_notes_warn_with_their_test_row():
+def test_smote_notes_come_back_with_their_test_row():
     train, test, oracle = _mixed_task(1, "classification", 90, 8)
     cfg = ExplainConfig(n_neighbors=25, seed=7)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
-    want = []
-    for i, x in enumerate(test.X):
-        with warnings.catch_warnings(record=True) as alone:
-            warnings.simplefilter("always")
-            expl = explain_instance(train, x, oracle, fidelity._row_config(cfg, i))
-        query = train.schema.decode_row(x)
-        assert [str(w.message) for w in alone] == [f"SMOTE-NC for query {query}: {note}"
-                                                   for note in expl.smote_notes]
-        want += [f"SMOTE-NC on test row {i}: {note}" for note in expl.smote_notes]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the notes are data, not warnings
+        report = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
+        want = [(i, note) for i, x in enumerate(test.X) for note in
+                explain_instance(train, x, oracle, fidelity._row_config(cfg, i)).smote_notes]
     # some rows have notes and some have none, so the index is what tells them apart
-    assert 0 < len({w.split(":")[0] for w in want}) < len(test)
-    assert [str(w.message) for w in caught] == want
+    assert 0 < len({i for i, _ in want}) < len(test)
+    assert report.notes == want
 
 
 def test_unlabelled_sets_evaluate_as_the_labelled_ones():
