@@ -23,9 +23,14 @@ sort of packed int keys, and counts classes class-major, one cumulative
 count per class; it adds the classes' Gini terms in the order numpy's row
 sums add them, so every gain, and so every tree, is the one the per-node
 search found. A tree that draws a feature subset per split (a forest tree)
-puts its next preorder node into each step, so its rng draws come in the
-order a one-node-at-a-time grower makes them; a tree that draws none (an
-explainer tree) puts in all its open nodes and grows level by level. When
+puts its next preorder node into each step, so its draws come in the order
+a one-node-at-a-time grower makes them; a tree that draws none (an
+explainer tree) puts in all its open nodes and grows level by level. A
+forest tree seeded s draws the subsets numpy's
+Generator(PCG64(s)).choice(p, size=width, replace=False) returns, call after
+call: Floyd's sampling with Lemire's bounded integers on the tree's 32-bit
+PCG64 stream, then the draws of numpy's shuffle of the subset, all replayed
+from the tree's raw words for every tree of a step at once (see _Draws). When
 growth ends each leaf's rows are a slice of the grower's row buffer, so it
 also reports the leaf every sample row reached, with no second routing.
 
@@ -141,6 +146,114 @@ def _packed_sort(keys: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return packed, ordered
 
 
+class _Draws:
+    """The feature draws of forest trees, replayed from each tree's PCG64
+    stream, for all the trees of a grower step in one array pass.
+
+    A tree drawn (seed, width) searches at each split the features numpy's
+    Generator(PCG64(seed)).choice(p, size=width, replace=False) returns, in
+    the order of successive calls; the replay draws the same stream with no
+    Generator. The stream is 32-bit: each raw 64-bit word gives its low half,
+    then its high half. bounded(j), a uniform integer in [0, j], takes no
+    draw when j is 0; else it takes a draw u, m = u * (j + 1), again while m
+    mod 2**32 < (2**32 - (j + 1)) mod (j + 1) (Lemire's rejection), and
+    returns m >> 32. A split's set is Floyd's: for j = p - width .. p - 1,
+    v = bounded(j) joins it, or j does when v is in it already; then numpy
+    shuffles the set with bounded(i) for i = width - 1 .. 1, values the set
+    does not need but draws that advance the stream. numpy takes a large
+    sample of a large population (p > 10000 and width > p // 50) by a
+    partial shuffle instead, so such widths are refused.
+
+    A step gathers each tree's draws as if none rejects (a chance near 1e-9
+    per draw at p = 6); a tree whose draws reject takes the same algorithm one
+    value at a time. Each tree reads its raw words from a block of fixed
+    size, refilled from its stream when a step's draws would pass its end.
+    """
+
+    def __init__(self, draws, p: int):
+        trees = [t for t, d in enumerate(draws) if d is not None]
+        self.p, self.gens = p, [np.random.PCG64(draws[t][0]) for t in trees]
+        self.slot = np.full(len(draws), -1)  # each drawing tree's row of the blocks
+        self.slot[trees] = np.arange(len(trees))
+        self.width = np.array([-1 if d is None else d[1] for d in draws], np.int64)
+        # per width: each draw's bound (Floyd's j, then the shuffle's i), its
+        # place among the step's draws, Lemire's span and threshold, the draw count
+        self.plans = {}
+        for w in sorted({draws[t][1] for t in trees}):
+            if not 0 <= w <= p or (p > 10000 and w > p // 50):
+                raise ValueError(f"cannot draw {w} of {p} features: the draws replay Floyd's "
+                                 f"algorithm, which numpy runs for 0 <= width <= p, and for "
+                                 f"width <= p // 50 once p > 10000")
+            bound = np.concatenate((np.arange(p - w, p), np.arange(w - 1, 0, -1)))
+            takes, span = bound > 0, bound.astype(np.uint64) + 1
+            self.plans[w] = (bound, takes.cumsum() - takes, span,
+                             ((2 ** 32 - span) % span).astype(np.uint32), int(takes.sum()))
+        need = max((plan[-1] for plan in self.plans.values()), default=0)
+        # words per block: about 32 steps' draws, all blocks within the work
+        # budget, and room for one step's draws past a half-read word
+        size = max(need + 1, min(16 * need, work_step(8 * len(trees))))
+        self.words = np.zeros((len(trees), size), "<u8")
+        self.halves = self.words.view("<u4")  # the 32-bit stream: low half, then high
+        self.pos = np.full(len(trees), 2 * size)  # each tree's next half: all read
+
+    def candidates(self, trees) -> np.ndarray:
+        """The features each entry of trees searches at its next split, as a
+        (len(trees), p) mask: every feature for a tree that draws none. A
+        tree that draws is in trees at most once."""
+        cand = np.ones((len(trees), self.p), bool)
+        width = self.width[trees]
+        for w in self.plans:
+            at = (width == w).nonzero()[0]
+            if len(at):
+                cand[at] = self._take(self.slot[trees[at]], w)
+        return cand
+
+    def _take(self, rows, w: int) -> np.ndarray:
+        """The next draw of each of rows, all of width w, in one gather."""
+        bound, offset, span, floor, need = self.plans[w]
+        end = self.halves.shape[1]
+        for r in rows[self.pos[rows] + need >= end].tolist():
+            self._refill(r)
+        start = rows * end + self.pos[rows]
+        m = self.halves.ravel().take(start[:, None] + offset) * span
+        slow = (m.astype(np.uint32) < floor).any(axis=1)  # m mod 2**32 below the threshold
+        self.pos[rows] += need * ~slow  # a tree whose draws reject reads them again
+        cand = np.zeros((len(rows), self.p), bool)
+        flat, base = cand.ravel(), np.arange(len(rows))[:, None] * self.p
+        m >>= np.uint64(32)
+        v, j = m.view(np.int64)[:, :w] + base, bound[:w] + base
+        for k in range(w):  # Floyd's loop, every tree at once
+            flat[np.where(flat[v[:, k]], j[:, k], v[:, k])] = True
+        for a in slow.nonzero()[0].tolist():
+            cand[a] = self._one(int(rows[a]), w)
+        return cand
+
+    def _one(self, r: int, w: int) -> np.ndarray:
+        """Row r's next draw of width w, one value at a time."""
+        cand = np.zeros(self.p, bool)
+        for k, j in enumerate(self.plans[w][0].tolist()):
+            v = 0  # bounded(0) takes no draw
+            while j:
+                if self.pos[r] == self.halves.shape[1]:
+                    self._refill(r)
+                m = int(self.halves[r, self.pos[r]]) * (j + 1)
+                self.pos[r] += 1
+                if m % 2 ** 32 >= (2 ** 32 - (j + 1)) % (j + 1):
+                    v = m >> 32
+                    break
+            if k < w:  # Floyd's loop; the shuffle's values are not needed
+                cand[j if cand[v] else v] = True
+        return cand
+
+    def _refill(self, r: int) -> None:
+        """Keep row r's unread words at the front of its block and fill the
+        rest from its stream."""
+        used, size = int(self.pos[r]) // 2, self.words.shape[1]
+        self.words[r, :size - used] = self.words[r, used:]
+        self.words[r, size - used:] = self.gens[r].random_raw(used)
+        self.pos[r] -= 2 * used
+
+
 class _Frontier:
     """Grows CART trees on rows of X, many trees and many nodes per step.
 
@@ -175,19 +288,20 @@ class _Frontier:
 
     def grow(self, samples, draws) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
         """Grow tree t on rows samples[t] of X, searching every feature at
-        each split when draws[t] is None, or `width` features drawn by an rng
-        seeded `seed` when draws[t] is (seed, width); return one table with
-        each tree's nodes in preorder after the tree before it, the trees'
-        root ids, and the leaf id each sample row reached (one per entry of
-        the concatenated samples).
+        each split when draws[t] is None, or `width` features drawn from the
+        PCG64 stream seeded `seed` when draws[t] is (seed, width) (see
+        _Draws); return one table with each tree's nodes in preorder after
+        the tree before it, the trees' root ids, and the leaf id each sample
+        row reached (one per entry of the concatenated samples).
 
         A tree that draws features adds only its next preorder stack pop to a
-        step, so its rng draws come in preorder, one per split search; a
-        tree that draws none adds all its open nodes and grows level by level.
+        step, so its draws come in preorder, one per split search, as a
+        one-node-at-a-time grower makes them; a tree that draws none adds all
+        its open nodes and grows level by level.
         """
         if any(len(rows) == 0 for rows in samples):
             raise ValueError("cannot fit a tree on zero rows")
-        self.draws = [None if d is None else (np.random.default_rng(d[0]), d[1]) for d in draws]
+        self.draws = _Draws(draws, self.p)
         width = [self.p if d is None else d[1] for d in draws]
         # each node's rows are a slice of one buffer of sample positions
         # (entries of the concatenated samples); a split reorders its slice
@@ -196,15 +310,21 @@ class _Frontier:
         ends = np.cumsum([len(rows) for rows in samples]).tolist()
         self.stacks = [[(t, t, ends[t] - len(rows), ends[t])]  # (tree, id, lo, hi)
                        for t, rows in enumerate(samples)]
-        # one column per node id: feature, value, prediction, parent, then the
-        # leaf stats; ints are exact in float64, and the ids a step allocates
-        # (its splits' children) start at blocks[step]
-        self.cols = np.zeros((4 + (self.K or 1), 4 * len(samples)))
+        # one record per node id, grown by doubling: its feature, its value
+        # (a split's threshold or category, a leaf's prediction), its parent
+        # and its leaf stats, each int in the narrowest type that holds it
+        # (a tree splits fewer times than it has rows, so ids stay below
+        # twice the sample positions); the ids a step allocates (its splits'
+        # children) start at blocks[step]
+        self.cols = np.zeros(4 * len(samples), [
+            ("feat", np.min_scalar_type(-max(self.p, 1))), ("value", float),
+            ("parent", np.min_scalar_type(2 * len(self.ids))),
+            ("stats", np.min_scalar_type(max(map(len, samples))), (self.K or 1,))])
         self.n_ids, self.blocks = len(samples), [len(samples)]
         while True:
             batch = []
             for t, stack in enumerate(self.stacks):
-                if self.draws[t] is None:
+                if draws[t] is None:
                     batch += stack
                     stack.clear()
                 elif stack:
@@ -265,13 +385,17 @@ class _Frontier:
         else:  # an internal node's pred is +0.0, where mean * leaf could give -0.0
             pred, stats = np.where(leaf, mean, 0.0), sizes * leaf
         cols = self.cols
-        cols[0, ids], cols[1, ids], cols[2, ids], cols[4:, ids] = feat, val, pred * leaf, stats
+        cols["feat"][ids], cols["value"][ids] = feat, np.where(leaf, pred, val)
+        cols["stats"][ids] = stats.T.reshape(m, -1)
         if not len(split):
             return
         first, self.n_ids = self.n_ids, self.n_ids + 2 * len(split)
-        if self.n_ids > cols.shape[1]:
-            self.cols = cols = np.concatenate([cols, np.zeros_like(cols)], axis=1)
-        cols[3, first:self.n_ids] = ids[split].repeat(2)  # split i's children are first + 2i, + 1
+        if self.n_ids > len(cols):  # double (np.concatenate copies records slowly)
+            grown = np.zeros(2 * len(cols), cols.dtype)
+            grown[:len(cols)] = cols
+            self.cols = cols = grown
+        # split i's children are first + 2i and first + 2i + 1
+        cols["parent"][first:self.n_ids] = ids[split].repeat(2)
         self.blocks.append(first)
         f_row = np.maximum(feat, 0)[seg]
         x, t = self.Xf[f_row * self.n + R], val[seg]
@@ -287,14 +411,9 @@ class _Frontier:
     def _search(self, search, tree, R, sizes, starts, imp, counts, sums):
         """Best split of each node in search: (batch positions of the nodes
         that split, their features, values and left row counts)."""
-        p, n, B = self.p, self.n, self.B
-        cand = np.ones((len(search), p), bool)
-        for i, j in enumerate(search.tolist()):
-            draw = self.draws[tree[j]]
-            if draw is not None:
-                cand[i] = False
-                cand[i, draw[0].choice(p, size=draw[1], replace=False)] = True
-        pi, pf = np.nonzero(cand)  # (node, feature) pairs, node-major, features ascending
+        n, B = self.n, self.B
+        # (node, feature) pairs, node-major, features ascending
+        pi, pf = np.nonzero(self.draws.candidates(tree[search]))
         if not len(pi):  # no node to search, or a schema without features
             return [np.empty(0, np.int64)] * 4
         pn = search[pi]
@@ -361,11 +480,14 @@ class _Frontier:
         self.ids = self.Xf = self.Vf = None  # growth is over: free its buffers first
         at, right, roots = self._places(n_trees)
         cols, self.cols = self.cols, None
-        feat, val, pred = cols[0, at].astype(np.int64), cols[1, at], cols[2, at]
-        stats = cols[4:, at].T.astype(np.int64, order="C")
+        feat, value = cols["feat"][at].astype(np.int64), cols["value"][at]
+        stats = cols["stats"][at].astype(np.int64)
         del cols, at  # a forest's columns are large: free them before the table is built
-        tree = ExplainerTree(NodeTable(feat, val, np.where(feat >= 0, right, 0), pred),
-                             stats if self.task == CLASSIFICATION else stats[:, 0], self.schema)
+        split = feat >= 0
+        table = NodeTable(feat, np.where(split, value, 0.0), np.where(split, right, 0),
+                          np.where(split, 0.0, value))
+        tree = ExplainerTree(table, stats if self.task == CLASSIFICATION else stats[:, 0],
+                             self.schema)
         leaf = (feat < 0).nonzero()[0]
         leaves = np.empty_like(self.rows)
         leaves[self.rows] = leaf.repeat(stats[leaf].sum(axis=1))
@@ -377,7 +499,7 @@ class _Frontier:
         steps, each step's after its splits' ids, so subtree sizes add up over
         the steps in reverse and places follow over the steps in order."""
         N = self.n_ids
-        parent = self.cols[3, :N].astype(np.int64)
+        parent = self.cols["parent"][:N].astype(np.int64)
         steps = list(zip(self.blocks, self.blocks[1:] + [N]))
         size = np.ones(N, np.int64)
         for a, b in reversed(steps):
@@ -400,7 +522,13 @@ def grow_trees(X, y, schema: Schema, samples,
     all in one frontier (see _Frontier.grow); returns the table, the root ids
     and, for each entry of np.concatenate(samples), the id of the leaf that
     row reached in its tree. The schema's target states the task and the
-    classes: a schema without one raises SchemaError."""
+    classes: a schema without one raises SchemaError.
+
+    A forest tree searches, at each split, the width features its next
+    Floyd's sample from its PCG64(seed) stream names: the set
+    Generator(PCG64(seed)).choice(p, size=width, replace=False) would return
+    (see _Draws). A width outside 0..p, or above p // 50 when p > 10000
+    (where numpy samples by a partial shuffle instead), raises ValueError."""
     if schema.target is None:
         raise SchemaError("growing a tree needs a schema whose target states the task")
     X = np.asarray(X, dtype=float)

@@ -320,10 +320,13 @@ def cmd_explain(args) -> int:
     finally:
         oracle.close()
     _print_notes(args, data, [f"SMOTE-NC: {note}" for note in expl.smote_notes])
-    sys.stdout.write(render_explanation(expl, args.format).decode("utf-8"))
+    text = render_explanation(expl, args.format)
+    sys.stdout.write(text.decode("utf-8"))
     if args.out:
         out = _out_dir(args)
-        (out / "explanation.json").write_bytes(render_explanation(expl, "json"))
+        if args.format != "json":
+            text = render_explanation(expl, "json")
+        (out / "explanation.json").write_bytes(text)
         manifest.add_artifact(out / "explanation.json")
         manifest.write(out)
     return 0

@@ -81,7 +81,12 @@ class ForestConfig:
     """A random forest: n_trees unpruned CART trees, each grown on n rows
     drawn with replacement from the n training rows, each split searching
     ceil(sqrt(n_features)) features drawn at random; every draw derives
-    from seed."""
+    from seed. SeedSequence(seed) gives each tree two seeds, one for its
+    bootstrap rows and one for its PCG64 stream of feature draws: a split's
+    subset is Floyd's sample with Lemire's bounded integers on that stream,
+    followed by the draws of numpy's shuffle of it, so the set
+    Generator(PCG64(s)).choice(p, size=w, replace=False) returns (see
+    cart._Draws)."""
 
     n_trees: int = 100
     seed: int = 0
@@ -437,7 +442,8 @@ def save_model(model, path) -> None:
                    rows=[model.schema.decode_row(r) for r in model.X],
                    labels=[model.schema.decode_label(v) for v in model.y])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+        fh.write(json.dumps(doc))  # no text + "\n": a forest's text is megabytes
+        fh.write("\n")
 
 
 def load_model(path):

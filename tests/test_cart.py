@@ -1,4 +1,5 @@
 import json
+import math
 import signal
 import warnings
 from contextlib import contextmanager
@@ -604,6 +605,103 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     for budget in (1, 1 << 50):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(tabular, "WORK_BYTES", budget)
         _same_trees(cart.grow_trees(X, y, schema, samples, draws)[0], together)
+
+
+def _choice_sets(seed, p, width, calls):
+    """The feature sets successive Generator.choice calls draw from seed."""
+    rng = np.random.default_rng(seed)
+    return [np.sort(rng.choice(p, size=width, replace=False)) for _ in range(calls)]
+
+
+@pytest.mark.parametrize("p", list(range(1, 14)) + [17, 50, 101, 256, 400])
+def test_feature_draws_replay_generator_choice(p):
+    # the forest's width, the widths the grower tests draw, and the edges
+    rng = np.random.default_rng(300 + p)
+    widths = sorted({min(math.ceil(math.sqrt(p)), p), 1, 1 + 7 % p, p - 1, p})
+    seeds = [0, 1, 2**32 - 1] + rng.integers(0, 2**32, size=5).tolist()
+    draws = [None] + [(s, w) for w in widths for s in seeds]
+    calls = 30
+    want = [None] + [_choice_sets(s, p, w, calls) for s, w in draws[1:]]
+    got = [[] for _ in draws]
+    replay = cart._Draws(draws, p)
+    # a random subset of the trees draws at a step, in a random order, so
+    # each tree's place in its own stream is checked from call to call
+    while any(len(g) < calls for g in got[1:]):
+        trees = rng.permutation(len(draws))[:int(rng.integers(1, len(draws) + 1))]
+        trees = np.array([t for t in trees if len(got[t]) < calls], np.int64)
+        for t, row in zip(trees.tolist(), replay.candidates(trees)):
+            assert row.shape == (p,)
+            got[t].append(row.nonzero()[0])
+    assert all(len(row) == p for row in got[0])  # a tree that draws none searches every feature
+    for t in range(1, len(draws)):
+        for a, b in zip(got[t], want[t]):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_feature_draws_replay_lemire_rejections(monkeypatch):
+    # a bound near 3e6 rejects a draw about 3.5e-4 of the time, so a call's
+    # 2 * 1733 - 1 draws see about one rejection
+    p, width, calls = 3_000_000, 1733, 3
+    slow = []
+    one = cart._Draws._one
+    monkeypatch.setattr(cart._Draws, "_one", lambda self, r, w: slow.append(r) or one(self, r, w))
+    replay = cart._Draws([(s, width) for s in range(3)], p)
+    want = [_choice_sets(s, p, width, calls) for s in range(3)]
+    for call in range(calls):
+        for s, row in enumerate(replay.candidates(np.arange(3))):
+            np.testing.assert_array_equal(row.nonzero()[0], want[s][call])
+    assert len(slow) >= 3  # the one-value-at-a-time path ran
+
+
+def _pcg64_state_first_word(word):
+    """A PCG64 state whose next raw word is word. PCG64 steps its 128-bit
+    LCG state s -> s * MULT + inc, then outputs the halves of s xor-ed and
+    rotated right by the top 6 bits of s; a high half with those bits 0
+    needs no rotation."""
+    mult = (2549297995355413924 << 64) + 4865540595714422341
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    high = 0x0123456789ABCDEF
+    stepped = (high << 64) | (high ^ word)
+    state = (stepped - inc) * pow(mult, -1, 2 ** 128) % 2 ** 128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+THIRD = pow(3, -1, 2 ** 32)  # 3 * THIRD = 1 mod 2**32
+
+
+@pytest.mark.parametrize("low, high", [(0, THIRD), (THIRD, 0x9E3779B9), (2 * THIRD, 0x9E3779B9)])
+def test_feature_draws_replay_lemire_threshold_exactly(monkeypatch, low, high):
+    # p = 5, width 3: the first draw is bounded(2), whose threshold is
+    # (2**32 - 3) mod 3 = 1. The first word's low half is the first 32-bit
+    # draw u: u = 0 gives m mod 2**32 = 0, below it, and is drawn again from
+    # the high half, where u = THIRD gives 1, the threshold itself, and is
+    # taken; u = THIRD and 2 * THIRD first are taken at once
+    slow = []
+    one = cart._Draws._one
+    monkeypatch.setattr(cart._Draws, "_one", lambda self, r, w: slow.append(r) or one(self, r, w))
+    state = _pcg64_state_first_word((high << 32) | low)
+    replay, rng = cart._Draws([(0, 3)], 5), np.random.Generator(np.random.PCG64())
+    replay.gens[0].state = rng.bit_generator.state = state
+    for _ in range(20):
+        got = replay.candidates(np.zeros(1, np.int64))[0].nonzero()[0]
+        np.testing.assert_array_equal(got, np.sort(rng.choice(5, size=3, replace=False)))
+    assert len(slow) == (low == 0)
+
+
+def test_feature_draw_widths_numpy_samples_otherwise_are_refused(two_cat_schema):
+    # past p // 50 of p > 10000 features numpy shuffles partly, not by Floyd
+    for p, width in [(10001, 201), (20000, 401)]:
+        with pytest.raises(ValueError, match=rf"^cannot draw {width} of {p} features"):
+            cart._Draws([None, (0, width)], p)
+        replay = cart._Draws([(0, width - 1)], p)
+        for want in _choice_sets(0, p, width - 1, 2):
+            got = replay.candidates(np.zeros(1, np.int64))[0].nonzero()[0]
+            np.testing.assert_array_equal(got, want)
+    X, y = and_dataset(two_cat_schema)
+    for width in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^cannot draw {width} of 2 features"):
+            cart.grow_trees(X, y, two_cat_schema, [np.arange(4)], [(0, width)])
 
 
 @pytest.mark.parametrize("target", ["2 classes", "3 classes", "regression"])
