@@ -35,15 +35,16 @@ growth ends each leaf's rows are a slice of the grower's row buffer, so it
 also reports the leaf every sample row reached, with no second routing.
 
 A tree has one form, the struct-of-arrays layout of scikit-learn's `tree_`:
-a NodeTable, whose columns are the ones a saved forest stores, plus one
-leaf-statistics array beside it. The table keeps nothing another value
-decides: its nodes are in preorder, so a split's left child is the node
-after it (the root is node 0), and the schema's feature kind gives a split's
-test. A forest is the same table with many roots: each tree's preorder nodes
-follow the previous tree's, and child ids index the whole table. The grower
-numbers the nodes in preorder once growth ends, and a loaded forest is built
-from its columns. A tree stores nothing its table decides: tree_stats derives
-its depth and leaf count where they are read.
+a NodeTable, whose columns are the ones model.json and explanation.json
+store (oracle.forest_columns), plus one leaf-statistics array beside it.
+The table keeps nothing another value decides: its nodes are in preorder,
+so a split's left child is the node after it (the root is node 0), and the
+schema's feature kind gives a split's test. A forest is the same table
+with many roots: each tree's preorder nodes follow the previous tree's, and
+child ids index the whole table. The grower numbers the nodes in preorder
+once growth ends, and a loaded forest is built from its columns. A tree
+stores nothing its table decides: tree_stats derives its depth and leaf
+count where they are read.
 
 Prediction walks a RoutePlan, which route_plan derives from the table and
 the schema and which is never saved: each node becomes one `<=` test on a
@@ -54,7 +55,6 @@ one-tree plan routes from root 0.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,7 +71,7 @@ CATEGORY_EQ = "category_eq"
 
 class NodeTable(NamedTuple):
     """Struct-of-arrays node table for one tree or a forest of them: the
-    columns of a saved forest (see oracle._forest_table).
+    columns model.json and explanation.json store (see oracle.forest_columns).
 
     Node i is a leaf when feat[i] < 0, and then pred[i] is its prediction.
     Otherwise it tests row[feat[i]] against val[i], `<=` when the schema's
@@ -677,52 +677,3 @@ def tree_stats(tree: ExplainerTree) -> dict:
         "leaf_count": leaves,
         "node_count": 2 * leaves - 1,
     }
-
-
-def tree_to_dict(tree: ExplainerTree) -> dict:
-    """Nested JSON form of a one-root tree (split_trees gives a forest's trees
-    one by one): each split holds its left and right subtrees."""
-    t, numeric = tree.table, tree.schema.numeric_mask().tolist()
-    feat, val, right = t.feat.tolist(), t.val.tolist(), t.right.tolist()
-    pred, stats = t.pred.tolist(), tree.leaf_stats.tolist()
-    docs: list = [None] * len(feat)
-    for i in range(len(feat) - 1, -1, -1):  # children come after their parent
-        if feat[i] >= 0:
-            if numeric[feat[i]]:
-                test = {"kind": NUMERIC_LE, "threshold": val[i]}
-            else:
-                test = {"kind": CATEGORY_EQ, "category": int(val[i])}
-            docs[i] = {"feature": feat[i], "test": test,
-                       "left": docs[i + 1], "right": docs[right[i]]}
-        elif tree.task == CLASSIFICATION:
-            docs[i] = {"leaf": {"prediction": tree.schema.decode_label(pred[i]),
-                                "counts": stats[i]}}
-        else:
-            docs[i] = {"leaf": {"prediction": pred[i],
-                                "stats": {"n": stats[i], "mean": pred[i]}}}
-    return docs[0]
-
-
-def json_text(doc) -> str:
-    """json.dumps(doc, indent=2) of a string-keyed document at any depth: an
-    explicit stack of (text before a value, the value, its line break and
-    indent) lays out the dicts and lists, where the encoder recurses once per
-    level. Each key and scalar is json.dumps's own text."""
-    out, stack = [], [("", doc, "\n")]
-    while stack:
-        before, value, nl = stack.pop()
-        out.append(before)
-        if nl is None:  # a closing bracket: its text came before, no value
-            continue
-        if isinstance(value, dict) and value:
-            items, ends = [(json.dumps(k) + ": ", v) for k, v in value.items()], "{}"
-        elif isinstance(value, (list, tuple)) and value:
-            items, ends = [("", v) for v in value], "[]"
-        else:  # a scalar, {} or []
-            out.append(json.dumps(value))
-            continue
-        inner = nl + "  "
-        kids = [("," + inner + key, v, inner) for key, v in items]
-        kids[0] = (ends[0] + inner + items[0][0], items[0][1], inner)  # no comma first
-        stack += [(nl + ends[1], None, None)] + kids[::-1]
-    return "".join(out)

@@ -27,12 +27,18 @@ query, whose first request is the N neighbors and then x. A caller that
 needs the neighborhood for more than one explainer (the fidelity harness)
 selects and labels it once.
 
+`render_explanation` writes an explanation as text or as JSON. The JSON
+document (format 2) stores the explainer tree as model.json stores a forest,
+in the preorder columns of oracle.forest_columns with the one root 0, so it
+nests at a fixed depth whatever the tree's depth.
+
 Nothing here warns: SMOTE-NC's notes stay in `Explanation.smote_notes`, and
 a training set smaller than n_neighbors gives a neighborhood of its size.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -40,7 +46,7 @@ import numpy as np
 
 from . import cart
 from .gower import DistanceMetric, nearest_rows
-from .oracle import PredictionOracle
+from .oracle import PredictionOracle, forest_columns
 from .smote import SmoteConfig, smote_nc
 from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, SchemaError, check_rows, value_text
 
@@ -348,6 +354,7 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
     schema = expl.tree.schema
     if format == JSON:
         doc = {
+            "format": 2,
             "query": schema.decode_row(expl.query),
             "oracle_label": schema.decode_label(expl.oracle_label),
             "rule": {
@@ -359,13 +366,13 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
                 "support": expl.rule.support,
                 "purity": expl.rule.purity,
             },
-            "tree": cart.tree_to_dict(expl.tree),
+            "tree": forest_columns(expl.tree, [0]),
             "tree_stats": expl.tree_stats,
             "faithful": expl.faithful,
             "config": expl.config,
             "seed": expl.seed,
         }
-        return (cart.json_text(doc) + "\n").encode("utf-8")
+        return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
     if format != TEXT:
         raise ValueError(f"unknown render format {format!r}")
     if expl.rule.conditions:

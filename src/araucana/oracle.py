@@ -424,19 +424,13 @@ MODEL_FORMAT = 3
 def save_model(model, path) -> None:
     """Write a built-in model as one line of JSON: a k-NN model as its rows
     and labels, a forest as its node table's columns and nothing more (see
-    _forest_table)."""
+    forest_columns)."""
     if not isinstance(model, (ForestModel, KnnModel)):
         raise TypeError(f"cannot save model of type {type(model).__name__}")
     doc = {"format": MODEL_FORMAT, "type": "forest" if isinstance(model, ForestModel) else "knn",
            "task": model.task, "schema": model.schema.to_dict()}
     if isinstance(model, ForestModel):
-        t, stats = model.nodes.table, model.nodes.leaf_stats
-        leaf = t.feat < 0
-        classes = model.task == CLASSIFICATION
-        doc.update(roots=model.roots.tolist(),
-                   feature=t.feat.tolist(), value=t.val.tolist(), right=t.right.tolist(),
-                   prediction=t.pred[leaf].astype(np.int64 if classes else float).tolist())
-        doc["counts" if classes else "n"] = stats[leaf].ravel().tolist()
+        doc.update(forest_columns(model.nodes, model.roots))
     else:
         doc.update(k=model.k, metric=model.metric.kind,
                    rows=[model.schema.decode_row(r) for r in model.X],
@@ -476,6 +470,20 @@ def load_model(path):
         raise OracleError(f"malformed model file {path}: {exc}") from exc
 
 
+def forest_columns(nodes: cart.ExplainerTree, roots) -> dict:
+    """The columns of a node table with the given root ids, as _forest_table
+    reads them: roots, feature, value and right per node, then per leaf its
+    prediction (the class index, or the regression value) and its class
+    counts or row count n."""
+    t, leaf = nodes.table, nodes.table.feat < 0
+    classes = nodes.task == CLASSIFICATION
+    doc = dict(roots=np.asarray(roots).tolist(),
+               feature=t.feat.tolist(), value=t.val.tolist(), right=t.right.tolist(),
+               prediction=t.pred[leaf].astype(np.int64 if classes else float).tolist())
+    doc["counts" if classes else "n"] = nodes.leaf_stats[leaf].ravel().tolist()
+    return doc
+
+
 def _column(doc, key, kinds="iu") -> np.ndarray:
     """doc[key] as a flat array: integers, or finite numbers when kinds is "iuf"."""
     col = np.asarray(doc[key])
@@ -485,9 +493,10 @@ def _column(doc, key, kinds="iu") -> np.ndarray:
 
 
 def _forest_table(doc, schema: Schema):
-    """The node table and root ids of a forest file's columns, which are the
-    table's own columns (cart.NodeTable), under a schema whose target states
-    the task and the K classes. Node i is a leaf when feature[i] is
+    """The node table and root ids of the columns forest_columns writes (a
+    forest file's, or an explanation's one-root tree), which are the table's
+    own columns (cart.NodeTable), under a schema whose target states the
+    task and the K classes. Node i is a leaf when feature[i] is
     -1; otherwise it tests feature[i] against value[i], <= when the schema
     says the feature is numeric and == when it is categorical, and sends a row
     to i + 1 when the test holds, else to right[i]. Per leaf, in node order,

@@ -13,9 +13,12 @@ is printed per file, sorted by name, so two listings can be compared with
 diff: two runs of one checkout, or a checkout and its parent, where every
 change that keeps the artifacts' bytes must list the same digests.
 
-The digests depend on the numpy version (forest bootstraps and feature draws
-use Generator.choice), so DIGESTS holds the listing under a first line that
-names the numpy and Python versions it was made on; --record rewrites it.
+The digests depend on the numpy version: forest bootstraps, SMOTE-NC's
+draws and --test-frac's split use Generator.integers, random and
+permutation, and synth also draws normal values (forest feature draws are
+replayed from raw PCG64 words, whose stream numpy keeps stable). So DIGESTS
+holds the listing under a first line that names the numpy and Python
+versions it was made on; --record rewrites it.
 test_artifacts.py compares a fresh corpus with it when the running versions
 are the recorded ones. A change that moves an artifact's bytes on purpose
 records the digests again and says why. The program and the demos are run

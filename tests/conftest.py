@@ -1,6 +1,3 @@
-import sys
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 
@@ -111,18 +108,6 @@ def chain_dataset(n=1200):
         TargetSpec("label", CLASSIFICATION, classes=("0", "1")),
     )
     return Dataset(schema, np.arange(n, dtype=float).reshape(-1, 1), np.arange(n) % 2)
-
-
-@contextmanager
-def recursion_limit(n):
-    """Raise the recursion limit to n inside the block: the json module's
-    encoder and decoder recurse once per level of a nested chain_dataset tree."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(n)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 def grow_tree(X, y, schema):

@@ -1,16 +1,11 @@
 """The per-node CART grower that the frontier grower in araucana.cart
-replaced, the nested (format 1) tree reader that model.json format 2
 replaced, and a per-row walk that cart.route is checked against.
 
 The grower searches one node at a time, in preorder, with its own numpy calls
 per candidate feature. It exists only as the reference that the frontier
 grower's tests compare against: same splits, same thresholds, same node ids,
 same leaf statistics, same rng draws, and, counted as it grows, the depth
-and leaf count that cart.tree_stats derives from a table. The reader appends the nested JSON of
-cart.tree_to_dict to the same preorder columns, so a forest saved as columns
-can be checked against the same trees read through their nested form; a
-node's test kind is not stored, as the schema decides it, and a nested test
-whose kind disagrees with the schema is refused.
+and leaf count that cart.tree_stats derives from a table.
 """
 
 from array import array
@@ -51,33 +46,6 @@ class _Preorder:
         self.stats.extend(self.no_stats if stats is None else stats)
         return node
 
-    def read(self, d: dict) -> int:
-        """Append the nested JSON tree d (see cart.tree_to_dict); return its root id."""
-        root, add, classes = len(self.feat), self.add, self.task == CLASSIFICATION
-        stack = [(d, 0, -1)]  # (subtree, depth, split whose right child this is)
-        while stack:
-            sub, depth, right_of = stack.pop()
-            if "leaf" in sub:
-                leaf = sub["leaf"]
-                if not classes:
-                    add(depth, right_of, pred=float(leaf["prediction"]),
-                        stats=(int(leaf["stats"]["n"]),))
-                elif len(leaf["counts"]) != self.n_classes:
-                    raise ValueError(f"leaf counts {leaf['counts']} for {self.n_classes} classes")
-                else:
-                    add(depth, right_of, pred=self.schema.target.encode(leaf["prediction"]),
-                        stats=leaf["counts"])
-                continue
-            test = sub["test"]
-            kind, feature = test["kind"], int(sub["feature"])
-            if (kind == NUMERIC_LE) != self.schema.features[feature].is_numeric:
-                raise ValueError(f"a {kind} test on feature {feature} disagrees with the schema")
-            value = float(test["threshold"] if kind == NUMERIC_LE else test["category"])
-            node = add(depth, right_of, feature, value)
-            stack.append((sub["right"], depth + 1, node))
-            stack.append((sub["left"], depth + 1, -1))
-        return root
-
     def tree(self) -> ExplainerTree:
         """The nodes as an ExplainerTree; its arrays view the columns, which
         can take no more nodes after this."""
@@ -87,21 +55,6 @@ class _Preorder:
         table = NodeTable(np.frombuffer(self.feat, dtype=np.int64), np.frombuffer(self.val),
                           np.frombuffer(self.right, dtype=np.int64), np.frombuffer(self.pred))
         return ExplainerTree(table, stats, self.schema)
-
-
-def tree_from_dict(d: dict, schema: Schema) -> ExplainerTree:
-    """One nested JSON tree (cart.tree_to_dict) as an ExplainerTree."""
-    nodes = _Preorder(schema)
-    nodes.read(d)
-    return nodes.tree()
-
-
-def forest_from_dicts(trees, schema: Schema) -> tuple[ExplainerTree, np.ndarray]:
-    """The "trees" list of a format-1 model.json as one node table and its
-    root ids, as the format-1 load_model read it."""
-    nodes = _Preorder(schema)
-    roots = np.array([nodes.read(d) for d in trees])
-    return nodes.tree(), roots
 
 
 def reference_route(tree, roots, rows) -> np.ndarray:

@@ -1,4 +1,3 @@
-import json
 import math
 import signal
 import warnings
@@ -8,11 +7,7 @@ import numpy as np
 import pytest
 
 from araucana import cart, tabular
-from araucana.cart import (
-    decision_path,
-    tree_stats,
-    tree_to_dict,
-)
+from araucana.cart import decision_path, tree_stats
 from araucana.tabular import REGRESSION, FeatureSpec, Schema, SchemaError, TargetSpec
 
 from conftest import (
@@ -20,7 +15,6 @@ from conftest import (
     grow_tree,
     random_mixed_schema,
     random_rows,
-    recursion_limit,
     tree_leaves,
     tree_predictions,
 )
@@ -30,7 +24,6 @@ from reference_cart import (
     reference_grow,
     reference_route,
     reference_tree_stats,
-    tree_from_dict,
 )
 
 
@@ -195,7 +188,7 @@ def test_split_admissibility_and_determinism():
                                              classes=("0", "1", "2")))
     t1 = grow_tree(X, y, sch)
     t2 = grow_tree(X, y, sch)
-    assert tree_to_dict(t1) == tree_to_dict(t2)
+    _same_trees(t1, t2)
 
     # chosen splits never increase weighted impurity and never strand a side
     for node, idx in _walk_sizes(t1, X):
@@ -276,40 +269,6 @@ def _leaf_sizes(tree, X):
     return [len(idx) for node, idx in _walk_sizes(tree, X) if _is_leaf(tree, node)]
 
 
-def test_json_roundtrip_classification_and_regression():
-    rng = np.random.default_rng(21)
-    schema = random_mixed_schema(rng, n_num=2, n_cat=2)
-    X = random_rows(rng, schema, 50)
-    y = rng.integers(0, 2, size=50)
-    tree = grow_tree(X, y, schema)
-    doc = tree_to_dict(tree)
-    back = tree_from_dict(doc, schema)
-    probe = random_rows(rng, schema, 100)
-    np.testing.assert_array_equal(tree_predictions(back, probe), tree_predictions(tree, probe))
-    assert tree_stats(back) == tree_stats(tree)
-
-    yr = rng.standard_normal(50)
-    rschema = Schema(schema.features, TargetSpec("y", REGRESSION))
-    rtree = grow_tree(X, yr, rschema)
-    rdoc = tree_to_dict(rtree)
-    rback = tree_from_dict(rdoc, rschema)
-    np.testing.assert_allclose(tree_predictions(rback, probe), tree_predictions(rtree, probe))
-
-    # a loaded tree writes back the same bytes and holds the same arrays
-    for original, d, loaded in ((tree, doc, back), (rtree, rdoc, rback)):
-        assert json.dumps(tree_to_dict(loaded)) == json.dumps(d)
-        for a, b in zip(loaded.table, original.table):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(loaded.leaf_stats, original.leaf_stats)
-
-    # the schema decides a test's kind: a nested test of the other kind is refused
-    numeric = schema.features[doc["feature"]].is_numeric
-    doc["test"] = ({"kind": cart.CATEGORY_EQ, "category": 0} if numeric
-                   else {"kind": cart.NUMERIC_LE, "threshold": 0.5})
-    with pytest.raises(ValueError, match="disagrees with the schema"):
-        tree_from_dict(doc, schema)
-
-
 def test_deep_tree_walks_without_recursion():
     ds = chain_dataset(1200)
     tree = grow_tree(ds.X, ds.y, ds.schema)
@@ -317,65 +276,6 @@ def test_deep_tree_walks_without_recursion():
     assert tree_stats(tree)["depth"] == 1199
     np.testing.assert_array_equal(tree_predictions(tree, ds.X), ds.y)
     assert len(decision_path(tree, ds.X[-1])) == 1199
-    doc = tree_to_dict(tree)
-    back = tree_from_dict(doc, ds.schema)
-    assert tree_stats(back) == tree_stats(tree)
-    for a, b in zip(back.table, tree.table):
-        np.testing.assert_array_equal(a, b)
-    with recursion_limit(10_000):
-        want = json.dumps(doc, indent=2)
-    assert cart.json_text(doc) == want
-
-
-# values whose json.dumps text is easy to get wrong by hand
-JSON_EDGE_VALUES = [{}, [], [[[]]], -0.0, 5e-324, 1e300, -1.5e-7, 2 ** 70, "x\n\"", "é",
-                    "\u2028", None, True, False, float("nan"), float("-inf"), (1, (2,))]
-
-
-def random_json_doc(rng, depth=0):
-    """A string-keyed nesting of dicts, lists and scalars, edge values among them."""
-    r = rng.random()
-    if depth >= 5 or r < 0.35:
-        scalars = JSON_EDGE_VALUES + [float(rng.standard_normal() * 10.0 ** rng.integers(-8, 9)),
-                                      int(rng.integers(-10 ** 9, 10 ** 9))]
-        return scalars[int(rng.integers(0, len(scalars)))]
-    n = int(rng.integers(0, 4))
-    if r < 0.7:
-        return [random_json_doc(rng, depth + 1) for _ in range(n)]
-    return {"".join(rng.choice(list("ab\"é\n\t "), size=int(rng.integers(0, 4)))):
-            random_json_doc(rng, depth + 1) for _ in range(n)}
-
-
-def test_json_text_equals_indented_json_dumps():
-    for value in JSON_EDGE_VALUES:
-        assert cart.json_text(value) == json.dumps(value, indent=2)
-    rng = np.random.default_rng(22)
-    for _ in range(300):
-        doc = random_json_doc(rng)
-        assert cart.json_text(doc) == json.dumps(doc, indent=2)
-    # explanation-shaped documents: a tree beside other fields, both tasks
-    for trial in range(40):
-        schema = random_mixed_schema(rng, n_classes=int(rng.integers(2, 4)))
-        n = int(rng.integers(1, 40))
-        X = random_rows(rng, schema, n)
-        if trial % 2:
-            tree = grow_tree(X, rng.standard_normal(n),
-                             Schema(schema.features, TargetSpec("y", REGRESSION)))
-        else:
-            tree = grow_tree(X, rng.integers(0, len(schema.target.classes), size=n), schema)
-        doc = {"query": [1.0, "c"], "tree": tree_to_dict(tree), "tree_stats": tree_stats(tree),
-               "faithful": True, "config": {"k": 3, "none": None}, "seed": trial}
-        assert cart.json_text(doc) == json.dumps(doc, indent=2)
-
-
-def test_json_field_names(two_cat_schema):
-    X, y = and_dataset(two_cat_schema)
-    doc = tree_to_dict(grow_tree(X, y, two_cat_schema))
-    assert set(doc) == {"feature", "test", "left", "right"}
-    assert doc["test"]["kind"] in ("numeric_le", "category_eq")
-    leafy = tree_to_dict(grow_tree(X, np.array([0, 0, 0, 0]), two_cat_schema))
-    assert set(leafy) == {"leaf"}
-    assert set(leafy["leaf"]) == {"prediction", "counts"}
 
 
 def test_leaf_counts_sum_to_routed_rows(two_cat_schema):
@@ -596,7 +496,6 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     plan = cart.route_plan(together)
     for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
         alone, _, alone_leaves = cart.grow_trees(X, y, schema, [rows], [draw])
-        assert tree_to_dict(cut) == tree_to_dict(alone)
         _same_trees(cut, alone)  # its own ids
         assert tree_stats(cut) == reference_tree_stats(X[rows], y[rows], schema, draw)
         part = leaves[starts[t]:starts[t + 1]]

@@ -19,6 +19,7 @@ from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
     PredictionOracle,
+    _forest_table,
     train_forest,
     train_knn,
 )
@@ -43,6 +44,7 @@ from conftest import (
     tree_leaves,
     tree_predictions,
 )
+from reference_cart import reference_route
 
 
 class FixedOracle(PredictionOracle):
@@ -336,7 +338,7 @@ def test_json_schema_top_level_fields():
     ds, oracle = small_classification()
     expl = explain_instance(ds, ds.X[1], oracle, ExplainConfig(n_neighbors=20, seed=1))
     doc = json.loads(render_explanation(expl, "json"))
-    assert list(doc) == ["query", "oracle_label", "rule", "tree", "tree_stats",
+    assert list(doc) == ["format", "query", "oracle_label", "rule", "tree", "tree_stats",
                          "faithful", "config", "seed"]
     assert list(doc["rule"]) == ["conditions", "prediction", "support", "purity"]
     for c in doc["rule"]["conditions"]:
@@ -348,6 +350,32 @@ def test_json_schema_top_level_fields():
     assert doc["seed"] == 1
     assert doc["config"]["n_neighbors"] == 20
     assert doc["config"]["distance"] == "gower"
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_json_tree_reads_back_through_the_model_reader(task):
+    """The JSON tree is model.json's columns for the one root 0: the model
+    reader gives back the explainer tree's table and leaf stats, and its
+    routing reaches the leaves of the per-row reference walk."""
+    rng = np.random.default_rng(61 if task == "classification" else 62)
+    for trial in range(8):
+        schema = random_mixed_schema(rng, n_classes=int(rng.integers(2, 5)))
+        if task == "regression":
+            schema = Schema(schema.features, TargetSpec("target", "regression"))
+        ds = make_dataset(rng, schema, int(rng.integers(20, 80)))
+        oracle = BuiltinOracle(train_knn(ds, k=1))
+        expl = explain_instance(ds, ds.X[0], oracle, ExplainConfig(n_neighbors=30, seed=trial))
+        doc = json.loads(render_explanation(expl, "json"))
+        assert doc["format"] == 2
+        back, roots = _forest_table(doc["tree"], schema)
+        assert roots.tolist() == [0]
+        tree = expl.tree
+        for got, want in zip(back.table + (back.leaf_stats,), tree.table + (tree.leaf_stats,)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        rows = random_rows(rng, schema, 60)
+        np.testing.assert_array_equal(cart.route(cart.route_plan(back), roots, rows),
+                                      reference_route(tree, [0], rows))
 
 
 def test_condition_order_root_to_leaf():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from araucana import cart, oracle as oracle_mod, tabular
-from araucana.cart import tree_to_dict
 from araucana.gower import DistanceMetric, distances_many
 from araucana.oracle import (
     BuiltinOracle,
@@ -35,7 +34,7 @@ from araucana.tabular import (
     synth_dataset,
 )
 
-from reference_cart import forest_from_dicts, reference_grow_tree, reference_route
+from reference_cart import reference_grow_tree, reference_route
 
 from conftest import (
     chain_dataset,
@@ -141,13 +140,7 @@ def test_packed_forest_routing_equals_per_tree_vote(tmp_path, monkeypatch, targe
                              "right", "prediction", "n" if data.task == REGRESSION else "counts"]
         assert doc["format"] == 3
         back = load_model(a)
-        # the same forest written as nested trees (format 1) and read by the
-        # reference reader
-        nested = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
-        v1 = ForestModel(*forest_from_dicts(nested, schema))
-        want = forest.predict_batch(probe)
-        for model in (back, v1):
-            np.testing.assert_array_equal(model.predict_batch(probe), want)
+        np.testing.assert_array_equal(back.predict_batch(probe), forest.predict_batch(probe))
         save_model(back, b)
         assert b.read_bytes() == a.read_bytes()
 
@@ -338,7 +331,11 @@ def test_format_1_model_is_refused(tmp_path):
     path = tmp_path / "model.json"
     save_model(forest, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    trees = [tree_to_dict(t) for t in cart.split_trees(forest.nodes, forest.roots)]
+    # format 1 nested each tree: a split held its test and both subtrees
+    leaf = {"leaf": {"prediction": "1", "counts": [0, 3]}}
+    tree = {"feature": 0, "test": {"kind": "numeric_le", "threshold": 0.5},
+            "left": {"leaf": {"prediction": "0", "counts": [4, 1]}}, "right": leaf}
+    trees = [tree, leaf]
     # formats 1 and 2 also stored the trees' seeds and feature-draw width
     drawn = {"feature_subsample": 1, "tree_seeds": [5, 6]}
     v1 = {k: doc[k] for k in ("type", "task", "schema")}
