@@ -355,7 +355,7 @@ def render_explanation(expl: Explanation, format: str = TEXT) -> bytes:
     if format == JSON:
         doc = {
             "format": 2,
-            "query": schema.decode_row(expl.query),
+            "query": schema.decode_rows([expl.query])[0],
             "oracle_label": schema.decode_label(expl.oracle_label),
             "rule": {
                 "conditions": [

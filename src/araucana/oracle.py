@@ -7,8 +7,10 @@ subprocess speaking line-delimited JSON, and a precomputed prediction column
 (original dataset rows only).
 
 Subprocess wire protocol (one JSON object per line, both directions):
-  request  {"instances": [[v, ...], ...]}   numerics as numbers, categoricals
-                                            as category strings
+  request  {"instances": [[v, ...], ...]}   numerics as their shortest round-
+                                            trip decimal (float repr), which
+                                            reads back as the exact float;
+                                            categoricals as category strings
   reply    {"predictions": [p, ...]}        class names as strings (or class
                                             indices as integers); finite
                                             numbers for regression
@@ -33,6 +35,7 @@ import select
 import shlex
 import subprocess
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +43,7 @@ import numpy as np
 from . import cart, gower
 from .gower import DistanceMetric
 from .tabular import (CLASSIFICATION, REGRESSION, Dataset, Schema, SchemaError, TargetSpec,
-                      first_refused, work_step)
+                      encode_column, first_refused, work_step)
 
 
 class OracleError(RuntimeError):
@@ -317,7 +320,7 @@ class SubprocessOracle(PredictionOracle):
     def _request(self, rows: np.ndarray) -> np.ndarray:
         """Labels of rows from one request and its reply."""
         self._ensure_child()
-        payload = {"instances": [self.schema.decode_row(r) for r in rows]}
+        payload = {"instances": self.schema.decode_rows(rows)}
         deadline = time.monotonic() + self.timeout  # covers the write and the reply
         self._check_quiet()
         self._write_all((json.dumps(payload) + "\n").encode("utf-8"), deadline)
@@ -337,13 +340,14 @@ class SubprocessOracle(PredictionOracle):
     def _decode_predictions(self, preds) -> np.ndarray:
         """Labels of a JSON reply. JSON true and false are not numbers here,
         a regression label is a JSON number (not a string that spells one),
-        and a float names a class only when it is a finite whole number."""
-        if any(isinstance(v, bool) for v in preds):
-            raise OracleError("boolean prediction: expected a class name, index or number")
-        if self.task == REGRESSION:
-            for v in preds:
-                if not isinstance(v, (int, float)):
-                    raise OracleError(f"non-numeric regression prediction {v!r}")
+        and a float names a class only when it is a finite whole number. A
+        reply of class names alone, or of numbers alone for regression, is read
+        in one pass; any other value by value, and a refused one raises."""
+        if self.task == CLASSIFICATION:
+            index = self.schema.target._index
+            with suppress(KeyError, TypeError):  # a class index, or no class name at all
+                return np.array([index[v] for v in preds], dtype=np.int64)
+        elif set(map(type, preds)) <= {int, float}:
             try:
                 out = np.asarray(preds, dtype=float)
             except OverflowError as exc:  # an integer beyond float range
@@ -351,6 +355,11 @@ class SubprocessOracle(PredictionOracle):
             if not np.isfinite(out).all():
                 raise OracleError("non-finite regression prediction")
             return out
+        if any(isinstance(v, bool) for v in preds):
+            raise OracleError("boolean prediction: expected a class name, index or number")
+        if self.task == REGRESSION:
+            bad = next(v for v in preds if not isinstance(v, (int, float)))
+            raise OracleError(f"non-numeric regression prediction {bad!r}")
         classes = self.schema.target.classes
         out = np.empty(len(preds), dtype=np.int64)
         for i, v in enumerate(preds):
@@ -433,7 +442,7 @@ def save_model(model, path) -> None:
         doc.update(forest_columns(model.nodes, model.roots))
     else:
         doc.update(k=model.k, metric=model.metric.kind,
-                   rows=[model.schema.decode_row(r) for r in model.X],
+                   rows=model.schema.decode_rows(model.X),
                    labels=[model.schema.decode_label(v) for v in model.y])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))  # no text + "\n": a forest's text is megabytes
@@ -460,7 +469,15 @@ def load_model(path):
         if kind == "forest":
             return ForestModel(*_forest_table(doc, schema))
         if kind == "knn":
-            X = np.array([schema.encode_row(r) for r in doc["rows"]])
+            # encoding a column reads cell j of each row, which a short row
+            # lacks and past which a long row's extra values would go unread
+            rows, n = doc["rows"], schema.n_features
+            bad = [r for r, row in enumerate(rows) if type(row) is not list or len(row) != n]
+            if bad:
+                raise ValueError(f"stored row {bad[0]} is not a list of {n} values")
+            X = np.empty((len(rows), n))
+            for j, f in enumerate(schema.features):
+                X[:, j] = encode_column(f.encode, rows, j, "stored rows", f.name)
             y = np.array([schema.target.encode(v) for v in doc["labels"]])
             if len(y) != len(X) or type(doc["k"]) is not int:
                 raise ValueError(f"{len(y)} labels for {len(X)} rows, or k is not an integer")

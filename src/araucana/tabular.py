@@ -219,12 +219,15 @@ class Schema:
                 raise SchemaError(f"feature {f.name!r}: {exc}") from None
         return out
 
-    def decode_row(self, inst: np.ndarray) -> list:
-        """Inverse of encode_row: numbers for numerics, category strings otherwise."""
-        out = []
-        for f, v in zip(self.features, inst):
-            out.append(float(v) if f.is_numeric else f.categories[int(v)])
-        return out
+    def decode_rows(self, X) -> list[list]:
+        """Inverse of encode_row for each row of the 2-D block X, row-major:
+        floats for numerics, category names otherwise, decoded a feature
+        column at a time."""
+        X = np.asarray(X, dtype=float)
+        cols = [X[:, j].tolist() if f.is_numeric else
+                np.array(f.categories, dtype=object)[X[:, j].astype(np.intp)].tolist()
+                for j, f in enumerate(self.features)]
+        return list(map(list, zip(*cols))) if cols else [[] for _ in X]
 
     def decode_label(self, label):
         if self.target is not None and self.target.kind == CLASSIFICATION:
@@ -459,30 +462,29 @@ def dataset_from_cells(header: list[str], rows: list[list[str]], csv_path, *,
     return Dataset(schema, X, y)
 
 
-def encode_column(encode, rows: list[list[str]], c: int, csv_path, column: str) -> list:
-    """Cell c of each row of `csv_path` through `encode`, a spec's encode. A
-    cell it refuses raises DataError naming the file, the row and `column`."""
+def encode_column(encode, rows: list[list], c: int, source, column: str) -> list:
+    """Cell c of each row read from `source` (a CSV file, or a k-NN model
+    file's stored rows) through `encode`, a spec's encode. A cell it refuses
+    raises DataError naming the source, the row and `column`."""
     out: list = []
     try:
         out.extend(encode(row[c]) for row in rows)  # on a refusal, out holds the rows before it
     except SchemaError as exc:
-        raise DataError(f"{csv_path}: row {len(out)}, column {column!r}: {exc}") from None
+        raise DataError(f"{source}: row {len(out)}, column {column!r}: {exc}") from None
     return out
 
 
 def save_dataset(ds: Dataset, csv_path, schema_path=None) -> None:
     """Write rows (and targets, when present) as CSV; optionally the schema JSON."""
-    header = list(ds.schema.feature_names)
+    header, rows = list(ds.schema.feature_names), ds.schema.decode_rows(ds.X)
     if ds.schema.target is not None and ds.y is not None:
         header.append(ds.schema.target.name)
+        for row, label in zip(rows, ds.y):
+            row.append(ds.schema.decode_label(label))
     with Path(csv_path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in range(len(ds)):
-            row = [value_text(v) for v in ds.schema.decode_row(ds.X[r])]
-            if ds.schema.target is not None and ds.y is not None:
-                row.append(value_text(ds.schema.decode_label(ds.y[r])))
-            writer.writerow(row)
+        writer.writerows([value_text(v) for v in row] for row in rows)
     if schema_path is not None:
         ds.schema.save(schema_path)
 

@@ -3,9 +3,10 @@
     python tests/artifact_corpus.py OUT_DIR
     python tests/artifact_corpus.py --record OUT_DIR
 
-The corpus is 13 CLI runs on small synthetic data plus the four demos:
+The corpus is 14 CLI runs on small synthetic data plus the four demos:
 2 `synth`, 2 `train` (a 20-tree forest and a k-NN model), 6 `explain
---format json` and 3 `evaluate` (one on a regression target). Each run's
+--format json` and 4 `evaluate` (one on a regression target, one behind
+a `cmd:` oracle, tests/stub_oracle.py). Each run's
 byte-stable files (data.csv, schema.json, model.json, explanation.json,
 summary.csv, per_instance.csv) and each demo's stdout are hashed;
 manifest.json records a duration and is left out. One `sha256  name` line
@@ -40,7 +41,7 @@ DIGESTS = ROOT / "tests" / "artifact_digests.txt"
 
 # (run name, CLI arguments, the files it writes that are hashed); {data} and
 # {xor} are the two synth runs' --data and --schema flags, {forest} and {knn}
-# the two train runs' model files
+# the two train runs' model files, {python} the running interpreter
 CSV, MODEL, EXPLANATION = ["data.csv", "schema.json"], ["model.json"], ["explanation.json"]
 REPORTS = ["summary.csv", "per_instance.csv"]
 RUNS = [
@@ -67,6 +68,8 @@ RUNS = [
      "--explainers araucana,linear --seed 4", REPORTS),
     ("evaluate-regression", "evaluate --data {data_csv} --target num0 --oracle builtin:knn "
      "--test-frac 0.1 --explainers araucana,linear --seed 3", REPORTS),
+    ("evaluate-xor-cmd", "evaluate {xor} --oracle 'cmd:{python} tests/stub_oracle.py --mode "
+     "threshold --value 1.0' --test-frac 0.1 --explainers araucana,linear --seed 4", REPORTS),
 ]
 
 
@@ -90,6 +93,7 @@ def write_corpus(out: Path) -> dict[str, str]:
         "data_csv": str(data / "data.csv"),
         "forest": str(out / "train-forest" / "model.json"),
         "knn": str(out / "train-knn" / "model.json"),
+        "python": sys.executable,
     }
     files = []
     for name, args, written in RUNS:

@@ -68,6 +68,39 @@ def random_rows(rng, schema, n):
     return X
 
 
+# floats whose text a decoder could lose: a signed zero, the smallest
+# subnormal, the largest float, whole values and one with no short binary form
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               3.0, -7.0, 0.1)
+
+
+def reference_decode_row(schema, row):
+    """One encoded row's display values, value by value: the reference that
+    Schema.decode_rows is checked against."""
+    return [float(v) if f.is_numeric else f.categories[int(v)]
+            for f, v in zip(schema.features, row)]
+
+
+def random_decode_case(rng):
+    """A schema of 0-4 features of random kinds, a categorical one with 1-3
+    categories (named with a quote and a non-ASCII letter among them), and
+    0-29 rows of it whose numeric cells are edge floats half of the time."""
+    feats = []
+    for i in range(int(rng.integers(0, 5))):
+        if rng.random() < 0.5:
+            feats.append(FeatureSpec(f"n{i}", "numeric", range=(0.0, 1.0)))
+        else:
+            names = ("v0", 'q"1', "\u00e92")[:int(rng.integers(1, 4))]
+            feats.append(FeatureSpec(f"c{i}", "categorical", categories=names))
+    schema = Schema(tuple(feats), TargetSpec("label", CLASSIFICATION, classes=("0", "1")))
+    X = random_rows(rng, schema, int(rng.integers(0, 30)))
+    for j, f in enumerate(schema.features):
+        if f.is_numeric:
+            edge = rng.random(len(X)) < 0.5
+            X[edge, j] = rng.choice(EDGE_FLOATS, size=int(edge.sum()))
+    return schema, X
+
+
 def out_of_range(rng, schema, X):
     """X with about a third of its numeric cells moved outside the schema range."""
     X = X.copy()

@@ -16,6 +16,7 @@ Options:
   --twice GAP     write the first batch's reply line twice: in one write when
                   GAP is 0, else GAP seconds apart
   --flood MB      answer the first batch with MB megabytes and no newline
+  --record PATH   append every request line read, byte for byte, to PATH
 """
 
 import argparse
@@ -37,13 +38,17 @@ def main():
     ap.add_argument("--token-on", type=int, default=0)
     ap.add_argument("--twice", type=float)
     ap.add_argument("--flood", type=int, default=0)
+    ap.add_argument("--record")
     args = ap.parse_args()
     if args.no_read:
         time.sleep(args.delay or 60.0)
         return
 
     batches = 0
-    for line in sys.stdin:
+    for line in sys.stdin.buffer:
+        if args.record:
+            with open(args.record, "ab") as fh:
+                fh.write(line)
         req = json.loads(line)
         instances = req["instances"]
         if args.delay and args.delay_on in (0, batches + 1):

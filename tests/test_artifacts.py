@@ -4,7 +4,7 @@ from artifact_corpus import read_digests, versions, write_corpus
 
 
 def test_every_artifact_keeps_its_recorded_digest(tmp_path):
-    # the 13 CLI runs and four demos of artifact_corpus.py; a change that
+    # the 14 CLI runs and four demos of artifact_corpus.py; a change that
     # moves an artifact's bytes on purpose records the digests again
     # (python tests/artifact_corpus.py --record OUT_DIR) and says why
     recorded, digests = read_digests()

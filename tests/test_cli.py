@@ -193,7 +193,7 @@ def test_explain_constant_oracle_always_rule(tmp_path, capsys):
 def test_explain_instance_json_and_bad_instance(tmp_path, capsys):
     data = synth_dir(tmp_path, "moons2d", 60, 3)
     ds = load_dataset(data / "data.csv", schema=Schema.load(data / "schema.json"))
-    inst = ds.schema.decode_row(ds.X[4])
+    inst = ds.schema.decode_rows(ds.X[4:5])[0]
     capsys.readouterr()
     code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
                 "--oracle", "builtin:knn", "--instance", json.dumps(inst), "--seed", 1])
@@ -529,9 +529,8 @@ def test_precomputed_oracle_requires_smote_off(tmp_path, capsys):
     with csv_p.open("w", newline="") as fh:
         w = csv_mod.writer(fh)
         w.writerow(header)
-        for i, (r, l) in enumerate(zip(ds.X, ds.y)):
-            w.writerow([repr(v) if isinstance(v, float) else v
-                        for v in ds.schema.decode_row(r)]
+        for i, (r, l) in enumerate(zip(ds.schema.decode_rows(ds.X), ds.y)):
+            w.writerow([repr(v) if isinstance(v, float) else v for v in r]
                        + [ds.schema.decode_label(l), "1" if i < 10 else "0"])
 
     args = ["explain", "--data", csv_p, "--schema", data / "schema.json",
@@ -748,7 +747,7 @@ def test_precomputed_query_outside_dataset_exits_1_without_smote_advice(tmp_path
     header, rows = read_csv(tmp_path / "train.csv")
     with (tmp_path / "pred.csv").open("w", newline="") as fh:
         csv.writer(fh).writerows([header + ["pred"], *(r + [r[-1]] for r in rows)])
-    assert [0.5, 0.5, "a", "b"] not in [ds.schema.decode_row(r) for r in ds.X]
+    assert [0.5, 0.5, "a", "b"] not in ds.schema.decode_rows(ds.X)
     code = run(["explain", "--data", tmp_path / "pred.csv", "--target", "label",
                 "--oracle", "precomputed:pred", "--smote-policy", "off",
                 "--instance", '[0.5, 0.5, "a", "b"]'])
@@ -822,9 +821,8 @@ def test_evaluate_precomputed_covers_test_split(tmp_path):
     with csv_p.open("w", newline="") as fh:
         w = csv_mod.writer(fh)
         w.writerow(ds.schema.feature_names + [ds.schema.target.name, "pred"])
-        for r, l in zip(ds.X, ds.y):
-            w.writerow([repr(v) if isinstance(v, float) else v
-                        for v in ds.schema.decode_row(r)]
+        for r, l in zip(ds.schema.decode_rows(ds.X), ds.y):
+            w.writerow([repr(v) if isinstance(v, float) else v for v in r]
                        + [ds.schema.decode_label(l), ds.schema.decode_label(l)])
     out = tmp_path / "ev"
     code = run(["evaluate", "--data", csv_p, "--schema", data / "schema.json",

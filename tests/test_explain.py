@@ -209,14 +209,14 @@ def _check_rule_support(seed, task):
         x = ds.X[i]
         cfg = ExplainConfig(n_neighbors=40, seed=int(i))
         expl = explain_instance(ds, x, oracle, cfg)
-        decoded = schema.decode_row(x)
+        decoded = schema.decode_rows([x])[0]
         for c in expl.rule.conditions:
             assert _holds(c, decoded[by_name[c.feature]])
         # reference path: evaluate the conditions on every decoded explainer-set row
         eset = expl.explainer_set
         match = np.array([
             all(_holds(c, drow[by_name[c.feature]]) for c in expl.rule.conditions)
-            for drow in map(schema.decode_row, eset.X)
+            for drow in schema.decode_rows(eset.X)
         ])
         # every explainer-set row satisfying the rule lands in x's leaf, and only those
         leaves = tree_leaves(expl.tree, eset.X)
@@ -345,7 +345,7 @@ def test_json_schema_top_level_fields():
         assert list(c) == ["feature", "op", "value"]
     assert list(doc["tree_stats"]) == ["depth", "leaf_count", "node_count"]
     # round-trip: parse and compare the data that matters
-    assert doc["query"] == ds.schema.decode_row(ds.X[1])
+    assert doc["query"] == ds.schema.decode_rows(ds.X[1:2])[0]
     assert doc["faithful"] == expl.faithful
     assert doc["seed"] == 1
     assert doc["config"]["n_neighbors"] == 20

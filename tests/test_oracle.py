@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import shlex
 import sys
 import time
@@ -27,6 +28,7 @@ from araucana.oracle import (
 from araucana.tabular import (
     REGRESSION,
     Dataset,
+    FeatureSpec,
     Schema,
     SchemaError,
     SynthSpec,
@@ -37,11 +39,14 @@ from araucana.tabular import (
 from reference_cart import reference_grow_tree, reference_route
 
 from conftest import (
+    EDGE_FLOATS,
     chain_dataset,
     grow_tree,
     make_dataset,
+    random_decode_case,
     random_mixed_schema,
     random_rows,
+    reference_decode_row,
 )
 
 STUB = Path(__file__).parent / "stub_oracle.py"
@@ -294,7 +299,9 @@ def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target, kin
                     _same(model.predict_batch(queries), want)
         path = tmp_path / f"knn{trial}.json"
         save_model(model, path)
-        _same(load_model(path).predict_batch(queries), want)
+        back = load_model(path)
+        _same(back.predict_batch(queries), want)
+        _same(back.X, model.X)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -311,6 +318,7 @@ def test_save_load_roundtrip(tmp_path):
     save_model(knn, tmp_path / "k.json")
     kback = load_model(tmp_path / "k.json")
     np.testing.assert_array_equal(kback.predict_batch(probe), knn.predict_batch(probe))
+    _same(kback.X, knn.X)
 
 
 def test_save_model_round_trips_a_1199_level_tree(tmp_path):
@@ -360,9 +368,18 @@ def test_load_model_malformed(tmp_path):
     # schema's labelled rows with the mean of class indices
     save_model(train_knn(synth_dataset(SynthSpec("moons2d", 20), seed=1), k=3), p)
     doc = json.loads(p.read_text(encoding="utf-8"))
+    rows = doc["rows"]
     for bad, words in ((dict(doc, k=2.5), "k is not an integer"),
                        (dict(doc, labels=doc["labels"][:-1]), "19 labels for 20 rows"),
-                       (dict(doc, task="regression"), "does not match the schema")):
+                       (dict(doc, task="regression"), "does not match the schema"),
+                       # the stored rows are read a column at a time: a value
+                       # refused names its row and column
+                       (dict(doc, rows=rows[:3] + [[rows[3][0], "abc"]] + rows[4:]),
+                        "stored rows: row 3, column 'num1': 'abc' is not a finite number"),
+                       (dict(doc, rows=rows[:5] + [rows[5][:1]] + rows[6:]),
+                        "stored row 5 is not a list of 2 values"),
+                       (dict(doc, rows=rows[:5] + [7] + rows[6:]),
+                        "stored row 5 is not a list of 2 values")):
         p.write_text(json.dumps(bad), encoding="utf-8")
         with pytest.raises(OracleError, match=f"malformed model file .*{words}"):
             load_model(p)
@@ -545,6 +562,61 @@ def test_subprocess_requests_are_capped_and_each_has_its_own_timeout(monkeypatch
         assert time.monotonic() - start < 5.0
     finally:
         hangs.close()
+
+
+def test_subprocess_request_bytes_equal_the_per_row_reference(tmp_path, monkeypatch):
+    # every line the child reads is json.dumps of the rows decoded value by
+    # value, in whole batches, in one empty request, and in capped requests
+    rng = np.random.default_rng(43)
+    edge = Schema((FeatureSpec("n", "numeric", range=(0.0, 1.0)),
+                   FeatureSpec("c", "categorical", categories=("only",))),
+                  TargetSpec("label", "classification", classes=("0", "1")))
+    cases = [random_decode_case(rng) for _ in range(5)] + [
+        (Schema((), edge.target), np.empty((3, 0))),
+        (edge, np.column_stack([EDGE_FLOATS, np.zeros(len(EDGE_FLOATS))]))]
+    for trial, (schema, X) in enumerate(cases):
+        record = tmp_path / f"requests{trial}.jsonl"
+        oracle = SubprocessOracle(stub_command(f"--mode constant --record {record}"), schema,
+                                  "classification")
+        try:
+            for rows in (X, X[:1], X[:0]):
+                _same(oracle.predict_batch(rows), np.zeros(len(rows), dtype=np.int64))
+            with monkeypatch.context() as mp:
+                mp.setattr(oracle_mod, "SUBPROCESS_REQUEST_ROWS", 4)
+                _same(oracle.predict_batch(X), np.zeros(len(X), dtype=np.int64))
+        finally:
+            oracle.close()
+        sent = [X, X[:1], X[:0]] + [X[a:a + 4] for a in range(0, max(len(X), 1), 4)]
+        want = "".join(json.dumps({"instances": [reference_decode_row(schema, x) for x in rows]})
+                       + "\n" for rows in sent)
+        assert record.read_bytes() == want.encode("utf-8")
+
+
+def test_subprocess_reply_decoding_keeps_every_check():
+    # a reply of class names alone is read by lookup; any other is checked
+    # value by value, and a refused last value raises its own message
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    cls = SubprocessOracle(stub_command(), ds.schema, "classification")
+    reg = SubprocessOracle(stub_command(), _regression(ds.schema), "regression")
+    _same(cls._decode_predictions(["1", "0", "0"]), np.array([1, 0, 0]))
+    _same(cls._decode_predictions(["1", 0, 1.0, "0"]), np.array([1, 0, 1, 0]))
+    _same(cls._decode_predictions([]), np.array([], dtype=np.int64))
+    _same(reg._decode_predictions([1, 2.5, -0.0]), np.array([1.0, 2.5, -0.0]))
+    refused = [(cls, "2", "unknown class '2' (known: ['0', '1'])"),
+               (cls, True, "boolean prediction: expected a class name, index or number"),
+               (cls, 1.5, "prediction 1.5 is neither a class name nor an index"),
+               (cls, 2, "class index 2 out of range 0..1"),
+               (cls, [0], "prediction [0] is neither a class name nor an index"),
+               (reg, "3", "non-numeric regression prediction '3'"),
+               (reg, False, "boolean prediction: expected a class name, index or number"),
+               (reg, math.inf, "non-finite regression prediction"),
+               (reg, 10**400, "non-finite regression prediction: int too large to convert "
+                              "to float")]
+    for oracle, last, words in refused:
+        first = ["1", "0"] if oracle is cls else [1, 0.5]
+        with pytest.raises(OracleError, match=f"^{re.escape(words)}$"):
+            oracle._decode_predictions(first + [last])
+    assert cls._proc is None and reg._proc is None  # decoding starts no child
 
 
 def test_subprocess_malformed_reply():

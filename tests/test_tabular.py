@@ -21,7 +21,14 @@ from araucana.tabular import (
     synth_dataset,
 )
 
-from conftest import random_mixed_schema, random_rows, random_scaling_case
+from conftest import (
+    EDGE_FLOATS,
+    random_decode_case,
+    random_mixed_schema,
+    random_rows,
+    random_scaling_case,
+    reference_decode_row,
+)
 
 
 def write(tmp_path, name, text):
@@ -187,6 +194,29 @@ def test_encode_row_takes_finite_numbers_only(age_sex_schema, value):
     with pytest.raises(SchemaError, match=r"^feature 'age': .* is not a finite number$"):
         age_sex_schema.encode_row([value, "M"])
     assert age_sex_schema.encode_row(["2.5", "F"]).tolist() == [2.5, 1.0]
+
+
+def _typed(rows):
+    """Each value of rows with its type and repr, so -0.0 differs from 0.0 and 3.0 from 3."""
+    return [[(type(v), repr(v)) for v in row] for row in rows]
+
+
+def test_decode_rows_equals_the_per_value_decode():
+    rng = np.random.default_rng(41)
+    one = FeatureSpec("c", "categorical", categories=("only",))
+    num = FeatureSpec("n", "numeric", range=(0.0, 1.0))
+    edges = np.array(EDGE_FLOATS)[:, None]
+    cases = [random_decode_case(rng) for _ in range(60)] + [
+        (Schema(()), np.empty((3, 0))),  # no features: one empty list per row
+        (Schema((num, one)), np.empty((0, 2))),  # no rows
+        (Schema((num, one)), np.hstack([edges, np.zeros_like(edges)])),
+    ]
+    for schema, X in cases:
+        got = schema.decode_rows(X)
+        assert type(got) is list and all(type(row) is list for row in got)
+        assert _typed(got) == _typed([reference_decode_row(schema, x) for x in X])
+    assert Schema(()).decode_rows(np.empty((3, 0))) == [[], [], []]
+    assert _typed(Schema((num, one)).decode_rows([[-0.0, 0.0]])) == _typed([[-0.0, "only"]])
 
 
 def test_scaled_numeric_is_the_clipped_range_formula_bit_for_bit():
