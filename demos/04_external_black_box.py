@@ -48,7 +48,7 @@ def main():
 
     print("same thing from the shell:")
     print('  araucana explain --data d/data.csv --schema d/schema.json \\')
-    print(f'      --oracle \'cmd:{sys.executable} external_model.py\' --index 42')
+    print("      --oracle 'cmd:python3 external_model.py' --index 42")
 
 
 if __name__ == "__main__":

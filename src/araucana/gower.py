@@ -13,8 +13,9 @@ sum, which keeps the result in [0, 1].
 `distances_many` takes many queries at once in chunks (`distance` is its case
 of one query and one row); `nearest` is the one k-nearest rule, ties to the
 lower row index, of the k-NN oracle, neighborhood selection and SMOTE-NC, and
-`nearest_rows` applies it to many queries in distance blocks. Every chunk and
-block is sized from the one budget `tabular.WORK_BYTES`.
+`nearest_rows` applies it to many queries in distance blocks; `majority_vote`
+is the one vote over those neighbours, ties to the lowest value. Every chunk
+and block is sized from the one budget `tabular.WORK_BYTES`.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ def nearest(d: np.ndarray, k: int) -> np.ndarray:
     order = np.lexsort((flat[r, c], r))  # stable: equal distances keep index order
     starts = np.searchsorted(r, np.arange(len(flat)))  # each row's first candidate
     return c[order[(starts[:, None] + np.arange(k)).ravel()]].reshape(d.shape[:-1] + (k,))
+
+
+def majority_vote(votes: np.ndarray, n_values: int) -> np.ndarray:
+    """The value most of each row's votes name, ties to the lowest; votes
+    holds integer values below n_values, one row per majority."""
+    cells = np.arange(len(votes))[:, None] * n_values + votes
+    counts = np.bincount(cells.ravel(), minlength=len(votes) * n_values)
+    return counts.reshape(len(votes), n_values).argmax(axis=1)
 
 
 def nearest_rows(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray,

@@ -129,15 +129,7 @@ class ForestModel:
         votes = self.nodes.table.pred[cart.route(self.plan, self.roots, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
-        return _majority_vote(votes.T.astype(np.int64), len(self.schema.target.classes))
-
-
-def _majority_vote(votes: np.ndarray, n_classes: int) -> np.ndarray:
-    """The class most of each row's votes name, ties to the lowest class;
-    votes holds class indices, one row per prediction."""
-    cells = np.arange(len(votes))[:, None] * n_classes + votes
-    counts = np.bincount(cells.ravel(), minlength=len(votes) * n_classes)
-    return counts.reshape(len(votes), n_classes).argmax(axis=1)
+        return gower.majority_vote(votes.T.astype(np.int64), len(self.schema.target.classes))
 
 
 def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestModel:
@@ -185,7 +177,7 @@ class KnnModel:
         near = gower.nearest_rows(self.metric, rows, self.X, self.k)[0]
         if self.task == REGRESSION:
             return self.y[near].mean(axis=1)
-        return _majority_vote(self.y[near].astype(np.int64), len(self.schema.target.classes))
+        return gower.majority_vote(self.y[near].astype(np.int64), len(self.schema.target.classes))
 
 
 def train_knn(data: Dataset, k: int = 5, metric: DistanceMetric | None = None) -> KnnModel:

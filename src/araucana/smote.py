@@ -122,12 +122,10 @@ def smote_nc(rows: np.ndarray, labels: np.ndarray, schema: Schema,
         sub = rows[members]
         new = sub[si]
         new[:, num] += lam[:, None] * (sub[order[si, slot]][:, num] - new[:, num])
-        for j in np.flatnonzero(~num):
-            codes = sub[order, j].astype(np.int64)  # (count, k) neighbor categories
-            width = int(codes.max()) + 1
-            tally = np.bincount((np.arange(count)[:, None] * width + codes).ravel(),
-                                minlength=count * width)
-            new[:, j] = tally.reshape(count, width).argmax(1)[si]  # first max: lowest category
+        codes = sub[:, ~num][order].astype(np.int64)  # (count, k, categorical) neighbor codes
+        votes = codes.transpose(0, 2, 1).reshape(-1, k)  # one row per (member, feature)
+        majority = gower.majority_vote(votes, int(codes.max(initial=0)) + 1)
+        new[:, ~num] = majority.reshape(count, -1)[si]
         out_rows.append(new)
         out_labels.append(np.full(need, cls, dtype=np.int64))
 

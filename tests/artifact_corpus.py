@@ -3,13 +3,17 @@
     python tests/artifact_corpus.py OUT_DIR
     python tests/artifact_corpus.py --record OUT_DIR
 
-The corpus is 14 CLI runs on small synthetic data plus the four demos:
-2 `synth`, 2 `train` (a 20-tree forest and a k-NN model), 6 `explain
---format json` and 4 `evaluate` (one on a regression target, one behind
-a `cmd:` oracle, tests/stub_oracle.py). Each run's
-byte-stable files (data.csv, schema.json, model.json, explanation.json,
-summary.csv, per_instance.csv) and each demo's stdout are hashed;
-manifest.json records a duration and is left out. One `sha256  name` line
+The corpus is 20 CLI runs on small synthetic data plus the four demos:
+6 `synth` (every generator at its defaults, and with no numeric or no
+categorical block), 2 `train` (a 20-tree forest and a k-NN model), 6
+`explain --format json` and 6 `evaluate` (from each model file, one on a
+regression target, one behind a `cmd:` oracle, tests/stub_oracle.py).
+Each run's byte-stable files (data.csv, schema.json, model.json,
+explanation.json, summary.csv, per_instance.csv) and each demo's stdout
+are hashed; manifest.json records a duration and is left out. The corpus
+exits non-zero, naming the file, when a demo writes to stderr or when an
+`explain --format json` run's stdout is not the bytes of its
+explanation.json. One `sha256  name` line
 is printed per file, sorted by name, so two listings can be compared with
 diff: two runs of one checkout, or a checkout and its parent, where every
 change that keeps the artifacts' bytes must list the same digests.
@@ -38,15 +42,24 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "artifact_digests.txt"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # (run name, CLI arguments, the files it writes that are hashed); {data} and
-# {xor} are the two synth runs' --data and --schema flags, {forest} and {knn}
-# the two train runs' model files, {python} the running interpreter
+# {xor} are the synth-imbalanced and synth-xor runs' --data and --schema
+# flags, {forest} and {knn} the two train runs' model files, {python} the
+# running interpreter
 CSV, MODEL, EXPLANATION = ["data.csv", "schema.json"], ["model.json"], ["explanation.json"]
 REPORTS = ["summary.csv", "per_instance.csv"]
 RUNS = [
     ("synth-imbalanced", "synth --gen imbalanced_mixed --rows 300 --seed 1", CSV),
     ("synth-xor", "synth --gen xor_mixed --rows 300 --seed 2", CSV),
+    ("synth-moons", "synth --gen moons2d --rows 300 --seed 4", CSV),
+    ("synth-xor-categorical", "synth --gen xor_mixed --num-features 0 --cat-features 3 "
+     "--rows 300 --seed 4", CSV),
+    ("synth-imbalanced-numeric", "synth --gen imbalanced_mixed --cat-features 0 --rows 300 "
+     "--seed 4", CSV),
+    ("synth-moons-mixed", "synth --gen moons2d --num-features 3 --cat-features 2 --rows 300 "
+     "--seed 4", CSV),
     ("train-forest", "train {data} --trees 20 --seed 2", MODEL),
     ("train-knn", "train {data} --model knn --k 5 --seed 2", MODEL),
     ("explain-forest", "explain {data} --oracle file:{forest} --index 5 --seed 3 --format json",
@@ -68,24 +81,37 @@ RUNS = [
      "--explainers araucana,linear --seed 4", REPORTS),
     ("evaluate-regression", "evaluate --data {data_csv} --target num0 --oracle builtin:knn "
      "--test-frac 0.1 --explainers araucana,linear --seed 3", REPORTS),
+    ("evaluate-knn", "evaluate {data} --oracle file:{knn} --test-frac 0.1 --seed 3", REPORTS),
+    ("evaluate-forest-araucana", "evaluate {data} --oracle file:{forest} --test-frac 0.1 "
+     "--seed 3", REPORTS),
     ("evaluate-xor-cmd", "evaluate {xor} --oracle 'cmd:{python} tests/stub_oracle.py --mode "
      "threshold --value 1.0' --test-frac 0.1 --explainers araucana,linear --seed 4", REPORTS),
 ]
 
 
-def _run(argv, env) -> bytes:
-    """The stdout of argv; a failed run exits with its stderr."""
+def _run(argv) -> tuple[bytes, bytes]:
+    """The stdout and stderr of argv, run with this checkout's src/ first on
+    PYTHONPATH; a failed run exits with its stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
     if done.returncode != 0:
         sys.exit(f"{' '.join(argv)} exited {done.returncode}:\n{done.stderr.decode()}")
-    return done.stdout
+    return done.stdout, done.stderr
+
+
+def run_demo(demo: Path, python: str = sys.executable) -> bytes:
+    """The stdout of demo run by python; a demo that writes to stderr exits
+    with it."""
+    stdout, stderr = _run([python, str(demo)])
+    if stderr:
+        sys.exit(f"demos/{demo.name} wrote to stderr:\n{stderr.decode()}")
+    return stdout
 
 
 def write_corpus(out: Path) -> dict[str, str]:
     """Write every run's files and every demo's stdout under out; return
     each hashed file's sha256 by its name relative to out."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     data, xor = out / "synth-imbalanced", out / "synth-xor"
     names = {  # paths hold no spaces or quotes: shlex splits the arguments
         "data": f"--data {data / 'data.csv'} --schema {data / 'schema.json'}",
@@ -98,10 +124,12 @@ def write_corpus(out: Path) -> dict[str, str]:
     files = []
     for name, args, written in RUNS:
         argv = [sys.executable, "-m", "araucana"] + shlex.split(args.format(**names))
-        _run(argv + ["--out", str(out / name)], env)
+        stdout, _ = _run(argv + ["--out", str(out / name)])
         files += [f"{name}/{f}" for f in written]
-    for demo in sorted((ROOT / "demos").glob("*.py")):
-        (out / f"demo-{demo.stem}.out").write_bytes(_run([sys.executable, str(demo)], env))
+        if "--format json" in args and stdout != (out / name / "explanation.json").read_bytes():
+            sys.exit(f"{name}/explanation.json differs from the JSON its run printed")
+    for demo in DEMOS:
+        (out / f"demo-{demo.stem}.out").write_bytes(run_demo(demo))
         files.append(f"demo-{demo.stem}.out")
     return {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in sorted(files)}
 

@@ -8,6 +8,7 @@ from araucana.gower import (
     DistanceMetric,
     distance,
     distances_many,
+    majority_vote,
     nearest,
 )
 from araucana.tabular import FeatureSpec, Schema, SchemaError
@@ -168,6 +169,15 @@ def test_distances_many_rows_equal_one_query_calls(monkeypatch, kind, budget):
         for i, x in enumerate(X):
             assert block[i].tobytes() == distances_many(m, x[None], rows)[0].tobytes()
             assert block[i].tobytes() == _formula_distances(m, x, rows).tobytes()
+
+
+def test_majority_vote_takes_the_most_named_value_ties_to_the_lowest():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n_values = int(rng.integers(1, 5))
+        votes = rng.integers(0, n_values, size=(int(rng.integers(0, 6)), int(rng.integers(1, 6))))
+        want = [max(range(n_values), key=lambda v: (list(row).count(v), -v)) for row in votes]
+        np.testing.assert_array_equal(majority_vote(votes, n_values), np.array(want, dtype=int))
 
 
 def test_nearest_is_stable_argsort_prefix():
