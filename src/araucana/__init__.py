@@ -26,7 +26,7 @@ from .fidelity import (
     fit_linear_explainer,
     report_to_csv,
 )
-from .gower import DistanceMetric, distance
+from .gower import distance
 from .oracle import (
     BuiltinOracle,
     ForestConfig,

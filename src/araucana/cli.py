@@ -38,6 +38,7 @@ from .oracle import (
 from .smote import SmoteConfig
 from .tabular import (
     CLASSIFICATION,
+    GENERATORS,
     DataError,
     Dataset,
     Schema,
@@ -222,7 +223,6 @@ def _explain_config(args) -> ExplainConfig:
                             seed=args.seed)
     return ExplainConfig(
         n_neighbors=args.n_neighbors,
-        distance=args.distance,
         smote=smote,
         seed=args.seed,
     )
@@ -395,7 +395,6 @@ def _add_explain_flags(p: argparse.ArgumentParser):
                    help="builtin:forest | builtin:knn | cmd:\"...\" | "
                         "precomputed:<column> | file:<model.json>")
     p.add_argument("--n-neighbors", type=_int_from(1), default=100)
-    p.add_argument("--distance", choices=["gower", "euclidean"], default="gower")
     p.add_argument("--smote-policy", type=_smote_policy, default="balance",
                    help="balance | fixed:<N> | off")
     p.add_argument("--smote-k", type=_int_from(1), default=5)
@@ -412,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--gen", required=True, choices=["xor_mixed", "moons2d", "imbalanced_mixed"])
+    p.add_argument("--gen", required=True, choices=GENERATORS)
     p.add_argument("--rows", type=_int_from(1), required=True)
     p.add_argument("--minority-frac", type=float, default=None)
     p.add_argument("--num-features", type=_int_from(0), default=None)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cart
-from .gower import DistanceMetric, nearest_rows
+from .gower import GOWER, nearest_rows
 from .oracle import PredictionOracle, forest_columns
 from .smote import SmoteConfig, smote_nc
 from .tabular import CLASSIFICATION, REGRESSION, Dataset, Schema, SchemaError, check_rows, value_text
@@ -66,7 +66,6 @@ OP_NE = "!="
 @dataclass(frozen=True)
 class ExplainConfig:
     n_neighbors: int = 100
-    distance: str = "gower"
     smote: SmoteConfig | None = field(default_factory=SmoteConfig)  # None = off
     seed: int = 0
 
@@ -164,7 +163,7 @@ class Explanation:
             }
         echo = {
             "n_neighbors": int(len(self.neighborhood.rows)),
-            "distance": self.explain_config.distance,
+            "distance": GOWER,  # fixed: the one metric
             "smote": smote_echo,
             "cart": {  # fixed: a node splits down to one row, at any depth
                 "criterion": cart.GINI if task == CLASSIFICATION else cart.MSE,
@@ -215,7 +214,7 @@ def select_neighborhoods(train: Dataset, X: np.ndarray, oracle: PredictionOracle
     n = min(cfg.n_neighbors, len(train))
     if labels is None:
         labels = TrainLabels(len(train))
-    order, dist = nearest_rows(DistanceMetric(train.schema, cfg.distance), X, train.X, n)
+    order, dist = nearest_rows(train.schema, X, train.X, n)
     flat = order.ravel()
     new = flat[np.sort(np.unique(flat, return_index=True)[1])]
     new = new[~labels.known[new]]

@@ -1,14 +1,10 @@
-"""Mixed-type distances for neighborhood selection.
+"""Gower distance (Gower, Biometrics 27, 1971) for neighborhood selection.
 
-Gower: the mean over features of per-feature dissimilarities; numeric features
-contribute the absolute difference normalized by the schema range (values
-clamped into the range first, constant features contribute 0), categorical
-features contribute 0/1 mismatch. Always in [0, 1].
-
-EuclideanNormalized: Euclidean distance over range-normalized numerics with
-one-hot categoricals, divided by sqrt(feature count). One-hot entries are
-scaled by 1/sqrt(2) so a categorical mismatch adds exactly 1 to the squared
-sum, which keeps the result in [0, 1].
+The distance between two rows of a schema is the mean over features of
+per-feature dissimilarities: a numeric feature contributes the absolute
+difference normalized by the schema range (values clamped into the range
+first, so a constant feature contributes 0), a categorical feature its 0/1
+mismatch. It is always in [0, 1].
 
 `distances_many` takes many queries at once in chunks (`distance` is its case
 of one query and one row); `nearest` is the one k-nearest rule, ties to the
@@ -24,31 +20,14 @@ import numpy as np
 
 from .tabular import Schema, check_rows, work_step
 
-GOWER = "gower"
-EUCLIDEAN = "euclidean"
+GOWER = "gower"  # the metric's name in model.json and explanation.json
 
 # a pass nested in a distance block takes this share of the budget, so the block outweighs it:
 # at equal sizes the allocator re-faulted 4 MB of heap per 101-row k-NN call (+2.5 ms)
 NESTED_SHARE = 4
 
 
-class DistanceMetric:
-    """A distance function bound to a schema; kind is 'gower' or 'euclidean'."""
-
-    def __init__(self, schema: Schema, kind: str = GOWER):
-        if kind not in (GOWER, EUCLIDEAN):
-            raise ValueError(f"unknown metric kind {kind!r}")
-        self.schema = schema
-        self.kind = kind
-        # a constant feature's clamped values are equal, so it contributes 0
-        self._numeric, self._lo, self._hi, self._span = schema.numeric_layout
-
-
-def _clamped_numeric(metric: DistanceMetric, X: np.ndarray) -> np.ndarray:
-    return np.clip(X[..., metric._numeric], metric._lo, metric._hi)
-
-
-def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def distances_many(schema: Schema, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(len(X), len(rows)) distances from each query row of X to each row of rows.
 
     Queries go in chunks of a nested share of the budget's (query, row,
@@ -57,21 +36,19 @@ def distances_many(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray) -> n
     """
     X = np.asarray(X, dtype=float)
     rows = np.asarray(rows, dtype=float)
-    p = max(metric.schema.n_features, 1)  # rows without features are all at distance 0
-    cat = ~metric._numeric
-    xn, rn = _clamped_numeric(metric, X), _clamped_numeric(metric, rows)
-    xc, rc = X[:, cat], rows[:, cat]
+    p = max(schema.n_features, 1)  # rows without features are all at distance 0
+    num, lo, hi, span = schema.numeric_layout
+    xn, rn = np.clip(X[:, num], lo, hi), np.clip(rows[:, num], lo, hi)
+    xc, rc = X[:, ~num], rows[:, ~num]
     out = np.empty((len(X), len(rows)))
     step = work_step(NESTED_SHARE * 8 * rows.size)
     for a in range(0, len(X), step):
         diff = rn - xn[a:a + step, None]
         np.abs(diff, out=diff)
-        diff /= metric._span
-        if metric.kind == EUCLIDEAN:
-            diff *= diff  # squared terms of the normalized encoding
+        diff /= span
         d = diff.sum(axis=-1)
         d += (rc != xc[a:a + step, None]).sum(axis=-1)
-        out[a:a + step] = d / p if metric.kind == GOWER else np.sqrt(d) / np.sqrt(p)
+        out[a:a + step] = d / p
     return out
 
 
@@ -101,7 +78,7 @@ def majority_vote(votes: np.ndarray, n_values: int) -> np.ndarray:
     return counts.reshape(len(votes), n_values).argmax(axis=1)
 
 
-def nearest_rows(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray,
+def nearest_rows(schema: Schema, X: np.ndarray, rows: np.ndarray,
                  k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k rows nearest each query row of X (`nearest`) and their distances,
     from blocks of tabular.WORK_BYTES / 8 distances, at least one query each."""
@@ -110,16 +87,16 @@ def nearest_rows(metric: DistanceMetric, X: np.ndarray, rows: np.ndarray,
     dist = np.empty(near.shape)
     step = work_step(8 * len(rows))
     for a in range(0, len(X), step):
-        d = distances_many(metric, X[a:a + step], rows)
+        d = distances_many(schema, X[a:a + step], rows)
         near[a:a + step] = nearest(d, k)
         dist[a:a + step] = np.take_along_axis(d, near[a:a + step], axis=1)
         del d  # one block at a time: the next is computed after this one is freed
     return near, dist
 
 
-def distance(metric: DistanceMetric, a: np.ndarray, b: np.ndarray) -> float:
-    """Distance between two conforming instances (validated)."""
+def distance(schema: Schema, a: np.ndarray, b: np.ndarray) -> float:
+    """Gower distance between two conforming instances (validated)."""
     a, b = np.asarray(a, dtype=float)[None], np.asarray(b, dtype=float)[None]
-    check_rows(metric.schema, a)
-    check_rows(metric.schema, b)
-    return float(distances_many(metric, a, b)[0, 0])
+    check_rows(schema, a)
+    check_rows(schema, b)
+    return float(distances_many(schema, a, b)[0, 0])

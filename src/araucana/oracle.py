@@ -41,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cart, gower
-from .gower import DistanceMetric
 from .tabular import (CLASSIFICATION, REGRESSION, Dataset, Schema, SchemaError, TargetSpec,
                       encode_column, first_refused, work_step)
 
@@ -155,39 +154,34 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
 
 
 class KnnModel:
-    """k nearest neighbors under a mixed-type metric; majority vote / mean. The
-    schema is the metric's, and the task its target's. A batch is labelled
+    """k nearest neighbors under Gower distance; majority vote / mean. The
+    task is the schema's target's. A batch is labelled
     through bounded distance blocks (gower.nearest_rows), not row by row;
     distance ties go to the lower training row and vote ties to the lower
     class."""
 
-    def __init__(self, X, y, k: int, metric: DistanceMetric):
+    def __init__(self, X, y, k: int, schema: Schema):
         if k < 1:
             raise ValueError("k must be >= 1")
         if len(X) == 0:
             raise ValueError("k-NN needs at least one training row")
         self.X = np.asarray(X, dtype=float)
         self.y = np.asarray(y)
-        self.schema, self.task = metric.schema, metric.schema.target.kind
+        self.schema, self.task = schema, schema.target.kind
         self.k = k
-        self.metric = metric
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        near = gower.nearest_rows(self.metric, rows, self.X, self.k)[0]
+        near = gower.nearest_rows(self.schema, rows, self.X, self.k)[0]
         if self.task == REGRESSION:
             return self.y[near].mean(axis=1)
         return gower.majority_vote(self.y[near].astype(np.int64), len(self.schema.target.classes))
 
 
-def train_knn(data: Dataset, k: int = 5, metric: DistanceMetric | None = None) -> KnnModel:
+def train_knn(data: Dataset, k: int = 5) -> KnnModel:
     if data.y is None:
         raise ValueError("training k-NN requires a dataset with targets")
-    if metric is None:
-        metric = DistanceMetric(data.schema)
-    if metric.schema != data.schema:
-        raise ValueError("the metric is bound to another schema than the data's")
-    return KnnModel(data.X, data.y, k, metric)
+    return KnnModel(data.X, data.y, k, data.schema)
 
 
 class BuiltinOracle(PredictionOracle):
@@ -433,7 +427,7 @@ def save_model(model, path) -> None:
     if isinstance(model, ForestModel):
         doc.update(forest_columns(model.nodes, model.roots))
     else:
-        doc.update(k=model.k, metric=model.metric.kind,
+        doc.update(k=model.k, metric=gower.GOWER,
                    rows=model.schema.decode_rows(model.X),
                    labels=[model.schema.decode_label(v) for v in model.y])
     with open(path, "w", encoding="utf-8") as fh:
@@ -473,7 +467,9 @@ def load_model(path):
             y = np.array([schema.target.encode(v) for v in doc["labels"]])
             if len(y) != len(X) or type(doc["k"]) is not int:
                 raise ValueError(f"{len(y)} labels for {len(X)} rows, or k is not an integer")
-            return KnnModel(X, y, doc["k"], DistanceMetric(schema, doc["metric"]))
+            if doc["metric"] != gower.GOWER:
+                raise ValueError(f"unknown metric {doc['metric']!r} (k-NN uses {gower.GOWER!r})")
+            return KnnModel(X, y, doc["k"], schema)
         raise KeyError(f"unknown model type {kind!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise OracleError(f"malformed model file {path}: {exc}") from exc

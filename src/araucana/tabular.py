@@ -432,6 +432,9 @@ def dataset_from_cells(header: list[str], rows: list[list[str]], csv_path, *,
                        schema: Schema | None = None, target: str | None = None,
                        ignore: tuple[str, ...] = ()) -> Dataset:
     """load_dataset of the cells read_csv parsed from `csv_path`."""
+    if len(set(header)) < len(header):  # a repeated name would read one copy, drop the rest
+        name = next(name for i, name in enumerate(header) if name in header[:i])
+        raise DataError(f"{csv_path}: column {name!r} is named more than once in the header")
     if schema is not None and target is not None:
         raise DataError(f"target={target!r} beside schema: the schema names its own "
                         "target, so pass one of schema and target")

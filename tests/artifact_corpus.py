@@ -3,11 +3,12 @@
     python tests/artifact_corpus.py OUT_DIR
     python tests/artifact_corpus.py --record OUT_DIR
 
-The corpus is 20 CLI runs on small synthetic data plus the four demos:
+The corpus is 19 CLI runs on small synthetic data plus the four demos:
 6 `synth` (every generator at its defaults, and with no numeric or no
-categorical block), 2 `train` (a 20-tree forest and a k-NN model), 6
+categorical block), 2 `train` (a 20-tree forest and a k-NN model), 5
 `explain --format json` and 6 `evaluate` (from each model file, one on a
 regression target, one behind a `cmd:` oracle, tests/stub_oracle.py).
+This is the one place that counts them.
 Each run's byte-stable files (data.csv, schema.json, model.json,
 explanation.json, summary.csv, per_instance.csv) and each demo's stdout
 are hashed; manifest.json records a duration and is left out. The corpus
@@ -71,8 +72,6 @@ RUNS = [
     ("explain-xor-instance", "explain {xor} --oracle builtin:forest --trees 20 --seed 5 "
      "--instance '{{\"num0\": 0.3, \"num1\": 0.8, \"cat0\": \"a\", \"cat1\": \"b\"}}' "
      "--format json", EXPLANATION),
-    ("explain-xor-euclidean", "explain {xor} --oracle builtin:knn --index 11 --seed 6 "
-     "--distance euclidean --format json", EXPLANATION),
     ("explain-regression", "explain --data {data_csv} --target num0 --oracle builtin:knn "
      "--index 7 --seed 3 --format json", EXPLANATION),
     ("evaluate-forest", "evaluate {data} --oracle file:{forest} --test-frac 0.1 "

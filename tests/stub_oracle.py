@@ -13,6 +13,7 @@ Options:
   --no-read       never read stdin: sleep --delay seconds (default 60), then exit
   --token T       reply the raw JSON token T (NaN, Infinity, 1e400, true, ...)
                   for every instance, on batch --token-on only (default: on all)
+  --reply LINE    write LINE as the reply to every batch
   --twice GAP     write the first batch's reply line twice: in one write when
                   GAP is 0, else GAP seconds apart
   --flood MB      answer the first batch with MB megabytes and no newline
@@ -36,6 +37,7 @@ def main():
     ap.add_argument("--no-read", action="store_true")
     ap.add_argument("--token")
     ap.add_argument("--token-on", type=int, default=0)
+    ap.add_argument("--reply")
     ap.add_argument("--twice", type=float)
     ap.add_argument("--flood", type=int, default=0)
     ap.add_argument("--record")
@@ -63,6 +65,10 @@ def main():
                 sys.stdout.buffer.write(b"x" * (1 << 20))
             sys.stdout.flush()
             time.sleep(60)
+        if args.reply is not None:
+            sys.stdout.write(args.reply + "\n")
+            sys.stdout.flush()
+            continue
         if args.token is not None and args.token_on in (0, batches):
             sys.stdout.write('{"predictions": [%s]}\n' % ", ".join([args.token] * len(instances)))
             sys.stdout.flush()

@@ -15,7 +15,7 @@ import pytest
 
 from araucana.cli import main
 from araucana.explain import ExplainConfig, explain_instance
-from araucana.gower import DistanceMetric, distance
+from araucana.gower import distance
 from araucana.oracle import BuiltinOracle, ForestConfig, train_forest, train_knn
 from araucana.smote import SmoteConfig, smote_nc
 from araucana.tabular import (
@@ -162,23 +162,21 @@ def test_criterion_5_gower_suite():
             FeatureSpec("sex", "categorical", categories=("M", "F")),
         )
     )
-    m = DistanceMetric(schema)
-    hand = distance(m, np.array([30.0, 0.0]), np.array([50.0, 1.0]))
+    hand = distance(schema, np.array([30.0, 0.0]), np.array([50.0, 1.0]))
     assert abs(hand - 0.6) <= 1e-12
 
     rng = np.random.default_rng(99)
     pairs = 0
     while pairs < 1000:
         sch = random_mixed_schema(rng)
-        met = DistanceMetric(sch)
         rows = random_rows(rng, sch, 50)
         for _ in range(25):
             i, j = rng.integers(0, 50, size=2)
             a, b = rows[i], rows[j]
-            d_ab = distance(met, a, b)
-            assert abs(d_ab - distance(met, b, a)) <= 1e-12
+            d_ab = distance(sch, a, b)
+            assert abs(d_ab - distance(sch, b, a)) <= 1e-12
             assert -1e-12 <= d_ab <= 1.0 + 1e-12
-            assert distance(met, a, a) <= 1e-12
+            assert distance(sch, a, a) <= 1e-12
             pairs += 1
     report_passed(5, f"symmetry/range/identity over {pairs} pairs, hand case 0.6")
 

@@ -6,9 +6,9 @@ from artifact_corpus import DEMOS, read_digests, run_demo, versions, write_corpu
 
 
 def test_every_artifact_keeps_its_recorded_digest(tmp_path):
-    # the 20 CLI runs and four demos of artifact_corpus.py; a change that
-    # moves an artifact's bytes on purpose records the digests again
-    # (python tests/artifact_corpus.py --record OUT_DIR) and says why
+    # the CLI runs and demos of artifact_corpus.py, which its docstring counts;
+    # a change that moves an artifact's bytes on purpose records the digests
+    # again (python tests/artifact_corpus.py --record OUT_DIR) and says why
     recorded, digests = read_digests()
     if versions() != recorded:
         pytest.skip(f"the digests were recorded on {recorded}, and this run has {versions()}")

@@ -150,6 +150,14 @@ def test_explain_defaults_and_json_schema(tmp_path, capsys):
                          "faithful", "config", "seed"]
     on_disk = json.loads((out / "explanation.json").read_text())
     assert on_disk == doc
+    # the text format prints other bytes, but writes the same explanation.json
+    other = tmp_path / "expl-text"
+    code = run(["explain", "--data", data / "data.csv", "--schema", data / "schema.json",
+                "--oracle", "builtin:forest", "--trees", 10, "--index", 3,
+                "--format", "text", "--seed", 5, "--out", other])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("IF ")
+    assert (other / "explanation.json").read_bytes() == (out / "explanation.json").read_bytes()
 
 
 def test_explain_fixed_policy_echo(tmp_path, capsys):
@@ -272,6 +280,24 @@ def test_integer_flag_out_of_its_range_is_a_usage_error(tmp_path, capsys, flag, 
              "--out", tmp_path / "x"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--oracle", "builtin:svm", "'builtin:svm': builtin oracles are forest and knn"),
+    ("--oracle", "cmd:", "'cmd:': missing argument after 'cmd:'"),
+    ("--oracle", "file:", "'file:': missing argument after 'file:'"),
+    ("--test-frac", "abc", "'abc' is not a number"),
+    ("--test-frac", "0", "must be in (0, 1), got 0.0"),
+    ("--test-frac", "1.5", "must be in (0, 1), got 1.5"),
+])
+def test_oracle_or_test_frac_flag_refused_is_a_usage_error(tmp_path, capsys, flag, value, message):
+    # refused while the flags are parsed, before --data is read
+    args = {"--oracle": "builtin:knn", "--test-frac": "0.2", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        run(["evaluate", "--data", tmp_path / "absent.csv",
+             *(a for kv in args.items() for a in kv)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith(f"argument {flag}: {message}")
 
 
 def _regression_data(tmp_path, scale=1.0):

@@ -34,7 +34,7 @@ from araucana.tabular import (
     synth_dataset,
 )
 from araucana import cart
-from araucana.gower import DistanceMetric, distances_many
+from araucana.gower import distances_many
 
 from conftest import (
     grow_tree,
@@ -273,8 +273,7 @@ def test_neighborhood_boundary_monotonicity():
     cfg = ExplainConfig(n_neighbors=20, seed=0)
     x = ds.X[5]
     nbh = select_neighborhoods(ds, x[None], oracle, cfg)[0]
-    metric = DistanceMetric(ds.schema)
-    all_d = distances_many(metric, x[None], ds.X)[0]
+    all_d = distances_many(ds.schema, x[None], ds.X)[0]
     outside = np.setdiff1d(np.arange(len(ds)), nbh.indices)
     assert nbh.distances[-1] <= all_d[outside].min() + 1e-15
 
@@ -287,9 +286,8 @@ def test_neighborhood_is_stable_argsort_prefix():
         ds = make_dataset(rng, schema, 60)
         ds.X[:20] = ds.X[40:]
         oracle = FixedOracle(schema, lambda r: 0)
-        metric = DistanceMetric(schema)
         for x in ds.X[rng.integers(0, 60, 3)]:
-            d = distances_many(metric, x[None], ds.X)[0]
+            d = distances_many(schema, x[None], ds.X)[0]
             for n in (1, 7, 30, 60):
                 nbh = select_neighborhoods(ds, x[None], oracle,
                                            ExplainConfig(n_neighbors=n, seed=0))[0]

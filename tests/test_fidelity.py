@@ -41,9 +41,9 @@ def two_num_schema():
 
 def neighborhood_of(rows, labels, x, schema):
     rows = np.asarray(rows, dtype=float)
-    from araucana.gower import DistanceMetric, distances_many
+    from araucana.gower import distances_many
 
-    d = distances_many(DistanceMetric(schema), x[None], rows)[0]
+    d = distances_many(schema, x[None], rows)[0]
     order = np.argsort(d, kind="stable")
     labels = np.asarray(labels)[order]
     # x is one of the rows, so the nearest row carries its label
@@ -148,7 +148,7 @@ def test_stage_fit_equals_the_per_row_reference(monkeypatch):
             rows = random_rows(rng, schema, n)
             if rng.random() < 0.2:
                 rows[:] = rows[0]  # all duplicates
-            d = gower.distances_many(gower.DistanceMetric(schema), x[None], rows)[0]
+            d = gower.distances_many(schema, x[None], rows)[0]
             order = np.argsort(d, kind="stable")
             if task == "regression":
                 labels = rng.standard_normal(n)

@@ -2,30 +2,20 @@ import numpy as np
 import pytest
 
 from araucana import tabular
-from araucana.gower import (
-    EUCLIDEAN,
-    GOWER,
-    DistanceMetric,
-    distance,
-    distances_many,
-    majority_vote,
-    nearest,
-)
+from araucana.gower import distance, distances_many, majority_vote, nearest
 from araucana.tabular import FeatureSpec, Schema, SchemaError
 
 from conftest import out_of_range, random_mixed_schema, random_rows
 
 
 def test_identity(age_sex_schema):
-    m = DistanceMetric(age_sex_schema)
     a = np.array([30.0, 0.0])
-    assert distance(m, a, a) == 0.0
+    assert distance(age_sex_schema, a, a) == 0.0
 
 
 def test_hand_computed_age_sex_case(age_sex_schema):
     # (|30-50|/100 + 1) / 2 = 0.6
-    m = DistanceMetric(age_sex_schema)
-    d = distance(m, np.array([30.0, 0.0]), np.array([50.0, 1.0]))
+    d = distance(age_sex_schema, np.array([30.0, 0.0]), np.array([50.0, 1.0]))
     assert abs(d - 0.6) <= 1e-12
 
 
@@ -36,8 +26,7 @@ def test_all_categorical_maximal():
             FeatureSpec("b", "categorical", categories=("u", "v", "w")),
         )
     )
-    m = DistanceMetric(schema)
-    assert distance(m, np.array([0.0, 0.0]), np.array([1.0, 2.0])) == 1.0
+    assert distance(schema, np.array([0.0, 0.0]), np.array([1.0, 2.0])) == 1.0
 
 
 def test_constant_numeric_contributes_zero():
@@ -47,15 +36,13 @@ def test_constant_numeric_contributes_zero():
             FeatureSpec("a", "numeric", range=(0.0, 10.0)),
         )
     )
-    m = DistanceMetric(schema)
-    d = distance(m, np.array([3.0, 0.0]), np.array([3.0, 5.0]))
+    d = distance(schema, np.array([3.0, 0.0]), np.array([3.0, 5.0]))
     assert abs(d - 0.25) <= 1e-12  # (0 + 0.5) / 2
 
 
 def test_out_of_range_values_clamped(age_sex_schema):
-    m = DistanceMetric(age_sex_schema)
     # 1e6 clamps to 100, so the numeric part is |0-100|/100 = 1
-    d = distance(m, np.array([0.0, 0.0]), np.array([1e6, 0.0]))
+    d = distance(age_sex_schema, np.array([0.0, 0.0]), np.array([1e6, 0.0]))
     assert abs(d - 0.5) <= 1e-12
 
 
@@ -63,83 +50,53 @@ def test_symmetry_range_identity_random():
     rng = np.random.default_rng(42)
     for _ in range(25):
         schema = random_mixed_schema(rng)
-        m = DistanceMetric(schema)
         rows = random_rows(rng, schema, 40)
         for _ in range(10):
             i, j = rng.integers(0, len(rows), size=2)
             a, b = rows[i], rows[j]
-            d_ab = distance(m, a, b)
-            d_ba = distance(m, b, a)
+            d_ab = distance(schema, a, b)
+            d_ba = distance(schema, b, a)
             assert d_ab == d_ba
             assert -1e-12 <= d_ab <= 1 + 1e-12
-            assert distance(m, a, a) == 0.0
+            assert distance(schema, a, a) == 0.0
 
 
 def test_monotone_in_single_numeric_gap(age_sex_schema):
-    m = DistanceMetric(age_sex_schema)
     base = np.array([10.0, 1.0])
     last = -1.0
     for age in np.linspace(10, 100, 13):
-        d = distance(m, base, np.array([age, 1.0]))
+        d = distance(age_sex_schema, base, np.array([age, 1.0]))
         assert d >= last - 1e-15
         last = d
 
 
 def test_one_query_distances_match_distance_and_edges(age_sex_schema):
     rng = np.random.default_rng(7)
-    m = DistanceMetric(age_sex_schema)
     x = np.array([40.0, 0.0])
     rows = np.column_stack([rng.uniform(0, 100, 20), rng.integers(0, 2, 20).astype(float)])
-    batch = distances_many(m, x[None], rows)[0]
-    loop = [distance(m, x, r) for r in rows]
+    batch = distances_many(age_sex_schema, x[None], rows)[0]
+    loop = [distance(age_sex_schema, x, r) for r in rows]
     np.testing.assert_allclose(batch, loop, rtol=0, atol=0)
-    assert distances_many(m, x[None], np.empty((0, 2))).tolist() == [[]]
-    np.testing.assert_array_equal(distances_many(m, x[None], x[None]), [[0.0]])
+    assert distances_many(age_sex_schema, x[None], np.empty((0, 2))).tolist() == [[]]
+    np.testing.assert_array_equal(distances_many(age_sex_schema, x[None], x[None]), [[0.0]])
 
 
 def test_validation_errors(age_sex_schema):
-    m = DistanceMetric(age_sex_schema)
     with pytest.raises(SchemaError):
-        distance(m, np.array([30.0, 9.0]), np.array([30.0, 0.0]))
+        distance(age_sex_schema, np.array([30.0, 9.0]), np.array([30.0, 0.0]))
 
 
-def test_euclidean_normalized_range_and_categorical_unit():
-    schema = Schema(
-        (
-            FeatureSpec("a", "numeric", range=(0.0, 1.0)),
-            FeatureSpec("b", "categorical", categories=("x", "y")),
-        )
-    )
-    m = DistanceMetric(schema, "euclidean")
-    # one categorical mismatch contributes exactly 1 to the squared sum
-    d = distance(m, np.array([0.0, 0.0]), np.array([0.0, 1.0]))
-    assert abs(d - 1.0 / np.sqrt(2.0)) <= 1e-12
-    rng = np.random.default_rng(5)
-    rows = random_rows(rng, schema, 50)
-    x = rows[0]
-    ds = distances_many(m, x[None], rows)[0]
-    assert (ds >= -1e-12).all() and (ds <= 1 + 1e-12).all()
-
-
-def test_unknown_metric_kind(age_sex_schema):
-    with pytest.raises(ValueError):
-        DistanceMetric(age_sex_schema, "cosine")
-
-
-def _formula_distances(metric, x, rows):
+def _formula_distances(schema, x, rows):
     """One query against all rows with out-of-place arithmetic: the unchunked
     formula, with the ranges read off the feature specs and a constant
     feature's term zeroed explicitly."""
-    num = np.array([f.is_numeric for f in metric.schema.features], dtype=bool)
-    lo, hi = np.array([f.range for f in metric.schema.features if f.is_numeric]).reshape(-1, 2).T
+    num = np.array([f.is_numeric for f in schema.features], dtype=bool)
+    lo, hi = np.array([f.range for f in schema.features if f.is_numeric]).reshape(-1, 2).T
     xn = np.clip(x[num], lo, hi)
     rn = np.clip(rows[:, num], lo, hi)
     num_diff = np.abs(rn - xn) / np.where(hi > lo, hi - lo, 1.0) * (hi > lo)
     cat_diff = rows[:, ~num] != x[~num]
-    p = metric.schema.n_features
-    if metric.kind == GOWER:
-        return (num_diff.sum(axis=1) + cat_diff.sum(axis=1)) / p
-    return np.sqrt((num_diff**2).sum(axis=1) + cat_diff.sum(axis=1)) / np.sqrt(p)
+    return (num_diff.sum(axis=1) + cat_diff.sum(axis=1)) / schema.n_features
 
 
 def _with_constant_features(rng, schema):
@@ -152,23 +109,22 @@ def _with_constant_features(rng, schema):
     return Schema(tuple(feats), schema.target)
 
 
-@pytest.mark.parametrize("budget", [1, 2**40])
-@pytest.mark.parametrize("kind", [GOWER, EUCLIDEAN])
-def test_distances_many_rows_equal_one_query_calls(monkeypatch, kind, budget):
+# the ids name the metric, Gower
+@pytest.mark.parametrize("budget", [1, 2**40], ids=lambda budget: f"gower-{budget}")
+def test_distances_many_rows_equal_one_query_calls(monkeypatch, budget):
     # budget=1: one query per chunk; budget=2**40: the whole batch in one chunk
     monkeypatch.setattr(tabular, "WORK_BYTES", budget)
     rng = np.random.default_rng(23)
     for _ in range(30):
         schema = _with_constant_features(rng, random_mixed_schema(rng))
-        m = DistanceMetric(schema, kind)
         rows = out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(1, 40))))
         X = out_of_range(rng, schema, random_rows(rng, schema, int(rng.integers(0, 12))))
         X[: len(X) // 2] = rows[rng.integers(0, len(rows), len(X) // 2)]
-        block = distances_many(m, X, rows)
+        block = distances_many(schema, X, rows)
         assert block.shape == (len(X), len(rows))
         for i, x in enumerate(X):
-            assert block[i].tobytes() == distances_many(m, x[None], rows)[0].tobytes()
-            assert block[i].tobytes() == _formula_distances(m, x, rows).tobytes()
+            assert block[i].tobytes() == distances_many(schema, x[None], rows)[0].tobytes()
+            assert block[i].tobytes() == _formula_distances(schema, x, rows).tobytes()
 
 
 def test_majority_vote_takes_the_most_named_value_ties_to_the_lowest():

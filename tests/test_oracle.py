@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from araucana import cart, oracle as oracle_mod, tabular
-from araucana.gower import DistanceMetric, distances_many
+from araucana.gower import distances_many
 from araucana.oracle import (
     BuiltinOracle,
     ForestConfig,
@@ -199,11 +199,7 @@ def test_knn_examples():
     kn = train_knn(ds, k=len(ds))
     majority = np.argmax(np.bincount(ds.y))
     assert (kn.predict_batch(ds.X[:10]) == majority).all()
-    # the model's schema and task are its metric's, so the metric must be the data's
     assert (k1.schema, k1.task) == (ds.schema, "classification")
-    other = synth_dataset(SynthSpec("moons2d", 60), seed=6).schema
-    with pytest.raises(ValueError, match="metric is bound to another schema"):
-        train_knn(ds, k=1, metric=DistanceMetric(other))
 
 
 def test_knn_distance_tie_lower_row_index():
@@ -237,8 +233,7 @@ def test_knn_without_features_votes_over_first_rows():
     # an empty distance array had made every query answer class 0
     schema = Schema((), TargetSpec("y", "classification", classes=("0", "1")))
     ds = Dataset(schema, np.empty((5, 0)), np.array([0, 1, 1, 0, 0]))
-    np.testing.assert_array_equal(distances_many(DistanceMetric(schema), np.empty((1, 0)), ds.X),
-                                  np.zeros((1, 5)))
+    np.testing.assert_array_equal(distances_many(schema, np.empty((1, 0)), ds.X), np.zeros((1, 5)))
     np.testing.assert_array_equal(train_knn(ds, k=3).predict_batch(np.empty((2, 0))), [1, 1])
     np.testing.assert_array_equal(train_knn(ds, k=5).predict_batch(np.empty((2, 0))), [0, 0])
 
@@ -252,7 +247,7 @@ def _reference_knn(model, rows):
     k = min(model.k, len(model.X))
     preds = []
     for x in rows:
-        near = np.argsort(distances_many(model.metric, x[None], model.X)[0], kind="stable")[:k]
+        near = np.argsort(distances_many(model.schema, x[None], model.X)[0], kind="stable")[:k]
         if model.task == REGRESSION:
             preds.append(float(model.y[near].mean()))
         else:
@@ -267,9 +262,10 @@ def _same(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["gower", "euclidean"])
-@pytest.mark.parametrize("target", ["2-class", "3-class", "regression"])
-def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target, kind):
+# the ids name the metric, Gower
+@pytest.mark.parametrize("target", ["2-class", "3-class", "regression"],
+                         ids=lambda target: f"{target}-gower")
+def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target):
     rng = np.random.default_rng(31)
     for trial in range(6):
         schema = random_mixed_schema(rng, n_classes=3 if target == "3-class" else 2)
@@ -283,9 +279,8 @@ def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target, kin
         ds = Dataset(schema, X, y)
         queries = random_rows(rng, schema, 20)
         queries[:8] = X[rng.integers(0, n, 8)]  # queries equal to training rows
-        metric = DistanceMetric(schema, kind)
         for k in (1, 5, n, n + 3):  # even k with 2 classes: vote ties
-            model = train_knn(ds, k=k, metric=metric)
+            model = train_knn(ds, k=k)
             want = _reference_knn(model, queries)
             _same(model.predict_batch(queries), want)
             _same(model.predict_batch(queries[3]), want[3:4])
@@ -372,6 +367,8 @@ def test_load_model_malformed(tmp_path):
     for bad, words in ((dict(doc, k=2.5), "k is not an integer"),
                        (dict(doc, labels=doc["labels"][:-1]), "19 labels for 20 rows"),
                        (dict(doc, task="regression"), "does not match the schema"),
+                       # Gower is the one metric: a file naming another is refused
+                       (dict(doc, metric="euclidean"), "unknown metric 'euclidean'"),
                        # the stored rows are read a column at a time: a value
                        # refused names its row and column
                        (dict(doc, rows=rows[:3] + [[rows[3][0], "abc"]] + rows[4:]),
@@ -621,12 +618,20 @@ def test_subprocess_reply_decoding_keeps_every_check():
 
 def test_subprocess_malformed_reply():
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
-    oracle = SubprocessOracle(stub_command("--mode garbage"), ds.schema, "classification")
-    try:
-        with pytest.raises(OracleError, match="malformed oracle reply"):
-            oracle.predict_batch(ds.X)
-    finally:
-        oracle.close()
+    # a line that is not JSON, then JSON lines that are not one prediction per instance
+    for reply, refused in ((None, "malformed oracle reply"),
+                           ('{"predictions": ["0"]}', "replied 1 predictions for 4 instances"),
+                           ('{"predictions": null}', "replied non-list predictions for 4"),
+                           ('{"labels": []}', "malformed oracle reply"),
+                           ("[]", "malformed oracle reply")):
+        stub = "--mode garbage" if reply is None else f"--reply {shlex.quote(reply)}"
+        oracle = SubprocessOracle(stub_command(stub), ds.schema, "classification")
+        try:
+            with pytest.raises(OracleError, match=refused):
+                oracle.predict_batch(ds.X)
+            _refuses_every_later_batch(oracle, ds.X, refused)
+        finally:
+            oracle.close()
 
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
@@ -701,9 +706,11 @@ def test_an_oracles_task_is_its_schemas_target_kind_and_read_only():
 
 def test_subprocess_unknown_command():
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
-    oracle = SubprocessOracle("/no/such/binary-xyz", ds.schema, "classification")
-    with pytest.raises(OracleError, match="cannot start"):
-        oracle.predict_batch(ds.X)
+    for command, refused in (("/no/such/binary-xyz", "cannot start"),
+                             (" \t ", "empty oracle command")):
+        oracle = SubprocessOracle(command, ds.schema, "classification")
+        with pytest.raises(OracleError, match=refused):
+            oracle.predict_batch(ds.X)
 
 
 def test_builtin_oracle_determinism():

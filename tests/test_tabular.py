@@ -87,6 +87,15 @@ def test_schema_header_mismatch(tmp_path, age_sex_schema):
     p = write(tmp_path, "d.csv", "age,label\n30,0\n")
     with pytest.raises(DataError, match="missing"):
         load_dataset(p, schema=Schema.load(sp))
+    # a column named twice: each name read its last copy and dropped the others
+    schema = Schema.load(sp)
+    for text, kw, name in (("age,age,sex,label\n30,40,M,0\n", dict(schema=schema), "age"),
+                           ("age,label,label\n30,0,1\n", dict(target="label"), "label"),
+                           ("age,sex,label,pred,pred\n30,M,0,1,0\n",
+                            dict(schema=schema, ignore=("pred",)), "pred")):
+        p = write(tmp_path, "dup.csv", text)
+        with pytest.raises(DataError, match=f"dup.csv: column '{name}' is named more than once"):
+            load_dataset(p, **kw)
 
 
 def test_target_beside_a_schema_is_refused(tmp_path, age_sex_schema):
