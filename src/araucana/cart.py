@@ -48,9 +48,12 @@ count where they are read.
 
 Prediction walks a RoutePlan, which route_plan derives from the table and
 the schema and which is never saved: each node becomes one `<=` test on a
-widened row, and a leaf is its own child. A forest derives its plan once,
-when it is built (oracle.ForestModel). route takes any of a plan's roots: a
-one-tree plan routes from root 0.
+widened row, and a leaf is its own child. The plan numbers the nodes level
+by level across all the roots, so a split's right and left children are
+adjacent and each level is one contiguous run of ids; a step reads one
+node's first child and adds the test's outcome. A forest derives its plan
+once, when it is built (oracle.ForestModel). route takes table root ids and
+returns table leaf ids: a one-tree plan routes from root 0.
 """
 
 from __future__ import annotations
@@ -568,22 +571,29 @@ def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:
 
 
 # steps between two drops of the pairs at a leaf (a schedule, not a memory size)
-ROUTE_STEPS = 8
+ROUTE_STEPS = 16
 
 
 class RoutePlan(NamedTuple):
-    """A node table as one `<=` test per node, for routing (see route_plan).
+    """A node table as one `<=` test per node, numbered level by level for
+    routing (see route_plan).
 
-    Node i sends a widened row to child[2 * i + (wide[col[i]] <= thr[i])].
+    Plan node i sends a widened row to first[i] + (wide[col[i]] <= thr[i]):
+    a split's right child is first[i] and its left child first[i] + 1. The
+    first n_roots plan nodes are the table's roots in table order, and each
+    next level, one contiguous run of ids, holds the (right, left) children
+    of the previous level's splits; ids[i] is the table id of plan node i.
     The widened row holds the row's first n_row columns, then one column per
     (cat_feat[j], cat_val[j]) pair: -1.0 where the row has that category,
-    else 0.0. A leaf tests column 0 against +inf, and both its children are
-    itself.
+    else 0.0, then one column of 0.0. A leaf tests that last column against
+    +inf, and its first is its own id - 1, so it is its own child.
     """
 
     col: np.ndarray
     thr: np.ndarray
-    child: np.ndarray
+    first: np.ndarray
+    ids: np.ndarray
+    n_roots: int
     n_row: int
     cat_feat: np.ndarray
     cat_val: np.ndarray
@@ -591,57 +601,79 @@ class RoutePlan(NamedTuple):
 
 def route_plan(tree: ExplainerTree) -> RoutePlan:
     """The routing plan of a tree's node table, a split's kind read from the
-    schema. A numeric split tests its feature's column against its
-    threshold, and a categorical split tests its (feature, category) column
-    against -0.5, so a NaN or a category no split tests goes right, as the
-    table's own tests send it."""
+    schema. Its roots are the table's parentless nodes. A numeric split tests
+    its feature's column against its threshold, and a categorical split tests
+    its (feature, category) column against -0.5, so a NaN or a category no
+    split tests goes right, as the table's own tests send it; a leaf reads no
+    column of the row, so a NaN never moves a pair off it."""
     table = tree.table
-    feat, ids = table.feat, np.arange(len(table.feat))
+    feat = table.feat
     split = feat >= 0
     num = np.append(tree.schema.numeric_mask(), False)[feat]  # a leaf's -1 reads the False
     cat = split & ~num
     pairs, pair_of = np.unique(np.stack((feat[cat], table.val[cat])), axis=1,
                                return_inverse=True)
     n_row = int(feat[num].max(initial=-1)) + 1
-    col = np.where(num, feat, 0)
+    # the children of level k's splits, in plan order, make level k + 1, so
+    # the j-th split in plan order has its right child at n_roots + 2j
+    has_parent = np.zeros(len(feat), bool)
+    has_parent[split.nonzero()[0] + 1] = has_parent[table.right[split]] = True
+    level = (~has_parent).nonzero()[0]
+    levels = [level]
+    while len(level):
+        inner = level[split[level]]
+        level = np.stack((table.right[inner], inner + 1), 1).ravel()
+        levels.append(level)
+    ids = np.concatenate(levels)
+    col = np.where(num, feat, n_row + len(pairs[0]))  # a leaf reads the last column
     col[cat] = n_row + pair_of.reshape(-1)
     thr = np.where(num, table.val, np.inf)
     thr[cat] = -0.5
-    child = np.stack((np.where(split, table.right, ids), np.where(split, ids + 1, ids)), 1)
-    return RoutePlan(col, thr, child.ravel(), n_row, pairs[0].astype(np.int64), pairs[1])
+    first = np.arange(-1, len(ids) - 1)
+    at_split = split[ids]
+    first[at_split] = len(levels[0]) + 2 * np.arange(int(at_split.sum()))
+    return RoutePlan(col[ids], thr[ids], first, ids, len(levels[0]), n_row,
+                     pairs[0].astype(np.int64), pairs[1])
 
 
 def _widen(plan: RoutePlan, rows: np.ndarray) -> np.ndarray:
-    """The rows as the plan's widened rows; at least one column, for the
-    leaves to read."""
+    """The rows as the plan's widened rows, ending in the leaves' 0.0 column."""
     q, m = plan.n_row, len(plan.cat_feat)
-    wide = np.zeros((len(rows), max(1, q + m)))
+    wide = np.zeros((len(rows), q + m + 1))
     wide[:, :q] = rows[:, :q]
     wide[:, q:q + m] -= rows[:, plan.cat_feat] == plan.cat_val
     return wide
 
 
 def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Leaf node ids of every row from every root, shape (len(roots), n_rows).
+    """Table leaf ids of every row from every table root, shape
+    (len(roots), n_rows); a root id that is not one of the plan's roots
+    raises ValueError.
 
-    The rows are widened once (see RoutePlan), and all (root, row) pairs
-    descend together, a step being three node gathers and one row gather. A
-    leaf keeps the pairs that reach it, so the live pairs take ROUTE_STEPS
-    steps between drops of those at a leaf. All pairs go at once: a caller
-    bounds the memory by the rows it passes (as ForestModel.predict_batch does).
+    The rows are widened once (see RoutePlan), the roots found among the
+    plan's first level, and all (root, row) pairs descend together through
+    plan ids, a step being three node gathers and one row gather. A leaf
+    keeps the pairs that reach it, so the live pairs take ROUTE_STEPS steps
+    between drops of those at a leaf, whose plan ids map back to table ids
+    through plan.ids. All pairs go at once: a caller bounds the memory by the
+    rows it passes (as ForestModel.predict_batch does).
     """
     wide = _widen(plan, np.asarray(rows, dtype=float))
     (n, width), flat = wide.shape, wide.ravel()
-    col, thr, child = plan.col, plan.thr, plan.child
+    col, thr, first = plan.col, plan.thr, plan.first
+    roots, tops = np.asarray(roots, dtype=np.int64), plan.ids[:plan.n_roots]
+    start = np.searchsorted(tops, roots)
+    if (tops.take(start, mode="clip") != roots).any():
+        raise ValueError("route starts only at a root of the plan's table")
     out = np.empty(len(roots) * n, dtype=np.int64)  # tree-major: pair k * n + i is row i at root k
     pair = np.arange(len(out))
-    base, node = np.tile(np.arange(n) * width, len(roots)), np.repeat(roots, n)
+    base, node = np.tile(np.arange(n) * width, len(roots)), np.repeat(start, n)
     while len(pair):
         for _ in range(ROUTE_STEPS):
             last = node
-            node = child.take(2 * node + (flat.take(base + col.take(node)) <= thr.take(node)))
-        done = node == last  # a split's children differ from it
-        out[pair[done]] = node[done]
+            node = first.take(node) + (flat.take(base + col.take(node)) <= thr.take(node))
+        done = node == last  # a split's children come after it
+        out[pair[done]] = plan.ids.take(node[done])
         pair, base, node = pair[~done], base[~done], node[~done]
     return out.reshape(len(roots), n)
 

@@ -618,14 +618,24 @@ def test_route_equals_reference_walk(monkeypatch, target):
     rows[(rng.random(rows.shape) < 0.2) & num] = np.nan
     odd = (rng.random(rows.shape) < 0.2) & ~num
     rows[odd] = rng.choice([-1.0, 7.0], size=odd.sum())
+    # a first tree of one repeated row is a lone leaf: plan id 0, first -1
+    lone, lone_roots, _ = cart.grow_trees(X, y, schema, [np.zeros(4, np.int64)] + samples[1:],
+                                          draws)
+    assert lone.table.feat[0] < 0 and (lone.table.feat[lone_roots[1:]] >= 0).all()
+    assert cart.route_plan(lone).first[0] == -1
     chain = chain_dataset(1200)  # 1,199 levels: many times ROUTE_STEPS
     deep = grow_tree(chain.X, chain.y, chain.schema)
     deep_rows = np.vstack([chain.X, [[-3.0], [599.5], [np.nan], [1e9]]])
-    cases = [(forest, roots, rows), (constant, constant_roots, rows),
+    cases = [(forest, roots, rows), (forest, roots[::-1], rows), (forest, roots[2:3], rows),
+             (constant, constant_roots, rows), (lone, lone_roots, rows),
              (deep, np.zeros(1, dtype=np.int64), deep_rows)]
     for tree, tops, batch in cases:
         want = reference_route(tree, tops, batch)
         plan = cart.route_plan(tree)
+        # 32 B per node, and the widening tables, which have a column per tested category
+        widening = plan.cat_feat.nbytes + plan.cat_val.nbytes
+        assert sum(a.nbytes for a in plan if isinstance(a, np.ndarray)) <= (
+            32 * len(tree.table.feat) + widening)
         with _deadline(60):
             np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
             np.testing.assert_array_equal(cart.route(plan, tops, batch[:0]), want[:, :0])
@@ -633,6 +643,11 @@ def test_route_equals_reference_walk(monkeypatch, target):
                 monkeypatch.setattr(cart, "ROUTE_STEPS", steps)
                 np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
         monkeypatch.undo()
+    plan = cart.route_plan(forest)
+    for start in (np.setdiff1d(np.arange(len(forest.table.feat)), roots)[0], -1,
+                  len(forest.table.feat)):
+        with pytest.raises(ValueError, match="^route starts only at a root"):
+            cart.route(plan, [roots[0], start], rows)
 
 
 @contextmanager

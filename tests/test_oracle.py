@@ -449,6 +449,27 @@ def test_subprocess_timeout():
         oracle.close()
 
 
+@pytest.mark.parametrize("stub", ["--mode constant", "--mode garbage",
+                                  "--mode constant --die-after 1"],
+                         ids=["clean close", "after an OracleError", "after an exit of its own"])
+def test_subprocess_close_closes_both_pipes_whatever_the_child_did(stub):
+    # close() closed only the child's stdin, and after an error or an exit
+    # of the child's own it closed neither pipe
+    ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
+    oracle = SubprocessOracle(stub_command(stub), ds.schema, "classification")
+    try:
+        if "garbage" in stub:
+            with pytest.raises(OracleError, match="malformed oracle reply"):
+                oracle.predict_batch(ds.X)
+        else:
+            oracle.predict_batch(ds.X)
+        if "die-after" in stub:
+            assert oracle._proc.wait(timeout=10) == 3
+    finally:
+        oracle.close()
+    assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
+
+
 def _refuses_every_later_batch(oracle, rows, first):
     """After an OracleError the child is gone, and each later batch raises
     the first error again instead of reading a reply."""
