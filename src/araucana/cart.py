@@ -42,18 +42,19 @@ so a split's left child is the node after it (the root is node 0), and the
 schema's feature kind gives a split's test. A forest is the same table
 with many roots: each tree's preorder nodes follow the previous tree's, and
 child ids index the whole table. The grower numbers the nodes in preorder
-once growth ends, and a loaded forest is built from its columns. A tree
+once growth ends, from the slice of its row buffer each node held (see
+_Frontier._preorder), and a loaded forest is built from its columns. A tree
 stores nothing its table decides: tree_stats derives its depth and leaf
 count where they are read.
 
-Prediction walks a RoutePlan, which route_plan derives from the table and
-the schema and which is never saved: each node becomes one `<=` test on a
-widened row, and a leaf is its own child. The plan numbers the nodes level
-by level across all the roots, so a split's right and left children are
-adjacent and each level is one contiguous run of ids; a step reads one
-node's first child and adds the test's outcome. A forest derives its plan
-once, when it is built (oracle.ForestModel). route takes table root ids and
-returns table leaf ids: a one-tree plan routes from root 0.
+Prediction walks a RoutePlan, which route_plan derives from the table, the
+schema and the root ids, and which is never saved: each node becomes one
+`<=` test on a widened row, and a leaf is its own child. The plan numbers
+the nodes level by level from the roots, so a split's right and left
+children are adjacent and each level is one contiguous run of ids; a step
+reads one node's first child and adds the test's outcome. A forest derives
+its plan from its roots once, when it is built (oracle.ForestModel). route
+returns table leaf ids, one row per plan root.
 """
 
 from __future__ import annotations
@@ -314,16 +315,15 @@ class _Frontier:
         self.stacks = [[(t, t, ends[t] - len(rows), ends[t])]  # (tree, id, lo, hi)
                        for t, rows in enumerate(samples)]
         # one record per node id, grown by doubling: its feature, its value
-        # (a split's threshold or category, a leaf's prediction), its parent
-        # and its leaf stats, each int in the narrowest type that holds it
-        # (a tree splits fewer times than it has rows, so ids stay below
-        # twice the sample positions); the ids a step allocates (its splits'
-        # children) start at blocks[step]
+        # (a split's threshold or category, a leaf's prediction), its slice
+        # [lo, hi) of the buffer and its leaf stats, each int in the
+        # narrowest type that holds it; a split's children take the next two
+        # ids, above its own
         self.cols = np.zeros(4 * len(samples), [
             ("feat", np.min_scalar_type(-max(self.p, 1))), ("value", float),
-            ("parent", np.min_scalar_type(2 * len(self.ids))),
+            ("lo", np.min_scalar_type(len(self.ids))), ("hi", np.min_scalar_type(len(self.ids))),
             ("stats", np.min_scalar_type(max(map(len, samples))), (self.K or 1,))])
-        self.n_ids, self.blocks = len(samples), [len(samples)]
+        self.n_ids = len(samples)
         while True:
             batch = []
             for t, stack in enumerate(self.stacks):
@@ -389,6 +389,7 @@ class _Frontier:
             pred, stats = np.where(leaf, mean, 0.0), sizes * leaf
         cols = self.cols
         cols["feat"][ids], cols["value"][ids] = feat, np.where(leaf, pred, val)
+        cols["lo"][ids], cols["hi"][ids] = lo, hi
         cols["stats"][ids] = stats.T.reshape(m, -1)
         if not len(split):
             return
@@ -397,9 +398,6 @@ class _Frontier:
             grown = np.zeros(2 * len(cols), cols.dtype)
             grown[:len(cols)] = cols
             self.cols = cols = grown
-        # split i's children are first + 2i and first + 2i + 1
-        cols["parent"][first:self.n_ids] = ids[split].repeat(2)
-        self.blocks.append(first)
         f_row = np.maximum(feat, 0)[seg]
         x, t = self.Xf[f_row * self.n + R], val[seg]
         go_left = np.where(self.numeric[f_row], x <= t, x == t)
@@ -478,14 +476,22 @@ class _Frontier:
 
     def _preorder(self, n_trees: int) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
         """The recorded nodes in preorder, the trees' root places and the
-        leaf place of each sample position. A split puts its left rows before
-        its right rows, so the leaves' slices of the buffer come in preorder."""
+        leaf place of each sample position, read off the nodes' slices of the
+        row buffer. A split puts its left rows before its right rows. A left
+        child starts where its parent starts and has the higher id, so places
+        follow lo, ties by id, and the leaves' slices come in preorder. A
+        right child ends where its parent ends, and the left subtree between
+        them ends earlier, so a split's right child is the next place that
+        ends where it does."""
         self.ids = self.Xf = self.Vf = None  # growth is over: free its buffers first
-        at, right, roots = self._places(n_trees)
-        cols, self.cols = self.cols, None
+        cols, self.cols = self.cols[:self.n_ids], None
+        at = np.argsort(cols["lo"], kind="stable")
+        chain = np.argsort(cols["hi"][at], kind="stable")
+        right = np.zeros(len(at), np.int64)
+        right[chain[:-1]] = chain[1:]
         feat, value = cols["feat"][at].astype(np.int64), cols["value"][at]
-        stats = cols["stats"][at].astype(np.int64)
-        del cols, at  # a forest's columns are large: free them before the table is built
+        stats, roots = cols["stats"][at].astype(np.int64), (at < n_trees).nonzero()[0]
+        del cols, at, chain  # a forest's columns are large: free them before the table is built
         split = feat >= 0
         table = NodeTable(feat, np.where(split, value, 0.0), np.where(split, right, 0),
                           np.where(split, 0.0, value))
@@ -495,27 +501,6 @@ class _Frontier:
         leaves = np.empty_like(self.rows)
         leaves[self.rows] = leaf.repeat(stats[leaf].sum(axis=1))
         return tree, roots, leaves
-
-    def _places(self, n_trees: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The id at each preorder place, the place of the right child a split
-        at that place has, and the trees' root places. Ids are allocated in
-        steps, each step's after its splits' ids, so subtree sizes add up over
-        the steps in reverse and places follow over the steps in order."""
-        N = self.n_ids
-        parent = self.cols["parent"][:N].astype(np.int64)
-        steps = list(zip(self.blocks, self.blocks[1:] + [N]))
-        size = np.ones(N, np.int64)
-        for a, b in reversed(steps):
-            size[parent[a:b:2]] += size[a:b:2] + size[a + 1:b:2]
-        pos = np.zeros(N, np.int64)
-        pos[:n_trees] = np.cumsum(size[:n_trees]) - size[:n_trees]  # tree roots
-        for a, b in steps:
-            pos[a:b:2] = pos[parent[a:b:2]] + 1
-            pos[a + 1:b:2] = pos[a:b:2] + size[a:b:2]
-        at = np.empty(N, np.int64)
-        at[pos] = np.arange(N)
-        after = np.minimum(np.arange(1, N + 1), N - 1)  # where a split's left child is
-        return at, after + size[at[after]], pos[:n_trees].copy()
 
 
 def grow_trees(X, y, schema: Schema, samples,
@@ -580,7 +565,7 @@ class RoutePlan(NamedTuple):
 
     Plan node i sends a widened row to first[i] + (wide[col[i]] <= thr[i]):
     a split's right child is first[i] and its left child first[i] + 1. The
-    first n_roots plan nodes are the table's roots in table order, and each
+    first n_roots plan nodes are route_plan's roots in their order, and each
     next level, one contiguous run of ids, holds the (right, left) children
     of the previous level's splits; ids[i] is the table id of plan node i.
     The widened row holds the row's first n_row columns, then one column per
@@ -599,10 +584,23 @@ class RoutePlan(NamedTuple):
     cat_val: np.ndarray
 
 
-def route_plan(tree: ExplainerTree) -> RoutePlan:
-    """The routing plan of a tree's node table, a split's kind read from the
-    schema. Its roots are the table's parentless nodes. A numeric split tests
-    its feature's column against its threshold, and a categorical split tests
+def _levels(table: NodeTable, roots) -> list[np.ndarray]:
+    """The nodes under the roots level by level, ending in an empty level:
+    level 0 is the roots in the order given, and each next level holds the
+    (right, left) children of the previous level's splits."""
+    level = np.asarray(roots, dtype=np.int64)
+    levels = [level]
+    while len(level):
+        inner = level[table.feat[level] >= 0]
+        level = np.stack((table.right[inner], inner + 1), 1).ravel()
+        levels.append(level)
+    return levels
+
+
+def route_plan(tree: ExplainerTree, roots) -> RoutePlan:
+    """The routing plan of the trees of a node table under the given root
+    ids, a split's kind read from the schema. A numeric split tests its
+    feature's column against its threshold, and a categorical split tests
     its (feature, category) column against -0.5, so a NaN or a category no
     split tests goes right, as the table's own tests send it; a leaf reads no
     column of the row, so a NaN never moves a pair off it."""
@@ -616,23 +614,16 @@ def route_plan(tree: ExplainerTree) -> RoutePlan:
     n_row = int(feat[num].max(initial=-1)) + 1
     # the children of level k's splits, in plan order, make level k + 1, so
     # the j-th split in plan order has its right child at n_roots + 2j
-    has_parent = np.zeros(len(feat), bool)
-    has_parent[split.nonzero()[0] + 1] = has_parent[table.right[split]] = True
-    level = (~has_parent).nonzero()[0]
-    levels = [level]
-    while len(level):
-        inner = level[split[level]]
-        level = np.stack((table.right[inner], inner + 1), 1).ravel()
-        levels.append(level)
-    ids = np.concatenate(levels)
+    levels = _levels(table, roots)
+    ids, n_roots = np.concatenate(levels), len(levels[0])
     col = np.where(num, feat, n_row + len(pairs[0]))  # a leaf reads the last column
     col[cat] = n_row + pair_of.reshape(-1)
     thr = np.where(num, table.val, np.inf)
     thr[cat] = -0.5
     first = np.arange(-1, len(ids) - 1)
     at_split = split[ids]
-    first[at_split] = len(levels[0]) + 2 * np.arange(int(at_split.sum()))
-    return RoutePlan(col[ids], thr[ids], first, ids, len(levels[0]), n_row,
+    first[at_split] = n_roots + 2 * np.arange(int(at_split.sum()))
+    return RoutePlan(col[ids], thr[ids], first, ids, n_roots, n_row,
                      pairs[0].astype(np.int64), pairs[1])
 
 
@@ -645,29 +636,24 @@ def _widen(plan: RoutePlan, rows: np.ndarray) -> np.ndarray:
     return wide
 
 
-def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Table leaf ids of every row from every table root, shape
-    (len(roots), n_rows); a root id that is not one of the plan's roots
-    raises ValueError.
+def route(plan: RoutePlan, rows: np.ndarray) -> np.ndarray:
+    """Table leaf ids of every row from every root of the plan, shape
+    (plan.n_roots, n_rows), one row per root in the plan's order.
 
-    The rows are widened once (see RoutePlan), the roots found among the
-    plan's first level, and all (root, row) pairs descend together through
-    plan ids, a step being three node gathers and one row gather. A leaf
-    keeps the pairs that reach it, so the live pairs take ROUTE_STEPS steps
-    between drops of those at a leaf, whose plan ids map back to table ids
-    through plan.ids. All pairs go at once: a caller bounds the memory by the
-    rows it passes (as ForestModel.predict_batch does).
+    The rows are widened once (see RoutePlan), and all (root, row) pairs
+    descend together through plan ids, a step being three node gathers and
+    one row gather. A leaf keeps the pairs that reach it, so the live pairs
+    take ROUTE_STEPS steps between drops of those at a leaf, whose plan ids
+    map back to table ids through plan.ids. All pairs go at once: a caller
+    bounds the memory by the rows it passes (as ForestModel.predict_batch
+    does).
     """
     wide = _widen(plan, np.asarray(rows, dtype=float))
     (n, width), flat = wide.shape, wide.ravel()
     col, thr, first = plan.col, plan.thr, plan.first
-    roots, tops = np.asarray(roots, dtype=np.int64), plan.ids[:plan.n_roots]
-    start = np.searchsorted(tops, roots)
-    if (tops.take(start, mode="clip") != roots).any():
-        raise ValueError("route starts only at a root of the plan's table")
-    out = np.empty(len(roots) * n, dtype=np.int64)  # tree-major: pair k * n + i is row i at root k
+    out = np.empty(plan.n_roots * n, dtype=np.int64)  # pair k * n + i is row i at root k
     pair = np.arange(len(out))
-    base, node = np.tile(np.arange(n) * width, len(roots)), np.repeat(start, n)
+    base, node = np.tile(np.arange(n) * width, plan.n_roots), np.arange(plan.n_roots).repeat(n)
     while len(pair):
         for _ in range(ROUTE_STEPS):
             last = node
@@ -675,7 +661,7 @@ def route(plan: RoutePlan, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
         done = node == last  # a split's children come after it
         out[pair[done]] = plan.ids.take(node[done])
         pair, base, node = pair[~done], base[~done], node[~done]
-    return out.reshape(len(roots), n)
+    return out.reshape(plan.n_roots, n)
 
 
 def decision_path(tree: ExplainerTree, inst: np.ndarray) -> list[tuple[int, str, float, bool]]:
@@ -696,16 +682,10 @@ def decision_path(tree: ExplainerTree, inst: np.ndarray) -> list[tuple[int, str,
 
 def tree_stats(tree: ExplainerTree) -> dict:
     """Depth, leaf count and node count of a one-root tree, read off its
-    table: the depth is the number of levels below the root, walked one level
-    at a time."""
-    feat, right = tree.table.feat, tree.table.right
-    level, depth = np.zeros(1, np.int64), -1
-    while len(level):
-        inner = level[feat[level] >= 0]
-        level, depth = np.concatenate((inner + 1, right[inner])), depth + 1
-    leaves = int((feat < 0).sum())
+    table: the depth is the number of levels below the root (see _levels)."""
+    leaves = int((tree.table.feat < 0).sum())
     return {
-        "depth": depth,
+        "depth": len(_levels(tree.table, [0])) - 2,
         "leaf_count": leaves,
         "node_count": 2 * leaves - 1,
     }

@@ -107,18 +107,18 @@ class ForestModel:
     so training, loading, saving and routing need no per-tree copies. The
     seeds and feature draws that grew the trees are not kept, as prediction
     reads none of them. Prediction routes every tree at once through `plan`,
-    which is derived from the table once, when the model is built (trained
-    or loaded), and is never saved: it numbers the nodes level by level
-    across the trees (cart.RoutePlan), while the table stays in preorder.
-    The table's leaf ids come back tree-major, one row per tree, and their
-    predictions are the votes (a chunk of rows at a time).
+    which is derived from the table and `roots` once, when the model is
+    built (trained or loaded), and is never saved: it numbers the nodes
+    level by level from the roots (cart.RoutePlan), while the table stays in
+    preorder. The table's leaf ids come back tree-major, one row per tree,
+    and their predictions are the votes (a chunk of rows at a time).
     """
 
     def __init__(self, nodes: cart.ExplainerTree, roots):
         self.nodes = nodes
         self.roots = np.asarray(roots, dtype=np.int64)
         self.schema, self.task = nodes.schema, nodes.task
-        self.plan = cart.route_plan(nodes)
+        self.plan = cart.route_plan(nodes, self.roots)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
@@ -130,7 +130,7 @@ class ForestModel:
                                for a in range(0, max(len(rows), 1), step)])
 
     def _vote(self, rows: np.ndarray) -> np.ndarray:
-        votes = self.nodes.table.pred[cart.route(self.plan, self.roots, rows)]
+        votes = self.nodes.table.pred[cart.route(self.plan, rows)]
         if self.task == REGRESSION:
             return votes.mean(axis=0)
         return gower.majority_vote(votes.T.astype(np.int64), len(self.schema.target.classes))
@@ -229,7 +229,10 @@ class SubprocessOracle(PredictionOracle):
             raise OracleError(
                 f"oracle subprocess exited with code {self._proc.returncode}"
             )
-        argv = shlex.split(self.command)
+        try:
+            argv = shlex.split(self.command)
+        except ValueError as exc:
+            raise OracleError(f"cannot parse oracle command {self.command!r}: {exc}") from exc
         if not argv:
             raise OracleError("empty oracle command")
         try:

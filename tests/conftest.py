@@ -151,7 +151,7 @@ def grow_tree(X, y, schema):
 
 def tree_leaves(tree, rows):
     """The leaf each row reaches from the root of a one-tree table."""
-    return cart.route(cart.route_plan(tree), [0], np.atleast_2d(rows))[0]
+    return cart.route(cart.route_plan(tree, [0]), np.atleast_2d(rows))[0]
 
 
 def tree_predictions(tree, rows):

@@ -485,6 +485,8 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     schema, X, y = _tied_data(rng, target)
     p = schema.n_features
     samples = [rng.integers(0, len(X), size=int(rng.integers(1, len(X)))) for _ in range(6)]
+    # lone leaves first and last: a root that is a leaf, and the ends of the right chains
+    samples = [np.zeros(3, np.int64)] + samples + [rng.integers(0, len(X), size=1)]
     # lockstep trees (drawing features) and level-by-level trees in one call
     draws = [(t, 1 + t % p) if t % 2 else None for t in range(len(samples))]
     together, roots, leaves = cart.grow_trees(X, y, schema, samples, draws)
@@ -493,13 +495,13 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
     np.testing.assert_array_equal(roots, ref_roots)
     np.testing.assert_array_equal(leaves, ref_leaves)
     starts = np.cumsum([0] + [len(rows) for rows in samples])
-    plan = cart.route_plan(together)
+    routed = cart.route(cart.route_plan(together, roots), X)
     for t, (rows, draw, cut) in enumerate(zip(samples, draws, cart.split_trees(together, roots))):
         alone, _, alone_leaves = cart.grow_trees(X, y, schema, [rows], [draw])
         _same_trees(cut, alone)  # its own ids
         assert tree_stats(cut) == reference_tree_stats(X[rows], y[rows], schema, draw)
         part = leaves[starts[t]:starts[t + 1]]
-        np.testing.assert_array_equal(part, cart.route(plan, roots[t:t + 1], X[rows])[0])
+        np.testing.assert_array_equal(part, routed[t, rows])
         np.testing.assert_array_equal(part - roots[t], alone_leaves)
     for budget in (1, 1 << 50):  # one node per step, and a whole frontier per step
         monkeypatch.setattr(tabular, "WORK_BYTES", budget)
@@ -622,7 +624,7 @@ def test_route_equals_reference_walk(monkeypatch, target):
     lone, lone_roots, _ = cart.grow_trees(X, y, schema, [np.zeros(4, np.int64)] + samples[1:],
                                           draws)
     assert lone.table.feat[0] < 0 and (lone.table.feat[lone_roots[1:]] >= 0).all()
-    assert cart.route_plan(lone).first[0] == -1
+    assert cart.route_plan(lone, lone_roots).first[0] == -1
     chain = chain_dataset(1200)  # 1,199 levels: many times ROUTE_STEPS
     deep = grow_tree(chain.X, chain.y, chain.schema)
     deep_rows = np.vstack([chain.X, [[-3.0], [599.5], [np.nan], [1e9]]])
@@ -631,23 +633,18 @@ def test_route_equals_reference_walk(monkeypatch, target):
              (deep, np.zeros(1, dtype=np.int64), deep_rows)]
     for tree, tops, batch in cases:
         want = reference_route(tree, tops, batch)
-        plan = cart.route_plan(tree)
+        plan = cart.route_plan(tree, tops)
         # 32 B per node, and the widening tables, which have a column per tested category
         widening = plan.cat_feat.nbytes + plan.cat_val.nbytes
         assert sum(a.nbytes for a in plan if isinstance(a, np.ndarray)) <= (
             32 * len(tree.table.feat) + widening)
         with _deadline(60):
-            np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
-            np.testing.assert_array_equal(cart.route(plan, tops, batch[:0]), want[:, :0])
+            np.testing.assert_array_equal(cart.route(plan, batch), want)
+            np.testing.assert_array_equal(cart.route(plan, batch[:0]), want[:, :0])
             for steps in (1, 3):  # drops after every step or every few
                 monkeypatch.setattr(cart, "ROUTE_STEPS", steps)
-                np.testing.assert_array_equal(cart.route(plan, tops, batch), want)
+                np.testing.assert_array_equal(cart.route(plan, batch), want)
         monkeypatch.undo()
-    plan = cart.route_plan(forest)
-    for start in (np.setdiff1d(np.arange(len(forest.table.feat)), roots)[0], -1,
-                  len(forest.table.feat)):
-        with pytest.raises(ValueError, match="^route starts only at a root"):
-            cart.route(plan, [roots[0], start], rows)
 
 
 @contextmanager

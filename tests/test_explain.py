@@ -372,7 +372,7 @@ def test_json_tree_reads_back_through_the_model_reader(task):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         rows = random_rows(rng, schema, 60)
-        np.testing.assert_array_equal(cart.route(cart.route_plan(back), roots, rows),
+        np.testing.assert_array_equal(cart.route(cart.route_plan(back, roots), rows),
                                       reference_route(tree, [0], rows))
 
 

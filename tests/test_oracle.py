@@ -728,9 +728,12 @@ def test_an_oracles_task_is_its_schemas_target_kind_and_read_only():
 def test_subprocess_unknown_command():
     ds = synth_dataset(SynthSpec("moons2d", 4), seed=1)
     for command, refused in (("/no/such/binary-xyz", "cannot start"),
-                             (" \t ", "empty oracle command")):
+                             (" \t ", "empty oracle command"),
+                             ("python 'x", "^cannot parse oracle command \"python 'x\"")):
         oracle = SubprocessOracle(command, ds.schema, "classification")
         with pytest.raises(OracleError, match=refused):
+            oracle.predict_batch(ds.X)
+        with pytest.raises(OracleError, match="^oracle subprocess was stopped after an error"):
             oracle.predict_batch(ds.X)
 
 
