@@ -589,6 +589,8 @@ def _levels(table: NodeTable, roots) -> list[np.ndarray]:
     level 0 is the roots in the order given, and each next level holds the
     (right, left) children of the previous level's splits."""
     level = np.asarray(roots, dtype=np.int64)
+    if ((level < 0) | (level >= len(table.feat))).any():
+        raise ValueError(f"root ids must lie in 0..{len(table.feat) - 1}, not {level.tolist()}")
     levels = [level]
     while len(level):
         inner = level[table.feat[level] >= 0]

@@ -12,8 +12,7 @@ fragment is not in its file exactly once, or when a run ends in another way
 (a test id that no longer exists, say). So a refactor cannot retire a mutant
 silently: it updates or deletes the mutant and says so.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py 3 5        # mutants 3 and 5 (their list indices)
+    python tests/mutants.py
 
 pytest does not collect this file: it is not named test_*.py.
 """
@@ -117,19 +116,17 @@ def _run(copy: Path, tests) -> tuple[str, float]:
     return {0: "passed", 1: "failed"}.get(code, f"error (exit code {code})"), seconds
 
 
-def main(argv) -> int:
-    chosen = [int(a) for a in argv] or range(len(MUTANTS))
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="araucana-mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
-        tests = sorted({t for i in chosen for t in MUTANTS[i].tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         outcome, seconds = _run(copy, tests)
         print(f"clean: {outcome} in {seconds:.1f} s", flush=True)
         if outcome != "passed":
             return 1
-        for i in chosen:
-            mutant = MUTANTS[i]
+        for i, mutant in enumerate(MUTANTS):
             target = copy / mutant.path
             source = target.read_text()
             found = source.count(mutant.fragment)
@@ -146,9 +143,9 @@ def main(argv) -> int:
             bad += not killed
             print(f"mutant {i}: {'killed' if killed else 'NOT KILLED'} ({outcome} in "
                   f"{seconds:.1f} s): {mutant.path}: {mutant.replacement}", flush=True)
-    print(f"{len(chosen) - bad} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -645,6 +645,9 @@ def test_route_equals_reference_walk(monkeypatch, target):
                 monkeypatch.setattr(cart, "ROUTE_STEPS", steps)
                 np.testing.assert_array_equal(cart.route(plan, batch), want)
         monkeypatch.undo()
+    for bad in ([-1], [0, len(forest.table.feat)]):
+        with pytest.raises(ValueError, match=r"^root ids must lie in 0\.\."):
+            cart.route_plan(forest, bad)
 
 
 @contextmanager
