@@ -606,27 +606,24 @@ def route_plan(tree: ExplainerTree, roots) -> RoutePlan:
     its (feature, category) column against -0.5, so a NaN or a category no
     split tests goes right, as the table's own tests send it; a leaf reads no
     column of the row, so a NaN never moves a pair off it."""
-    table = tree.table
-    feat = table.feat
-    split = feat >= 0
-    num = np.append(tree.schema.numeric_mask(), False)[feat]  # a leaf's -1 reads the False
-    cat = split & ~num
-    pairs, pair_of = np.unique(np.stack((feat[cat], table.val[cat])), axis=1,
-                               return_inverse=True)
-    n_row = int(feat[num].max(initial=-1)) + 1
     # the children of level k's splits, in plan order, make level k + 1, so
     # the j-th split in plan order has its right child at n_roots + 2j
-    levels = _levels(table, roots)
+    levels = _levels(tree.table, roots)
     ids, n_roots = np.concatenate(levels), len(levels[0])
-    col = np.where(num, feat, n_row + len(pairs[0]))  # a leaf reads the last column
+    del levels  # ids holds them: 2 MB at 253,036 nodes
+    col, thr = tree.table.feat[ids], tree.table.val[ids]  # plan order, rewritten in place
+    split = col >= 0
+    num = np.append(tree.schema.numeric_mask(), False)[col]  # a leaf's -1 reads the False
+    cat = split & ~num
+    pairs, pair_of = np.unique(np.stack((col[cat], thr[cat])), axis=1, return_inverse=True)
+    n_row = int(col[num].max(initial=-1)) + 1
+    col[~num] = n_row + len(pairs[0])  # a leaf reads the last column
     col[cat] = n_row + pair_of.reshape(-1)
-    thr = np.where(num, table.val, np.inf)
+    thr[~num] = np.inf
     thr[cat] = -0.5
     first = np.arange(-1, len(ids) - 1)
-    at_split = split[ids]
-    first[at_split] = n_roots + 2 * np.arange(int(at_split.sum()))
-    return RoutePlan(col[ids], thr[ids], first, ids, n_roots, n_row,
-                     pairs[0].astype(np.int64), pairs[1])
+    first[split] = n_roots + 2 * np.arange(int(split.sum()))
+    return RoutePlan(col, thr, first, ids, n_roots, n_row, pairs[0].astype(np.int64), pairs[1])
 
 
 def _widen(plan: RoutePlan, rows: np.ndarray) -> np.ndarray:

@@ -12,6 +12,10 @@ lower row index, of the k-NN oracle, neighborhood selection and SMOTE-NC, and
 `nearest_rows` applies it to many queries in distance blocks; `majority_vote`
 is the one vote over those neighbours, ties to the lowest value. Every chunk
 and block is sized from the one budget `tabular.WORK_BYTES`.
+
+`nearest_rows_grouped`, the k-NN oracle's search, looks among the rows of
+the query's own categorical codes first (`category_groups`) and keeps what it
+finds when a 1/p bound makes that `nearest_rows`' answer.
 """
 
 from __future__ import annotations
@@ -91,6 +95,66 @@ def nearest_rows(schema: Schema, X: np.ndarray, rows: np.ndarray,
         near[a:a + step] = nearest(d, k)
         dist[a:a + step] = np.take_along_axis(d, near[a:a + step], axis=1)
         del d  # one block at a time: the next is computed after this one is freed
+    return near, dist
+
+
+def category_keys(schema: Schema, X: np.ndarray) -> np.ndarray:
+    """Per row of X, one number for its tuple of categorical codes: the
+    tuple's mixed-radix index over the features' category counts, or -1 when
+    a code is not a category index of its feature. Rows with the same codes
+    get the same key; past 2**53 tuples two tuples may share one too."""
+    cat = ~schema.numeric_mask()
+    codes = X[:, cat]
+    sizes = np.array([len(f.categories) for f in schema.features if not f.is_numeric])
+    valid = ((codes == np.floor(codes)) & (codes >= 0) & (codes < sizes)).all(axis=1)
+    key = np.zeros(len(X))
+    for c, size in zip(np.where(valid[:, None], codes, 0.0).T, sizes):
+        key = key * size + c
+    key[~valid] = -1.0
+    return key
+
+
+def category_groups(schema: Schema, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows grouped by category_keys: the keys sorted, and the row ids in
+    that order, ascending within a key; None when the schema has no
+    categorical feature."""
+    if schema.numeric_mask().all():
+        return None
+    keys = category_keys(schema, rows)
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
+
+
+def nearest_rows_grouped(schema: Schema, X: np.ndarray, rows: np.ndarray, k: int,
+                         groups: tuple[np.ndarray, np.ndarray] | None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """nearest_rows(schema, X, rows, k) bit for bit, with groups the rows'
+    category_groups. A query whose key's group holds at least k rows is
+    searched in that group alone (nearest_rows on it), and kept when its
+    k-th distance there is below 1/p: a row outside the group has other
+    codes than the query, so it lies at fl(fl(S + m) / p) >= fl(1/p), with
+    m >= 1 mismatches and S >= 0 the numeric terms, and comes no nearer and
+    ties with none. A group row's distance has the bits of the full pass,
+    and the group keeps row order, so ties still go to the lower row. Any
+    other query takes the full pass, and so does every query when groups is
+    None."""
+    X = np.asarray(X, dtype=float)
+    if groups is None:
+        return nearest_rows(schema, X, rows, k)
+    near = np.empty((len(X), min(k, len(rows))), dtype=np.intp)
+    dist = np.empty(near.shape)
+    done = np.zeros(len(X), dtype=bool)
+    row_keys, order = groups
+    keys, at = np.unique(category_keys(schema, X), return_inverse=True)
+    lo, hi = (np.searchsorted(row_keys, keys, side) for side in ("left", "right"))
+    for g in (hi - lo >= k).nonzero()[0]:
+        queries, members = (at == g).nonzero()[0], order[lo[g]:hi[g]]
+        g_near, g_dist = nearest_rows(schema, X[queries], rows[members], k)
+        ok = g_dist[:, -1] < 1.0 / schema.n_features
+        kept = queries[ok]
+        near[kept], dist[kept], done[kept] = members[g_near[ok]], g_dist[ok], True
+    rest = (~done).nonzero()[0]
+    near[rest], dist[rest] = nearest_rows(schema, X[rest], rows, k)
     return near, dist
 
 

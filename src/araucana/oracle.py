@@ -160,10 +160,13 @@ def train_forest(data: Dataset, cfg: ForestConfig = ForestConfig()) -> ForestMod
 
 class KnnModel:
     """k nearest neighbors under Gower distance; majority vote / mean. The
-    task is the schema's target's. A batch is labelled
-    through bounded distance blocks (gower.nearest_rows), not row by row;
-    distance ties go to the lower training row and vote ties to the lower
-    class."""
+    task is the schema's target's. The training rows are grouped by their
+    categorical codes once, when the model is built (trained or loaded), and
+    never saved (`groups`, gower.category_groups). A batch is labelled
+    through bounded distance blocks, each query searched in its own group
+    when the 1/p bound allows it and among all rows otherwise
+    (gower.nearest_rows_grouped), not row by row; distance ties go to the
+    lower training row and vote ties to the lower class."""
 
     def __init__(self, X, y, k: int, schema: Schema):
         if k < 1:
@@ -174,10 +177,11 @@ class KnnModel:
         self.y = np.asarray(y)
         self.schema, self.task = schema, schema.target.kind
         self.k = k
+        self.groups = gower.category_groups(schema, self.X)
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        near = gower.nearest_rows(self.schema, rows, self.X, self.k)[0]
+        near = gower.nearest_rows_grouped(self.schema, rows, self.X, self.k, self.groups)[0]
         if self.task == REGRESSION:
             return self.y[near].mean(axis=1)
         return gower.majority_vote(self.y[near].astype(np.int64), len(self.schema.target.classes))

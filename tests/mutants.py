@@ -45,6 +45,9 @@ class Mutant(NamedTuple):
 
 GROWN = "tests/test_cart.py::test_trees_grown_together_equal_trees_grown_alone"
 ROUTED = "tests/test_cart.py::test_route_equals_reference_walk"
+BLOCKED = "tests/test_oracle.py::test_blocked_knn_equals_full_pass"
+TIE = "tests/test_oracle.py::test_blocked_knn_tie_at_one_over_p_goes_to_the_full_pass"
+STAGE = "tests/test_fidelity.py::test_stage_fit_equals_the_per_row_reference"
 
 MUTANTS = [
     # the preorder of the nodes' slices: lo ties must keep id order
@@ -73,14 +76,36 @@ MUTANTS = [
     Mutant("src/araucana/cart.py",
            "first = np.arange(-1, len(ids) - 1)", "first = np.arange(len(ids))", (ROUTED,)),
     Mutant("src/araucana/cart.py",
-           "col = np.where(num, feat, n_row + len(pairs[0]))", "col = np.where(num, feat, 0)",
-           (ROUTED,)),
+           "col[~num] = n_row + len(pairs[0])", "col[~num] = 0", (ROUTED,)),
     Mutant("src/araucana/cart.py",
-           "first[at_split] = n_roots + 2 * np.arange",
-           "first[at_split] = n_roots + 1 + 2 * np.arange", (ROUTED,)),
+           "first[split] = n_roots + 2 * np.arange", "first[split] = n_roots + 1 + 2 * np.arange",
+           (ROUTED,)),
     Mutant("src/araucana/cart.py",
            "out[pair[done]] = plan.ids.take(node[done])", "out[pair[done]] = node[done]",
            (ROUTED,)),
+    # the k-NN group search: exact only below 1/p, in row order and with the
+    # full pass behind it; a code outside its categories searches no group
+    Mutant("src/araucana/gower.py",
+           "ok = g_dist[:, -1] < 1.0 / schema.n_features",
+           "ok = g_dist[:, -1] <= 1.0 / schema.n_features", (TIE,)),
+    Mutant("src/araucana/gower.py",
+           'order = np.argsort(keys, kind="stable")', "order = np.argsort(keys)", (BLOCKED,)),
+    Mutant("src/araucana/gower.py",
+           "ok = g_dist[:, -1] < 1.0 / schema.n_features",
+           "ok = np.ones(len(g_dist), dtype=bool)", (BLOCKED,)),
+    Mutant("src/araucana/gower.py",
+           "valid = ((codes == np.floor(codes)) & (codes >= 0) & (codes < sizes)).all(axis=1)",
+           "valid = np.ones(len(X), dtype=bool)", (BLOCKED,)),
+    # the linear baseline's recipe
+    Mutant("src/araucana/fidelity.py", "kernel_width = 0.75 * np.sqrt",
+           "kernel_width = 0.7 * np.sqrt", (STAGE,)),
+    Mutant("src/araucana/fidelity.py", "+= 1e-3  # the ridge term",
+           "+= 1e-2  # the ridge term", (STAGE,)),
+    Mutant("src/araucana/fidelity.py", "/ kernel_width**2)", "/ kernel_width)", (STAGE,)),
+    Mutant("src/araucana/fidelity.py", "gram[:, np.arange(dim), np.arange(dim)]",
+           "gram[:, np.arange(dim + 1), np.arange(dim + 1)]", (STAGE,)),  # a penalised intercept
+    Mutant("src/araucana/fidelity.py", "return scores.argmax(axis=1) if classes",
+           "return scores.shape[1] - 1 - scores[:, ::-1].argmax(axis=1) if classes", (STAGE,)),
     # every oracle failure is an OracleError, an unparsable command's too
     Mutant("src/araucana/oracle.py",
            'raise OracleError(f"cannot parse oracle command {self.command!r}: {exc}") from exc',

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from araucana import cart, oracle as oracle_mod, tabular
+from araucana import cart, gower, oracle as oracle_mod, tabular
 from araucana.gower import distances_many
 from araucana.oracle import (
     BuiltinOracle,
@@ -297,6 +297,110 @@ def test_batched_knn_equals_per_row_reference(tmp_path, monkeypatch, target):
         back = load_model(path)
         _same(back.predict_batch(queries), want)
         _same(back.X, model.X)
+
+
+def _spy_searches(monkeypatch, table):
+    """Wraps gower.nearest_rows; returns the list of ("full", queries) for
+    each call over the whole table and ("group", queries) for each call over
+    a part of it (a group search)."""
+    calls, inner = [], gower.nearest_rows
+
+    def nearest_rows(schema, X, rows, k):
+        calls.append(("full" if rows is table else "group", np.array(X)))
+        return inner(schema, X, rows, k)
+
+    monkeypatch.setattr(gower, "nearest_rows", nearest_rows)
+    return calls
+
+
+def test_blocked_knn_equals_full_pass(tmp_path, monkeypatch):
+    """The group search returns nearest_rows' neighbors and distances bit for
+    bit: random mixed schemas of 1-3 categorical features and 200-2,000
+    rows, duplicated rows (ties inside a group), k = 1, 5, 100 and n, four
+    work budgets, and a model read back from its file. Queries: training
+    rows, random rows and corners of the numeric box (all with codes some
+    training row has), rows with a tuple no training row has and rows with
+    a code outside its categories (-1, 7, 0.5); the last two must take the
+    full pass alone."""
+    rng = np.random.default_rng(37)
+    # queries answered in their group at k <= 5, and searched there but sent on at k = 100
+    stayed = sent_on = 0
+    for trial in range(6):
+        schema = random_mixed_schema(rng, n_cat=int(rng.integers(1, 4)))
+        if trial % 2:
+            schema = _regression(schema)
+        cat = (~schema.numeric_mask()).nonzero()[0]
+        n = int(rng.integers(200, 2001))
+        ds = make_dataset(rng, schema, n)
+        X = ds.X
+        X[: n // 4] = X[n - n // 4:]  # duplicated training rows: exact ties inside a group
+        unseen = random_rows(rng, schema, 10)
+        unseen[:, cat] = X[0, cat]
+        j = cat[0]  # no training row keeps X[0]'s codes: they move one category on
+        X[(X[:, cat] == X[0, cat]).all(axis=1), j] = (X[0, j] + 1) % len(
+            schema.features[j].categories)
+        bad = random_rows(rng, schema, 9)
+        bad[np.arange(9), rng.choice(cat, 9)] = np.tile([-1.0, 7.0, 0.5], 3)
+        seen = np.vstack((X[rng.integers(0, n, 40)], random_rows(rng, schema, 60)))
+        seen[40:, cat] = X[rng.integers(0, n, 60)][:, cat]
+        num = schema.numeric_mask()
+        _, lo, hi, _ = schema.numeric_layout
+        seen[80:, num] = np.where(rng.integers(0, 2, (20, len(lo))) == 1, hi, lo)
+        queries = np.vstack((seen, unseen, bad))
+        data = Dataset(schema, X, ds.y)
+        for k in (1, 5, 100, n):
+            model = train_knn(data, k=k)
+            want = gower.nearest_rows(schema, queries, X, k)
+            for budget in (None, 1, 8 * 3 * n, 2**40):
+                with monkeypatch.context() as mp:
+                    if budget is not None:
+                        mp.setattr(tabular, "WORK_BYTES", budget)
+                    calls = _spy_searches(mp, X)
+                    got = gower.nearest_rows_grouped(schema, queries, X, k, model.groups)
+                _same(got[0], want[0])
+                _same(got[1], want[1])
+                searched = np.vstack([q for kind, q in calls if kind == "group"] +
+                                     [np.empty((0, schema.n_features))])
+                assert not (searched[:, None] == np.vstack((unseen, bad))).all(axis=2).any()
+                kept = len(seen) + len(unseen) + len(bad) - sum(
+                    len(q) for kind, q in calls if kind == "full")
+                stayed += kept * (k <= 5 and budget is None)
+                sent_on += (len(searched) - kept) * (k == 100 and budget is None)
+            _same(model.predict_batch(queries), _reference_knn(model, queries))
+        path = tmp_path / f"knn{trial}.json"
+        save_model(model, path)
+        back = load_model(path)
+        for got, want in zip(back.groups, model.groups):
+            _same(got, want)
+        for got, want in zip(gower.nearest_rows_grouped(schema, queries, X, 5, back.groups),
+                             gower.nearest_rows(schema, queries, X, 5)):
+            _same(got, want)
+        _same(back.predict_batch(queries), model.predict_batch(queries))
+    # most queries were answered in their group, so the test does not pass by
+    # sending everything on, and the bound sent some on
+    assert stayed >= 0.9 * 6 * 2 * len(seen) and sent_on > 0
+
+
+@pytest.mark.parametrize("n_same", [0, 1, 2])
+def test_blocked_knn_tie_at_one_over_p_goes_to_the_full_pass(n_same):
+    # the query (0, 0, ...) has row 0 at 1/p (its first code differs) and rows
+    # 1-5 of its own codes at 1/p too (their numeric terms sum to 1): the
+    # group's k-th distance is not below 1/p, and the full pass gives row 0
+    feats = (FeatureSpec("x", "numeric", range=(0.0, 1.0)),) + tuple(
+        FeatureSpec(f"c{i}", "categorical", categories=("a", "b")) for i in range(1 + n_same))
+    schema = Schema(feats, TargetSpec("y", REGRESSION))
+    X = np.zeros((12, len(feats)))
+    X[0, 1] = 1.0
+    X[1:6, 0] = 1.0
+    X[6:, 1] = 1.0  # more of the other codes, farther away
+    X[6:, 0] = 1.0
+    q = np.zeros((1, len(feats)))
+    for k in (1, 5):
+        model = train_knn(Dataset(schema, X, np.arange(12.0)), k=k)
+        near, dist = gower.nearest_rows_grouped(schema, q, X, k, model.groups)
+        assert near.tolist() == [list(range(k))]
+        assert (dist == 1.0 / len(feats)).all()
+        assert model.predict_batch(q).tolist() == [np.arange(k).mean()]
 
 
 def test_save_load_roundtrip(tmp_path):
