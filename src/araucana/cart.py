@@ -25,7 +25,12 @@ sums add them, so every gain, and so every tree, is the one the per-node
 search found. A tree that draws a feature subset per split (a forest tree)
 puts its next preorder node into each step, so its draws come in the order
 a one-node-at-a-time grower makes them; a tree that draws none (an
-explainer tree) puts in all its open nodes and grows level by level. A
+explainer tree) puts in all its open nodes and grows level by level. Given
+one kept sample position, such a tree searches only the node that holds it
+and grows that row's root-to-leaf path alone, the other child of each split
+on it kept as a leaf (fidelity.evaluate_fidelity reads no more than the
+query's leaf). A node's split depends on its own rows only, so the path's
+nodes, its leaf and the leaf's rows are the whole tree's. A
 forest tree seeded s draws the subsets numpy's
 Generator(PCG64(s)).choice(p, size=width, replace=False) returns, call after
 call: Floyd's sampling with Lemire's bounded integers on the tree's 32-bit
@@ -290,7 +295,7 @@ class _Frontier:
         self.B = int(keys.max(initial=0)) + 1
         self.Xf, self.Vf = X.T.ravel(), keys.T.ravel()  # (row, feature) at f * n + row
 
-    def grow(self, samples, draws) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
+    def grow(self, samples, draws, keep=None) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
         """Grow tree t on rows samples[t] of X, searching every feature at
         each split when draws[t] is None, or `width` features drawn from the
         PCG64 stream seeded `seed` when draws[t] is (seed, width) (see
@@ -301,7 +306,10 @@ class _Frontier:
         A tree that draws features adds only its next preorder stack pop to a
         step, so its draws come in preorder, one per split search, as a
         one-node-at-a-time grower makes them; a tree that draws none adds all
-        its open nodes and grows level by level.
+        its open nodes and grows level by level. With keep, tree t searches
+        only the nodes holding sample position keep[t]: it grows that row's
+        root-to-leaf path, whose nodes and leaf are the whole tree's, and
+        every node off the path is a leaf.
         """
         if any(len(rows) == 0 for rows in samples):
             raise ValueError("cannot fit a tree on zero rows")
@@ -312,6 +320,13 @@ class _Frontier:
         self.ids = np.concatenate(samples)  # the row of X at each sample position
         self.rows = np.arange(len(self.ids))
         ends = np.cumsum([len(rows) for rows in samples]).tolist()
+        self.keep = None if keep is None else np.asarray(keep, dtype=np.int64)
+        if self.keep is not None:  # a drawing tree's draws follow every search it makes
+            lo = np.subtract(ends, [len(rows) for rows in samples])
+            if any(draws) or self.keep.shape != lo.shape or not (
+                    (lo <= self.keep) & (self.keep < ends)).all():
+                raise ValueError("keep names one sample position of each tree's own sample, "
+                                 "and every tree must draw no features")
         self.stacks = [[(t, t, ends[t] - len(rows), ends[t])]  # (tree, id, lo, hi)
                        for t, rows in enumerate(samples)]
         # one record per node id, grown by doubling: its feature, its value
@@ -356,6 +371,10 @@ class _Frontier:
         R = self.ids[P]  # their rows of X
         seg = np.arange(m).repeat(sizes)
         alive = sizes >= 2  # a one-row node is a leaf: no sums, no search
+        if self.keep is not None:  # so is a node off its tree's kept path
+            held = np.zeros(m, bool)
+            held[seg[P == self.keep[tree[seg]]]] = True
+            alive &= held
         imp, sums = np.zeros(m), np.zeros((2, m))
         if self.task == CLASSIFICATION:  # (classes, nodes)
             counts = np.bincount(y[R] * m + seg, minlength=K * m).reshape(K, m)
@@ -503,14 +522,16 @@ class _Frontier:
         return tree, roots, leaves
 
 
-def grow_trees(X, y, schema: Schema, samples,
-               draws) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
+def grow_trees(X, y, schema: Schema, samples, draws,
+               keep=None) -> tuple[ExplainerTree, np.ndarray, np.ndarray]:
     """Grow tree t on rows samples[t] of X (row indices) with feature draws
     draws[t] -- None for an explainer tree, (seed, width) for a forest tree --
     all in one frontier (see _Frontier.grow); returns the table, the root ids
     and, for each entry of np.concatenate(samples), the id of the leaf that
     row reached in its tree. The schema's target states the task and the
-    classes: a schema without one raises SchemaError.
+    classes: a schema without one raises SchemaError. With keep, one entry
+    of np.concatenate(samples) per tree, from its own sample, each explainer
+    tree grows only that entry's root-to-leaf path (see _Frontier.grow).
 
     A forest tree searches, at each split, the width features its next
     Floyd's sample from its PCG64(seed) stream names: the set
@@ -538,7 +559,7 @@ def grow_trees(X, y, schema: Schema, samples,
         if not abs(big) <= np.sqrt(np.finfo(float).max / max(rows, 1)):
             raise ValueError(f"regression label {big!r} is too large: its square sums "
                              f"over {rows} rows overflow")
-    return _Frontier(X, y, schema, n_classes).grow(samples, draws)
+    return _Frontier(X, y, schema, n_classes).grow(samples, draws, keep)
 
 
 def split_trees(tree: ExplainerTree, roots) -> list[ExplainerTree]:

@@ -286,14 +286,46 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
 
     SMOTE-NC runs per query; one oracle request labels every query's
     synthetic rows, in query order (none when there are none), and one
-    cart.grow_trees call grows every explainer tree. Each explanation keeps
-    its query's SMOTE-NC notes, for the caller to report. An exception from
-    any query's step propagates and fails the whole batch; an empty batch
-    gives no explanations.
+    cart.grow_trees call grows every explainer tree whole. Each explanation
+    keeps its query's SMOTE-NC notes, for the caller to report. An exception
+    from any query's step propagates and fails the whole batch; an empty
+    batch gives no explanations.
     """
     if not nbhs:
         return []
     X = np.asarray(X, dtype=float)
+    X_all, y_all, bounds, notes = _explainer_sets(nbhs, X, oracle, cfgs)
+    spans = list(zip(bounds, bounds[1:]))
+    table, roots, leaves = cart.grow_trees(X_all, y_all, oracle.schema,
+                                           [np.arange(a, b) for a, b in spans], [None] * len(nbhs))
+    out = []
+    for q, (tree, (a, b)) in enumerate(zip(cart.split_trees(table, roots), spans)):
+        n = len(nbhs[q].rows)
+        provenance = [ORIGINAL] * n + [QUERY] + [SYNTHETIC] * (b - a - n - 1)
+        eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance)
+        out.append(_explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[q],
+                                notes[q]))
+    return out
+
+
+def _leaf_predictions(nbhs: list[Neighborhood], X: np.ndarray, oracle: PredictionOracle,
+                      cfgs: list[ExplainConfig]) -> tuple[np.ndarray, list[list[str]]]:
+    """explain_neighborhoods' encoded rule prediction of every query and its
+    SMOTE-NC notes, from the same oracle requests, with no Explanation: each
+    explainer tree grows only its query's root-to-leaf path (cart.grow_trees'
+    keep), which reaches the whole tree's leaf with the same rows."""
+    X_all, y_all, bounds, notes = _explainer_sets(nbhs, np.asarray(X, dtype=float), oracle, cfgs)
+    keep = [a + len(nbh.rows) for a, nbh in zip(bounds, nbhs)]  # the query follows its neighbors
+    tree, _, leaves = cart.grow_trees(X_all, y_all, oracle.schema,
+                                      [np.arange(a, b) for a, b in zip(bounds, bounds[1:])],
+                                      [None] * len(nbhs), keep)
+    return tree.table.pred[leaves[keep]], notes
+
+
+def _explainer_sets(nbhs, X, oracle, cfgs):
+    """Steps 3-4 for a non-empty batch: every query's explainer set, one
+    after another (its neighborhood rows, the query, its synthetics), their
+    labels, the sets' bounds and each query's SMOTE-NC notes."""
     schema = oracle.schema
     synthetic, notes = [], []
     for nbh, cfg in zip(nbhs, cfgs):
@@ -305,27 +337,14 @@ def explain_neighborhoods(nbhs: list[Neighborhood], X: np.ndarray, oracle: Predi
     ends = np.cumsum([len(syn) for syn in synthetic])
     if any(len(syn) for syn in synthetic):
         syn_y = oracle.predict_batch(np.vstack(synthetic))  # oracle labels replace seed labels
-
-    # every query's explainer set, one after another: its neighborhood rows,
-    # the query, its synthetics
-    parts_X, parts_y, provenance, bounds = [], [], [], [0]
+    parts_X, parts_y, bounds = [], [], [0]
     for q, (nbh, syn) in enumerate(zip(nbhs, synthetic)):
         parts_X += [nbh.rows, X[q:q + 1], syn]
         parts_y += [np.asarray(nbh.relabels), np.asarray([nbh.query_label])]
         if len(syn):
             parts_y.append(syn_y[ends[q] - len(syn):ends[q]])
-        provenance.append([ORIGINAL] * len(nbh.rows) + [QUERY] + [SYNTHETIC] * len(syn))
-        bounds.append(bounds[-1] + len(provenance[-1]))
-    X_all, y_all = np.vstack(parts_X), np.concatenate(parts_y)
-    spans = list(zip(bounds, bounds[1:]))
-    table, roots, leaves = cart.grow_trees(X_all, y_all, schema,
-                                           [np.arange(a, b) for a, b in spans], [None] * len(nbhs))
-    out = []
-    for q, (tree, (a, b)) in enumerate(zip(cart.split_trees(table, roots), spans)):
-        eset = ExplainerSet(X_all[a:b], y_all[a:b], provenance[q])
-        out.append(_explanation(nbhs[q], X[q], cfgs[q], eset, tree, leaves[a:b] - roots[q],
-                                notes[q]))
-    return out
+        bounds.append(bounds[-1] + len(nbh.rows) + 1 + len(syn))
+    return np.vstack(parts_X), np.concatenate(parts_y), bounds, notes
 
 
 def _explanation(nbh: Neighborhood, x: np.ndarray, cfg: ExplainConfig, eset: ExplainerSet,

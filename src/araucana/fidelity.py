@@ -7,7 +7,11 @@ not labelled before in the run, then the chunk's instances (a TrainLabels
 keeps each training row's label for the whole run), and one more labels every
 SMOTE synthetic of the chunk. Every explainer is fitted to an instance's one
 neighborhood and predicts the instance. Fidelity is the fraction of
-instances where that prediction matches the oracle's label. The weighted-linear
+instances where that prediction matches the oracle's label. araucana predicts
+the instance's leaf in its explainer tree, and here each tree grows only the
+instance's root-to-leaf path (cart.grow_trees' keep): a node's split depends
+on its own rows only, so the path reaches the whole tree's leaf, with the
+same prediction, and the report is the one whole trees give. The weighted-linear
 baseline mirrors the usual local-linear recipe: least squares on the encoded
 neighborhood with proximity weights exp(-d^2 / w^2), w = 0.75 sqrt(encoded
 dimension, at least 1), and a ridge term of 1e-3. It fits a chunk's
@@ -27,8 +31,8 @@ from .explain import (
     ExplainConfig,
     Neighborhood,
     TrainLabels,
+    _leaf_predictions,
     check_oracle,
-    explain_neighborhoods,
     match_epsilon,
     select_neighborhoods,
 )
@@ -137,31 +141,25 @@ def evaluate_fidelity(train: Dataset, test: Dataset, oracle: PredictionOracle,
     for a in range(0, len(test), EXPLAIN_BATCH_QUERIES):
         X = test.X[a:a + EXPLAIN_BATCH_QUERIES]
         nbhs = select_neighborhoods(train, X, oracle, cfg, labels)
+        preds = {}
         if ARAUCANA in explainers:
             cfgs = [_row_config(cfg, i) for i in range(a, a + len(X))]
-            expls = explain_neighborhoods(nbhs, X, oracle, cfgs)
+            preds[ARAUCANA], row_notes = _leaf_predictions(nbhs, X, oracle, cfgs)
+            notes += [(a + j, note) for j, noted in enumerate(row_notes) for note in noted]
         if LINEAR in explainers:
-            linear = fit_linear_explainer(nbhs, X, schema)
+            preds[LINEAR] = fit_linear_explainer(nbhs, X, schema)
         for j, nbh in enumerate(nbhs):
-            i, oracle_label = a + j, nbh.query_label
+            oracle_label = nbh.query_label
             for name in explainers:
-                if name == ARAUCANA:
-                    expl = expls[j]
-                    notes += [(i, note) for note in expl.smote_notes]
-                    prediction = expl.rule.prediction
-                    agree = expl.faithful
-                else:
-                    pred = linear[j]
-                    prediction = schema.decode_label(pred)
-                    agree = abs(pred - oracle_label) <= match_epsilon(schema.target.kind,
-                                                                      oracle_label)
+                pred = preds[name][j]
                 per_instance.append(
                     {
                         "explainer": name,
-                        "index": i,
+                        "index": a + j,
                         "oracle_label": schema.decode_label(oracle_label),
-                        "prediction": prediction,
-                        "agree": bool(agree),
+                        "prediction": schema.decode_label(pred),
+                        "agree": bool(abs(pred - oracle_label)
+                                      <= match_epsilon(schema.target.kind, oracle_label)),
                     }
                 )
 

@@ -162,9 +162,10 @@ class KnnModel:
     """k nearest neighbors under Gower distance; majority vote / mean. The
     task is the schema's target's. The training rows are grouped by their
     categorical codes once, when the model is built (trained or loaded), and
-    never saved (`groups`, gower.category_groups). A batch is labelled
-    through bounded distance blocks, each query searched in its own group
-    when the 1/p bound allows it and among all rows otherwise
+    never saved (`groups`, gower.category_groups); groups is None when no
+    group holds k rows, since a group search then answers no query. A batch
+    is labelled through bounded distance blocks, each query searched in its
+    own group when the 1/p bound allows it and among all rows otherwise
     (gower.nearest_rows_grouped), not row by row; distance ties go to the
     lower training row and vote ties to the lower class."""
 
@@ -178,6 +179,8 @@ class KnnModel:
         self.schema, self.task = schema, schema.target.kind
         self.k = k
         self.groups = gower.category_groups(schema, self.X)
+        if self.groups is not None and np.unique(self.groups[0], return_counts=True)[1].max() < k:
+            self.groups = None
 
     def predict_batch(self, rows: np.ndarray) -> np.ndarray:
         rows = np.atleast_2d(np.asarray(rows, dtype=float))

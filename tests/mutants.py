@@ -48,6 +48,10 @@ ROUTED = "tests/test_cart.py::test_route_equals_reference_walk"
 BLOCKED = "tests/test_oracle.py::test_blocked_knn_equals_full_pass"
 TIE = "tests/test_oracle.py::test_blocked_knn_tie_at_one_over_p_goes_to_the_full_pass"
 STAGE = "tests/test_fidelity.py::test_stage_fit_equals_the_per_row_reference"
+PATH = "tests/test_cart.py::test_path_growth_reaches_the_whole_trees_leaf"
+GINI = "tests/test_cart.py::test_class_major_gini_equals_the_row_sums_bit_for_bit"
+SHARED = "tests/test_fidelity.py::test_shared_neighborhood_equals_reference_and_labels_x_once"
+CAPPED = "tests/test_oracle.py::test_subprocess_requests_are_capped_and_each_has_its_own_timeout"
 
 MUTANTS = [
     # the preorder of the nodes' slices: lo ties must keep id order
@@ -62,6 +66,18 @@ MUTANTS = [
     Mutant("src/araucana/cart.py",
            'chain = np.argsort(cols["hi"][at], kind="stable")',
            'chain = np.argsort(cols["hi"][at])', (GROWN,)),
+    # from 8 classes up numpy's row sums add the squared shares pairwise
+    Mutant("src/araucana/cart.py", "if len(sq) >= 8:", "if len(sq) > 8:", (GINI,)),
+    # path growth: the child that holds the kept row stays open, no other node
+    # does, and the kept row is the tree's own kept position
+    Mutant("src/araucana/cart.py", "alive &= held", "alive &= held ^ (ids >= len(self.stacks))",
+           (PATH,)),  # under each split on the path the other child is grown
+    Mutant("src/araucana/cart.py",
+           "self.keep = None if keep is None else np.asarray(keep, dtype=np.int64)",
+           "self.keep = None if keep is None else np.subtract(ends, [len(r) for r in samples])",
+           (PATH,)),  # each tree's first sample position
+    Mutant("src/araucana/cart.py", "held[seg[P == self.keep[tree[seg]]]] = True",
+           "held[seg[P != self.keep[tree[seg]]]] = True", (PATH,)),  # the whole tree grows
     # the level walk
     Mutant("src/araucana/cart.py",
            "np.stack((table.right[inner], inner + 1), 1)",
@@ -106,6 +122,13 @@ MUTANTS = [
            "gram[:, np.arange(dim + 1), np.arange(dim + 1)]", (STAGE,)),  # a penalised intercept
     Mutant("src/araucana/fidelity.py", "return scores.argmax(axis=1) if classes",
            "return scores.shape[1] - 1 - scores[:, ::-1].argmax(axis=1) if classes", (STAGE,)),
+    # evaluate keeps each explainer set's query row, which follows its neighbors
+    Mutant("src/araucana/explain.py", "keep = [a + len(nbh.rows) for a,",
+           "keep = [a + len(nbh.rows) - 1 for a,", (SHARED,)),
+    # a 0-row batch still sends one request, and gets a 0-row reply
+    Mutant("src/araucana/oracle.py",
+           "for a in range(0, max(len(rows), 1), SUBPROCESS_REQUEST_ROWS)",
+           "for a in range(0, len(rows), SUBPROCESS_REQUEST_ROWS)", (CAPPED,)),
     # every oracle failure is an OracleError, an unparsable command's too
     Mutant("src/araucana/oracle.py",
            'raise OracleError(f"cannot parse oracle command {self.command!r}: {exc}") from exc',

@@ -508,6 +508,58 @@ def test_trees_grown_together_equal_trees_grown_alone(monkeypatch, target):
         _same_trees(cart.grow_trees(X, y, schema, samples, draws)[0], together)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("target", ["2 classes", "8 classes", "9 classes", "regression"])
+def test_path_growth_reaches_the_whole_trees_leaf(monkeypatch, target, seed):
+    """Trees grown along one kept sample row's root-to-leaf path give that
+    row the whole tree's leaf: its prediction, leaf stats, rows and decision
+    path. Every node off the path is a leaf, and no tree's kept leaf holds
+    another tree's rows."""
+    rng = np.random.default_rng(160 + seed)
+    schema, X, y = _tied_data(rng, target)
+    samples = [rng.integers(0, len(X), size=int(rng.integers(1, len(X)))) for _ in range(6)]
+    samples.append(np.zeros(3, np.int64))  # one repeated row: the root is a leaf
+    starts = np.cumsum([0] + [len(rows) for rows in samples])
+    keep = starts[:-1] + [int(rng.integers(0, len(rows))) for rows in samples]
+    kept = X[np.concatenate(samples)[keep]]
+    draws = [None] * len(samples)
+    whole, whole_roots, whole_leaves = cart.grow_trees(X, y, schema, samples, draws)
+    reference, ref_roots, _ = reference_grow(X, y, schema, samples, draws)
+    ref_leaf = reference_route(reference, ref_roots, kept).diagonal()
+    for budget in (1, tabular.WORK_BYTES):  # one node per step, and a whole frontier per step
+        monkeypatch.setattr(tabular, "WORK_BYTES", budget)
+        path, roots, leaves = cart.grow_trees(X, y, schema, samples, draws, keep)
+        leaf, whole_leaf = leaves[keep], whole_leaves[keep]
+        # the per-row walk of the path-grown table reaches the leaf the grower reports
+        np.testing.assert_array_equal(reference_route(path, roots, kept).diagonal(), leaf)
+        np.testing.assert_array_equal(path.table.pred[leaf], reference.table.pred[ref_leaf])
+        np.testing.assert_array_equal(path.table.pred[leaf], whole.table.pred[whole_leaf])
+        np.testing.assert_array_equal(path.leaf_stats[leaf], whole.leaf_stats[whole_leaf])
+        cuts = zip(cart.split_trees(path, roots), cart.split_trees(whole, whole_roots))
+        for t, (cut, full) in enumerate(cuts):
+            rows = (leaves == leaf[t]).nonzero()[0]
+            np.testing.assert_array_equal(rows, (whole_leaves == whole_leaf[t]).nonzero()[0])
+            assert starts[t] <= rows.min() and rows.max() < starts[t + 1]
+            steps = decision_path(cut, kept[t])
+            assert steps == decision_path(full, kept[t])
+            node, inner = 0, []
+            for *_, taken in steps:
+                inner.append(node)
+                node = node + 1 if taken else int(cut.table.right[node])
+            assert node == leaf[t] - roots[t]
+            np.testing.assert_array_equal((cut.table.feat >= 0).nonzero()[0], inner)
+    assert (path.table.feat >= 0).sum() > len(samples)  # some paths go past their root
+
+
+def test_path_growth_refuses_drawing_trees_and_foreign_positions(two_cat_schema):
+    X, y = and_dataset(two_cat_schema)
+    samples = [np.arange(4), np.arange(4)]
+    for draws, keep in (([None, (0, 1)], [0, 4]), ([None, None], [0, 3]),
+                        ([None, None], [4, 0]), ([None, None], [0])):
+        with pytest.raises(ValueError, match="^keep names one sample position"):
+            cart.grow_trees(X, y, two_cat_schema, samples, draws, keep)
+
+
 def _choice_sets(seed, p, width, calls):
     """The feature sets successive Generator.choice calls draw from seed."""
     rng = np.random.default_rng(seed)

@@ -407,24 +407,16 @@ def _mixed_task(seed, task, n_train, n_test):
 ])
 def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap, budget):
     """Stages of any size, and passes in chunks of any size, give the rows
-    and explanations of explaining each query alone, and a run labels each
-    training row once."""
+    of explaining each query alone, and a run labels each training row once;
+    explain_neighborhoods on the stages evaluate selects gives each query's
+    explanation alone."""
     monkeypatch.setattr(fidelity, "EXPLAIN_BATCH_QUERIES", cap)
     monkeypatch.setattr(tabular, "WORK_BYTES", budget)
-    staged = []
-    real = fidelity.explain_neighborhoods
-
-    def recorded(*args):
-        staged.extend(real(*args))
-        return staged[len(staged) - len(args[0]):]
-
-    monkeypatch.setattr(fidelity, "explain_neighborhoods", recorded)
     for seed, task, smote in itertools.product((0, 1), ("classification", "regression"),
                                                (SmoteConfig(), None)):
         train, test, forest = _mixed_task(20 + seed, task, 90, 8)
         oracle = CountingOracle(forest)
         cfg = ExplainConfig(n_neighbors=25, smote=smote, seed=seed)
-        staged.clear()
         report = evaluate_fidelity(train, test, oracle, ["araucana", "linear"], cfg)
         sent, oracle.calls = sum(oracle.calls), []
         rows, synthetics = _reference_evaluation(train, test, forest, cfg)
@@ -432,6 +424,14 @@ def test_staged_evaluation_equals_per_query_reference(monkeypatch, cap, budget):
         near = np.concatenate([select_neighborhoods(train, x[None], forest, cfg)[0].indices
                                for x in test.X])
         assert sent == len(np.unique(near)) + len(test) + sum(synthetics)
+        # evaluate grows only each query's path: its whole trees come from
+        # the staged explain_neighborhoods, on the same stages and seeds
+        labels, staged = explain.TrainLabels(len(train)), []
+        for a in range(0, len(test), cap):
+            X = test.X[a:a + cap]
+            nbhs = select_neighborhoods(train, X, forest, cfg, labels)
+            cfgs = [fidelity._row_config(cfg, i) for i in range(a, a + len(X))]
+            staged += explain.explain_neighborhoods(nbhs, X, forest, cfgs)
         assert len(staged) == len(test)
         for i, expl in enumerate(staged):
             alone = explain_instance(train, test.X[i], forest, fidelity._row_config(cfg, i))

@@ -367,6 +367,7 @@ def test_blocked_knn_equals_full_pass(tmp_path, monkeypatch):
                 stayed += kept * (k <= 5 and budget is None)
                 sent_on += (len(searched) - kept) * (k == 100 and budget is None)
             _same(model.predict_batch(queries), _reference_knn(model, queries))
+        model = train_knn(data, k=5)  # k = n keeps no groups: no group holds n rows
         path = tmp_path / f"knn{trial}.json"
         save_model(model, path)
         back = load_model(path)
@@ -379,6 +380,32 @@ def test_blocked_knn_equals_full_pass(tmp_path, monkeypatch):
     # most queries were answered in their group, so the test does not pass by
     # sending everything on, and the bound sent some on
     assert stayed >= 0.9 * 6 * 2 * len(seen) and sent_on > 0
+
+
+def test_knn_without_a_group_of_k_rows_takes_the_full_pass(monkeypatch):
+    # the shape of CI's memory-budget run: 2,250 training rows, one numeric
+    # feature and one of 1,000 categories, each held by 2 or 3 rows, k = 5
+    rng = np.random.default_rng(41)
+    queries = np.column_stack((rng.random(101), rng.integers(0, 1000, 101)))
+    for n_categories, grouped in ((1000, False), (100, True)):
+        schema = Schema((FeatureSpec("x", "numeric", range=(0.0, 1.0)),
+                         FeatureSpec("k", "categorical",
+                                     categories=tuple(f"k{i}" for i in range(n_categories)))),
+                        TargetSpec("y", REGRESSION))
+        X = np.column_stack((rng.random(2250), rng.permutation(np.arange(2250) % n_categories)))
+        model = train_knn(Dataset(schema, X, rng.standard_normal(2250)), k=5)
+        assert (model.groups is not None) == grouped
+        q = queries % [1, n_categories]
+        with monkeypatch.context() as mp:
+            calls = _spy_searches(mp, model.X)
+            got = model.predict_batch(q)
+            near = gower.nearest_rows_grouped(schema, q, model.X, 5, model.groups)
+        # without a group of 5 rows no group search runs; with one, most queries stay there
+        assert any(kind == "group" for kind, _ in calls) == grouped
+        want = gower.nearest_rows(schema, q, model.X, 5)
+        _same(near[0], want[0])
+        _same(near[1], want[1])
+        _same(got, _reference_knn(model, q))
 
 
 @pytest.mark.parametrize("n_same", [0, 1, 2])
